@@ -11,6 +11,7 @@ from .spectral import (
     SpectralOperator,
     apply_power,
     arithmetic_spectrum,
+    as_states,
     as_vector,
     m_eval,
     m_prime,
@@ -21,17 +22,12 @@ from .spectral import (
 )
 from .energies import (
     DEGENERATE_P,
-    EnergySample,
     LyapunovParams,
     decay_params,
     energy_E,
     energy_F,
     energy_G,
-    energy_script_E,
-    energy_script_F,
-    energy_script_G,
     equivalence_constants,
-    gamma_c,
     gamma_eps,
     gamma_r,
     gamma_rate,
@@ -45,10 +41,8 @@ from .energies import (
     z_eps,
 )
 from .evolution import (
-    HyperbolicState,
     IntegrationError,
     IntegratorConfig,
-    ParabolicState,
     Trajectory,
     coefficient_derivative,
     corrector,

@@ -18,7 +18,6 @@ one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,18 +25,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import energies as en
-from .evolution import (
-    IntegratorConfig,
-    Trajectory,
-    coefficient_derivative,
-    corrector_series,
-    integrate,
-    parabolic_rhs,
-    parabolic_second_derivative,
-    remainders,
-    theta0,
-)
-from .spectral import MassFunction, SpectralOperator, m_eval, mass_inf, sobolev_norm_sq
+from .evolution import Trajectory, coefficient_derivative, residual_g
+from .spectral import SpectralOperator, mass_inf, sobolev_norm_sq
 from ._rk import solve_to_grid
 
 __all__ = [
@@ -252,42 +241,26 @@ def hyperbolic_series(
     lp: en.LyapunovParams | None = None,
 ) -> dict[str, np.ndarray]:
     """Pointwise energy columns of a second-order run (``F`` only with ``lp``)."""
-    n = traj.n_samples
-    gamma = np.empty(n)
-    E = np.empty(n)
-    G = np.empty(n)
-    F = np.empty(n) if lp is not None else None
-    for i in range(n):
-        s = traj.state_at(i)
-        c = float(traj.c_trace[i])
-        gamma[i] = en.gamma_eps(s, eps, op)
-        E[i] = en.energy_E(s, eps, c, op)
-        G[i] = en.energy_G(s)
-        if lp is not None:
-            F[i] = en.energy_F(s, eps, c, op, lp)
-    out = {"gamma": gamma, "E": E, "G": G}
-    if F is not None:
-        out["F"] = F
+    u, v, c = traj.u, traj.v, traj.c_trace
+    out = {
+        "gamma": en.gamma_eps(u, v, eps, op),
+        "E": en.energy_E(u, v, eps, c, op),
+        "G": en.energy_G(v),
+    }
+    if lp is not None:
+        out["F"] = en.energy_F(u, v, traj.times, eps, c, op, lp)
     return out
+
+
+def _h2_norm_sq(op: SpectralOperator, u: np.ndarray) -> np.ndarray:
+    """``|u|^2 + |A^(1/2)u|^2 + |Au|^2`` per row."""
+    return sobolev_norm_sq(op, u, 0.0) + sobolev_norm_sq(op, u, 0.5) + sobolev_norm_sq(op, u, 1.0)
 
 
 def parabolic_gamma_series(traj: Trajectory, op: SpectralOperator) -> np.ndarray:
     """First-order-run energy ``|u|^2+|A^(1/2)u|^2+|Au|^2+(1+t)^(-2p)|u'|^2``."""
-    m = traj.meta["mass"]
-    p = traj.meta["p"]
-    n = traj.n_samples
-    out = np.empty(n)
-    for i in range(n):
-        s = traj.state_at(i)
-        up = parabolic_rhs(s, p, op, m)
-        w = (1.0 + s.t) ** (-2.0 * p)
-        out[i] = (
-            sobolev_norm_sq(op, s.u, 0.0)
-            + sobolev_norm_sq(op, s.u, 0.5)
-            + sobolev_norm_sq(op, s.u, 1.0)
-            + w * float(up @ up)
-        )
-    return out
+    w = (1.0 + traj.times) ** (-2.0 * traj.meta["p"])
+    return _h2_norm_sq(op, traj.u) + w * sobolev_norm_sq(op, traj.velocity(op), 0.0)
 
 
 def check_energy_monotone(traj: Trajectory, eps: float, op: SpectralOperator) -> CheckReport:
@@ -295,7 +268,7 @@ def check_energy_monotone(traj: Trajectory, eps: float, op: SpectralOperator) ->
     if traj.kind != "hyperbolic":
         raise ValueError("energy monotonicity applies to hyperbolic runs")
     tol = 10.0 * float(traj.meta.get("rel_tol", 1e-10))
-    E = hyperbolic_series(traj, eps, op)["E"]
+    E = en.energy_E(traj.u, traj.v, eps, traj.c_trace, op)
     rhs = np.zeros_like(E)
     return _slope_check(
         "energy_monotone",
@@ -326,17 +299,8 @@ def check_energy_sandwich(
     mu = mass_inf(m)
     c_sup = 1.01 * float(np.max(traj.c_trace))
     k_lo, k_hi, k_lo_F = en.equivalence_constants(mu, c_sup)
-    n = traj.n_samples
-    base = np.empty(n)
-    E = np.empty(n)
-    F = np.empty(n) if lp is not None else None
-    for i in range(n):
-        s = traj.state_at(i)
-        c = float(traj.c_trace[i])
-        base[i] = eps * sobolev_norm_sq(op, s.v, 0.0) + sobolev_norm_sq(op, s.u, 0.5)
-        E[i] = en.energy_E(s, eps, c, op)
-        if lp is not None:
-            F[i] = en.energy_F(s, eps, c, op, lp)
+    base = en.energy_E(traj.u, traj.v, eps, 1.0, op)
+    E = en.energy_E(traj.u, traj.v, eps, traj.c_trace, op)
     scale = 1.0 + base
     tol = 10.0 * float(traj.meta.get("rel_tol", 1e-10))
     lo_slack = (E - k_lo * base) / scale
@@ -353,6 +317,7 @@ def check_energy_sandwich(
         )
     ]
     if lp is not None:
+        F = en.energy_F(traj.u, traj.v, traj.times, eps, traj.c_trace, op, lp)
         f_slack = (F - k_lo_F * base) / scale
         worst = int(np.argmin(f_slack))
         reports.append(
@@ -386,25 +351,19 @@ def assemble_psi3(
     """
     if lp.sigma is None:
         raise ValueError("psi3 needs perturbation-case parameters (sigma present)")
-    t = traj.times
     c = traj.c_trace
-    n = t.size
-    out = np.empty(n)
+    w = (1.0 + traj.times) ** (-lp.p)
     inv_sqrt_nu = 1.0 / math.sqrt(op.nu)
-    for i in range(n):
-        w = (1.0 + t[i]) ** (-lp.p)
-        tp = theta_prime[i]
-        tp_norm_sq = float(tp @ tp)
-        tp_half = math.sqrt(sobolev_norm_sq(op, tp, 0.5))
-        rho_half = math.sqrt(sobolev_norm_sq(op, rho[i], 0.5))
-        g_sq = float(g[i] @ g[i])
-        out[i] = (
-            0.5 * eps * lp.delta * c[i] * w * tp_norm_sq
-            + 2.0 * rho_half * tp_half
-            + lp.delta * w * w * inv_sqrt_nu * rho_half * math.sqrt(tp_norm_sq)
-            + (2.0 / c[i] + lp.delta / (2.0 * lp.sigma)) / w * g_sq
-        )
-    return out
+    tp_norm_sq = sobolev_norm_sq(op, theta_prime, 0.0)
+    tp_half = np.sqrt(sobolev_norm_sq(op, theta_prime, 0.5))
+    rho_half = np.sqrt(sobolev_norm_sq(op, rho, 0.5))
+    g_sq = sobolev_norm_sq(op, g, 0.0)
+    return (
+        0.5 * eps * lp.delta * c * w * tp_norm_sq
+        + 2.0 * rho_half * tp_half
+        + lp.delta * w * w * inv_sqrt_nu * rho_half * np.sqrt(tp_norm_sq)
+        + (2.0 / c + lp.delta / (2.0 * lp.sigma)) / w * g_sq
+    )
 
 
 def residual_series(
@@ -413,19 +372,16 @@ def residual_series(
     """Residual ``g`` sampled on the shared grid, rows per sample time."""
     if not np.array_equal(traj_eps.times, traj_parabolic.times):
         raise ValueError("trajectories must share the sample grid")
-    op = traj_parabolic.meta["operator"]
-    m = traj_parabolic.meta["mass"]
-    p = traj_parabolic.meta["p"]
-    n = traj_parabolic.n_samples
-    out = np.empty_like(traj_parabolic.u)
-    from .evolution import residual_g  # local to avoid a wide import surface
-
-    for i in range(n):
-        s = traj_parabolic.state_at(i)
-        out[i] = residual_g(
-            float(traj_eps.times[i]), s, float(traj_eps.c_trace[i]), op, m, p, eps
-        )
-    return out
+    meta = traj_parabolic.meta
+    return residual_g(
+        traj_parabolic.times,
+        traj_parabolic.u,
+        traj_eps.c_trace,
+        meta["operator"],
+        meta["mass"],
+        meta["p"],
+        eps,
+    )
 
 
 def check_lyapunov_decay(
@@ -450,24 +406,19 @@ def check_lyapunov_decay(
     tol = 10.0 * float(traj.meta.get("rel_tol", 1e-10))
     w = (1.0 + t) ** (-lp.p)
     if which == "F":
-        F = hyperbolic_series(traj, eps, op, lp)["F"]
-        rhs = -lp.beta * w * F
-        name = "lyapunov_decay_F"
+        u, v, name = traj.u, traj.v, "lyapunov_decay_F"
     elif which == "script_F":
         if lp.sigma is None:
             raise ValueError("script_F needs perturbation-case parameters")
         if psi3 is None or rho is None or rprime is None:
             raise ValueError("script_F needs psi3, rho and rprime series")
-        n = traj.n_samples
-        F = np.empty(n)
-        for i in range(n):
-            F[i] = en.energy_script_F(
-                rho[i], rprime[i], float(t[i]), eps, float(traj.c_trace[i]), op, lp
-            )
-        rhs = -lp.beta * w * F + np.asarray(psi3, dtype=float)
-        name = "lyapunov_decay_script_F"
+        u, v, name = rho, rprime, "lyapunov_decay_script_F"
     else:
         raise ValueError("which must be 'F' or 'script_F'")
+    F = en.energy_F(u, v, t, eps, traj.c_trace, op, lp)
+    rhs = -lp.beta * w * F
+    if which == "script_F":
+        rhs = rhs + np.asarray(psi3, dtype=float)
     return _slope_check(
         name,
         t,
@@ -733,9 +684,7 @@ def check_hypotheses(
     t = traj_parabolic.times
     c_par = traj_parabolic.c_trace
     M1 = float(np.max(c_par))
-    cprime_par = np.array(
-        [coefficient_derivative(traj_parabolic, i, op, m) for i in range(t.size)]
-    )
+    cprime_par = coefficient_derivative(traj_parabolic, op, m)
     M2 = float(np.max(np.abs(cprime_par)))
     M3 = {}
     M4 = {}
@@ -747,9 +696,7 @@ def check_hypotheses(
             raise ValueError("sweep runs must share the parabolic sample grid")
         c_eps = traj.c_trace
         M3[eps] = float(np.max(c_eps))
-        cprime = np.array(
-            [coefficient_derivative(traj, i, op, m) for i in range(t.size)]
-        )
+        cprime = coefficient_derivative(traj, op, m)
         weighted = (1.0 + t) ** p * np.abs(cprime)
         M4[eps] = float(np.max(weighted))
         diff = np.abs(c_eps - c_par) / eps
@@ -947,12 +894,7 @@ def check_optimality(
     else:
         raise ValueError("phi_spec['form'] must be 'psi' or 'exp'")
 
-    n = traj.n_samples
-    H = np.empty(n)
-    for i in range(n):
-        H[i] = en.optimality_H(
-            traj.state_at(i), eps, float(traj.c_trace[i]), float(profile[i]), op
-        )
+    H = en.optimality_H(traj.u, traj.v, eps, traj.c_trace, profile, op)
     i0 = int(np.argmin(H))
     t_end = float(t[-1])
     tol = 1000.0 * float(traj.meta.get("rel_tol", 1e-10))
@@ -1068,69 +1010,37 @@ def wkb_compare(
     return _report("wkb_amplitude_law", slack, t_end, 0.0, params)
 
 
-def _thread_count() -> int:
-    import os
-
-    raw = os.environ.get("KLAB_THREADS")
-    if raw is None:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError("KLAB_THREADS must be a positive integer")
-    return value
-
-
 def epsilon_sweep_decay_error(
-    op: SpectralOperator,
-    m: MassFunction,
-    u0,
-    u1,
-    eps_list: list[float],
+    times,
+    gamma_r_by_eps: dict[float, np.ndarray],
     beta: float,
     p: float,
-    t_end: float,
-    sample_count: int,
-    cfg: IntegratorConfig,
+    mu: float,
+    nu: float,
 ) -> CheckReport:
     """The quadratic error law across a halving sweep.
 
-    Runs the limit flow once and the second-order flow per ``eps`` (largest
-    first, in parallel when KLAB_THREADS allows), forms the remainder energy
-    ``|rho|^2 + |A^(1/2)rho|^2 + eps|r'|^2``, and measures
-    ``S(eps) = sup_t`` of its ratio to ``eps^2 phi``.  Asserts the sweep is
-    stable within 4x and every halving keeps ``S(eps/2)/S(eps)`` in
-    ``[1/2, 2]``.
+    Takes, per ``eps``, the remainder energy
+    ``|rho|^2 + |A^(1/2)rho|^2 + eps|r'|^2`` sampled on ``times`` (see
+    :func:`klab.energies.gamma_r`) and measures ``S(eps) = sup_t`` of its
+    ratio to ``eps^2 phi``.  Asserts the sweep is stable within 4x and every
+    halving keeps ``S(eps/2)/S(eps)`` in ``[1/2, 2]``.
     """
-    eps_sorted = sorted(float(e) for e in eps_list)
+    eps_sorted = sorted(float(e) for e in gamma_r_by_eps)
     if len(eps_sorted) < 3:
         raise ValueError("the sweep needs at least three eps values")
     for small, large in zip(eps_sorted, eps_sorted[1:]):
         if abs(large / small - 2.0) > 1e-9:
             raise ValueError("eps values must form a halving (ratio-2) sweep")
-    if p == 0.0 and beta >= 2.0 * mass_inf(m) * op.nu:
+    if p == 0.0 and beta >= 2.0 * mu * nu:
         raise ValueError("p=0 requires beta < 2*mu*nu")
     eps_desc = eps_sorted[::-1]
-    traj_par = integrate("parabolic", u0, t_end, sample_count, cfg, op, m, p)
-    th0 = theta0(u0, u1, op, m)
-    t = traj_par.times
+    t = np.asarray(times, dtype=float)
     phi_vals = np.array([en.phi(beta, p, float(s)) for s in t])
-
-    def one(eps: float) -> float:
-        traj_eps = integrate(
-            "hyperbolic", (u0, u1), t_end, sample_count, cfg, op, m, p, eps=eps
-        )
-        rho, _, rprime = remainders(traj_eps, traj_par, th0, eps, p)
-        gr = np.array(
-            [en.gamma_r(rho[i], rprime[i], eps, op) for i in range(t.size)]
-        )
-        return float(np.max(gr / (eps**2 * phi_vals)))
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sups = list(pool.map(one, eps_desc))
-    else:
-        sups = [one(e) for e in eps_desc]
+    sups = [
+        float(np.max(np.asarray(gamma_r_by_eps[eps], dtype=float) / (eps**2 * phi_vals)))
+        for eps in eps_desc
+    ]
     S = dict(zip(eps_desc, sups))
     ratio_sweep = _stability_ratio(sups)
     slacks = [(4.0 - ratio_sweep) / 4.0 if math.isfinite(ratio_sweep) else -1.0]
@@ -1154,7 +1064,7 @@ def epsilon_sweep_decay_error(
         "halving_ratios": halvings,
         "sweep_ratio": ratio_sweep,
     }
-    return _report("decay_error_eps2_law", min(slacks), t_end, 0.0, params)
+    return _report("decay_error_eps2_law", min(slacks), float(t[-1]), 0.0, params)
 
 
 def check_uniform_decay_weights(
@@ -1172,20 +1082,12 @@ def check_uniform_decay_weights(
     def weighted_sup(traj: Trajectory) -> float:
         op = traj.meta["operator"]
         p = float(traj.meta["p"])
-        m = traj.meta["mass"]
-        t = traj.times
-        total = np.zeros(t.size)
-        for i in range(t.size):
-            s = traj.state_at(i)
-            if traj.kind == "hyperbolic":
-                up = s.v
-            else:
-                up = parabolic_rhs(s, p, op, m)
-            total[i] = (
-                (1.0 + t[i]) ** 2 * float(up @ up)
-                + (1.0 + t[i]) ** (1.0 + p) * sobolev_norm_sq(op, s.u, 0.5)
-                + (1.0 + t[i]) ** (2.0 * (1.0 + p)) * sobolev_norm_sq(op, s.u, 1.0)
-            )
+        one_t = 1.0 + traj.times
+        total = (
+            one_t**2 * sobolev_norm_sq(op, traj.velocity(op), 0.0)
+            + one_t ** (1.0 + p) * sobolev_norm_sq(op, traj.u, 0.5)
+            + one_t ** (2.0 * (1.0 + p)) * sobolev_norm_sq(op, traj.u, 1.0)
+        )
         return float(np.max(total))
 
     per_eps = {float(tr.meta["eps"]): weighted_sup(tr) for tr in trajs_eps}
@@ -1218,14 +1120,7 @@ def check_parabolic_pointwise(traj: Trajectory, op: SpectralOperator) -> CheckRe
     p = float(traj.meta["p"])
     mu = mass_inf(m)
     t = traj.times
-    lhs = np.empty(t.size)
-    for i in range(t.size):
-        s = traj.state_at(i)
-        lhs[i] = (
-            sobolev_norm_sq(op, s.u, 0.0)
-            + sobolev_norm_sq(op, s.u, 0.5)
-            + sobolev_norm_sq(op, s.u, 1.0)
-        )
+    lhs = _h2_norm_sq(op, traj.u)
     g = en.gamma_rate(mu, op.nu, p)
     C = 1.05 * lhs[0] * math.exp(g)
     bound = np.array(
@@ -1243,32 +1138,28 @@ def check_parabolic_pointwise(traj: Trajectory, op: SpectralOperator) -> CheckRe
     )
 
 
-def probe_open_problem(
-    op: SpectralOperator,
-    m: MassFunction,
-    u0,
-    u1,
-    eps_list: list[float],
-    t_end: float,
-    sample_count: int,
-    cfg: IntegratorConfig,
-) -> dict[str, Any]:
+def probe_open_problem(trajs_eps: list[Trajectory]) -> dict[str, Any]:
     """Borderline-rate probe at ``p = 0``: is the energy kept in check at the sharp rate?
 
-    For each ``eps`` integrates the undamped-rate product
-    ``log Gamma + 2 mu nu t`` and reports its running maximum over the first
-    and the whole horizon, flagging growth.  Purely informational: the answer
-    at the sharp rate is not known, so no pass/fail is attached.
+    For each second-order run (constant mass, ``p = 0``) takes the
+    undamped-rate product ``log Gamma + 2 mu nu t`` and reports its running
+    maximum over the first and the whole horizon, flagging growth.  Purely
+    informational: the answer at the sharp rate is not known, so no
+    pass/fail is attached.
     """
-    if not m.is_constant:
-        raise ValueError("the probe runs with constant mass")
-    mu_nu = mass_inf(m) * op.nu
+    if not trajs_eps:
+        raise ValueError("need at least one hyperbolic run")
     results = {}
-    for eps in sorted(float(e) for e in eps_list):
-        traj = integrate(
-            "hyperbolic", (u0, u1), t_end, sample_count, cfg, op, m, 0.0, eps=eps
-        )
-        series = hyperbolic_series(traj, eps, op)["gamma"]
+    for traj in sorted(trajs_eps, key=lambda tr: float(tr.meta["eps"])):
+        op = traj.meta["operator"]
+        m = traj.meta["mass"]
+        eps = float(traj.meta["eps"])
+        if not m.is_constant:
+            raise ValueError("the probe runs with constant mass")
+        if traj.meta["p"] != 0.0:
+            raise ValueError("the probe runs at p = 0")
+        mu_nu = mass_inf(m) * op.nu
+        series = en.gamma_eps(traj.u, traj.v, eps, op)
         t = traj.times
         positive = series > 0.0
         logs = np.full(t.size, -math.inf)
@@ -1283,7 +1174,7 @@ def probe_open_problem(
         }
     return {
         "rate": 2.0 * mu_nu,
-        "t_end": t_end,
+        "t_end": float(trajs_eps[0].times[-1]),
         "per_eps": results,
         "informational": True,
     }

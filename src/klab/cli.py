@@ -17,13 +17,13 @@ environment error, 3 integration or other runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .evolution import IntegrationError
 from .harness import (
     ConfigError,
+    _read_json,
     apply_override,
     config_from_dict,
     render_report,
@@ -64,15 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "report":
             return render_report(Path(args.out))
-        config_path = Path(args.config)
-        if not config_path.is_file():
-            raise ConfigError(f"config file not found: {config_path}")
-        try:
-            raw = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+        raw = _read_json(Path(args.config), "config file")
         for override in args.override:
             if not isinstance(raw, dict):
                 raise ConfigError("config root must be a JSON object")

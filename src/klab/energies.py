@@ -1,4 +1,9 @@
-"""Scalar functionals along trajectories and the closed-form decay envelopes.
+"""Energy functionals over sampled states and the closed-form decay envelopes.
+
+The functionals take a state as ``(u, u')`` arrays: one ``(K,)`` vector gives
+a float, an ``(n, K)`` stack of samples (with ``(n,)`` times and coefficient
+values) gives one value per row.  The remainder energies of the paper are the
+same functionals applied to ``(rho, r')``.
 
 The decay envelopes (``phi``, ``psi``, ``z_eps``) are implemented from their
 closed forms rather than by integrating their defining ODEs: they serve as
@@ -13,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectral import SpectralOperator, as_vector, sobolev_norm_sq
+import numpy as np
+
+from .spectral import SpectralOperator, as_states, sobolev_norm_sq
 
 __all__ = [
     "weight_integral",
@@ -26,16 +33,11 @@ __all__ = [
     "LyapunovParams",
     "decay_params",
     "perturbation_params",
-    "EnergySample",
     "gamma_eps",
     "gamma_r",
-    "gamma_c",
     "energy_E",
     "energy_F",
     "energy_G",
-    "energy_script_E",
-    "energy_script_F",
-    "energy_script_G",
     "optimality_H",
     "equivalence_constants",
 ]
@@ -187,26 +189,8 @@ def perturbation_params(beta: float, p: float, mu: float, nu: float) -> Lyapunov
     return LyapunovParams(beta, p, delta, T, sigma)
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    """A named scalar functional value at one sample time."""
-
-    t: float
-    value: float
-    name: str
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t) or self.t < 0:
-            raise ValueError("t must be finite and >= 0")
-        if not math.isfinite(self.value):
-            raise ValueError("value must be finite")
-        if self.name.startswith("gamma") and self.value < 0:
-            raise ValueError("gamma-family samples are sums of squares, got a negative value")
-
-
-def gamma_eps(state, eps: float, op: SpectralOperator) -> float:
+def gamma_eps(u, v, eps: float, op: SpectralOperator):
     """Full second-order energy ``|u|^2 + |A^(1/2)u|^2 + |Au|^2 + |u'|^2 + eps |A^(1/2)u'|^2``."""
-    u, v = state.u, state.v
     return (
         sobolev_norm_sq(op, u, 0.0)
         + sobolev_norm_sq(op, u, 0.5)
@@ -216,7 +200,7 @@ def gamma_eps(state, eps: float, op: SpectralOperator) -> float:
     )
 
 
-def gamma_r(rho, rprime, eps: float, op: SpectralOperator) -> float:
+def gamma_r(rho, rprime, eps: float, op: SpectralOperator):
     """Remainder energy ``|rho|^2 + |A^(1/2)rho|^2 + eps |r'|^2``."""
     return (
         sobolev_norm_sq(op, rho, 0.0)
@@ -225,89 +209,39 @@ def gamma_r(rho, rprime, eps: float, op: SpectralOperator) -> float:
     )
 
 
-def gamma_c(rho, rprime, eps: float, op: SpectralOperator) -> float:
-    """Stronger remainder energy ``|rho|^2 + |A^(1/2)rho|^2 + |Arho|^2 + |r'|^2 + eps |A^(1/2)r'|^2``."""
-    return (
-        sobolev_norm_sq(op, rho, 0.0)
-        + sobolev_norm_sq(op, rho, 0.5)
-        + sobolev_norm_sq(op, rho, 1.0)
-        + sobolev_norm_sq(op, rprime, 0.0)
-        + eps * sobolev_norm_sq(op, rprime, 0.5)
-    )
-
-
-def energy_E(state, eps: float, c_val: float, op: SpectralOperator) -> float:
+def energy_E(u, v, eps: float, c_val, op: SpectralOperator):
     """Coefficient-weighted first energy ``eps |u'|^2 / c + |A^(1/2)u|^2``."""
-    return eps * sobolev_norm_sq(op, state.v, 0.0) / c_val + sobolev_norm_sq(
-        op, state.u, 0.5
-    )
+    return eps * sobolev_norm_sq(op, v, 0.0) / c_val + sobolev_norm_sq(op, u, 0.5)
 
 
-def energy_F(
-    state, eps: float, c_val: float, op: SpectralOperator, lp: LyapunovParams
-) -> float:
+def energy_F(u, v, t, eps: float, c_val, op: SpectralOperator, lp: LyapunovParams):
     """Lyapunov functional: ``energy_E`` plus the weighted cross and mass terms.
 
     ``E + eps delta (1+t)^(-p) <u', u> + (delta/2) (1+t)^(-2p) |u|^2``; may go
     negative for large ``eps``, which the sandwich check reports rather than
-    forbids.
+    forbids.  With the perturbation-case ``lp`` and ``(rho, r')`` it is the
+    remainder functional.
     """
-    u = as_vector(state.u, op)
-    v = as_vector(state.v, op)
-    w = (1.0 + state.t) ** (-lp.p)
+    w = (1.0 + np.asarray(t, dtype=float)) ** (-lp.p)
+    cross = (as_states(v, op) * as_states(u, op)).sum(axis=-1)
     return (
-        energy_E(state, eps, c_val, op)
-        + eps * lp.delta * w * float(v @ u)
-        + 0.5 * lp.delta * w * w * float(u @ u)
+        energy_E(u, v, eps, c_val, op)
+        + eps * lp.delta * w * cross
+        + 0.5 * lp.delta * w * w * sobolev_norm_sq(op, u, 0.0)
     )
 
 
-def energy_G(state) -> float:
-    """Kinetic term ``|u'|^2`` alone."""
-    v = as_vector(state.v)
-    return float(v @ v)
+def energy_G(v):
+    """Kinetic term ``|u'|^2``."""
+    v = as_states(v)
+    return (v * v).sum(axis=-1)
 
 
-def energy_script_E(rho, rprime, eps: float, c_val: float, op: SpectralOperator) -> float:
-    """Remainder counterpart of ``energy_E``: ``eps |r'|^2 / c + |A^(1/2)rho|^2``."""
-    return eps * sobolev_norm_sq(op, rprime, 0.0) / c_val + sobolev_norm_sq(
-        op, rho, 0.5
-    )
-
-
-def energy_script_F(
-    rho,
-    rprime,
-    t: float,
-    eps: float,
-    c_val: float,
-    op: SpectralOperator,
-    lp: LyapunovParams,
-) -> float:
-    """Remainder counterpart of ``energy_F`` built with the perturbation-case parameters."""
-    rho = as_vector(rho, op)
-    rprime = as_vector(rprime, op)
-    w = (1.0 + t) ** (-lp.p)
-    return (
-        energy_script_E(rho, rprime, eps, c_val, op)
-        + eps * lp.delta * w * float(rprime @ rho)
-        + 0.5 * lp.delta * w * w * float(rho @ rho)
-    )
-
-
-def energy_script_G(rprime) -> float:
-    """Remainder kinetic term ``|r'|^2``."""
-    r = as_vector(rprime)
-    return float(r @ r)
-
-
-def optimality_H(
-    state, eps: float, c_val: float, phi_val: float, op: SpectralOperator
-) -> float:
+def optimality_H(u, v, eps: float, c_val, phi_val, op: SpectralOperator):
     """Ratio ``(eps |u'|^2 / c + |A^(1/2)u|^2) / phi_val`` whose divergence witnesses optimality."""
-    if phi_val <= 0:
+    if np.any(np.asarray(phi_val) <= 0):
         raise ValueError("phi_val must be > 0")
-    return energy_E(state, eps, c_val, op) / phi_val
+    return energy_E(u, v, eps, c_val, op) / phi_val
 
 
 def equivalence_constants(mu: float, c_sup: float) -> tuple[float, float, float]:

@@ -26,10 +26,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._rk import IntegrationError, StepStats, solve_to_grid
-from .energies import growth_integral, weight_integral, z_eps
+from .energies import gamma_eps, growth_integral, weight_integral, z_eps
 from .spectral import (
     MassFunction,
     SpectralOperator,
+    as_states,
     as_vector,
     m_eval,
     m_prime,
@@ -38,8 +39,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "HyperbolicState",
-    "ParabolicState",
     "Trajectory",
     "IntegratorConfig",
     "IntegrationError",
@@ -56,36 +55,6 @@ __all__ = [
     "remainders",
     "hyperbolic_log_energy",
 ]
-
-
-@dataclass(frozen=True)
-class HyperbolicState:
-    """State ``(u, u')`` of the second-order flow at time ``t``."""
-
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError("t must be finite and >= 0")
-        object.__setattr__(self, "u", as_vector(self.u))
-        object.__setattr__(self, "v", as_vector(self.v))
-        if self.u.size != self.v.size:
-            raise ValueError("u and v must have the same length")
-
-
-@dataclass(frozen=True)
-class ParabolicState:
-    """State ``u`` of the first-order flow at time ``t``."""
-
-    t: float
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError("t must be finite and >= 0")
-        object.__setattr__(self, "u", as_vector(self.u))
 
 
 @dataclass(frozen=True)
@@ -171,15 +140,75 @@ class Trajectory:
     def n_samples(self) -> int:
         return int(self.times.size)
 
-    def state_at(self, i: int):
-        t = float(self.times[i])
+    def velocity(self, op: SpectralOperator) -> np.ndarray:
+        """``u'`` at every sample: stored for the second-order flow, recomputed
+        from the first-order equation (with the coefficient trace) otherwise."""
         if self.kind == "hyperbolic":
-            return HyperbolicState(t, self.u[i], self.v[i])
-        return ParabolicState(t, self.u[i])
+            return self.v
+        return _parabolic_velocity(
+            self.times[:, None], self.u, self.c_trace[:, None], op.eigenvalues, self.meta["p"]
+        )
+
+
+def _at_sigma(fn, m: MassFunction, lam: np.ndarray, u: np.ndarray):
+    """``fn(m, |A^(1/2)u|^2)`` of one state, or an ``(n,)`` array over the rows of ``u``.
+
+    ``fn`` is ``m_eval`` or ``m_prime``; they stay scalar functions, so rows
+    go through a comprehension over the ``sigma`` array.
+    """
+    sigma = (u * u) @ lam
+    if u.ndim == 1:
+        return fn(m, float(sigma))
+    return np.array([fn(m, s) for s in sigma.tolist()])
+
+
+def _column(x, u: np.ndarray):
+    """A scalar as is, an ``(n,)`` series as an ``(n, 1)`` column against the rows of ``u``."""
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 and u.ndim == 2 else x
+
+
+def _parabolic_velocity(t, u, c, lam: np.ndarray, p: float):
+    """First-order flow ``u' = -(1+t)^p c A u``; ``t`` and ``c`` scalars or ``(n, 1)`` columns."""
+    return -((1.0 + t) ** p) * c * lam * u
+
+
+def _hyperbolic_acceleration(t, u, v, c, lam: np.ndarray, eps: float, p: float):
+    """Second-order flow ``u'' = -((1+t)^(-p) u' + c A u)/eps``, row-wise like ``_parabolic_velocity``."""
+    w = (1.0 + t) ** (-p)
+    return -(w * v + c * lam * u) / eps
+
+
+def _parabolic_acceleration(t, u: np.ndarray, m: MassFunction, lam: np.ndarray, p: float):
+    """``(c, u'')`` of first-order states by analytic chaining; one state or ``(n, K)`` rows.
+
+    ``u'' = -p(1+t)^(p-1) c Au - (1+t)^p c' Au + (1+t)^(2p) c^2 A^2 u`` with
+    ``c = m(|A^(1/2)u|^2)`` and ``c' = 2 m'(|A^(1/2)u|^2) <Au, u'>``.
+    """
+    t = _column(t, u)
+    c = _column(_at_sigma(m_eval, m, lam, u), u)
+    dm = _column(_at_sigma(m_prime, m, lam, u), u)
+    au = lam * u
+    uprime = _parabolic_velocity(t, u, c, lam, p)
+    c_prime = 2.0 * dm * (au * uprime).sum(axis=-1, keepdims=True)
+    one_t = 1.0 + t
+    first = -p * one_t ** (p - 1.0) * c * au if p != 0.0 else np.zeros_like(au)
+    second = -(one_t**p) * c_prime * au
+    third = one_t ** (2.0 * p) * c * c * lam * au
+    return c, first + second + third
+
+
+def _require_finite(x: np.ndarray, t) -> None:
+    bad = ~np.isfinite(x).all(axis=-1)
+    if np.any(bad):
+        t_bad = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)[bad]
+        raise IntegrationError(f"nonfinite right-hand side at t={float(t_bad[0]):.6g}")
 
 
 def hyperbolic_rhs(
-    s: HyperbolicState,
+    t,
+    u,
+    v,
     eps: float,
     p: float,
     op: SpectralOperator,
@@ -187,33 +216,36 @@ def hyperbolic_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the second-order flow as a first-order system.
 
-    ``du = v`` and ``dv_k = -[(1+t)^(-p) v_k + m(|A^(1/2)u|^2) lambda_k u_k]/eps``.
+    ``du = v`` and ``dv_k = -[(1+t)^(-p) v_k + m(|A^(1/2)u|^2) lambda_k u_k]/eps``
+    for one state or for ``(n, K)`` rows with ``(n,)`` times.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    u = as_vector(s.u, op)
-    v = as_vector(s.v, op)
-    c = m_eval(m, sobolev_norm_sq(op, u, 0.5))
-    w = (1.0 + s.t) ** (-p)
-    dv = -(w * v + c * op.eigenvalues * u) / eps
-    if not np.all(np.isfinite(dv)):
-        raise IntegrationError(f"nonfinite right-hand side at t={s.t:.6g}")
+    u = as_states(u, op)
+    v = as_states(v, op)
+    if u.shape != v.shape:
+        raise ValueError("u and v must have the same shape")
+    lam = op.eigenvalues
+    c = _column(_at_sigma(m_eval, m, lam, u), u)
+    dv = _hyperbolic_acceleration(_column(t, u), u, v, c, lam, eps, p)
+    _require_finite(dv, t)
     return v.copy(), dv
 
 
-def parabolic_rhs(
-    s: ParabolicState, p: float, op: SpectralOperator, m: MassFunction
-) -> np.ndarray:
-    """First-order flow: ``du_k = -(1+t)^p m(|A^(1/2)u|^2) lambda_k u_k`` (any p >= 0)."""
+def parabolic_rhs(t, u, p: float, op: SpectralOperator, m: MassFunction) -> np.ndarray:
+    """First-order flow: ``du_k = -(1+t)^p m(|A^(1/2)u|^2) lambda_k u_k`` (any p >= 0).
+
+    One state, or ``(n, K)`` rows with ``(n,)`` times.
+    """
     if p < 0:
         raise ValueError("p must be >= 0")
-    u = as_vector(s.u, op)
-    c = m_eval(m, sobolev_norm_sq(op, u, 0.5))
-    du = -((1.0 + s.t) ** p) * c * op.eigenvalues * u
-    if not np.all(np.isfinite(du)):
-        raise IntegrationError(f"nonfinite right-hand side at t={s.t:.6g}")
+    u = as_states(u, op)
+    lam = op.eigenvalues
+    c = _column(_at_sigma(m_eval, m, lam, u), u)
+    du = _parabolic_velocity(_column(t, u), u, c, lam, p)
+    _require_finite(du, t)
     return du
 
 
@@ -231,17 +263,12 @@ def _hyperbolic_cap(
     state = {"c_sup": mass_inf(m)}
 
     def cap(t: float, y: np.ndarray) -> float:
-        u = y[: lam.size]
-        c = m_eval(m, float(lam @ (u * u)))
+        c = _at_sigma(m_eval, m, lam, y[: lam.size])
         if c > state["c_sup"]:
             state["c_sup"] = c
         return safety * 2.0 * math.pi * math.sqrt(eps / (lam_max * state["c_sup"]))
 
     return cap
-
-
-def _c_of(u_row: np.ndarray, op: SpectralOperator, m: MassFunction) -> float:
-    return m_eval(m, float(op.eigenvalues @ (u_row * u_row)))
 
 
 def integrate(
@@ -280,9 +307,8 @@ def integrate(
         def f(t: float, y: np.ndarray) -> np.ndarray:
             u = y[:K]
             v = y[K:]
-            c = m_eval(m, float(lam @ (u * u)))
-            w = (1.0 + t) ** (-p)
-            return np.concatenate([v, -(w * v + c * lam * u) / eps])
+            c = _at_sigma(m_eval, m, lam, u)
+            return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
 
         Y, _, _ = solve_to_grid(
             f,
@@ -295,7 +321,7 @@ def integrate(
         )
         u = Y[:, :K]
         v = Y[:, K:]
-        c_trace = np.array([_c_of(row, op, m) for row in u])
+        c_trace = _at_sigma(m_eval, m, lam, u)
         meta = {
             "p": p,
             "eps": eps,
@@ -313,8 +339,7 @@ def integrate(
         lam = op.eigenvalues
 
         def f(t: float, y: np.ndarray) -> np.ndarray:
-            c = m_eval(m, float(lam @ (y * y)))
-            return -((1.0 + t) ** p) * c * lam * y
+            return _parabolic_velocity(t, y, _at_sigma(m_eval, m, lam, y), lam, p)
 
         Y, _, _ = solve_to_grid(
             f,
@@ -324,7 +349,7 @@ def integrate(
             abs_tol=cfg.abs_tol,
             max_step=cfg.max_step,
         )
-        c_trace = np.array([_c_of(row, op, m) for row in Y])
+        c_trace = _at_sigma(m_eval, m, lam, Y)
         meta = {
             "p": p,
             "operator": op,
@@ -433,50 +458,33 @@ def corrector_series(
 
 
 def coefficient_derivative(
-    traj: Trajectory, index: int, op: SpectralOperator, m: MassFunction
-) -> float:
-    """``c'(t_i) = 2 m'(|A^(1/2)u|^2) <Au, u'>`` at sample ``index``.
+    traj: Trajectory, op: SpectralOperator, m: MassFunction
+) -> np.ndarray:
+    """``c'(t_i) = 2 m'(|A^(1/2)u|^2) <Au, u'>`` at every sample, as an ``(n,)`` series.
 
     For parabolic trajectories ``u'`` is recomputed from the flow equation.
     """
-    u = traj.u[index]
-    if traj.kind == "hyperbolic":
-        uprime = traj.v[index]
-    else:
-        uprime = parabolic_rhs(
-            ParabolicState(float(traj.times[index]), u), traj.meta["p"], op, m
-        )
-    sigma = sobolev_norm_sq(op, u, 0.5)
-    au = op.eigenvalues * u
-    return 2.0 * m_prime(m, sigma) * float(au @ uprime)
+    lam = op.eigenvalues
+    dm = _at_sigma(m_prime, m, lam, traj.u)
+    return 2.0 * dm * ((traj.u * traj.velocity(op)) @ lam)
 
 
 def parabolic_second_derivative(
-    s: ParabolicState, p: float, op: SpectralOperator, m: MassFunction
+    t, u, p: float, op: SpectralOperator, m: MassFunction
 ) -> np.ndarray:
     """``u''`` of the first-order flow by analytic chaining (no differencing).
 
     ``u'' = -p(1+t)^(p-1) c Au - (1+t)^p c' Au + (1+t)^(2p) c^2 A^2 u`` with
-    ``c'`` evaluated through ``u' = parabolic_rhs``.
+    ``c'`` evaluated through ``u'`` from the flow equation.  One state, or
+    ``(n, K)`` rows with ``(n,)`` times.
     """
-    u = as_vector(s.u, op)
-    lam = op.eigenvalues
-    sigma = sobolev_norm_sq(op, u, 0.5)
-    c = m_eval(m, sigma)
-    uprime = parabolic_rhs(s, p, op, m)
-    c_prime = 2.0 * m_prime(m, sigma) * float((lam * u) @ uprime)
-    au = lam * u
-    one_t = 1.0 + s.t
-    first = -p * one_t ** (p - 1.0) * c * au if p != 0.0 else np.zeros_like(au)
-    second = -(one_t**p) * c_prime * au
-    third = one_t ** (2.0 * p) * c * c * lam * au
-    return first + second + third
+    return _parabolic_acceleration(t, as_states(u, op), m, op.eigenvalues, p)[1]
 
 
 def residual_g(
-    t: float,
-    u_parabolic: ParabolicState,
-    c_eps_value: float,
+    t,
+    u,
+    c_eps,
     op: SpectralOperator,
     m: MassFunction,
     p: float,
@@ -484,32 +492,29 @@ def residual_g(
 ) -> np.ndarray:
     """Defect of the limit solution in the second-order equation.
 
-    ``g(t) = -(c_eps(t) - c(t)) Au(t) - eps u''(t)``; ``c_eps_value`` comes
-    from the second-order run's coefficient trace (linearly interpolated by
-    the caller when grids differ).
+    ``g(t) = -(c_eps(t) - c(t)) Au(t) - eps u''(t)`` for the limit state
+    ``u`` at ``t``; ``c_eps`` comes from the second-order run's coefficient
+    trace.  One state, or ``(n, K)`` rows with ``(n,)`` times and ``c_eps``.
     """
-    if abs(t - u_parabolic.t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError("t must match the parabolic state's time")
-    u = as_vector(u_parabolic.u, op)
-    c = m_eval(m, sobolev_norm_sq(op, u, 0.5))
-    au = op.eigenvalues * u
-    upp = parabolic_second_derivative(u_parabolic, p, op, m)
-    return -(c_eps_value - c) * au - eps * upp
+    u = as_states(u, op)
+    lam = op.eigenvalues
+    c, upp = _parabolic_acceleration(t, u, m, lam, p)
+    return -(_column(c_eps, u) - c) * (lam * u) - eps * upp
 
 
 def remainders(
     u_eps_traj: Trajectory,
     u_traj: Trajectory,
-    theta0_vec,
-    eps: float,
-    p: float,
+    theta: np.ndarray,
+    theta_prime: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Series ``(rho, r, r')`` of the singular-perturbation decomposition.
 
     ``rho = u_eps - u``; ``r = rho - theta``; ``r' = u_eps' - u' - theta'``
-    with ``u'`` recomputed from the first-order flow.  Both trajectories must
-    share the sample grid.  By construction ``u_eps = u + theta + r`` holds to
-    round-off at every sample.
+    with ``u'`` recomputed from the first-order flow and ``(theta, theta')``
+    the corrector series on the shared sample grid (see
+    :func:`corrector_series`).  By construction ``u_eps = u + theta + r``
+    holds to round-off at every sample.
     """
     if u_eps_traj.kind != "hyperbolic" or u_traj.kind != "parabolic":
         raise ValueError("expected a hyperbolic and a parabolic trajectory")
@@ -517,15 +522,11 @@ def remainders(
         u_eps_traj.times, u_traj.times
     ):
         raise ValueError("trajectories must share the sample grid")
-    op = u_traj.meta["operator"]
-    m = u_traj.meta["mass"]
-    theta, theta_prime = corrector_series(theta0_vec, eps, p, u_traj.times)
+    if np.shape(theta) != u_traj.u.shape or np.shape(theta_prime) != u_traj.u.shape:
+        raise ValueError("the corrector series must align with the trajectories")
     rho = u_eps_traj.u - u_traj.u
     r = rho - theta
-    uprime = np.empty_like(u_traj.u)
-    for i in range(u_traj.n_samples):
-        uprime[i] = parabolic_rhs(u_traj.state_at(i), p, op, m)
-    r_prime = u_eps_traj.v - uprime - theta_prime
+    r_prime = u_eps_traj.v - u_traj.velocity(u_traj.meta["operator"]) - theta_prime
     return rho, r, r_prime
 
 
@@ -566,8 +567,7 @@ def hyperbolic_log_energy(
     def f(t: float, y: np.ndarray) -> np.ndarray:
         u = y[:K]
         v = y[K:]
-        w = (1.0 + t) ** (-p)
-        return np.concatenate([v, -(w * v + c * lam * u) / eps])
+        return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
 
     cap_value = cfg.oscillation_safety * 2.0 * math.pi * math.sqrt(
         eps / (op.lambda_max * c)
@@ -581,20 +581,8 @@ def hyperbolic_log_energy(
         max_step=min(cfg.max_step, cap_value),
         renormalize=True,
     )
-    log_gamma = np.empty(times.size)
-    for i in range(times.size):
-        u = Y[i, :K]
-        v = Y[i, K:]
-        value = (
-            float(u @ u)
-            + float(lam @ (u * u))
-            + float((lam * lam) @ (u * u))
-            + float(v @ v)
-            + eps * float(lam @ (v * v))
-        )
-        if value <= 0.0:
-            raise IntegrationError(
-                f"energy vanished at t={times[i]:.6g} despite renormalization"
-            )
-        log_gamma[i] = math.log(value) - 2.0 * log_scale[i]
-    return times, log_gamma
+    value = gamma_eps(Y[:, :K], Y[:, K:], eps, op)
+    if np.any(value <= 0.0):
+        t_bad = float(times[np.argmax(value <= 0.0)])
+        raise IntegrationError(f"energy vanished at t={t_bad:.6g} despite renormalization")
+    return times, np.log(value) - 2.0 * log_scale

@@ -40,6 +40,7 @@ from .spectral import (
     arithmetic_spectrum,
     mass_inf,
     power_spectrum,
+    sobolev_norm_sq,
     uniform_spectrum,
 )
 
@@ -314,18 +315,21 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read, decode and validate a JSON run configuration."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+def _read_json(path: Path, what: str) -> Any:
+    """Decode a JSON file; a missing or malformed file is a ConfigError naming it."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{what} {path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return config_from_dict(raw)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read, decode and validate a JSON run configuration."""
+    return config_from_dict(_read_json(Path(path), "config file"))
 
 
 def apply_override(raw: dict, spec: str) -> None:
@@ -494,24 +498,10 @@ class _Context:
         missing = [e for e in eps_desc if e not in self._hyp]
         workers = _thread_count()
         if workers > 1 and len(missing) > 1:
+            # each worker fills the cache entry of its own, distinct eps
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for eps, traj in zip(missing, pool.map(self._integrate_one, missing)):
-                    self._hyp[eps] = traj
+                list(pool.map(self.hyperbolic, missing))
         return [self.hyperbolic(e) for e in eps_desc]
-
-    def _integrate_one(self, eps: float) -> Trajectory:
-        c = self.cfg
-        return integrate(
-            "hyperbolic",
-            (c.u0, c.u1),
-            c.t_end,
-            c.samples,
-            c.integrator,
-            c.operator,
-            c.mass,
-            c.p,
-            eps=eps,
-        )
 
     def add_check(self, rep: an.CheckReport) -> None:
         self.checks.append(rep)
@@ -644,20 +634,17 @@ def _scn_decay_error(ctx: _Context) -> None:
     th0 = theta0(c.u0, c.u1, c.operator, c.mass)
     lp_pert = en.perturbation_params(c.beta, c.p, ctx.mu, c.operator.nu)
     g_sq: dict[float, np.ndarray] = {}
+    gamma_r: dict[float, np.ndarray] = {}
     for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
-        rho, _, rprime = remainders(traj, traj_par, th0, eps, c.p)
-        _, theta_pr = corrector_series(th0, eps, c.p, traj.times)
+        theta, theta_pr = corrector_series(th0, eps, c.p, traj.times)
+        rho, _, rprime = remainders(traj, traj_par, theta, theta_pr)
         g = an.residual_series(traj, traj_par, eps)
-        g_sq[eps] = np.array([float(row @ row) for row in g])
-        n = traj.n_samples
-        gamma_r_col = np.array(
-            [en.gamma_r(rho[i], rprime[i], eps, c.operator) for i in range(n)]
-        )
-        gamma_c_col = np.array(
-            [en.gamma_c(rho[i], rprime[i], eps, c.operator) for i in range(n)]
-        )
+        g_sq[eps] = sobolev_norm_sq(c.operator, g, 0.0)
+        gamma_r[eps] = en.gamma_r(rho, rprime, eps, c.operator)
+        # the stronger remainder energy is the full energy of (rho, r')
+        gamma_c = en.gamma_eps(rho, rprime, eps, c.operator)
         _register_hyperbolic_csv(
-            ctx, eps, traj, extra={"gamma_r": gamma_r_col, "gamma_c": gamma_c_col}
+            ctx, eps, traj, extra={"gamma_r": gamma_r[eps], "gamma_c": gamma_c}
         )
         psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert, eps, c.operator)
         ctx.add_check(
@@ -671,16 +658,7 @@ def _scn_decay_error(ctx: _Context) -> None:
         )
     )
     sweep = an.epsilon_sweep_decay_error(
-        c.operator,
-        c.mass,
-        c.u0,
-        c.u1,
-        list(c.epsilon),
-        c.beta,
-        c.p,
-        c.t_end,
-        c.samples,
-        c.integrator,
+        traj_par.times, gamma_r, c.beta, c.p, ctx.mu, c.operator.nu
     )
     ctx.add_check(sweep)
     ctx.constants["S_eps"] = sweep.params["S_eps"]
@@ -777,19 +755,10 @@ def _scn_open_problem(ctx: _Context) -> None:
         raise ConfigError("scenario 'open_problem': p must be 0")
     if not c.mass.is_constant:
         raise ConfigError("scenario 'open_problem': the mass function must be constant")
-    for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
+    trajs = ctx.hyperbolic_sweep()
+    for traj, eps in zip(trajs, c.epsilon):
         _register_hyperbolic_csv(ctx, eps, traj)
-    probe = an.probe_open_problem(
-        c.operator,
-        c.mass,
-        c.u0,
-        c.u1,
-        list(c.epsilon),
-        c.t_end,
-        c.samples,
-        c.integrator,
-    )
-    ctx.constants["open_problem"] = probe
+    ctx.constants["open_problem"] = an.probe_open_problem(trajs)
 
 
 def _scn_all(ctx: _Context) -> None:
@@ -823,7 +792,14 @@ _SCENARIO_RUNNERS = {
 
 
 def _config_echo(cfg: RunConfig) -> dict[str, Any]:
-    max_step = cfg.integrator.max_step
+    """The resolved config as a document ``config_from_dict`` reads back to the same run."""
+    tolerances = {
+        "rel_tol": cfg.integrator.rel_tol,
+        "abs_tol": cfg.integrator.abs_tol,
+        "oscillation_safety": cfg.integrator.oscillation_safety,
+    }
+    if not math.isinf(cfg.integrator.max_step):
+        tolerances["max_step"] = cfg.integrator.max_step
     return {
         "p": cfg.p,
         "epsilon": list(cfg.epsilon),
@@ -843,12 +819,7 @@ def _config_echo(cfg: RunConfig) -> dict[str, Any]:
         "t_end": cfg.t_end,
         "samples": cfg.samples,
         "beta": cfg.beta,
-        "tolerances": {
-            "rel_tol": cfg.integrator.rel_tol,
-            "abs_tol": cfg.integrator.abs_tol,
-            "max_step": None if math.isinf(max_step) else max_step,
-            "oscillation_safety": cfg.integrator.oscillation_safety,
-        },
+        "tolerances": tolerances,
         "scenario": cfg.scenario,
         "seed": cfg.seed,
     }
@@ -895,6 +866,8 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path) -> int:
 
 
 def _read_csv(path: Path) -> dict[str, np.ndarray]:
+    if not path.is_file():
+        raise ConfigError(f"timeseries file not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -910,10 +883,9 @@ def render_report(out_dir: str | Path) -> int:
     present.  Returns 1 when a carried-over check failed, else 0.
     """
     out = Path(out_dir)
-    manifest_path = out / "runs.json"
-    if not manifest_path.is_file():
-        raise ConfigError(f"no run manifest found at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json(out / "runs.json", "run manifest")
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"run manifest {out / 'runs.json'}: expected a JSON object")
     cfg_doc = manifest.get("config", {})
     p = float(cfg_doc.get("p", 0.0))
     files = manifest.get("files", {})
@@ -950,7 +922,7 @@ def render_report(out_dir: str | Path) -> int:
     constants: dict[str, Any] = {}
     report_path = out / "report.json"
     if report_path.is_file():
-        prior = json.loads(report_path.read_text(encoding="utf-8"))
+        prior = _read_json(report_path, "report")
         checks_doc = prior.get("checks", [])
         constants = prior.get("measured_constants", {})
     _write_report(report_path, checks_doc, [_fit_entry(n, f) for n, f in fits], constants)

@@ -21,6 +21,7 @@ __all__ = [
     "arithmetic_spectrum",
     "uniform_spectrum",
     "as_vector",
+    "as_states",
     "sobolev_norm_sq",
     "apply_power",
     "m_eval",
@@ -93,28 +94,42 @@ def uniform_spectrum(nu: float, modes: int) -> SpectralOperator:
     return SpectralOperator(np.full(int(modes), float(nu)), nu)
 
 
-def as_vector(coeffs, op: SpectralOperator | None = None) -> np.ndarray:
-    """Coerce ``coeffs`` to a finite 1-d float array, checking the dimension against ``op``."""
+def as_states(coeffs, op: SpectralOperator | None = None) -> np.ndarray:
+    """Coerce ``coeffs`` to a finite ``(K,)`` vector or ``(n, K)`` stack of state rows.
+
+    The mode count (the last axis) is checked against ``op`` when given.
+    """
     v = np.asarray(coeffs, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("a spectral vector must be one-dimensional")
+    if v.ndim not in (1, 2):
+        raise ValueError("spectral states must be a vector or a (samples, modes) array")
     if not np.all(np.isfinite(v)):
         raise ValueError("spectral vector entries must be finite")
-    if op is not None and v.size != op.dim:
+    if op is not None and v.shape[-1] != op.dim:
         raise ValueError(
-            f"dimension mismatch: vector has {v.size} entries, operator has {op.dim} modes"
+            f"dimension mismatch: vector has {v.shape[-1]} entries, operator has {op.dim} modes"
         )
     return v
 
 
-def sobolev_norm_sq(op: SpectralOperator, v, s: float) -> float:
-    """``|A^s v|^2 = sum_k lambda_k^(2s) v_k^2``; ``s = 0`` gives the plain ``|v|^2``."""
-    v = as_vector(v, op)
+def as_vector(coeffs, op: SpectralOperator | None = None) -> np.ndarray:
+    """Coerce ``coeffs`` to a finite 1-d float array, checking the dimension against ``op``."""
+    v = as_states(coeffs, op)
+    if v.ndim != 1:
+        raise ValueError("a spectral vector must be one-dimensional")
+    return v
+
+
+def sobolev_norm_sq(op: SpectralOperator, v, s: float):
+    """``|A^s v|^2 = sum_k lambda_k^(2s) v_k^2``; ``s = 0`` gives the plain ``|v|^2``.
+
+    A ``(K,)`` vector gives a float, an ``(n, K)`` stack one value per row.
+    """
+    v = as_states(v, op)
     if s < 0:
         raise ValueError("power s must be >= 0")
-    if s == 0:
-        return float(v @ v)
-    return float((op.eigenvalues ** (2.0 * s)) @ (v * v))
+    sq = v * v
+    norm = sq.sum(axis=-1) if s == 0 else sq @ op.eigenvalues ** (2.0 * s)
+    return float(norm) if v.ndim == 1 else norm
 
 
 def apply_power(op: SpectralOperator, v, s: float) -> np.ndarray:

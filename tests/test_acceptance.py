@@ -32,6 +32,7 @@ from klab import (
     envelope,
     epsilon_sweep_decay_error,
     fit_decay_exponent,
+    gamma_r,
     gamma_rate,
     integrate,
     perturbation_params,
@@ -212,9 +213,13 @@ def test_criterion_03_rate_spread():
 
 def test_criterion_04_decay_error_law():
     start = time.perf_counter()
-    rep = epsilon_sweep_decay_error(
-        OP1, M1, [1.0], [-1.0], [0.04, 0.02, 0.01], 1.0, 0.5, 16.0, 1600, CFG
-    )
+    par = integrate("parabolic", [1.0], 16.0, 1600, CFG, OP1, M1, 0.5)
+    th0 = theta0([1.0], [-1.0], OP1, M1)
+    gamma_r_by_eps = {}
+    for eps in (0.04, 0.02, 0.01):
+        rho, _, rprime = remainders(sweep_run(eps), par, *corrector_series(th0, eps, 0.5, par.times))
+        gamma_r_by_eps[eps] = gamma_r(rho, rprime, eps, OP1)
+    rep = epsilon_sweep_decay_error(par.times, gamma_r_by_eps, 1.0, 0.5, 1.0, 1.0)
     elapsed = time.perf_counter() - start
     ratios = rep.params["halving_ratios"]
     _verdict(
@@ -253,8 +258,8 @@ def test_criterion_05_lyapunov_suite():
         ]
         par = integrate("parabolic", u0, t_end, n, CFG, OP1, M1, p)
         th0 = theta0(u0, u1, OP1, M1)
-        rho, _, rprime = remainders(hyp, par, th0, eps, p)
-        _, theta_p = corrector_series(th0, eps, p, par.times)
+        theta, theta_p = corrector_series(th0, eps, p, par.times)
+        rho, _, rprime = remainders(hyp, par, theta, theta_p)
         g = residual_series(hyp, par, eps)
         lp_pert = perturbation_params(1.0, p, 1.0, 1.0)
         psi3 = assemble_psi3(hyp, rho, theta_p, g, lp_pert, eps, OP1)
@@ -304,19 +309,15 @@ def test_criterion_06_comparison_lemmas():
     hyp = sweep_run(0.02)
     par = integrate("parabolic", [1.0], 16.0, 1600, CFG, OP1, M1, 0.5)
     th0 = theta0([1.0], [-1.0], OP1, M1)
-    rho, _, rprime = remainders(hyp, par, th0, 0.02, 0.5)
-    _, theta_p = corrector_series(th0, 0.02, 0.5, par.times)
+    theta, theta_p = corrector_series(th0, 0.02, 0.5, par.times)
+    rho, _, rprime = remainders(hyp, par, theta, theta_p)
     g = residual_series(hyp, par, 0.02)
     lp = perturbation_params(1.0, 0.5, 1.0, 1.0)
     psi3 = assemble_psi3(hyp, rho, theta_p, g, lp, 0.02, OP1)
-    from klab.energies import energy_script_F
+    from klab.energies import energy_F
     from klab import phi
 
-    F = np.array([
-        energy_script_F(rho[i], rprime[i], float(par.times[i]), 0.02,
-                        float(hyp.c_trace[i]), OP1, lp)
-        for i in range(par.times.size)
-    ])
+    F = energy_F(rho, rprime, par.times, 0.02, hyp.c_trace, OP1, lp)
     rep34 = check_comparison_lemma(
         "lemma34",
         {"times": par.times, "F": F, "psi": psi3, "T": lp.T, "beta": 1.0, "p": 0.5,

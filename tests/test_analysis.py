@@ -288,17 +288,13 @@ class TestComparisonLemmas:
         par = integrate("parabolic", u0, t_end, n, CFG, op, m, p)
         hyp = integrate("hyperbolic", (u0, u1), t_end, n, CFG, op, m, p, eps=eps)
         th0 = theta0(u0, u1, op, m)
-        rho, r, rp = remainders(hyp, par, th0, eps, p)
-        _, theta_p = corrector_series(th0, eps, p, par.times)
+        theta, theta_p = corrector_series(th0, eps, p, par.times)
+        rho, r, rp = remainders(hyp, par, theta, theta_p)
         g = residual_series(hyp, par, eps)
         lp = perturbation_params(1.0, p, 1.0, 1.0)
         psi3 = assemble_psi3(hyp, rho, theta_p, g, lp, eps, op)
-        from klab.energies import energy_script_F
-        F = np.array([
-            energy_script_F(rho[i], rp[i], float(par.times[i]), eps,
-                            float(hyp.c_trace[i]), op, lp)
-            for i in range(par.times.size)
-        ])
+        from klab.energies import energy_F
+        F = energy_F(rho, rp, par.times, eps, hyp.c_trace, op, lp)
         rep = check_comparison_lemma(
             "lemma34",
             {"times": par.times, "F": F, "psi": psi3, "T": lp.T, "beta": 1.0, "p": p,
@@ -444,18 +440,21 @@ def test_ratio_horizon_is_past_double_turnaround():
 
 class TestDecayErrorSweep:
     def test_zero_data_is_trivially_stable(self):
-        rep = epsilon_sweep_decay_error(OP1, M1, [0.0], [0.0], [0.04, 0.02, 0.01],
-                                        1.0, 0.5, 4.0, 100, CFG)
+        # zero data leave zero remainder energies on every run of the sweep
+        times = np.linspace(0.0, 4.0, 100)
+        zero = {eps: np.zeros(100) for eps in (0.04, 0.02, 0.01)}
+        rep = epsilon_sweep_decay_error(times, zero, 1.0, 0.5, 1.0, 1.0)
         assert rep.passed
         assert all(v == 0.0 for v in rep.params["S_eps"].values())
 
     def test_sweep_validation(self):
+        times = np.linspace(0.0, 4.0, 100)
         with pytest.raises(ValueError):
-            epsilon_sweep_decay_error(OP1, M1, [1.0], [0.0], [0.04, 0.02],
-                                      1.0, 0.5, 4.0, 100, CFG)
+            epsilon_sweep_decay_error(times, {e: np.ones(100) for e in (0.04, 0.02)},
+                                      1.0, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            epsilon_sweep_decay_error(OP1, M1, [1.0], [0.0], [0.04, 0.03, 0.02],
-                                      1.0, 0.5, 4.0, 100, CFG)
+            epsilon_sweep_decay_error(times, {e: np.ones(100) for e in (0.04, 0.03, 0.02)},
+                                      1.0, 0.5, 1.0, 1.0)
 
 
 def test_uniform_decay_weights_stable_for_constant_mass():
@@ -486,7 +485,8 @@ class TestParabolicPointwise:
 
 class TestOpenProblemProbe:
     def test_scalar_rate_beats_threshold(self):
-        out = probe_open_problem(OP1, M1, [1.0], [0.0], [0.1], 8.0, 400, CFG)
+        run = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.0, eps=0.1)
+        out = probe_open_problem([run])
         assert out["informational"] is True
         assert out["rate"] == pytest.approx(2.0)
         entry = out["per_eps"]["0.1"]
@@ -495,10 +495,12 @@ class TestOpenProblemProbe:
         assert math.isfinite(entry["sup_log_weighted"])
 
     def test_zero_data_supremum_is_log_zero(self):
-        out = probe_open_problem(OP1, M1, [0.0], [0.0], [0.1], 4.0, 100, CFG)
+        run = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 100, CFG, OP1, M1, 0.0, eps=0.1)
+        out = probe_open_problem([run])
         assert out["per_eps"]["0.1"]["sup_log_weighted"] == -math.inf
 
     def test_rejects_varying_mass(self):
+        run = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 100, CFG, OP1,
+                        MassFunction("affine", 1.0, 1.0), 0.0, eps=0.1)
         with pytest.raises(ValueError):
-            probe_open_problem(OP1, MassFunction("affine", 1.0, 1.0),
-                               [1.0], [0.0], [0.1], 4.0, 100, CFG)
+            probe_open_problem([run])

@@ -7,17 +7,13 @@ import pytest
 
 import klab
 from klab import (
-    HyperbolicState,
+    LyapunovParams,
     SpectralOperator,
     decay_params,
     energy_E,
     energy_F,
     energy_G,
-    energy_script_E,
-    energy_script_F,
-    energy_script_G,
     equivalence_constants,
-    gamma_c,
     gamma_eps,
     gamma_r,
     gamma_rate,
@@ -30,7 +26,6 @@ from klab import (
     weight_integral,
     z_eps,
 )
-from klab.energies import EnergySample
 
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
@@ -39,60 +34,92 @@ OP2 = SpectralOperator(np.array([2.0]), 1.0)
 
 class TestGammaFamily:
     def test_gamma_eps_values(self):
-        s = HyperbolicState(0.0, np.array([1.0]), np.array([1.0]))
-        assert gamma_eps(s, 1.0, OP1) == pytest.approx(5.0)
+        assert gamma_eps(np.array([1.0]), np.array([1.0]), 1.0, OP1) == pytest.approx(5.0)
 
-        zero = HyperbolicState(0.0, np.array([0.0]), np.array([0.0]))
-        assert gamma_eps(zero, 0.3, OP1) == 0.0
+        assert gamma_eps(np.array([0.0]), np.array([0.0]), 0.3, OP1) == 0.0
 
-        rest = HyperbolicState(0.0, np.array([1.0]), np.array([0.0]))
-        assert gamma_eps(rest, 0.123, OP2) == pytest.approx(7.0)
+        assert gamma_eps(np.array([1.0]), np.array([0.0]), 0.123, OP2) == pytest.approx(7.0)
 
     def test_gamma_r_and_c_values(self):
+        # the stronger remainder energy gamma_c is gamma_eps of (rho, r')
         z = np.array([0.0])
         assert gamma_r(z, z, 0.5, OP1) == 0.0
-        assert gamma_c(z, z, 0.5, OP1) == 0.0
+        assert gamma_eps(z, z, 0.5, OP1) == 0.0
 
         rho, rp = np.array([1.0]), np.array([0.0])
         assert gamma_r(rho, rp, 0.5, OP1) == pytest.approx(2.0)
-        assert gamma_c(rho, rp, 0.5, OP1) == pytest.approx(3.0)
+        assert gamma_eps(rho, rp, 0.5, OP1) == pytest.approx(3.0)
 
         rho, rp = np.array([0.0]), np.array([1.0])
         assert gamma_r(rho, rp, 0.5, OP1) == pytest.approx(0.5)
-        assert gamma_c(rho, rp, 0.5, OP1) == pytest.approx(1.5)
+        assert gamma_eps(rho, rp, 0.5, OP1) == pytest.approx(1.5)
 
 
 class TestProofEnergies:
     def test_zero_state(self):
-        s = HyperbolicState(0.0, np.array([0.0]), np.array([0.0]))
+        u, v = np.array([0.0]), np.array([0.0])
         lp = decay_params(1.0, 0.0, 1.0, 1.0)
-        assert energy_E(s, 1.0, 1.0, OP1) == 0.0
-        assert energy_F(s, 1.0, 1.0, OP1, lp) == 0.0
-        assert energy_G(s) == 0.0
+        assert energy_E(u, v, 1.0, 1.0, OP1) == 0.0
+        assert energy_F(u, v, 0.0, 1.0, 1.0, OP1, lp) == 0.0
+        assert energy_G(v) == 0.0
 
     def test_substitution_case(self):
         # delta = 2(beta+1)nu/(2 mu nu - beta) = 4 at beta=1, mu=nu=1
         lp = decay_params(1.0, 0.0, 1.0, 1.0)
         assert lp.delta == pytest.approx(4.0)
-        s = HyperbolicState(0.0, np.array([1.0]), np.array([1.0]))
-        assert energy_E(s, 1.0, 1.0, OP1) == pytest.approx(2.0)
-        assert energy_F(s, 1.0, 1.0, OP1, lp) == pytest.approx(8.0)
-        assert energy_G(s) == pytest.approx(1.0)
+        u, v = np.array([1.0]), np.array([1.0])
+        assert energy_E(u, v, 1.0, 1.0, OP1) == pytest.approx(2.0)
+        assert energy_F(u, v, 0.0, 1.0, 1.0, OP1, lp) == pytest.approx(8.0)
+        assert energy_G(v) == pytest.approx(1.0)
 
     def test_kinetic_term_divided_by_coefficient(self):
-        s = HyperbolicState(0.0, np.array([0.0]), np.array([2.0]))
-        assert energy_E(s, 1.0, 2.0, OP1) == pytest.approx(2.0)
+        assert energy_E(np.array([0.0]), np.array([2.0]), 1.0, 2.0, OP1) == pytest.approx(2.0)
 
     def test_script_variants(self):
+        # the remainder functionals are E, F and G applied to (rho, r')
         lp = perturbation_params(1.0, 0.5, 1.0, 1.0)
         z = np.array([0.0])
-        assert energy_script_E(z, z, 0.1, 1.0, OP1) == 0.0
-        assert energy_script_F(z, z, 0.0, 0.1, 1.0, OP1, lp) == 0.0
-        assert energy_script_G(z) == 0.0
+        assert energy_E(z, z, 0.1, 1.0, OP1) == 0.0
+        assert energy_F(z, z, 0.0, 0.1, 1.0, OP1, lp) == 0.0
+        assert energy_G(z) == 0.0
 
-        assert energy_script_E(np.array([1.0]), z, 0.1, 1.0, OP1) == pytest.approx(1.0)
-        assert energy_script_E(z, np.array([1.0]), 0.25, 1.0, OP1) == pytest.approx(0.25)
-        assert energy_script_G(np.array([1.0])) == pytest.approx(1.0)
+        assert energy_E(np.array([1.0]), z, 0.1, 1.0, OP1) == pytest.approx(1.0)
+        assert energy_E(z, np.array([1.0]), 0.25, 1.0, OP1) == pytest.approx(0.25)
+        assert energy_G(np.array([1.0])) == pytest.approx(1.0)
+
+
+OP3 = SpectralOperator(np.array([1.0, 4.0, 9.0]), 1.0)
+_LP = LyapunovParams(beta=1.0, p=0.5, delta=3.0, T=0.0)
+_MASS = klab.MassFunction("rational", 1.0, 2.0)
+# (name, functional of one row: (t, u, v, c) -> value)
+_ROW_FUNCTIONALS = [
+    ("gamma_eps", lambda t, u, v, c: gamma_eps(u, v, 0.03, OP3)),
+    ("gamma_r", lambda t, u, v, c: gamma_r(u, v, 0.03, OP3)),
+    ("energy_E", lambda t, u, v, c: energy_E(u, v, 0.03, c, OP3)),
+    ("energy_F", lambda t, u, v, c: energy_F(u, v, t, 0.03, c, OP3, _LP)),
+    ("energy_G", lambda t, u, v, c: energy_G(v)),
+    ("optimality_H", lambda t, u, v, c: optimality_H(u, v, 0.03, c, 1.0 + t, OP3)),
+    ("sobolev_norm_sq", lambda t, u, v, c: klab.sobolev_norm_sq(OP3, u, 0.75)),
+    ("parabolic_rhs", lambda t, u, v, c: klab.parabolic_rhs(t, u, 0.5, OP3, _MASS)),
+    ("hyperbolic_rhs", lambda t, u, v, c: klab.hyperbolic_rhs(t, u, v, 0.03, 0.5, OP3, _MASS)[1]),
+    ("parabolic_second_derivative",
+     lambda t, u, v, c: klab.parabolic_second_derivative(t, u, 0.5, OP3, _MASS)),
+    ("residual_g", lambda t, u, v, c: klab.residual_g(t, u, c, OP3, _MASS, 0.5, 0.03)),
+]
+
+
+@pytest.mark.parametrize("name,fn", _ROW_FUNCTIONALS, ids=[n for n, _ in _ROW_FUNCTIONALS])
+def test_functional_on_a_stack_equals_its_rows(name, fn):
+    rng = np.random.default_rng(3)
+    n = 17
+    t = np.linspace(0.0, 4.0, n)
+    u = rng.standard_normal((n, 3)) * np.array([1.0, 1e-3, 1e-8])
+    v = rng.standard_normal((n, 3))
+    c = rng.uniform(1.0, 3.0, n)
+    stacked = fn(t, u, v, c)
+    rows = [fn(float(t[i]), u[i], v[i], float(c[i])) for i in range(n)]
+    assert stacked.shape == np.shape(rows)
+    np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=0.0)
 
 
 class TestComparisonFunctions:
@@ -207,27 +234,16 @@ class TestConstants:
 
 class TestOptimalityFunctional:
     def test_worked_value_and_homogeneity(self):
-        s = HyperbolicState(0.0, np.array([1.0]), np.array([0.0]))
-        assert optimality_H(s, 1.0, 1.0, 1.0, OP1) == pytest.approx(1.0)
-        assert optimality_H(s, 1.0, 1.0, 2.0, OP1) == pytest.approx(0.5)
+        u, v = np.array([1.0]), np.array([0.0])
+        assert optimality_H(u, v, 1.0, 1.0, 1.0, OP1) == pytest.approx(1.0)
+        assert optimality_H(u, v, 1.0, 1.0, 2.0, OP1) == pytest.approx(0.5)
 
-        zero = HyperbolicState(0.0, np.array([0.0]), np.array([0.0]))
-        assert optimality_H(zero, 1.0, 1.0, 1.0, OP1) == 0.0
+        zero = np.array([0.0])
+        assert optimality_H(zero, zero, 1.0, 1.0, 1.0, OP1) == 0.0
 
     def test_rejects_nonpositive_phi(self):
-        s = HyperbolicState(0.0, np.array([1.0]), np.array([0.0]))
+        u, v = np.array([1.0]), np.array([0.0])
         with pytest.raises(ValueError):
-            optimality_H(s, 1.0, 1.0, 0.0, OP1)
+            optimality_H(u, v, 1.0, 1.0, 0.0, OP1)
         with pytest.raises(ValueError):
-            optimality_H(s, 1.0, 1.0, -1.0, OP1)
-
-
-def test_energy_sample_validation():
-    EnergySample(0.5, 1.25, "gamma")
-    EnergySample(0.5, -0.1, "F")     # F may dip negative for large eps
-    with pytest.raises(ValueError):
-        EnergySample(0.5, math.inf, "gamma")
-    with pytest.raises(ValueError):
-        EnergySample(0.5, -0.1, "gamma")   # sums of squares stay nonnegative
-    with pytest.raises(ValueError):
-        EnergySample(-1.0, 0.0, "E")
+            optimality_H(u, v, 1.0, 1.0, -1.0, OP1)

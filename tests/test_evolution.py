@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from klab import (
-    HyperbolicState,
     IntegrationError,
     IntegratorConfig,
     MassFunction,
-    ParabolicState,
     SpectralOperator,
     Trajectory,
     coefficient_derivative,
@@ -36,29 +34,26 @@ CFG = IntegratorConfig()
 
 class TestRightHandSides:
     def test_hyperbolic_worked_values(self):
-        s = HyperbolicState(0.0, np.array([1.0]), np.array([1.0]))
-        du, dv = hyperbolic_rhs(s, 1.0, 0.7, OP1, M1)
+        du, dv = hyperbolic_rhs(0.0, np.array([1.0]), np.array([1.0]), 1.0, 0.7, OP1, M1)
         np.testing.assert_allclose(du, [1.0])
         np.testing.assert_allclose(dv, [-2.0])
 
-        s = HyperbolicState(0.0, np.array([0.0]), np.array([0.0]))
-        du, dv = hyperbolic_rhs(s, 0.5, 0.0, OP1, M1)
+        du, dv = hyperbolic_rhs(0.0, np.array([0.0]), np.array([0.0]), 0.5, 0.0, OP1, M1)
         np.testing.assert_array_equal(du, [0.0])
         np.testing.assert_array_equal(dv, [0.0])
 
-        s = HyperbolicState(3.0, np.array([0.0]), np.array([1.0]))
-        _, dv = hyperbolic_rhs(s, 0.5, 1.0, OP1, M1)
+        _, dv = hyperbolic_rhs(3.0, np.array([0.0]), np.array([1.0]), 0.5, 1.0, OP1, M1)
         np.testing.assert_allclose(dv, [-0.5])
 
     def test_parabolic_worked_values(self):
-        assert parabolic_rhs(ParabolicState(0.0, np.array([0.0])), 0.3, OP1, M1) == pytest.approx([0.0])
+        assert parabolic_rhs(0.0, np.array([0.0]), 0.3, OP1, M1) == pytest.approx([0.0])
 
         op2 = SpectralOperator(np.array([2.0]), 1.0)
         m3 = MassFunction("constant", 3.0)
-        du = parabolic_rhs(ParabolicState(0.0, np.array([1.0])), 0.9, op2, m3)
+        du = parabolic_rhs(0.0, np.array([1.0]), 0.9, op2, m3)
         np.testing.assert_allclose(du, [-6.0])
 
-        du = parabolic_rhs(ParabolicState(1.0, np.array([1.0])), 1.0, OP1, M1)
+        du = parabolic_rhs(1.0, np.array([1.0]), 1.0, OP1, M1)
         np.testing.assert_allclose(du, [-2.0])
 
 
@@ -187,14 +182,14 @@ class TestCoefficientTraces:
         traj = Trajectory("hyperbolic", np.array([0.0, 1.0]),
                           np.array([[1.0], [1.0]]), np.array([[-1.0], [-1.0]]),
                           np.array([2.0, 2.0]))
-        assert coefficient_derivative(traj, 0, OP1, aff) == pytest.approx(-2.0)
+        assert coefficient_derivative(traj, OP1, aff)[0] == pytest.approx(-2.0)
         const_run = Trajectory("hyperbolic", np.array([0.0, 1.0]),
                                np.array([[1.0], [1.0]]), np.array([[-1.0], [-1.0]]),
                                np.array([1.0, 1.0]))
-        assert coefficient_derivative(const_run, 0, OP1, M1) == 0.0
+        assert coefficient_derivative(const_run, OP1, M1)[0] == 0.0
         rest = Trajectory("hyperbolic", np.array([0.0, 1.0]),
                           np.zeros((2, 1)), np.zeros((2, 1)), np.array([1.0, 1.0]))
-        assert coefficient_derivative(rest, 0, OP1, aff) == 0.0
+        assert coefficient_derivative(rest, OP1, aff)[0] == 0.0
 
     def test_parabolic_trace_uses_ode_velocity(self):
         aff = MassFunction("affine", 1.0, 1.0)
@@ -202,7 +197,7 @@ class TestCoefficientTraces:
                           np.array([[1.0], [0.5]]), None, np.array([2.0, 1.25]),
                           meta={"p": 0.0})
         # at t=0: sigma = 1, c = 2, so u' = -c*lam*u = -2 and c' = 2*1*(1*-2)
-        assert coefficient_derivative(traj, 0, OP1, aff) == pytest.approx(-4.0)
+        assert coefficient_derivative(traj, OP1, aff)[0] == pytest.approx(-4.0)
 
     def test_trace_respects_lower_bound(self):
         for m in (MassFunction("affine", 0.5, 2.0), MassFunction("rational", 0.7, 3.0)):
@@ -215,31 +210,31 @@ class TestCoefficientTraces:
 
 class TestSecondDerivativeAndResidual:
     def test_parabolic_second_derivative_values(self):
-        zero = ParabolicState(0.0, np.array([0.0]))
-        np.testing.assert_array_equal(parabolic_second_derivative(zero, 0.0, OP1, M1), [0.0])
+        zero = np.array([0.0])
+        np.testing.assert_array_equal(parabolic_second_derivative(0.0, zero, 0.0, OP1, M1), [0.0])
 
-        s = ParabolicState(2.0, np.array([1.0]))
-        np.testing.assert_allclose(parabolic_second_derivative(s, 0.0, OP1, M1), [1.0])
+        np.testing.assert_allclose(
+            parabolic_second_derivative(2.0, np.array([1.0]), 0.0, OP1, M1), [1.0])
 
         op2 = SpectralOperator(np.array([2.0]), 1.0)
         np.testing.assert_allclose(parabolic_second_derivative(
-            ParabolicState(0.0, np.array([1.0])), 0.0, op2, M1), [4.0])
+            0.0, np.array([1.0]), 0.0, op2, M1), [4.0])
 
     def test_residual_worked_values(self):
-        zero = ParabolicState(0.0, np.array([0.0]))
+        zero = np.array([0.0])
         np.testing.assert_array_equal(residual_g(0.0, zero, 1.0, OP1, M1, 0.0, 0.1), [0.0])
 
-        s = ParabolicState(0.0, np.array([1.0]))
-        np.testing.assert_allclose(residual_g(0.0, s, 1.0, OP1, M1, 0.0, 0.1), [-0.1])
+        np.testing.assert_allclose(
+            residual_g(0.0, np.array([1.0]), 1.0, OP1, M1, 0.0, 0.1), [-0.1])
 
     def test_constant_mass_residual_is_pure_acceleration(self):
         traj = integrate("parabolic", [1.0, -0.2], 3.0, 120, CFG,
                          SpectralOperator(np.array([1.0, 2.0]), 1.0), M1, 0.5)
         op = SpectralOperator(np.array([1.0, 2.0]), 1.0)
         for i in (0, 60, 119):
-            s = traj.state_at(i)
-            g = residual_g(s.t, s, 1.0, op, M1, 0.5, 0.02)
-            udd = parabolic_second_derivative(s, 0.5, op, M1)
+            t, u = traj.times[i], traj.u[i]
+            g = residual_g(t, u, 1.0, op, M1, 0.5, 0.02)
+            udd = parabolic_second_derivative(t, u, 0.5, op, M1)
             np.testing.assert_allclose(g, -0.02 * udd, rtol=1e-14)
 
 
@@ -254,7 +249,7 @@ class TestRemainders:
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        rho, r, rp = remainders(hyp, par, th0, 0.05, 0.5)
+        rho, r, rp = remainders(hyp, par, *corrector_series(th0, 0.05, 0.5, par.times))
         np.testing.assert_allclose(rho[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(r[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rp[0], [0.0, 0.0], atol=1e-12)
@@ -263,8 +258,8 @@ class TestRemainders:
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        rho, r, _ = remainders(hyp, par, th0, 0.05, 0.5)
-        theta, _ = corrector_series(th0, 0.05, 0.5, par.times)
+        theta, theta_p = corrector_series(th0, 0.05, 0.5, par.times)
+        rho, r, _ = remainders(hyp, par, theta, theta_p)
         # u_eps = u + theta + r at every sample, to roundoff
         np.testing.assert_allclose(par.u + theta + r, hyp.u, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(rho, hyp.u - par.u, rtol=0.0, atol=0.0)
@@ -276,11 +271,10 @@ class TestRemainders:
         op = SpectralOperator(np.array([1.0, 2.0]), 1.0)
         par = integrate("parabolic", u0, 6.0, 240, CFG, op, M1, 0.5)
         from klab import parabolic_rhs
-        v = np.array([parabolic_rhs(par.state_at(i), 0.5, op, M1)
-                      for i in range(par.times.size)])
+        v = parabolic_rhs(par.times, par.u, 0.5, op, M1)
         twin = Trajectory("hyperbolic", par.times, par.u, v, par.c_trace,
                           meta=dict(par.meta))
-        rho, r, rp = remainders(twin, par, np.zeros(2), 0.05, 0.5)
+        rho, r, rp = remainders(twin, par, *corrector_series(np.zeros(2), 0.05, 0.5, par.times))
         assert not rho.any() and not r.any() and not rp.any()
 
     def test_grid_mismatch_rejected(self):
@@ -288,7 +282,8 @@ class TestRemainders:
         op, par, hyp = self._pair(0.05, u0, u1)
         short = integrate("parabolic", u0, 5.0, 240, CFG, op, M1, 0.5)
         with pytest.raises(ValueError):
-            remainders(hyp, short, theta0(u0, u1, op, M1), 0.05, 0.5)
+            remainders(hyp, short, *corrector_series(theta0(u0, u1, op, M1), 0.05, 0.5,
+                                                     short.times))
 
 
 class TestLogEnergyProbe:

@@ -249,6 +249,39 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             render_report(tmp_path / "never_ran")
 
+    @pytest.mark.parametrize("tolerances", [{}, {"max_step": 0.5}])
+    def test_manifest_config_reloads_to_the_same_run(self, tmp_path, tolerances):
+        cfg = config_from_dict(base_config(tolerances=tolerances))
+        assert run_scenario(cfg, tmp_path / "a") == 0
+        echo = json.loads((tmp_path / "a" / "runs.json").read_text(encoding="utf-8"))["config"]
+        assert run_scenario(config_from_dict(echo), tmp_path / "b") == 0
+        for name in ("runs.json", "report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "scenario,extra,solves",
+        [
+            # one limit flow and three second-order flows; the sweep reuses them
+            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, 4),
+            # the probe reads the scenario's own two second-order runs
+            ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, 2),
+        ],
+    )
+    def test_each_flow_is_integrated_once(self, tmp_path, monkeypatch, scenario, extra, solves):
+        import klab.evolution
+
+        calls = []
+        solve = klab.evolution.solve_to_grid
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(klab.evolution, "solve_to_grid", counting)
+        cfg = config_from_dict(base_config(scenario=scenario, **extra))
+        assert run_scenario(cfg, tmp_path / "out") in (0, 1)
+        assert len(calls) == solves
+
 
 # ---------------------------------------------------------------------------
 # the CLI proper
@@ -307,6 +340,25 @@ class TestCli:
         res = run_cli("report", "--out", str(out))
         assert res.returncode == 0
         assert (out / "report.json").read_bytes() == before
+
+    def test_report_on_missing_csv_exit_two(self, tmp_path):
+        cfgp = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert run_cli("verify", "--config", str(cfgp), "--out", str(out)).returncode == 0
+        (out / "parabolic.csv").unlink()
+        res = run_cli("report", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.count("\n") == 1
+        assert "parabolic.csv" in res.stderr
+
+    def test_report_on_malformed_manifest_exit_two(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "runs.json").write_text("{ not json", encoding="utf-8")
+        res = run_cli("report", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.count("\n") == 1
+        assert "runs.json" in res.stderr
 
     def test_thread_env_does_not_change_bytes(self, tmp_path):
         cfgp = write_config(tmp_path, base_config(epsilon=[0.05, 0.04]))
