@@ -4,8 +4,8 @@ A run is described by a single JSON document (see ``load_config``), executed
 into an output directory, and leaves three kinds of artifacts: one timeseries
 CSV per integrated trajectory, a ``report.json`` with checks, rate fits and
 measured constants, and a ``runs.json`` manifest recording the resolved
-configuration and the emitted files so reports can be re-rendered later
-without re-integrating.
+configuration, the emitted files and each flow's solver step counts, so
+reports can be re-rendered later without re-integrating.
 
 Everything is deterministic: identical configs produce byte-identical files.
 Per-epsilon runs may execute in parallel (KLAB_THREADS), but results are
@@ -503,6 +503,13 @@ class _Context:
                 list(pool.map(self.hyperbolic, missing))
         return [self.hyperbolic(e) for e in eps_desc]
 
+    def step_counts(self) -> dict[str, Any]:
+        """Accepted and rejected solver steps of every flow this run integrated."""
+        return {
+            "parabolic": None if self._par is None else self._par.meta["steps"],
+            "hyperbolic": {repr(eps): traj.meta["steps"] for eps, traj in self._hyp.items()},
+        }
+
     def add_check(self, rep: an.CheckReport) -> None:
         self.checks.append(rep)
 
@@ -859,6 +866,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path) -> int:
         "format": "klab-run-manifest-1",
         "config": _config_echo(cfg),
         "files": ctx.file_map,
+        "integrator": ctx.step_counts(),
     }
     text = json.dumps(_sanitize(manifest), sort_keys=True, indent=2, allow_nan=False)
     (out / "runs.json").write_text(text + "\n", encoding="utf-8", newline="\n")

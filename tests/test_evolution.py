@@ -20,6 +20,7 @@ from klab import (
     parabolic_closed_form,
     parabolic_rhs,
     parabolic_second_derivative,
+    power_spectrum,
     remainders,
     residual_g,
     theta0,
@@ -81,6 +82,58 @@ class TestParabolicClosedForm:
     def test_scalar_example_to_1e8(self):
         traj = integrate("parabolic", [1.0], 1.0, 64, CFG, OP1, M1, 0.0)
         assert traj.u[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_every_component_matches_closed_form(self, p):
+        # each mode to relative accuracy, down to hundreds of decades below the norm
+        op = power_spectrum(1.0, 16, 2.0)
+        k = np.arange(1, 17)
+        u0 = (-1.0) ** k / k**2
+        traj = integrate("parabolic", u0, 16.0, 256, CFG, op, M1, p)
+        exact = np.array([parabolic_closed_form(op, u0, p, 1.0, float(t)) for t in traj.times])
+        live = np.abs(exact) > 1e-250
+        assert np.min(np.abs(exact[live])) < 1e-200
+        rel = np.abs(traj.u[live] - exact[live]) / np.abs(exact[live])
+        assert np.max(rel) <= 1e-9
+
+
+class TestParabolicPhaseSolve:
+    AFFINE = MassFunction("affine", 1.0, 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_matches_k_mode_solve(self, p):
+        op = power_spectrum(1.0, 8, 2.0)
+        k = np.arange(1, 9)
+        u0 = (-1.0) ** k / k**2
+        traj = integrate("parabolic", u0, 8.0, 200, CFG, op, self.AFFINE, p)
+        lam = op.eigenvalues
+        # at rel_tol 1e-10 the K-mode solve's own norm error reaches 8e-10 (p = 1)
+        u = oracles.parabolic_mode_solve(lam, lambda s: 1.0 + s, u0, p, traj.times, rel_tol=1e-12)
+        c = 1.0 + (u * u) @ lam
+        np.testing.assert_allclose(traj.c_trace, c, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(
+            np.linalg.norm(traj.u, axis=1), np.linalg.norm(u, axis=1), rtol=1e-9, atol=0.0)
+
+    def test_one_scalar_solve_without_rejections_at_k64(self, monkeypatch):
+        # the explicit K-mode solve is stiff here: 57,503 accepted and 7,303 rejected steps
+        import klab.evolution
+
+        sizes = []
+        solve = klab.evolution.solve_to_grid
+
+        def recording(f, y0, *args, **kwargs):
+            sizes.append(np.size(y0))
+            return solve(f, y0, *args, **kwargs)
+
+        monkeypatch.setattr(klab.evolution, "solve_to_grid", recording)
+        op = power_spectrum(1.0, 64, 2.0)
+        k = np.arange(1, 65)
+        u0 = (-1.0) ** k / k**2
+        u0 = u0 / math.sqrt(float(op.eigenvalues @ (u0 * u0)))
+        traj = integrate("parabolic", u0, 16.0, 512, CFG, op, self.AFFINE, 0.5)
+        assert sizes == [1]
+        assert traj.meta["steps"]["rejected"] == 0
+        assert 0 < traj.meta["steps"]["accepted"] < 6000
 
 
 class TestHyperbolicOracle:

@@ -258,6 +258,17 @@ class TestRunScenario:
         for name in ("runs.json", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_manifest_lists_step_counts_of_every_flow(self, tmp_path):
+        cfg = config_from_dict(base_config(scenario="decay_error", epsilon=[0.04, 0.02, 0.01]))
+        assert run_scenario(cfg, tmp_path / "out") in (0, 1)
+        steps = json.loads((tmp_path / "out" / "runs.json").read_text(encoding="utf-8"))[
+            "integrator"
+        ]
+        assert sorted(steps["hyperbolic"]) == ["0.01", "0.02", "0.04"]
+        for counts in [steps["parabolic"], *steps["hyperbolic"].values()]:
+            assert sorted(counts) == ["accepted", "rejected"]
+            assert counts["accepted"] > 0
+
     @pytest.mark.parametrize(
         "scenario,extra,solves",
         [
