@@ -7,10 +7,21 @@ measurement lives in).  Steps are clipped to land exactly on the requested
 sample grid; sampled values therefore carry full integration accuracy and no
 interpolant is involved.
 
+A state of shape ``(B, d)`` is a batch of ``B`` independent members sharing
+one time grid and one step sequence.  Each member's error is its own norm
+over the last axis, measured against ``abs_tol + rel_tol * |y_i|``; a step is
+accepted only when every member's ratio is at most 1, and the step-size
+controller follows the largest ratio.  No member's accuracy contract is
+loosened by its neighbours, however far apart their magnitudes are; members
+merely take the steps the most demanding one needs.  A 1-D state of shape
+``(d,)`` is a single system and takes exactly the unbatched arithmetic.
+
 For linear right-hand sides the driver can renormalize the state by exact
 powers of two whenever it leaves a magnitude window, accumulating the scaling
 in log space.  IEEE754 multiplication by a power of two is exact, so the
 renormalized run is bit-faithful to the plain one while never underflowing.
+Renormalization applies to a single system only: a batch would need one
+scale per member.
 """
 
 from __future__ import annotations
@@ -72,8 +83,49 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepStats:
+    """What one solve did; ``h_min``/``h_max`` range over accepted steps."""
+
     accepted: int
     rejected: int
+    rhs_evals: int
+    h_min: float
+    h_max: float
+    renormalizations: int
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    # Euclidean norm over the last axis.  Each member's norm is the same BLAS
+    # dot as the norm of a 1-D state (``norm(x, axis=-1)`` sums in another
+    # order), so a (1, d) batch reproduces the unbatched run bit for bit.
+    if x.ndim == 1:
+        return np.linalg.norm(x)
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _member_scale(y: np.ndarray) -> np.ndarray:
+    # Per member of a batch, the power of two bringing its largest component
+    # near 1.  Scaling by it is exact, so it changes no ratio, but a member
+    # far below its neighbours (or below 1e-154) no longer squares to zero.
+    _, exponent = np.frexp(np.max(np.abs(y), axis=-1, keepdims=True))
+    return np.ldexp(1.0, np.clip(-exponent, -1022, 1022))
+
+
+def _error_ratio(
+    err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
+) -> float:
+    """Largest member error over its tolerance; ``inf`` when not finite."""
+    if y.ndim == 1:
+        err_norm = float(np.linalg.norm(err_vec))
+        scale = abs_tol + rel_tol * max(
+            float(np.linalg.norm(y)), float(np.linalg.norm(y_new))
+        )
+        ratio = err_norm / scale if scale > 0.0 else math.inf
+    else:
+        s = _member_scale(y)
+        scale = abs_tol * s[:, 0] + rel_tol * np.maximum(_norm(s * y), _norm(s * y_new))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = float(np.max(_norm(s * err_vec) / scale))
+    return ratio if math.isfinite(ratio) else math.inf
 
 
 def _rescale_factor(peak: float) -> float:
@@ -101,9 +153,15 @@ def solve_to_grid(
     natural log of the scaling applied up to that sample (all zeros unless
     ``renormalize``); the true state is ``Y[i] * exp(-log_scale[i])``.
 
+    ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
+    independent members (``Y`` then has shape ``(n, B, d)``), each held to
+    its own error norm (see the module docstring).  ``f`` receives and returns
+    the whole state.
+
     ``step_cap_fn(t, y)`` may impose a state-dependent step ceiling (used to
     resolve the fastest oscillation of hyperbolic runs).  ``renormalize``
-    requires ``f`` linear in ``y``; the caller is responsible for that.
+    requires ``f`` linear in ``y``; the caller is responsible for that.  It is
+    refused for a batch.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -112,12 +170,16 @@ def solve_to_grid(
         raise ValueError("times must be strictly increasing")
 
     y = np.array(y0, dtype=float)
+    if y.ndim not in (1, 2) or y.size == 0:
+        raise ValueError("initial state must have shape (d,) or (B, d)")
+    if y.ndim == 2 and renormalize:
+        raise ValueError("renormalize needs a single system, not a batch")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
     t = float(grid[0])
 
     n = grid.size
-    out = np.empty((n, y.size))
+    out = np.empty((n,) + y.shape)
     out[0] = y
     log_scale = 0.0
     log_out = np.zeros(n)
@@ -127,16 +189,21 @@ def solve_to_grid(
         raise IntegrationError(f"right-hand side not finite at t={t:.6g}")
 
     # First trial step: crude but safe; the controller takes over immediately.
-    y_norm = float(np.linalg.norm(y))
-    f_norm = float(np.linalg.norm(k1))
-    if y_norm > 0.0 and f_norm > 0.0:
-        h = 0.01 * y_norm / f_norm
-    else:
-        h = 1e-6 * (grid[-1] - grid[0])
-    h = min(h, max_step, float(grid[1] - grid[0]))
+    # A batch starts from its most cautious member.
+    unit = 1.0 if y.ndim == 1 else _member_scale(y)
+    y_norm = _norm(unit * y)
+    f_norm = _norm(unit * k1)
+    moving = (y_norm > 0.0) & (f_norm > 0.0)
+    trial = np.where(
+        moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
+    )
+    h = min(float(np.min(trial)), max_step, float(grid[1] - grid[0]))
 
     accepted = 0
     rejected = 0
+    renormalizations = 0
+    h_min = math.inf
+    h_max = 0.0
     j = 1
     just_rejected = False
 
@@ -178,16 +245,12 @@ def solve_to_grid(
         err_vec = h_try * (
             _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
         )
-        err_norm = float(np.linalg.norm(err_vec))
-        scale = abs_tol + rel_tol * max(
-            float(np.linalg.norm(y)), float(np.linalg.norm(y_new))
-        )
-        ratio = err_norm / scale if scale > 0.0 else math.inf
-        if not math.isfinite(ratio):
-            ratio = math.inf
+        ratio = _error_ratio(err_vec, y, y_new, rel_tol, abs_tol)
 
         if ratio <= 1.0 and np.all(np.isfinite(y_new)):
             accepted += 1
+            h_min = min(h_min, h_try)
+            h_max = max(h_max, h_try)
             t = target if hits_sample else t + h_try
             y = y_new
             k1 = k7
@@ -202,6 +265,7 @@ def solve_to_grid(
                     y = y * s
                     k1 = k1 * s  # valid because f is linear in y
                     log_scale += math.log(s)
+                    renormalizations += 1
             factor = _MAX_GROWTH if ratio == 0.0 else _SAFETY * ratio ** (-0.2)
             if just_rejected:
                 factor = min(factor, 1.0)
@@ -216,4 +280,6 @@ def solve_to_grid(
                 factor = max(_MIN_SHRINK, min(1.0, _SAFETY * ratio ** (-0.2)))
             h = h_try * factor
 
-    return out, log_out, StepStats(accepted, rejected)
+    attempts = accepted + rejected
+    stats = StepStats(accepted, rejected, 1 + 6 * attempts, h_min, h_max, renormalizations)
+    return out, log_out, stats

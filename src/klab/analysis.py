@@ -18,7 +18,7 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "check_lyapunov_decay",
     "check_comparison_lemma",
     "synthetic_lemma_instance",
+    "synthetic_lemma_instances",
     "check_hypotheses",
     "check_residual_bounds",
     "corrector_phi_integral",
@@ -470,7 +471,7 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
             raise ValueError("need eps > 0 and K >= 0")
         if 2.0 * eps * beta > 1.0:
             raise ValueError("lemma32 requires 2*eps*beta <= 1")
-        phi_vals = np.array([en.phi(beta, p, float(s)) for s in t])
+        phi_vals = en.phi_array(beta, p, t)
         rhs = -G / (eps * (1.0 + t) ** p) + (K / eps) * (1.0 + t) ** p * phi_vals
         hyp = _slope_check(
             "comparison_lemma32", t, G, rhs, tol, {"eps": eps, "K": K, "beta": beta, "p": p}
@@ -530,7 +531,7 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
         p = float(inputs["p"])
         if np.any(psi_vals < 0):
             raise ValueError("psi must be nonnegative")
-        phi_vals = np.array([en.phi(beta, p, float(s)) for s in t])
+        phi_vals = en.phi_array(beta, p, t)
         rhs = -beta * F / (1.0 + t) ** p + psi_vals
         hyp = _slope_check(
             "comparison_lemma34", t, F, rhs, tol, {"beta": beta, "p": p, "T": T}, t_start=T
@@ -561,94 +562,126 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
     raise ValueError(f"unknown lemma kind {kind!r}")
 
 
-def synthetic_lemma_instance(
-    kind: str, rng: np.random.Generator, grid_points: int = 600
-) -> dict[str, Any]:
-    """Random inputs whose hypotheses hold by construction.
+def _draw_lemma_params(kind: str, rng: np.random.Generator) -> dict[str, float]:
+    """One instance's parameters, drawn in a fixed order; ``y0`` starts the ODE."""
+    d = {
+        "p": float(rng.choice([0.0, 0.3, 0.5, 0.7, 1.0])),
+        "t_end": float(rng.uniform(4.0, 12.0)),
+        "shrink": float(rng.uniform(0.0, 0.4)),
+    }
+    if kind == "lemma32":
+        beta = float(rng.uniform(0.2, 1.5))
+        d.update(
+            beta=beta,
+            eps=float(rng.uniform(0.05, 0.5 / beta * 0.9)),
+            K=float(rng.uniform(0.0, 4.0)),
+            y0=float(rng.uniform(0.0, 3.0)),
+        )
+    elif kind == "lemma33":
+        d.update(
+            a1=float(rng.uniform(0.0, 2.0)),
+            b1=float(rng.uniform(0.3, 2.0)),
+            a2=float(rng.uniform(0.0, 2.0)),
+            b2=float(rng.uniform(0.3, 2.0)),
+            k1=float(rng.uniform(2.0, 4.0)),
+            y0=0.0,
+        )
+    elif kind == "lemma34":
+        beta = float(rng.uniform(0.3, 2.0))
+        d.update(
+            beta=beta,
+            beta_fast=beta + float(rng.uniform(0.5, 2.0)) + (1.0 if d["p"] == 1.0 else 0.0),
+            q=float(rng.uniform(0.1, 3.0)),
+            T=float(rng.uniform(0.0, 1.5)),
+            # Integrate from t = 0 with a start value reaching F(T) = FT; the
+            # hypothesis is only required for t >= T, so the early part is free.
+            y0=float(rng.uniform(0.0, 2.0)),
+            extra=float(rng.uniform(0.0, 0.5)),
+        )
+    else:
+        raise ValueError(f"unknown lemma kind {kind!r}")
+    return d
+
+
+def _lemma33_forcing(t: np.ndarray, a1, b1, a2, b2, k1) -> tuple[np.ndarray, np.ndarray]:
+    return a1 * np.exp(-b1 * t) + 0.3 / (1.0 + t) ** k1, a2 * np.exp(-b2 * t)
+
+
+def synthetic_lemma_instances(
+    kind: str, rng: np.random.Generator, count: int, grid_points: int = 600
+) -> list[dict[str, Any]]:
+    """``count`` random inputs whose hypotheses hold by construction.
 
     Each instance integrates the lemma's equality ODE (the extremal
     subsolution) at tight tolerance, optionally shrinks it by a decreasing
     factor (still a subsolution), and for lemma34 may add slack to ``psi``
     (enlarging the admitted forcing keeps the hypothesis true).
+
+    Parameters are drawn instance after instance, so a given ``rng`` state
+    yields the same instances however ``count`` splits them.  All instances
+    are integrated in one batched solve in normalized time ``tau = t/t_end``
+    on the shared grid ``linspace(0, 1, grid_points)``, as
+    ``dy/dtau = t_end f(tau t_end, y)``; each member keeps its own error norm,
+    and instance ``i`` is sampled at ``times = t_end_i * tau``.  Every
+    instance records that solve's statistics under ``"steps"``.
     """
-    p = float(rng.choice([0.0, 0.3, 0.5, 0.7, 1.0]))
-    t_end = float(rng.uniform(4.0, 12.0))
-    times = np.linspace(0.0, t_end, grid_points)
-    shrink = float(rng.uniform(0.0, 0.4))
-    decay = np.exp(-shrink * times)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    draws = [_draw_lemma_params(kind, rng) for _ in range(count)]
+    par = {key: np.array([d[key] for d in draws]) for key in draws[0]}
+    t_end, p = par["t_end"], par["p"]
+    tau = np.linspace(0.0, 1.0, grid_points)
 
     if kind == "lemma32":
-        beta = float(rng.uniform(0.2, 1.5))
-        eps = float(rng.uniform(0.05, 0.5 / beta * 0.9))
-        K = float(rng.uniform(0.0, 4.0))
-        G0 = float(rng.uniform(0.0, 3.0))
+        beta, eps, K = par["beta"], par["eps"], par["K"]
 
-        def f(t: float, y: np.ndarray) -> np.ndarray:
+        def f(s: float, y: np.ndarray) -> np.ndarray:
+            t = s * t_end
             w = (1.0 + t) ** p
-            return np.array(
-                [-y[0] / (eps * w) + (K / eps) * w * en.phi(beta, p, t)]
-            )
+            rate = -y[:, 0] / (eps * w) + (K / eps) * w * en.phi_array(beta, p, t)
+            return (t_end * rate)[:, None]
 
-        Y, _, _ = solve_to_grid(
-            f, np.array([G0]), times, rel_tol=1e-11, abs_tol=1e-14
-        )
-        return {
-            "times": times,
-            "G": Y[:, 0] * decay,
-            "eps": eps,
-            "K": K,
-            "beta": beta,
-            "p": p,
-        }
+    elif kind == "lemma33":
+        forcing = (par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
 
-    if kind == "lemma33":
-        a1, b1 = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.3, 2.0))
-        a2, b2 = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.3, 2.0))
-        k1 = float(rng.uniform(2.0, 4.0))
-        psi1 = a1 * np.exp(-b1 * times) + 0.3 / (1.0 + times) ** k1
-        psi2 = a2 * np.exp(-b2 * times)
+        def f(s: float, y: np.ndarray) -> np.ndarray:
+            p1, p2 = _lemma33_forcing(s * t_end, *forcing)
+            return (t_end * (p1 * np.sqrt(np.maximum(y[:, 0], 0.0)) + p2))[:, None]
 
-        def f(t: float, y: np.ndarray) -> np.ndarray:
-            p1 = a1 * math.exp(-b1 * t) + 0.3 / (1.0 + t) ** k1
-            p2 = a2 * math.exp(-b2 * t)
-            return np.array([p1 * math.sqrt(max(y[0], 0.0)) + p2])
+    else:
+        beta, beta_fast, q = par["beta"], par["beta_fast"], par["q"]
 
-        Y, _, _ = solve_to_grid(
-            f, np.array([0.0]), times, rel_tol=1e-11, abs_tol=1e-14
-        )
-        return {"times": times, "E": Y[:, 0] * decay, "psi1": psi1, "psi2": psi2}
+        def f(s: float, y: np.ndarray) -> np.ndarray:
+            t = s * t_end
+            rate = -beta * y[:, 0] / (1.0 + t) ** p + q * en.phi_array(beta_fast, p, t)
+            return (t_end * rate)[:, None]
 
-    if kind == "lemma34":
-        beta = float(rng.uniform(0.3, 2.0))
-        beta_fast = beta + float(rng.uniform(0.5, 2.0)) + (1.0 if p == 1.0 else 0.0)
-        q = float(rng.uniform(0.1, 3.0))
-        T = float(rng.uniform(0.0, 1.5))
-        FT = float(rng.uniform(0.0, 2.0))
-        psi_vals = q * np.array([en.phi(beta_fast, p, float(s)) for s in times])
+    Y, _, stats = solve_to_grid(
+        f, par["y0"][:, None], tau, rel_tol=1e-11, abs_tol=1e-14
+    )
+    steps = asdict(stats)
+    instances = []
+    for i, d in enumerate(draws):
+        times = d["t_end"] * tau
+        series = Y[:, i, 0] * np.exp(-d["shrink"] * times)
+        inst: dict[str, Any] = {"times": times, "steps": steps}
+        if kind == "lemma32":
+            inst.update(G=series, eps=d["eps"], K=d["K"], beta=d["beta"], p=d["p"])
+        elif kind == "lemma33":
+            psi1, psi2 = _lemma33_forcing(times, d["a1"], d["b1"], d["a2"], d["b2"], d["k1"])
+            inst.update(E=series, psi1=psi1, psi2=psi2)
+        else:
+            psi = (d["q"] + d["extra"]) * en.phi_array(d["beta_fast"], d["p"], times)
+            inst.update(F=series, psi=psi, T=d["T"], beta=d["beta"], p=d["p"])
+        instances.append(inst)
+    return instances
 
-        def f(t: float, y: np.ndarray) -> np.ndarray:
-            return np.array(
-                [-beta * y[0] / (1.0 + t) ** p + q * en.phi(beta_fast, p, t)]
-            )
 
-        # Integrate from t = 0 with a start value reaching F(T) = FT; the
-        # hypothesis is only required for t >= T, so the early part is free.
-        Y, _, _ = solve_to_grid(
-            f, np.array([FT]), times, rel_tol=1e-11, abs_tol=1e-14
-        )
-        extra = float(rng.uniform(0.0, 0.5)) * np.array(
-            [en.phi(beta_fast, p, float(s)) for s in times]
-        )
-        return {
-            "times": times,
-            "F": Y[:, 0] * decay,
-            "psi": psi_vals + extra,
-            "T": T,
-            "beta": beta,
-            "p": p,
-        }
-
-    raise ValueError(f"unknown lemma kind {kind!r}")
+def synthetic_lemma_instance(
+    kind: str, rng: np.random.Generator, grid_points: int = 600
+) -> dict[str, Any]:
+    """One instance of ``synthetic_lemma_instances``."""
+    return synthetic_lemma_instances(kind, rng, 1, grid_points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +796,7 @@ def check_residual_bounds(
     if p == 0.0 and beta >= 2.0 * mu * nu:
         raise ValueError("p=0 requires beta < 2*mu*nu")
     t = np.asarray(times, dtype=float)
-    phi_vals = np.array([en.phi(beta, p, float(s)) for s in t])
+    phi_vals = en.phi_array(beta, p, t)
     weight = (1.0 + t) ** p
     I_norm = {}
     B_norm = {}
@@ -1036,7 +1069,7 @@ def epsilon_sweep_decay_error(
         raise ValueError("p=0 requires beta < 2*mu*nu")
     eps_desc = eps_sorted[::-1]
     t = np.asarray(times, dtype=float)
-    phi_vals = np.array([en.phi(beta, p, float(s)) for s in t])
+    phi_vals = en.phi_array(beta, p, t)
     sups = [
         float(np.max(np.asarray(gamma_r_by_eps[eps], dtype=float) / (eps**2 * phi_vals)))
         for eps in eps_desc

@@ -26,6 +26,7 @@ __all__ = [
     "weight_integral",
     "growth_integral",
     "phi",
+    "phi_array",
     "psi",
     "z_eps",
     "parabolic_bound_rhs",
@@ -78,6 +79,26 @@ def phi(beta: float, p: float, t: float) -> float:
     if beta <= 0:
         raise ValueError("beta must be > 0")
     return math.exp(-beta * weight_integral(p, t))
+
+
+def phi_array(beta, p, t) -> np.ndarray:
+    """``phi`` at array arguments, broadcast together (a time grid, a batch).
+
+    Routes each ``p`` through ``DEGENERATE_P`` exactly as ``weight_integral``
+    does; agrees with the scalar ``phi`` to a few ulp.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
+        raise ValueError("beta must be > 0")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    q = 1.0 - np.asarray(p, dtype=float)
+    degenerate = q < DEGENERATE_P
+    q = np.where(degenerate, 1.0, q)
+    log1p_t = np.log1p(t)
+    weight = np.where(degenerate, log1p_t, np.expm1(q * log1p_t) / q)
+    return np.exp(-beta * weight)
 
 
 def psi(alpha: float, p: float, t: float) -> float:

@@ -98,7 +98,8 @@ class Trajectory:
     ``c_trace[i] = m(|A^(1/2)u(t_i)|^2)`` is recomputed at the samples, never
     interpolated.  ``meta`` records p, eps (second-order only), the operator,
     the mass function, the integrator tolerances that produced the run, and
-    ``steps``: the solver's ``{"accepted", "rejected"}`` step counts.
+    ``steps``: the solver's ``StepStats`` as a dict (steps accepted and
+    rejected, right-hand-side calls, step range, renormalizations).
     """
 
     kind: str  # "hyperbolic" | "parabolic"

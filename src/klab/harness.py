@@ -4,8 +4,9 @@ A run is described by a single JSON document (see ``load_config``), executed
 into an output directory, and leaves three kinds of artifacts: one timeseries
 CSV per integrated trajectory, a ``report.json`` with checks, rate fits and
 measured constants, and a ``runs.json`` manifest recording the resolved
-configuration, the emitted files and each flow's solver step counts, so
-reports can be re-rendered later without re-integrating.
+configuration, the emitted files and the solver statistics of each flow
+and of each lemma kind's batched solve, so reports can be re-rendered later
+without re-integrating.
 
 Everything is deterministic: identical configs produce byte-identical files.
 Per-epsilon runs may execute in parallel (KLAB_THREADS), but results are
@@ -468,6 +469,7 @@ class _Context:
         self.file_map: dict[str, Any] = {"parabolic": None, "hyperbolic": {}, "lemmas": []}
         self._par: Trajectory | None = None
         self._hyp: dict[float, Trajectory] = {}
+        self.lemma_steps: dict[str, dict[str, Any]] = {}
 
     def parabolic(self) -> Trajectory:
         if self._par is None:
@@ -504,10 +506,12 @@ class _Context:
         return [self.hyperbolic(e) for e in eps_desc]
 
     def step_counts(self) -> dict[str, Any]:
-        """Accepted and rejected solver steps of every flow this run integrated."""
+        """Solver statistics of every flow this run integrated and of each
+        lemma kind's batched solve."""
         return {
             "parabolic": None if self._par is None else self._par.meta["steps"],
             "hyperbolic": {repr(eps): traj.meta["steps"] for eps, traj in self._hyp.items()},
+            "lemmas": self.lemma_steps,
         }
 
     def add_check(self, rep: an.CheckReport) -> None:
@@ -529,7 +533,7 @@ class _Context:
 
 def _profile_columns(ctx: _Context, times: np.ndarray) -> dict[str, np.ndarray]:
     c = ctx.cfg
-    phi_vals = np.array([en.phi(c.beta, c.p, float(s)) for s in times])
+    phi_vals = en.phi_array(c.beta, c.p, times)
     psi_vals = np.array([en.psi(ctx.gamma, c.p, float(s)) for s in times])
     return {"phi": phi_vals, "psi": psi_vals}
 
@@ -685,20 +689,17 @@ def _scn_optimality(ctx: _Context) -> None:
 
 def _scn_lemmas(ctx: _Context, instances: int = 100) -> None:
     rng = np.random.default_rng(ctx.cfg.seed)
-    for kind in ("lemma32", "lemma33", "lemma34"):
-        last_inputs = None
-        for i in range(instances):
-            inputs = an.synthetic_lemma_instance(kind, rng)
-            rep = an.check_comparison_lemma(kind, inputs)
+    for kind, series_key in (("lemma32", "G"), ("lemma33", "E"), ("lemma34", "F")):
+        for i, last_inputs in enumerate(an.synthetic_lemma_instances(kind, rng, instances)):
+            rep = an.check_comparison_lemma(kind, last_inputs)
             rep.params["instance"] = i
             ctx.add_check(rep)
-            last_inputs = inputs
-        series_key = {"lemma32": "G", "lemma33": "E", "lemma34": "F"}[kind]
+        ctx.lemma_steps[kind] = last_inputs["steps"]
         t = last_inputs["times"]
         series = np.asarray(last_inputs[series_key], dtype=float)
         beta = float(last_inputs.get("beta", ctx.cfg.beta))
         p = float(last_inputs.get("p", ctx.cfg.p))
-        phi_vals = np.array([en.phi(beta, p, float(s)) for s in t])
+        phi_vals = en.phi_array(beta, p, t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = series / phi_vals
         name = f"{kind}_instance.csv"

@@ -39,7 +39,7 @@ from klab import (
     psi,
     remainders,
     residual_series,
-    synthetic_lemma_instance,
+    synthetic_lemma_instances,
     theta0,
 )
 from klab.analysis import assemble_psi3
@@ -284,8 +284,8 @@ def test_criterion_06_comparison_lemmas():
     conclusion_failures = 0
     checked = 0
     for kind in ("lemma32", "lemma33", "lemma34"):
-        for _ in range(100):
-            rep = check_comparison_lemma(kind, synthetic_lemma_instance(kind, rng))
+        for inputs in synthetic_lemma_instances(kind, rng, 100):
+            rep = check_comparison_lemma(kind, inputs)
             checked += 1
             if rep.params.get("failure_kind") == "conclusion" or not rep.passed:
                 conclusion_failures += 1

@@ -39,6 +39,7 @@ from klab import (
     remainders,
     residual_series,
     synthetic_lemma_instance,
+    synthetic_lemma_instances,
     theta0,
 )
 from klab.analysis import assemble_psi3, hyperbolic_series
@@ -316,6 +317,36 @@ class TestComparisonLemmas:
                 rep = check_comparison_lemma(kind, inputs)
                 assert rep.params.get("failure_kind") != "conclusion", (kind, rep.params)
                 assert rep.passed, (kind, rep.worst_slack, rep.params)
+
+    @pytest.mark.parametrize("kind", ["lemma32", "lemma33", "lemma34"])
+    def test_one_batch_is_the_single_instances(self, kind):
+        singles_rng, batch_rng = np.random.default_rng(99), np.random.default_rng(99)
+        singles = [synthetic_lemma_instance(kind, singles_rng) for _ in range(25)]
+        batch = synthetic_lemma_instances(kind, batch_rng, 25)
+        # the same draws, in the same order, leaving the generators in step
+        assert singles_rng.random() == batch_rng.random()
+        # lemma33's ODE E' = psi1 sqrt(E) + psi2 is not Lipschitz at its start
+        # E(0) = 0, where abs_tol 1e-14 lets a lone solve drift: on these draws
+        # instance 21 (psi2(0) = 6.7e-4) is 5e-8 off at its first sample
+        rtol = 1e-7 if kind == "lemma33" else 1e-9
+        for one, member in zip(singles, batch):
+            assert sorted(one) == sorted(member)
+            for key, want in one.items():
+                if key == "steps":
+                    continue
+                if np.ndim(want) == 0:
+                    assert member[key] == want, key
+                else:
+                    np.testing.assert_allclose(member[key], want, rtol=rtol, atol=0.0)
+        assert batch[0]["steps"] is batch[-1]["steps"]
+        assert batch[0]["steps"]["accepted"] > 0
+
+    def test_batch_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            synthetic_lemma_instances("lemma32", rng, 0)
+        with pytest.raises(ValueError):
+            synthetic_lemma_instances("lemma99", rng, 2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from klab import (
     parabolic_bound_rhs,
     perturbation_params,
     phi,
+    phi_array,
     psi,
     weight_integral,
     z_eps,
@@ -128,6 +129,23 @@ class TestComparisonFunctions:
         assert phi(2.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-15)
         assert phi(1.0, 0.5, 3.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert phi(3.7, 0.4, 0.0) == 1.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0, 1.0 - 1e-13])
+    def test_phi_array_is_the_scalar_phi(self, p):
+        # the last p sits below DEGENERATE_P from 1: both forms take log1p(t)
+        t = np.linspace(0.0, 12.0, 600)
+        for beta in (0.5, 1.0):
+            want = [phi(beta, p, float(s)) for s in t]
+            np.testing.assert_allclose(phi_array(beta, p, t), want, rtol=1e-14, atol=0.0)
+        # broadcasting: one (beta, p) per row of a batch
+        got = phi_array(np.array([[0.5], [1.0]]), np.array([[p], [0.5]]), t)
+        np.testing.assert_allclose(got[1], [phi(1.0, 0.5, float(s)) for s in t], rtol=1e-14)
+
+    def test_phi_array_validates(self):
+        with pytest.raises(ValueError):
+            phi_array(np.array([1.0, 0.0]), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            phi_array(1.0, 0.5, np.array([-1.0, 1.0]))
 
     def test_psi_closed_forms(self):
         assert psi(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)

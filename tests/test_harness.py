@@ -22,6 +22,7 @@ from klab.harness import (
 )
 
 REPO = Path(__file__).resolve().parents[1]
+STEP_FIELDS = ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "renormalizations")
 
 
 def base_config(**extra):
@@ -265,9 +266,28 @@ class TestRunScenario:
             "integrator"
         ]
         assert sorted(steps["hyperbolic"]) == ["0.01", "0.02", "0.04"]
+        assert steps["lemmas"] == {}
         for counts in [steps["parabolic"], *steps["hyperbolic"].values()]:
-            assert sorted(counts) == ["accepted", "rejected"]
+            assert sorted(counts) == sorted(STEP_FIELDS)
             assert counts["accepted"] > 0
+            assert counts["rhs_evals"] == 1 + 6 * (counts["accepted"] + counts["rejected"])
+            assert 0.0 < counts["h_min"] <= counts["h_max"]
+
+    def test_manifest_lists_the_batched_solve_of_every_lemma_kind(self, tmp_path):
+        cfg = config_from_dict(base_config(scenario="lemmas"))
+        for out in ("a", "b"):
+            run_scenario(cfg, tmp_path / out)
+        manifest = json.loads((tmp_path / "a" / "runs.json").read_text(encoding="utf-8"))
+        steps = manifest["integrator"]
+        assert steps["parabolic"] is None and steps["hyperbolic"] == {}
+        assert sorted(steps["lemmas"]) == ["lemma32", "lemma33", "lemma34"]
+        for counts in steps["lemmas"].values():
+            assert sorted(counts) == sorted(STEP_FIELDS)
+            assert counts["accepted"] > 0
+            # FSAL pair: one evaluation to start, six per attempted step
+            assert counts["rhs_evals"] == 1 + 6 * (counts["accepted"] + counts["rejected"])
+        for path in sorted((tmp_path / "a").iterdir()):
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes(), path.name
 
     @pytest.mark.parametrize(
         "scenario,extra,solves",
@@ -276,9 +296,12 @@ class TestRunScenario:
             ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, 4),
             # the probe reads the scenario's own two second-order runs
             ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, 2),
+            # 300 synthetic instances, one batched solve per lemma kind
+            ("lemmas", {}, 3),
         ],
     )
     def test_each_flow_is_integrated_once(self, tmp_path, monkeypatch, scenario, extra, solves):
+        import klab.analysis
         import klab.evolution
 
         calls = []
@@ -288,7 +311,8 @@ class TestRunScenario:
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(klab.evolution, "solve_to_grid", counting)
+        for module in (klab.evolution, klab.analysis):
+            monkeypatch.setattr(module, "solve_to_grid", counting)
         cfg = config_from_dict(base_config(scenario=scenario, **extra))
         assert run_scenario(cfg, tmp_path / "out") in (0, 1)
         assert len(calls) == solves

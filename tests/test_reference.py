@@ -8,7 +8,9 @@ names, verdicts, file names and columns must be identical.
 
 Regenerate the references (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_reference.py --write
+    PYTHONPATH=src python tests/test_reference.py --write [CASE ...]
+
+which rewrites only the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -111,13 +113,30 @@ def test_tolerance_rejects_a_real_change():
     assert differences({"x": [1.0, 2.0]}, {"x": [1.0]})
 
 
+def _cases_to_write(argv: list[str]) -> list[str]:
+    """The cases named after ``--write``, or every case when none is named."""
+    if argv[:1] != ["--write"] or not set(argv[1:]) <= set(CASES):
+        raise SystemExit(
+            f"usage: python tests/test_reference.py --write [CASE ...] (cases: {' '.join(sorted(CASES))})"
+        )
+    return sorted(set(argv[1:])) or sorted(CASES)
+
+
+def test_write_selects_the_named_cases():
+    assert _cases_to_write(["--write"]) == ["a", "b"]
+    assert _cases_to_write(["--write", "a"]) == ["a"]
+    assert _cases_to_write(["--write", "b", "a", "b"]) == ["a", "b"]
+    for argv in ([], ["--write", "c"], ["a"]):
+        with pytest.raises(SystemExit):
+            _cases_to_write(argv)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: python tests/test_reference.py --write")
     import tempfile
 
+    names = _cases_to_write(sys.argv[1:])
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in names:
             doc = run_case(name, Path(tmp))
             text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
             (REFERENCE / f"{name}.json").write_text(text + "\n", encoding="utf-8")

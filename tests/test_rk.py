@@ -1,0 +1,73 @@
+"""The Dormand-Prince integrator's batch axis: per-member error control."""
+
+import numpy as np
+import pytest
+
+from klab._rk import solve_to_grid
+
+REL_TOL = 1e-10
+
+
+class TestBatchAxis:
+    def test_each_member_meets_its_own_tolerance(self):
+        # rates over three decades; the last member starts 200 decades below
+        # the others, so only its own norm can control its error
+        rates = np.array([0.01, 0.1, 1.0, 10.0, 3.0])
+        y0 = np.array([[1.0, -1.0], [1.0, 0.5], [2.0, 1.0], [1.0, 1.0], [1e-200, -2e-200]])
+        times = np.linspace(0.0, 4.0, 81)
+        Y, log_scale, stats = solve_to_grid(
+            lambda t, y: -rates[:, None] * y, y0, times, rel_tol=REL_TOL, abs_tol=0.0
+        )
+        assert Y.shape == (times.size, *y0.shape)
+        assert not np.any(log_scale)
+        exact = y0[None, :, :] * np.exp(-np.multiply.outer(times, rates))[:, :, None]
+        np.testing.assert_allclose(Y, exact, rtol=10.0 * REL_TOL, atol=0.0)
+        assert stats.accepted > 0
+
+    def test_single_member_batch_is_the_unbatched_solve(self):
+        # a nonlinear oscillator whose right-hand side works row by row
+        def f(t, y):
+            u, v = y[..., :2], y[..., 2:]
+            c = 1.0 + np.sum(u * u, axis=-1, keepdims=True)
+            return np.concatenate([v, -v / (1.0 + t) - c * np.array([1.0, 100.0]) * u], axis=-1)
+
+        y0 = np.array([1.0, -0.5, 0.3, 0.0])
+        times = np.linspace(0.0, 5.0, 64)
+        flat, _, flat_stats = solve_to_grid(f, y0, times, rel_tol=REL_TOL, abs_tol=1e-14)
+        batch, _, batch_stats = solve_to_grid(f, y0[None, :], times, rel_tol=REL_TOL, abs_tol=1e-14)
+        assert batch.shape == (times.size, 1, y0.size)
+        np.testing.assert_array_equal(batch[:, 0, :], flat)
+        assert batch_stats == flat_stats
+        assert flat_stats.rejected > 0  # the controller's rejection branch ran too
+
+    def test_renormalize_refuses_a_batch(self):
+        with pytest.raises(ValueError, match="batch"):
+            solve_to_grid(
+                lambda t, y: -y, np.ones((2, 1)), [0.0, 1.0],
+                rel_tol=REL_TOL, abs_tol=0.0, renormalize=True,
+            )
+
+    @pytest.mark.parametrize("y0", [np.ones((2, 2, 1)), np.ones((0, 3))])
+    def test_state_shape_is_validated(self, y0):
+        with pytest.raises(ValueError, match="shape"):
+            solve_to_grid(lambda t, y: -y, y0, [0.0, 1.0], rel_tol=REL_TOL, abs_tol=0.0)
+
+
+class TestStepStats:
+    def test_counts_and_step_range(self):
+        times = np.linspace(0.0, 2.0, 11)
+        _, _, stats = solve_to_grid(lambda t, y: -y, [1.0], times, rel_tol=REL_TOL, abs_tol=0.0)
+        # FSAL: one evaluation to start, six per attempted step
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+        assert 0.0 < stats.h_min <= stats.h_max <= 0.2 + 1e-15
+        assert stats.renormalizations == 0
+
+    def test_renormalizations_are_counted(self):
+        # exp(-200 t) leaves the [1e-140, 1e140] window about every 1.6 time units
+        times = np.linspace(0.0, 10.0, 11)
+        Y, log_scale, stats = solve_to_grid(
+            lambda t, y: -200.0 * y, [1.0], times, rel_tol=REL_TOL, abs_tol=0.0, renormalize=True
+        )
+        assert stats.renormalizations >= 5
+        true_log = np.log(Y[:, 0]) - log_scale
+        np.testing.assert_allclose(true_log, -200.0 * times, rtol=1e-9)
