@@ -3,9 +3,13 @@
 Local error per step is controlled against ``abs_tol + rel_tol * |y|`` with
 ``|y|`` the Euclidean norm of the state, so tracking stays purely relative
 while the solution decays through hundreds of decades (the regime every decay
-measurement lives in).  Steps are clipped to land exactly on the requested
-sample grid; sampled values therefore carry full integration accuracy and no
-interpolant is involved.
+measurement lives in).  A batch member, or a single state whose norm leaves
+``[1e-100, 1e100]``, is first scaled by the exact power of two that brings
+its peak near 1, so a state below 1e-154 does not square to zero; the
+scaling changes no ratio.
+Steps are clipped to land exactly on the requested sample grid; sampled
+values therefore carry full integration accuracy and no interpolant is
+involved.
 
 A state of shape ``(B, d)`` is a batch of ``B`` independent members sharing
 one time grid and one step sequence.  Each member's error is its own norm
@@ -75,6 +79,10 @@ _SAFETY = 0.9
 # Renormalization window for linear runs (powers of two keep scaling exact).
 _RENORM_LO = 1e-140
 _RENORM_HI = 1e140
+# A 1-D state whose norm lies in this window has its error norms taken
+# unscaled: none of the squares that matter can underflow or overflow.
+_SAFE_NORM_LO = 1e-100
+_SAFE_NORM_HI = 1e100
 
 
 class IntegrationError(RuntimeError):
@@ -103,9 +111,10 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _member_scale(y: np.ndarray) -> np.ndarray:
-    # Per member of a batch, the power of two bringing its largest component
-    # near 1.  Scaling by it is exact, so it changes no ratio, but a member
-    # far below its neighbours (or below 1e-154) no longer squares to zero.
+    # Per member (the one system of a 1-D state), the power of two bringing
+    # its largest component near 1.  Scaling by it is exact, so it changes no
+    # ratio, but a member far below its neighbours (or below 1e-154) no
+    # longer squares to zero or to a subnormal in its norm.
     _, exponent = np.frexp(np.max(np.abs(y), axis=-1, keepdims=True))
     return np.ldexp(1.0, np.clip(-exponent, -1022, 1022))
 
@@ -115,16 +124,17 @@ def _error_ratio(
 ) -> float:
     """Largest member error over its tolerance; ``inf`` when not finite."""
     if y.ndim == 1:
-        err_norm = float(np.linalg.norm(err_vec))
-        scale = abs_tol + rel_tol * max(
-            float(np.linalg.norm(y)), float(np.linalg.norm(y_new))
-        )
-        ratio = err_norm / scale if scale > 0.0 else math.inf
-    else:
-        s = _member_scale(y)
-        scale = abs_tol * s[:, 0] + rel_tol * np.maximum(_norm(s * y), _norm(s * y_new))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = float(np.max(_norm(s * err_vec) / scale))
+        y_norm = float(np.linalg.norm(y))
+        if _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
+            # the squares that decide these norms are normal numbers, where
+            # the power-of-two scaling below would change no bit: skip it
+            scale = abs_tol + rel_tol * max(y_norm, float(np.linalg.norm(y_new)))
+            ratio = float(np.linalg.norm(err_vec)) / scale
+            return ratio if math.isfinite(ratio) else math.inf
+    s = _member_scale(y)
+    scale = abs_tol * s[..., 0] + rel_tol * np.maximum(_norm(s * y), _norm(s * y_new))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.max(_norm(s * err_vec) / scale))
     return ratio if math.isfinite(ratio) else math.inf
 
 
@@ -190,7 +200,7 @@ def solve_to_grid(
 
     # First trial step: crude but safe; the controller takes over immediately.
     # A batch starts from its most cautious member.
-    unit = 1.0 if y.ndim == 1 else _member_scale(y)
+    unit = _member_scale(y)
     y_norm = _norm(unit * y)
     f_norm = _norm(unit * k1)
     moving = (y_norm > 0.0) & (f_norm > 0.0)

@@ -471,7 +471,7 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
             raise ValueError("need eps > 0 and K >= 0")
         if 2.0 * eps * beta > 1.0:
             raise ValueError("lemma32 requires 2*eps*beta <= 1")
-        phi_vals = en.phi_array(beta, p, t)
+        phi_vals = en.phi(beta, p, t)
         rhs = -G / (eps * (1.0 + t) ** p) + (K / eps) * (1.0 + t) ** p * phi_vals
         hyp = _slope_check(
             "comparison_lemma32", t, G, rhs, tol, {"eps": eps, "K": K, "beta": beta, "p": p}
@@ -531,7 +531,7 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
         p = float(inputs["p"])
         if np.any(psi_vals < 0):
             raise ValueError("psi must be nonnegative")
-        phi_vals = en.phi_array(beta, p, t)
+        phi_vals = en.phi(beta, p, t)
         rhs = -beta * F / (1.0 + t) ** p + psi_vals
         hyp = _slope_check(
             "comparison_lemma34", t, F, rhs, tol, {"beta": beta, "p": p, "T": T}, t_start=T
@@ -638,7 +638,7 @@ def synthetic_lemma_instances(
         def f(s: float, y: np.ndarray) -> np.ndarray:
             t = s * t_end
             w = (1.0 + t) ** p
-            rate = -y[:, 0] / (eps * w) + (K / eps) * w * en.phi_array(beta, p, t)
+            rate = -y[:, 0] / (eps * w) + (K / eps) * w * en.phi(beta, p, t)
             return (t_end * rate)[:, None]
 
     elif kind == "lemma33":
@@ -653,7 +653,7 @@ def synthetic_lemma_instances(
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
             t = s * t_end
-            rate = -beta * y[:, 0] / (1.0 + t) ** p + q * en.phi_array(beta_fast, p, t)
+            rate = -beta * y[:, 0] / (1.0 + t) ** p + q * en.phi(beta_fast, p, t)
             return (t_end * rate)[:, None]
 
     Y, _, stats = solve_to_grid(
@@ -671,7 +671,7 @@ def synthetic_lemma_instances(
             psi1, psi2 = _lemma33_forcing(times, d["a1"], d["b1"], d["a2"], d["b2"], d["k1"])
             inst.update(E=series, psi1=psi1, psi2=psi2)
         else:
-            psi = (d["q"] + d["extra"]) * en.phi_array(d["beta_fast"], d["p"], times)
+            psi = (d["q"] + d["extra"]) * en.phi(d["beta_fast"], d["p"], times)
             inst.update(F=series, psi=psi, T=d["T"], beta=d["beta"], p=d["p"])
         instances.append(inst)
     return instances
@@ -796,7 +796,7 @@ def check_residual_bounds(
     if p == 0.0 and beta >= 2.0 * mu * nu:
         raise ValueError("p=0 requires beta < 2*mu*nu")
     t = np.asarray(times, dtype=float)
-    phi_vals = en.phi_array(beta, p, t)
+    phi_vals = en.phi(beta, p, t)
     weight = (1.0 + t) ** p
     I_norm = {}
     B_norm = {}
@@ -903,7 +903,7 @@ def check_optimality(
         alpha = float(
             phi_spec.get("alpha", en.gamma_rate(mass_inf(m), op.nu, p))
         )
-        profile = np.array([en.psi(alpha, p, float(s)) for s in t])
+        profile = en.psi(alpha, p, t)
         profile_desc = {"form": "psi", "alpha": alpha}
     elif form == "exp":
         if p != 0.0:
@@ -1069,7 +1069,7 @@ def epsilon_sweep_decay_error(
         raise ValueError("p=0 requires beta < 2*mu*nu")
     eps_desc = eps_sorted[::-1]
     t = np.asarray(times, dtype=float)
-    phi_vals = en.phi_array(beta, p, t)
+    phi_vals = en.phi(beta, p, t)
     sups = [
         float(np.max(np.asarray(gamma_r_by_eps[eps], dtype=float) / (eps**2 * phi_vals)))
         for eps in eps_desc
@@ -1156,9 +1156,7 @@ def check_parabolic_pointwise(traj: Trajectory, op: SpectralOperator) -> CheckRe
     lhs = _h2_norm_sq(op, traj.u)
     g = en.gamma_rate(mu, op.nu, p)
     C = 1.05 * lhs[0] * math.exp(g)
-    bound = np.array(
-        [en.parabolic_bound_rhs(float(s), p, mu, op.nu, C) for s in t]
-    )
+    bound = en.parabolic_bound_rhs(t, p, mu, op.nu, C)
     slack_arr = (bound - lhs) / np.maximum(bound, _TINY)
     worst = int(np.argmin(slack_arr))
     params = {"p": p, "C": C, "gamma": g}

@@ -10,7 +10,10 @@ closed forms rather than by integrating their defining ODEs: they serve as
 reference curves in ratio tests, so quadrature error in them would contaminate
 every measurement that divides by them.  The exponents are evaluated with
 ``expm1``/``log1p`` so that small-``t`` values stay accurate to a few ulp,
-which matters when they feed log-linear regression.
+which matters when they feed log-linear regression.  ``phi`` and ``psi``
+broadcast over time grids; ``z_eps`` and the weight integrals stay scalar
+``math`` functions, because the corrector quadrature calls them one point at
+a time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "weight_integral",
     "growth_integral",
     "phi",
-    "phi_array",
     "psi",
     "z_eps",
     "parabolic_bound_rhs",
@@ -70,22 +72,13 @@ def growth_integral(p: float, t: float) -> float:
     return math.expm1((1.0 + p) * math.log1p(t))
 
 
-def phi(beta: float, p: float, t: float) -> float:
+def phi(beta, p, t):
     """Canonical decay envelope: solution of ``P' = -beta (1+t)^(-p) P``, ``P(0) = 1``.
 
     Closed form ``exp(-beta ((1+t)^(1-p) - 1)/(1-p))`` for ``p < 1`` and
     ``(1+t)^(-beta)`` at ``p = 1``.  Strictly decreasing, ``phi(beta, p, 0) = 1``.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    return math.exp(-beta * weight_integral(p, t))
-
-
-def phi_array(beta, p, t) -> np.ndarray:
-    """``phi`` at array arguments, broadcast together (a time grid, a batch).
-
-    Routes each ``p`` through ``DEGENERATE_P`` exactly as ``weight_integral``
-    does; agrees with the scalar ``phi`` to a few ulp.
+    The arguments broadcast together (a time grid, a batch of parameters), and
+    each ``p`` is routed through ``DEGENERATE_P`` as in ``weight_integral``.
     """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0):
@@ -101,11 +94,18 @@ def phi_array(beta, p, t) -> np.ndarray:
     return np.exp(-beta * weight)
 
 
-def psi(alpha: float, p: float, t: float) -> float:
-    """Parabolic-regime envelope ``exp(-alpha ((1+t)^(1+p) - 1))``; ``psi(alpha, p, 0) = 1``."""
-    if alpha <= 0:
+def psi(alpha, p, t):
+    """Parabolic-regime envelope ``exp(-alpha ((1+t)^(1+p) - 1))``; ``psi(alpha, p, 0) = 1``.
+
+    The arguments broadcast together.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0):
         raise ValueError("alpha must be > 0")
-    return math.exp(-alpha * growth_integral(p, t))
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    return np.exp(-alpha * np.expm1((1.0 + np.asarray(p, dtype=float)) * np.log1p(t)))
 
 
 def z_eps(eps: float, p: float, t: float) -> float:
@@ -126,12 +126,15 @@ def gamma_rate(mu: float, nu: float, p: float) -> float:
     return 2.0 * mu * nu / (1.0 + p)
 
 
-def parabolic_bound_rhs(t: float, p: float, mu: float, nu: float, C: float) -> float:
-    """Right-hand side ``C exp(-(2 mu nu/(1+p)) (1+t)^(1+p))`` of the pointwise parabolic bound."""
+def parabolic_bound_rhs(t, p: float, mu: float, nu: float, C: float):
+    """Right-hand side ``C exp(-(2 mu nu/(1+p)) (1+t)^(1+p))`` of the pointwise parabolic bound.
+
+    ``t`` may be a time grid.
+    """
     if C <= 0:
         raise ValueError("C must be > 0")
     g = gamma_rate(mu, nu, p)
-    return C * math.exp(-g * math.exp((1.0 + p) * math.log1p(t)))
+    return C * np.exp(-g * np.exp((1.0 + p) * np.log1p(t)))
 
 
 @dataclass(frozen=True)

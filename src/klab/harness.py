@@ -8,20 +8,21 @@ configuration, the emitted files and the solver statistics of each flow
 and of each lemma kind's batched solve, so reports can be re-rendered later
 without re-integrating.
 
+Scenario runners only integrate flows (each once, through ``_Context``) and
+add checks and constants.  After the runner, each integrated flow gets one
+CSV, and the rate fits are derived from those CSV columns by ``_fits``,
+the same function ``render_report`` applies to the CSVs it reads back.
+
 Everything is deterministic: identical configs produce byte-identical files.
-Per-epsilon runs may execute in parallel (KLAB_THREADS), but results are
-aggregated in sorted order (largest epsilon first) regardless.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -441,35 +442,23 @@ def emit_report(
 # scenario orchestration
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"KLAB_THREADS: expected a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("KLAB_THREADS: expected a positive integer")
-    return value
-
-
 class _Context:
-    """Shared state of one scenario execution: caches, accumulators, file plan."""
+    """Shared state of one scenario execution: its flows, checks and constants."""
 
-    def __init__(self, cfg: RunConfig, out_dir: Path) -> None:
+    def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
-        self.out = out_dir
         self.mu = mass_inf(cfg.mass)
         self.gamma = en.gamma_rate(self.mu, cfg.operator.nu, cfg.p)
         self.checks: list[an.CheckReport] = []
-        self.fits: dict[str, an.RateFit] = {}
         self.constants: dict[str, Any] = {}
-        self.csvs: dict[str, dict[str, np.ndarray]] = {}
-        self.file_map: dict[str, Any] = {"parabolic": None, "hyperbolic": {}, "lemmas": []}
         self._par: Trajectory | None = None
         self._hyp: dict[float, Trajectory] = {}
-        self.lemma_steps: dict[str, dict[str, Any]] = {}
+        # the energy columns of each integrated flow, by eps (None for the limit
+        # flow); taken right after its integration, before any later flow
+        # exists, so their (n, K) temporaries stay off the run's memory peak
+        self.energies: dict[float | None, dict[str, np.ndarray]] = {}
+        # the last synthetic instance of each lemma kind (its series and solve)
+        self.lemmas: dict[str, dict[str, Any]] = {}
 
     def parabolic(self) -> Trajectory:
         if self._par is None:
@@ -477,6 +466,7 @@ class _Context:
             self._par = integrate(
                 "parabolic", c.u0, c.t_end, c.samples, c.integrator, c.operator, c.mass, c.p
             )
+            self.energies[None] = {"gamma": an.parabolic_gamma_series(self._par, c.operator)}
         return self._par
 
     def hyperbolic(self, eps: float) -> Trajectory:
@@ -493,17 +483,12 @@ class _Context:
                 c.p,
                 eps=eps,
             )
+            series = an.hyperbolic_series(self._hyp[eps], eps, c.operator, self.decay_lp())
+            self.energies[eps] = {key: series[key] for key in ("gamma", "E", "F", "G")}
         return self._hyp[eps]
 
     def hyperbolic_sweep(self) -> list[Trajectory]:
-        eps_desc = list(self.cfg.epsilon)
-        missing = [e for e in eps_desc if e not in self._hyp]
-        workers = _thread_count()
-        if workers > 1 and len(missing) > 1:
-            # each worker fills the cache entry of its own, distinct eps
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(self.hyperbolic, missing))
-        return [self.hyperbolic(e) for e in eps_desc]
+        return [self.hyperbolic(e) for e in self.cfg.epsilon]
 
     def step_counts(self) -> dict[str, Any]:
         """Solver statistics of every flow this run integrated and of each
@@ -511,14 +496,11 @@ class _Context:
         return {
             "parabolic": None if self._par is None else self._par.meta["steps"],
             "hyperbolic": {repr(eps): traj.meta["steps"] for eps, traj in self._hyp.items()},
-            "lemmas": self.lemma_steps,
+            "lemmas": {kind: inst["steps"] for kind, inst in self.lemmas.items()},
         }
 
     def add_check(self, rep: an.CheckReport) -> None:
         self.checks.append(rep)
-
-    def add_fit(self, name: str, fit: an.RateFit) -> None:
-        self.fits.setdefault(name, fit)
 
     def decay_lp(self) -> en.LyapunovParams:
         c = self.cfg
@@ -531,99 +513,106 @@ class _Context:
             )
 
 
-def _profile_columns(ctx: _Context, times: np.ndarray) -> dict[str, np.ndarray]:
+def _flow_csv(
+    ctx: _Context, traj: Trajectory, energies: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """A flow's CSV columns: its energies, the two profiles and the ratios to them."""
     c = ctx.cfg
-    phi_vals = en.phi_array(c.beta, c.p, times)
-    psi_vals = np.array([en.psi(ctx.gamma, c.p, float(s)) for s in times])
-    return {"phi": phi_vals, "psi": psi_vals}
-
-
-def _register_hyperbolic_csv(
-    ctx: _Context,
-    eps: float,
-    traj: Trajectory,
-    extra: dict[str, np.ndarray] | None = None,
-) -> None:
-    c = ctx.cfg
-    series = an.hyperbolic_series(traj, eps, c.operator, ctx.decay_lp())
-    prof = _profile_columns(ctx, traj.times)
+    gamma = energies["gamma"]
+    phi = en.phi(c.beta, c.p, traj.times)
+    psi = en.psi(ctx.gamma, c.p, traj.times)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio_phi = series["gamma"] / prof["phi"]
-        ratio_psi = series["gamma"] / prof["psi"]
-    cols: dict[str, np.ndarray] = {
+        ratio_phi = gamma / phi
+        ratio_psi = gamma / psi
+    return {
         "t": traj.times,
-        "gamma": series["gamma"],
-        "E": series["E"],
-        "F": series["F"],
-        "G": series["G"],
-    }
-    if extra:
-        cols.update(extra)
-    cols.update(
-        {
-            "phi": prof["phi"],
-            "psi": prof["psi"],
-            "ratio_gamma_phi": ratio_phi,
-            "ratio_gamma_psi": ratio_psi,
-            "c_trace": traj.c_trace,
-        }
-    )
-    name = f"hyperbolic_eps{eps!r}.csv"
-    current = ctx.csvs.get(name)
-    if current is None or len(cols) > len(current):
-        ctx.csvs[name] = cols
-    ctx.file_map["hyperbolic"][repr(eps)] = name
-    try:
-        t_env, v_env = an.envelope(traj.times, series["gamma"])
-        fit = an.fit_decay_exponent(
-            t_env, v_env, c.p, "hyperbolic", an.default_fit_window(c.t_end, eps)
-        )
-        ctx.add_fit(f"gamma_envelope_eps{eps!r}", fit)
-    except ValueError:
-        pass
-
-
-def _register_parabolic_csv(ctx: _Context) -> None:
-    c = ctx.cfg
-    traj = ctx.parabolic()
-    gamma = an.parabolic_gamma_series(traj, c.operator)
-    prof = _profile_columns(ctx, traj.times)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio_phi = gamma / prof["phi"]
-        ratio_psi = gamma / prof["psi"]
-    ctx.csvs["parabolic.csv"] = {
-        "t": traj.times,
-        "gamma": gamma,
-        "phi": prof["phi"],
-        "psi": prof["psi"],
+        **energies,
+        "phi": phi,
+        "psi": psi,
         "ratio_gamma_phi": ratio_phi,
         "ratio_gamma_psi": ratio_psi,
         "c_trace": traj.c_trace,
     }
-    ctx.file_map["parabolic"] = "parabolic.csv"
-    try:
-        fit = an.fit_decay_exponent(
-            traj.times, gamma, c.p, "parabolic", an.default_fit_window(c.t_end)
-        )
-        ctx.add_fit("parabolic_gamma", fit)
-    except ValueError:
-        pass
+
+
+# the series each lemma kind compares with its profile, written as ``gamma``
+_LEMMA_SERIES = {"lemma32": "G", "lemma33": "E", "lemma34": "F"}
+
+
+def _lemma_csv(ctx: _Context, kind: str, inst: dict[str, Any]) -> dict[str, np.ndarray]:
+    """The compared series of a synthetic lemma instance and its ratio to ``phi``."""
+    series = np.asarray(inst[_LEMMA_SERIES[kind]], dtype=float)
+    beta = float(inst.get("beta", ctx.cfg.beta))
+    p = float(inst.get("p", ctx.cfg.p))
+    phi = en.phi(beta, p, inst["times"])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = series / phi
+    return {"t": inst["times"], "gamma": series, "phi": phi, "ratio_gamma_phi": ratio}
+
+
+def _timeseries(ctx: _Context) -> tuple[dict[str, dict[str, np.ndarray]], dict[str, Any]]:
+    """One CSV per flow the run integrated and per lemma kind, with the file map."""
+    csvs: dict[str, dict[str, np.ndarray]] = {}
+    files: dict[str, Any] = {"parabolic": None, "hyperbolic": {}, "lemmas": []}
+    if ctx._par is not None:
+        csvs["parabolic.csv"] = _flow_csv(ctx, ctx._par, ctx.energies[None])
+        files["parabolic"] = "parabolic.csv"
+    for eps, traj in ctx._hyp.items():
+        name = f"hyperbolic_eps{eps!r}.csv"
+        csvs[name] = _flow_csv(ctx, traj, ctx.energies[eps])
+        files["hyperbolic"][repr(eps)] = name
+    for kind, inst in ctx.lemmas.items():
+        name = f"{kind}_instance.csv"
+        csvs[name] = _lemma_csv(ctx, kind, inst)
+        files["lemmas"].append(name)
+    return csvs, files
+
+
+def _fits(
+    files: dict[str, Any], columns: Callable[[str], dict[str, np.ndarray]], p: float
+) -> list[dict[str, Any]]:
+    """Rate fits of the flows in ``files``, from their CSV columns, sorted by name.
+
+    ``columns(name)`` gives the columns of the CSV called ``name``.  The limit
+    flow's ``gamma`` is fit as it stands and each second-order flow's through
+    its envelope, over the default window of the run's horizon ``t[-1]``.  A
+    series that admits no fit gets none.
+    """
+    flows = [("parabolic_gamma", files.get("parabolic"), None)]
+    flows += [
+        (f"gamma_envelope_eps{key}", name, float(key))
+        for key, name in files.get("hyperbolic", {}).items()
+    ]
+    fits = []
+    for fit_name, csv_name, eps in flows:
+        if not csv_name:
+            continue
+        cols = columns(csv_name)
+        t, values = cols["t"], cols["gamma"]
+        window = an.default_fit_window(float(t[-1]), eps)
+        try:
+            if eps is None:
+                fit = an.fit_decay_exponent(t, values, p, "parabolic", window)
+            else:
+                t_env, v_env = an.envelope(t, values)
+                fit = an.fit_decay_exponent(t_env, v_env, p, "hyperbolic", window)
+        except ValueError:
+            continue
+        fits.append(_fit_entry(fit_name, fit))
+    return sorted(fits, key=lambda entry: entry["name"])
 
 
 def _scn_simulate(ctx: _Context) -> None:
-    _register_parabolic_csv(ctx)
-    for traj, eps in zip(ctx.hyperbolic_sweep(), ctx.cfg.epsilon):
-        _register_hyperbolic_csv(ctx, eps, traj)
+    ctx.parabolic()
+    ctx.hyperbolic_sweep()
 
 
 def _scn_decay(ctx: _Context) -> None:
     ctx.require_epsilon("decay")
     c = ctx.cfg
-    _register_parabolic_csv(ctx)
     lp = ctx.decay_lp()
     trajs = ctx.hyperbolic_sweep()
     for traj, eps in zip(trajs, c.epsilon):
-        _register_hyperbolic_csv(ctx, eps, traj)
         ctx.add_check(an.check_energy_monotone(traj, eps, c.operator))
         for rep in an.check_energy_sandwich(traj, eps, c.operator, lp):
             ctx.add_check(rep)
@@ -640,7 +629,6 @@ def _scn_decay(ctx: _Context) -> None:
 def _scn_decay_error(ctx: _Context) -> None:
     ctx.require_epsilon("decay_error", 3)
     c = ctx.cfg
-    _register_parabolic_csv(ctx)
     traj_par = ctx.parabolic()
     th0 = theta0(c.u0, c.u1, c.operator, c.mass)
     lp_pert = en.perturbation_params(c.beta, c.p, ctx.mu, c.operator.nu)
@@ -653,10 +641,8 @@ def _scn_decay_error(ctx: _Context) -> None:
         g_sq[eps] = sobolev_norm_sq(c.operator, g, 0.0)
         gamma_r[eps] = en.gamma_r(rho, rprime, eps, c.operator)
         # the stronger remainder energy is the full energy of (rho, r')
-        gamma_c = en.gamma_eps(rho, rprime, eps, c.operator)
-        _register_hyperbolic_csv(
-            ctx, eps, traj, extra={"gamma_r": gamma_r[eps], "gamma_c": gamma_c}
-        )
+        ctx.energies[eps]["gamma_r"] = gamma_r[eps]
+        ctx.energies[eps]["gamma_c"] = en.gamma_eps(rho, rprime, eps, c.operator)
         psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert, eps, c.operator)
         ctx.add_check(
             an.check_lyapunov_decay(
@@ -683,43 +669,22 @@ def _scn_optimality(ctx: _Context) -> None:
     else:
         phi_spec = {"form": "exp", "beta": 2.0 * ctx.mu * c.operator.nu}
     for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
-        _register_hyperbolic_csv(ctx, eps, traj)
         ctx.add_check(an.check_optimality(traj, eps, c.operator, phi_spec))
 
 
 def _scn_lemmas(ctx: _Context, instances: int = 100) -> None:
     rng = np.random.default_rng(ctx.cfg.seed)
-    for kind, series_key in (("lemma32", "G"), ("lemma33", "E"), ("lemma34", "F")):
-        for i, last_inputs in enumerate(an.synthetic_lemma_instances(kind, rng, instances)):
-            rep = an.check_comparison_lemma(kind, last_inputs)
+    for kind in _LEMMA_SERIES:
+        for i, inputs in enumerate(an.synthetic_lemma_instances(kind, rng, instances)):
+            rep = an.check_comparison_lemma(kind, inputs)
             rep.params["instance"] = i
             ctx.add_check(rep)
-        ctx.lemma_steps[kind] = last_inputs["steps"]
-        t = last_inputs["times"]
-        series = np.asarray(last_inputs[series_key], dtype=float)
-        beta = float(last_inputs.get("beta", ctx.cfg.beta))
-        p = float(last_inputs.get("p", ctx.cfg.p))
-        phi_vals = en.phi_array(beta, p, t)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = series / phi_vals
-        name = f"{kind}_instance.csv"
-        ctx.csvs[name] = {
-            "t": t,
-            "gamma": series,
-            "phi": phi_vals,
-            "ratio_gamma_phi": ratio,
-        }
-        ctx.file_map["lemmas"].append(name)
+        ctx.lemmas[kind] = inputs
 
 
 def _scn_hypotheses(ctx: _Context) -> None:
     ctx.require_epsilon("hypotheses")
-    c = ctx.cfg
-    _register_parabolic_csv(ctx)
-    trajs = ctx.hyperbolic_sweep()
-    for traj, eps in zip(trajs, c.epsilon):
-        _register_hyperbolic_csv(ctx, eps, traj)
-    rep = an.check_hypotheses(trajs, ctx.parabolic())
+    rep = an.check_hypotheses(ctx.hyperbolic_sweep(), ctx.parabolic())
     ctx.add_check(rep)
     ctx.constants["M1"] = rep.params["M1"]
     ctx.constants["M2"] = rep.params["M2"]
@@ -744,16 +709,7 @@ def _scn_wkb(ctx: _Context) -> None:
                 f"the oscillatory regime starts near t={onset:.3g}"
             )
     for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
-        _register_hyperbolic_csv(ctx, eps, traj)
-        rep = an.wkb_compare(traj, eps, c.p, mu_nu)
-        ctx.add_check(rep)
-        try:
-            t_env, v_env = an.envelope(traj.times, np.abs(traj.u[:, 0]))
-            window = (rep.params["window"][0], rep.params["window"][1])
-            fit = an.fit_decay_exponent(t_env, v_env, c.p, "hyperbolic", window)
-            ctx.add_fit(f"wkb_amplitude_eps{eps!r}", fit)
-        except ValueError:
-            pass
+        ctx.add_check(an.wkb_compare(traj, eps, c.p, mu_nu))
 
 
 def _scn_open_problem(ctx: _Context) -> None:
@@ -763,10 +719,7 @@ def _scn_open_problem(ctx: _Context) -> None:
         raise ConfigError("scenario 'open_problem': p must be 0")
     if not c.mass.is_constant:
         raise ConfigError("scenario 'open_problem': the mass function must be constant")
-    trajs = ctx.hyperbolic_sweep()
-    for traj, eps in zip(trajs, c.epsilon):
-        _register_hyperbolic_csv(ctx, eps, traj)
-    ctx.constants["open_problem"] = an.probe_open_problem(trajs)
+    ctx.constants["open_problem"] = an.probe_open_problem(ctx.hyperbolic_sweep())
 
 
 def _scn_all(ctx: _Context) -> None:
@@ -852,21 +805,21 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path) -> int:
     """
     out = Path(out_dir)
     _ensure_writable(out)
-    ctx = _Context(cfg, out)
+    ctx = _Context(cfg)
     _SCENARIO_RUNNERS[cfg.scenario](ctx)
-    for name in sorted(ctx.csvs):
-        emit_timeseries(out / name, ctx.csvs[name])
-    fits = [(name, ctx.fits[name]) for name in sorted(ctx.fits)]
+    csvs, files = _timeseries(ctx)
+    for name in sorted(csvs):
+        emit_timeseries(out / name, csvs[name])
     _write_report(
         out / "report.json",
         [_check_entry(r) for r in ctx.checks],
-        [_fit_entry(n, f) for n, f in fits],
+        _fits(files, csvs.__getitem__, cfg.p),
         ctx.constants,
     )
     manifest = {
         "format": "klab-run-manifest-1",
         "config": _config_echo(cfg),
-        "files": ctx.file_map,
+        "files": files,
         "integrator": ctx.step_counts(),
     }
     text = json.dumps(_sanitize(manifest), sort_keys=True, indent=2, allow_nan=False)
@@ -880,53 +833,25 @@ def _read_csv(path: Path) -> dict[str, np.ndarray]:
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}
+    # contiguous columns, laid out like the arrays the run wrote them from
+    return dict(zip(header, np.ascontiguousarray(data.T)))
 
 
 def render_report(out_dir: str | Path) -> int:
     """Re-render ``report.json`` from the stored CSVs and manifest.
 
-    Rate fits are recomputed from the CSV columns (bit-identical to the
-    original, since the CSV stores shortest round-trip decimals); checks and
-    measured constants are carried over from the existing report when
-    present.  Returns 1 when a carried-over check failed, else 0.
+    Rate fits are recomputed from the CSV columns by the function the run
+    used (the CSVs store shortest round-trip decimals, so the fits are
+    bit-identical); checks and measured constants are carried over from the
+    existing report when present.  The rewritten report therefore equals
+    the run's.  Returns 1 when a carried-over check failed, else 0.
     """
     out = Path(out_dir)
     manifest = _read_json(out / "runs.json", "run manifest")
     if not isinstance(manifest, dict):
         raise ConfigError(f"run manifest {out / 'runs.json'}: expected a JSON object")
-    cfg_doc = manifest.get("config", {})
-    p = float(cfg_doc.get("p", 0.0))
-    files = manifest.get("files", {})
-    fits: list[tuple[str, an.RateFit]] = []
-    par_name = files.get("parabolic")
-    if par_name:
-        cols = _read_csv(out / par_name)
-        t = cols["t"]
-        try:
-            fit = an.fit_decay_exponent(
-                t, cols["gamma"], p, "parabolic", an.default_fit_window(float(t[-1]))
-            )
-            fits.append(("parabolic_gamma", fit))
-        except ValueError:
-            pass
-    for key in sorted(files.get("hyperbolic", {}), key=float, reverse=True):
-        name = files["hyperbolic"][key]
-        eps = float(key)
-        cols = _read_csv(out / name)
-        t = cols["t"]
-        try:
-            t_env, v_env = an.envelope(t, cols["gamma"])
-            fit = an.fit_decay_exponent(
-                t_env,
-                v_env,
-                p,
-                "hyperbolic",
-                an.default_fit_window(float(t[-1]), eps),
-            )
-            fits.append((f"gamma_envelope_eps{key}", fit))
-        except ValueError:
-            pass
+    p = float(manifest.get("config", {}).get("p", 0.0))
+    fits = _fits(manifest.get("files", {}), lambda name: _read_csv(out / name), p)
     checks_doc: list[dict] = []
     constants: dict[str, Any] = {}
     report_path = out / "report.json"
@@ -934,6 +859,6 @@ def render_report(out_dir: str | Path) -> int:
         prior = _read_json(report_path, "report")
         checks_doc = prior.get("checks", [])
         constants = prior.get("measured_constants", {})
-    _write_report(report_path, checks_doc, [_fit_entry(n, f) for n, f in fits], constants)
+    _write_report(report_path, checks_doc, fits, constants)
     failed = any(not entry.get("passed", True) for entry in checks_doc)
     return 1 if failed else 0

@@ -22,7 +22,6 @@ from klab import (
     parabolic_bound_rhs,
     perturbation_params,
     phi,
-    phi_array,
     psi,
     weight_integral,
     z_eps,
@@ -132,25 +131,41 @@ class TestComparisonFunctions:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0, 1.0 - 1e-13])
     def test_phi_array_is_the_scalar_phi(self, p):
-        # the last p sits below DEGENERATE_P from 1: both forms take log1p(t)
+        # phi on a grid against the scalar closed form exp(-beta W(p, t)); the
+        # last p sits below DEGENERATE_P from 1: both forms take log1p(t)
+        def scalar_phi(beta, p, s):
+            return math.exp(-beta * weight_integral(p, s))
+
         t = np.linspace(0.0, 12.0, 600)
         for beta in (0.5, 1.0):
-            want = [phi(beta, p, float(s)) for s in t]
-            np.testing.assert_allclose(phi_array(beta, p, t), want, rtol=1e-14, atol=0.0)
+            want = [scalar_phi(beta, p, float(s)) for s in t]
+            np.testing.assert_allclose(phi(beta, p, t), want, rtol=1e-14, atol=0.0)
         # broadcasting: one (beta, p) per row of a batch
-        got = phi_array(np.array([[0.5], [1.0]]), np.array([[p], [0.5]]), t)
-        np.testing.assert_allclose(got[1], [phi(1.0, 0.5, float(s)) for s in t], rtol=1e-14)
+        got = phi(np.array([[0.5], [1.0]]), np.array([[p], [0.5]]), t)
+        np.testing.assert_allclose(got[1], [scalar_phi(1.0, 0.5, float(s)) for s in t], rtol=1e-14)
 
     def test_phi_array_validates(self):
         with pytest.raises(ValueError):
-            phi_array(np.array([1.0, 0.0]), 0.5, 1.0)
+            phi(np.array([1.0, 0.0]), 0.5, 1.0)
         with pytest.raises(ValueError):
-            phi_array(1.0, 0.5, np.array([-1.0, 1.0]))
+            phi(1.0, 0.5, np.array([-1.0, 1.0]))
 
     def test_psi_closed_forms(self):
         assert psi(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
         assert psi(1.0, 1.0, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-14)
         assert psi(0.6, 0.3, 0.0) == 1.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_psi_and_bound_on_a_grid_are_their_scalar_forms(self, p):
+        # exp amplifies an ulp of the exponent (up to 38 here) into the result
+        t = np.linspace(0.0, 6.0, 300)
+        want = [math.exp(-0.8 * growth_integral(p, float(s))) for s in t]
+        np.testing.assert_allclose(psi(0.8, p, t), want, rtol=1e-13, atol=0.0)
+        g = gamma_rate(1.0, 1.0, p)
+        want = [2.0 * math.exp(-g * (1.0 + s) ** (1.0 + p)) for s in t]
+        np.testing.assert_allclose(parabolic_bound_rhs(t, p, 1.0, 1.0, 2.0), want, rtol=1e-13)
+        with pytest.raises(ValueError):
+            psi(0.8, p, np.array([-1.0, 1.0]))
 
     def test_z_eps_closed_forms(self):
         assert z_eps(0.5, 0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)

@@ -11,6 +11,7 @@ import pytest
 
 from klab import IntegratorConfig, RateFit
 from klab.harness import (
+    SCENARIOS,
     ConfigError,
     apply_override,
     config_from_dict,
@@ -39,6 +40,45 @@ def base_config(**extra):
     }
     doc.update(extra)
     return doc
+
+
+# the single-mode amplitude-law run: oscillatory well before 0.4 t_end
+WKB = {
+    "p": 0.5,
+    "epsilon": [0.1, 0.05],
+    "operator": {"family": "uniform", "nu": 1.0, "K": 1},
+    "t_end": 40.0,
+    "samples": 1024,
+    "scenario": "wkb",
+}
+# per scenario, a small config on which it runs and fits every flow it can
+SCENARIO_CONFIGS = {
+    "simulate": {},
+    "decay": {
+        "epsilon": [0.04, 0.02],
+        "operator": {"family": "power", "nu": 1.0, "K": 2},
+        "mass": {"affine": {"base": 1.0, "coeff": 1.0}},
+        "initial": {"preset": "well_prepared"},
+        "t_end": 8.0,
+        "samples": 256,
+    },
+    "decay_error": {"epsilon": [0.04, 0.02, 0.01]},
+    "optimality": {},
+    "lemmas": {},
+    "hypotheses": {},
+    "wkb": WKB,
+    "open_problem": {"p": 0.0, "epsilon": [0.1, 0.05]},
+    "all": {
+        "epsilon": [0.04, 0.02, 0.01],
+        "operator": {"family": "power", "nu": 1.0, "K": 2},
+        "initial": {"preset": "well_prepared"},
+        "samples": 256,
+    },
+}
+
+
+def scenario_config(scenario):
+    return base_config(**dict(SCENARIO_CONFIGS[scenario], scenario=scenario))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -236,15 +276,14 @@ class TestRunScenario:
         failed = [c for c in report["checks"] if not c["passed"]]
         assert any(c["name"] == "sandwich_F" for c in failed)
 
-    def test_render_report_reproduces_fits(self, tmp_path):
-        cfg = config_from_dict(base_config())
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_render_report_reproduces_fits(self, tmp_path, scenario):
+        cfg = config_from_dict(scenario_config(scenario))
         out = tmp_path / "out"
-        run_scenario(cfg, out)
-        before = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert render_report(out) == 0
-        after = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert after["fits"] == before["fits"]
-        assert after["checks"] == before["checks"]
+        code = run_scenario(cfg, out)
+        before = (out / "report.json").read_bytes()
+        assert render_report(out) == code
+        assert (out / "report.json").read_bytes() == before
 
     def test_render_report_needs_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -289,6 +328,21 @@ class TestRunScenario:
         for path in sorted((tmp_path / "a").iterdir()):
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes(), path.name
 
+    def test_all_builds_the_series_of_each_flow_once(self, tmp_path, monkeypatch):
+        import klab.analysis
+
+        calls = []
+        series = klab.analysis.hyperbolic_series
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(klab.analysis, "hyperbolic_series", counting)
+        assert run_scenario(config_from_dict(scenario_config("all")), tmp_path / "out") in (0, 1)
+        # three second-order flows, each with one CSV
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "scenario,extra,solves",
         [
@@ -316,6 +370,35 @@ class TestRunScenario:
         cfg = config_from_dict(base_config(scenario=scenario, **extra))
         assert run_scenario(cfg, tmp_path / "out") in (0, 1)
         assert len(calls) == solves
+
+
+class TestWkbScenario:
+    def test_fitted_amplitude_slopes_match_the_law(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_scenario(config_from_dict(base_config(**WKB)), out) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        checks = [c for c in report["checks"] if c["name"] == "wkb_amplitude_law"]
+        assert [c["params"]["eps"] for c in checks] == [0.1, 0.05]
+        for check in checks:
+            params = check["params"]
+            assert check["passed"]
+            # -1/(eps (1-p)): -20 and -40
+            assert params["fitted_slope"] == pytest.approx(params["predicted_slope"], rel=0.01)
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ({"operator": {"family": "uniform", "nu": 1.0, "K": 2},
+              "initial": {"preset": "lowest_mode"}}, "single mode"),
+            ({"p": 0.0}, "strictly between 0 and 1"),
+            ({"t_end": 5.0}, "too short"),
+        ],
+        ids=["two_modes", "p_zero", "short_horizon"],
+    )
+    def test_rejected_configs(self, tmp_path, extra, message):
+        cfg = config_from_dict(base_config(**dict(WKB, **extra)))
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(cfg, tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +450,10 @@ class TestCli:
         assert manifest["config"]["epsilon"] == [0.04]
         assert (out / "hyperbolic_eps0.04.csv").is_file()
 
-    def test_report_subcommand_round_trips(self, tmp_path):
-        cfgp = write_config(tmp_path, base_config())
+    # the two scenarios that write fits of both flows or an amplitude-law check
+    @pytest.mark.parametrize("scenario", ["decay", "wkb"])
+    def test_report_subcommand_round_trips(self, tmp_path, scenario):
+        cfgp = write_config(tmp_path, scenario_config(scenario))
         out = tmp_path / "out"
         assert run_cli("verify", "--config", str(cfgp), "--out", str(out)).returncode == 0
         before = (out / "report.json").read_bytes()
@@ -394,14 +479,3 @@ class TestCli:
         assert res.returncode == 2
         assert res.stderr.count("\n") == 1
         assert "runs.json" in res.stderr
-
-    def test_thread_env_does_not_change_bytes(self, tmp_path):
-        cfgp = write_config(tmp_path, base_config(epsilon=[0.05, 0.04]))
-        outs = [tmp_path / "serial", tmp_path / "threaded"]
-        r1 = run_cli("verify", "--config", str(cfgp), "--out", str(outs[0]),
-                     env_extra={"KLAB_THREADS": "1"})
-        r2 = run_cli("verify", "--config", str(cfgp), "--out", str(outs[1]),
-                     env_extra={"KLAB_THREADS": "2"})
-        assert r1.returncode == 0 and r2.returncode == 0
-        for name in ("report.json", "hyperbolic_eps0.05.csv", "hyperbolic_eps0.04.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

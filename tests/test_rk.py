@@ -71,3 +71,22 @@ class TestStepStats:
         assert stats.renormalizations >= 5
         true_log = np.log(Y[:, 0]) - log_scale
         np.testing.assert_allclose(true_log, -200.0 * times, rtol=1e-9)
+
+
+class TestTinyStates:
+    def test_a_state_below_1e_154_keeps_its_error_control(self):
+        # y' = -y from 1e-160: the squares in its norms underflow unless the
+        # state is scaled by its power of two first
+        def solve(y0):
+            return solve_to_grid(
+                lambda t, y: -y, y0, [0.0, 1.0], rel_tol=REL_TOL, abs_tol=1e-300
+            )
+
+        unit, _, unit_stats = solve(np.ones(2))
+        tiny, _, tiny_stats = solve(np.full(2, 1e-160))
+        np.testing.assert_allclose(tiny[-1], np.full(2, 1e-160 * np.exp(-1.0)), rtol=10 * REL_TOL)
+        assert tiny_stats.accepted == unit_stats.accepted
+        # from a power of two the run is the unit run scaled, bit for bit
+        scaled, _, scaled_stats = solve(np.full(2, 2.0**-531))
+        np.testing.assert_array_equal(scaled, 2.0**-531 * unit)
+        assert scaled_stats == unit_stats
