@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import energies as en
 from .evolution import Trajectory, coefficient_derivative, residual_g
@@ -42,13 +41,13 @@ __all__ = [
     "check_energy_sandwich",
     "check_lyapunov_decay",
     "check_comparison_lemma",
-    "synthetic_lemma_instance",
     "synthetic_lemma_instances",
     "check_hypotheses",
     "check_residual_bounds",
     "corrector_phi_integral",
     "check_optimality",
     "oscillation_onset",
+    "wkb_window_start",
     "wkb_compare",
     "epsilon_sweep_decay_error",
     "check_uniform_decay_weights",
@@ -158,7 +157,7 @@ def abscissa_values(abscissa: str, p: float, times) -> np.ndarray:
     if abscissa == "log1p":
         return np.log1p(t)
     if abscissa == "parabolic":
-        return np.expm1((1.0 + p) * np.log1p(t))
+        return en.growth_integral(p, t)
     raise ValueError(f"unknown abscissa {abscissa!r} (expected one of {_ABSCISSAS})")
 
 
@@ -677,13 +676,6 @@ def synthetic_lemma_instances(
     return instances
 
 
-def synthetic_lemma_instance(
-    kind: str, rng: np.random.Generator, grid_points: int = 600
-) -> dict[str, Any]:
-    """One instance of ``synthetic_lemma_instances``."""
-    return synthetic_lemma_instances(kind, rng, 1, grid_points)[0]
-
-
 # ---------------------------------------------------------------------------
 # hypothesis chain, residual bounds
 
@@ -755,26 +747,16 @@ def check_hypotheses(
 
 
 def corrector_phi_integral(eps: float, beta: float, p: float) -> float:
-    """Quadrature of ``int_0^inf z_eps / phi`` (finite when ``eps beta < 1``).
+    """``int_0^inf z_eps / phi``, the corrector integral of ``check_residual_bounds``.
 
     The integrand is ``exp(-(1/eps - beta) W(t))`` with ``W`` the damping
-    weight integral; the range splits at the boundary-layer scale.
+    weight integral, so this is ``kernel_integral(1/eps - beta, p, inf)``.
+    Defined on the check's domain ``4 eps <= 1`` and ``2 eps beta <= 1``,
+    where the rate is at least 2.
     """
-    if eps <= 0 or beta <= 0:
-        raise ValueError("eps and beta must be > 0")
-    rate = 1.0 / eps - beta
-    if rate <= 0:
-        raise ValueError("integral diverges unless eps*beta < 1")
-    if p == 0.0:
-        return 1.0 / rate
-
-    def kernel(s: float) -> float:
-        return math.exp(-rate * en.weight_integral(p, s))
-
-    cut = 80.0 * eps
-    total = quad(kernel, 0.0, cut, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-    total += quad(kernel, cut, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-    return total
+    if not (eps > 0 and beta > 0 and 4.0 * eps <= 1.0 and 2.0 * eps * beta <= 1.0):
+        raise ValueError("the corrector integral needs eps, beta > 0, 4*eps <= 1, 2*eps*beta <= 1")
+    return float(en.kernel_integral(1.0 / eps - beta, p, math.inf))
 
 
 def check_residual_bounds(
@@ -983,6 +965,20 @@ def oscillation_onset(eps: float, p: float, mu_nu: float, level: float = 2.0) ->
     return base ** (1.0 / (2.0 * p)) - 1.0
 
 
+def wkb_window_start(eps: float, p: float, mu_nu: float, t_end: float) -> float:
+    """Start of the amplitude-law fit window on ``[0, t_end]``: past the boundary
+    layer (``50 eps``), the oscillation onset and ``0.4 t_end``.  ValueError
+    when that is not before ``0.9 t_end``."""
+    onset = oscillation_onset(eps, p, mu_nu)
+    lo = max(0.4 * t_end, 50.0 * eps, onset)
+    if lo >= 0.9 * t_end:
+        raise ValueError(
+            f"horizon too short: the oscillatory regime starts near t={onset:.3g}, "
+            f"need t_end well past it (got {t_end:.3g})"
+        )
+    return lo
+
+
 def wkb_compare(
     traj: Trajectory, eps: float, p: float, mu_nu: float
 ) -> CheckReport:
@@ -1004,13 +1000,7 @@ def wkb_compare(
         raise ValueError("expected a single-mode run")
     t = traj.times
     t_end = float(t[-1])
-    onset = oscillation_onset(eps, p, mu_nu)
-    lo = max(0.4 * t_end, 50.0 * eps, onset)
-    if lo >= 0.9 * t_end:
-        raise ValueError(
-            f"horizon too short: the oscillatory regime starts near t={onset:.3g}, "
-            f"need t_end well past it (got {t_end:.3g})"
-        )
+    lo = wkb_window_start(eps, p, mu_nu, t_end)
     window = (lo, t_end)
     series = np.abs(traj.u[:, 0])
     t_env, v_env = envelope(t, series)

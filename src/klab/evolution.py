@@ -30,10 +30,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._rk import IntegrationError, StepStats, solve_to_grid
-from .energies import gamma_eps, growth_integral, weight_integral, z_eps
+from .energies import gamma_eps, growth_integral, kernel_integral, z_eps
 from .spectral import (
     MassFunction,
     SpectralOperator,
@@ -54,7 +53,6 @@ __all__ = [
     "integrate",
     "parabolic_closed_form",
     "theta0",
-    "corrector",
     "corrector_series",
     "coefficient_derivative",
     "parabolic_second_derivative",
@@ -404,74 +402,22 @@ def theta0(u0, u1, op: SpectralOperator, m: MassFunction) -> np.ndarray:
     return u1 + c0 * op.eigenvalues * u0
 
 
-def _z_integral(eps: float, p: float, a: float, b: float) -> float:
-    """``int_a^b z_eps`` by adaptive quadrature, split at the layer scale.
-
-    The kernel's mass sits in a boundary layer of width O(eps); splitting the
-    range there keeps the quadrature from missing it on long intervals.
-    """
-    if b <= a:
-        return 0.0
-
-    def kernel(s: float) -> float:
-        return z_eps(eps, p, s)
-
-    cut = min(b, max(a, 80.0 * eps))
-    total = 0.0
-    if cut > a:
-        total += quad(kernel, a, cut, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-    if b > cut:
-        total += quad(kernel, cut, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-    return total
-
-
-def corrector(
-    theta0_vec, eps: float, p: float, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary-layer corrector ``(theta(t), theta'(t))``.
-
-    ``theta'(t) = theta0 z_eps(t)`` and ``theta(t) = theta0 int_0^t z_eps``;
-    the time integral uses the p = 0 closed form ``eps (1 - exp(-t/eps))`` and
-    adaptive quadrature (absolute tolerance 1e-12) otherwise.  At ``t = 0``:
-    ``theta = 0``, ``theta' = theta0``.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    th0 = as_vector(theta0_vec)
-    zt = z_eps(eps, p, t)
-    if p == 0.0:
-        integral = eps * -math.expm1(-t / eps)
-    else:
-        integral = _z_integral(eps, p, 0.0, t)
-    return th0 * integral, th0 * zt
-
-
 def corrector_series(
     theta0_vec, eps: float, p: float, times
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta, theta')`` sampled along a grid; the integral accumulates per interval."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    """Boundary-layer corrector ``(theta, theta')`` sampled along a time grid.
+
+    ``theta'(t) = theta0 z_eps(t)`` and ``theta(t) = theta0 int_0^t z_eps``,
+    each an ``(n, K)`` array; the time integral is ``kernel_integral(1/eps,
+    p, t)``, a closed form at ``p = 0`` and a Gauss rule otherwise (about
+    1e-12 relative).  At ``t = 0``: ``theta = 0``, ``theta' = theta0``.
+    ValueError (from ``z_eps`` and ``kernel_integral``) unless ``eps > 0``
+    and ``0 <= p <= 1``.
+    """
     th0 = as_vector(theta0_vec)
     times = np.asarray(times, dtype=float)
-    z_vals = np.array([z_eps(eps, p, float(t)) for t in times])
-    if p == 0.0:
-        integrals = eps * -np.expm1(-times / eps)
-    else:
-        integrals = np.empty_like(times)
-        integrals[0] = _z_integral(eps, p, 0.0, float(times[0]))
-        for i in range(1, times.size):
-            integrals[i] = integrals[i - 1] + _z_integral(
-                eps, p, float(times[i - 1]), float(times[i])
-            )
-    theta = integrals[:, None] * th0[None, :]
-    theta_prime = z_vals[:, None] * th0[None, :]
+    theta_prime = z_eps(eps, p, times)[:, None] * th0
+    theta = kernel_integral(1.0 / eps, p, times)[:, None] * th0
     return theta, theta_prime
 
 

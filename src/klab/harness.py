@@ -200,19 +200,20 @@ def _parse_initial(
         else:  # boundary_layer
             u1 = u0.copy()
         return u0, u1
-    if "u0" not in raw:
-        _fail("initial.u0", "required field is missing")
-    if "u1" not in raw:
-        _fail("initial.u1", "required field is missing")
-    u0 = np.asarray(raw["u0"], dtype=float)
-    u1 = np.asarray(raw["u1"], dtype=float)
-    if u0.ndim != 1 or u0.size != op.dim:
-        _fail("initial.u0", f"length must match the operator's {op.dim} modes")
-    if u1.ndim != 1 or u1.size != op.dim:
-        _fail("initial.u1", f"length must match the operator's {op.dim} modes")
-    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
-        _fail("initial", "coefficients must be finite")
-    return u0, u1
+    vectors = []
+    for key in ("u0", "u1"):
+        if key not in raw:
+            _fail(f"initial.{key}", "required field is missing")
+        try:
+            vec = np.asarray(raw[key], dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"initial.{key}: {exc}") from exc
+        if vec.ndim != 1 or vec.size != op.dim:
+            _fail(f"initial.{key}", f"length must match the operator's {op.dim} modes")
+        if not np.all(np.isfinite(vec)):
+            _fail(f"initial.{key}", "coefficients must be finite")
+        vectors.append(vec)
+    return vectors[0], vectors[1]
 
 
 def _default_t_end(beta: float, p: float) -> float:
@@ -629,6 +630,8 @@ def _scn_decay(ctx: _Context) -> None:
 def _scn_decay_error(ctx: _Context) -> None:
     ctx.require_epsilon("decay_error", 3)
     c = ctx.cfg
+    if any(abs(a / b - 2.0) >= 1e-9 for a, b in zip(c.epsilon, c.epsilon[1:])):
+        raise ConfigError("scenario 'decay_error': epsilon must halve from value to value")
     traj_par = ctx.parabolic()
     th0 = theta0(c.u0, c.u1, c.operator, c.mass)
     lp_pert = en.perturbation_params(c.beta, c.p, ctx.mu, c.operator.nu)
@@ -702,12 +705,10 @@ def _scn_wkb(ctx: _Context) -> None:
         raise ConfigError("scenario 'wkb': p must lie strictly between 0 and 1")
     mu_nu = ctx.mu * c.operator.nu
     for eps in c.epsilon:
-        onset = an.oscillation_onset(eps, c.p, mu_nu)
-        if max(0.4 * c.t_end, 50.0 * eps, onset) >= 0.9 * c.t_end:
-            raise ConfigError(
-                f"scenario 'wkb': t_end={c.t_end} too short for eps={eps}; "
-                f"the oscillatory regime starts near t={onset:.3g}"
-            )
+        try:
+            an.wkb_window_start(eps, c.p, mu_nu, c.t_end)
+        except ValueError as exc:
+            raise ConfigError(f"scenario 'wkb': eps={eps}: {exc}") from None
     for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
         ctx.add_check(an.wkb_compare(traj, eps, c.p, mu_nu))
 
@@ -722,20 +723,22 @@ def _scn_open_problem(ctx: _Context) -> None:
     ctx.constants["open_problem"] = an.probe_open_problem(ctx.hyperbolic_sweep())
 
 
+def _if_applicable(scenario: Callable[[_Context], None], ctx: _Context) -> None:
+    """Run ``scenario`` unless it rejects the config, which each scenario does
+    with ConfigError before it integrates or checks anything."""
+    try:
+        scenario(ctx)
+    except ConfigError:
+        pass
+
+
 def _scn_all(ctx: _Context) -> None:
-    c = ctx.cfg
     _scn_decay(ctx)
-    halving = len(c.epsilon) >= 3 and all(
-        abs(a / b - 2.0) < 1e-9 for a, b in zip(c.epsilon, c.epsilon[1:])
-    )
-    if halving:
-        _scn_decay_error(ctx)
+    _if_applicable(_scn_decay_error, ctx)
     _scn_optimality(ctx)
     _scn_hypotheses(ctx)
-    if c.operator.dim == 1 and 0.0 < c.p < 1.0:
-        _scn_wkb(ctx)
-    if c.p == 0.0 and c.mass.is_constant:
-        _scn_open_problem(ctx)
+    _if_applicable(_scn_wkb, ctx)
+    _if_applicable(_scn_open_problem, ctx)
     _scn_lemmas(ctx)
 
 
@@ -837,6 +840,12 @@ def _read_csv(path: Path) -> dict[str, np.ndarray]:
     return dict(zip(header, np.ascontiguousarray(data.T)))
 
 
+def _expect(value: Any, kind: type, field: str) -> Any:
+    if not isinstance(value, kind):
+        _fail(field, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def render_report(out_dir: str | Path) -> int:
     """Re-render ``report.json`` from the stored CSVs and manifest.
 
@@ -844,21 +853,30 @@ def render_report(out_dir: str | Path) -> int:
     used (the CSVs store shortest round-trip decimals, so the fits are
     bit-identical); checks and measured constants are carried over from the
     existing report when present.  The rewritten report therefore equals
-    the run's.  Returns 1 when a carried-over check failed, else 0.
+    the run's.  Returns 1 when a carried-over check failed, else 0; a
+    misshapen manifest or report raises ConfigError naming the field.
     """
     out = Path(out_dir)
-    manifest = _read_json(out / "runs.json", "run manifest")
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"run manifest {out / 'runs.json'}: expected a JSON object")
-    p = float(manifest.get("config", {}).get("p", 0.0))
-    fits = _fits(manifest.get("files", {}), lambda name: _read_csv(out / name), p)
-    checks_doc: list[dict] = []
-    constants: dict[str, Any] = {}
+    manifest = _expect(_read_json(out / "runs.json", "run manifest"), dict, "runs.json")
+    config = _expect(manifest.get("config", {}), dict, "runs.json config")
+    p = _number(config, "p", default=0.0)
+    files = _expect(manifest.get("files", {}), dict, "runs.json files")
+    hyperbolic = _expect(files.get("hyperbolic", {}), dict, "runs.json files.hyperbolic")
+    # a falsy name means no file, as in ``_fits``
+    for key, name in [("parabolic", files.get("parabolic")), *hyperbolic.items()]:
+        _expect(name or "", str, f"runs.json files {key}")
+    try:
+        [float(key) for key in hyperbolic]
+    except ValueError:
+        _fail("runs.json files.hyperbolic", "every key must be an eps value")
+    fits = _fits(files, lambda name: _read_csv(out / name), p)
     report_path = out / "report.json"
-    if report_path.is_file():
-        prior = _read_json(report_path, "report")
-        checks_doc = prior.get("checks", [])
-        constants = prior.get("measured_constants", {})
+    prior = _read_json(report_path, "report") if report_path.is_file() else {}
+    _expect(prior, dict, "report.json")
+    checks_doc = _expect(prior.get("checks", []), list, "report.json checks")
+    for entry in checks_doc:
+        _expect(entry, dict, "report.json checks[]")
+    constants = _expect(prior.get("measured_constants", {}), dict, "report.json measured_constants")
     _write_report(report_path, checks_doc, fits, constants)
     failed = any(not entry.get("passed", True) for entry in checks_doc)
     return 1 if failed else 0

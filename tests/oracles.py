@@ -1,8 +1,9 @@
 """Reference values computed by routes independent of the package under test.
 
 Everything here is derived from closed forms or direct quadrature: scalar
-characteristic roots, explicit peak locations of a damped cosine, and
-scipy.integrate.quad applied to hand-written integrands.  None of these
+characteristic roots, explicit peak locations of a damped cosine,
+scipy.integrate.quad applied to hand-written integrands, and 30-digit mpmath
+quadrature.  None of these
 helpers call the package integrator or its comparison functions, so
 agreement between a test and its oracle is meaningful evidence.  The one
 exception is ``parabolic_mode_solve``: it runs the package's Dormand-Prince
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -130,6 +132,24 @@ def corrector_over_phi(eps: float, beta: float, p: float) -> float:
     if err > 1e-9:
         raise RuntimeError(f"oracle quadrature noisy: err={err}")
     return total
+
+
+def kernel_integral_mp(rate: float, p: float, t: float) -> float:
+    """int_0^t exp(-rate W(s)) ds, W(s) = ((1+s)^(1-p) - 1)/(1-p), at 30 digits.
+
+    mpmath tanh-sinh quadrature, with the range split at the layer scales
+    1/rate, 10/rate and 100/rate; ``t`` may be ``inf``.
+    """
+    with mpmath.workdps(30):
+        rate, q = mpmath.mpf(rate), 1 - mpmath.mpf(p)
+
+        def integrand(s):
+            w = mpmath.log1p(s) if q == 0 else mpmath.expm1(q * mpmath.log1p(s)) / q
+            return mpmath.exp(-rate * w)
+
+        end = mpmath.inf if math.isinf(t) else mpmath.mpf(t)
+        cuts = [c / rate for c in (1, 10, 100) if c / rate < end]
+        return float(mpmath.quad(integrand, [0, *cuts, end]))
 
 
 def mode_integral_vs_psi(p: float, mu_bar: float, lam: float, alpha: float,

@@ -38,7 +38,6 @@ from klab import (
     ratio_horizon,
     remainders,
     residual_series,
-    synthetic_lemma_instance,
     synthetic_lemma_instances,
     theta0,
 )
@@ -313,7 +312,7 @@ class TestComparisonLemmas:
         rng = np.random.default_rng(99)
         for kind in ("lemma32", "lemma33", "lemma34"):
             for _ in range(25):
-                inputs = synthetic_lemma_instance(kind, rng)
+                inputs = synthetic_lemma_instances(kind, rng, 1)[0]
                 rep = check_comparison_lemma(kind, inputs)
                 assert rep.params.get("failure_kind") != "conclusion", (kind, rep.params)
                 assert rep.passed, (kind, rep.worst_slack, rep.params)
@@ -321,7 +320,7 @@ class TestComparisonLemmas:
     @pytest.mark.parametrize("kind", ["lemma32", "lemma33", "lemma34"])
     def test_one_batch_is_the_single_instances(self, kind):
         singles_rng, batch_rng = np.random.default_rng(99), np.random.default_rng(99)
-        singles = [synthetic_lemma_instance(kind, singles_rng) for _ in range(25)]
+        singles = [synthetic_lemma_instances(kind, singles_rng, 1)[0] for _ in range(25)]
         batch = synthetic_lemma_instances(kind, batch_rng, 25)
         # the same draws, in the same order, leaving the generators in step
         assert singles_rng.random() == batch_rng.random()

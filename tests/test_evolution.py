@@ -12,7 +12,6 @@ from klab import (
     SpectralOperator,
     Trajectory,
     coefficient_derivative,
-    corrector,
     corrector_series,
     hyperbolic_log_energy,
     hyperbolic_rhs,
@@ -170,46 +169,56 @@ class TestHyperbolicOracle:
 
 class TestCorrector:
     def test_worked_values(self):
-        th, thp = corrector([1.0], 0.5, 0.0, 1.0)
-        np.testing.assert_allclose(thp, [math.exp(-2.0)], rtol=1e-14)
-        np.testing.assert_allclose(th, [0.5 * (1.0 - math.exp(-2.0))], rtol=1e-14)
+        th, thp = corrector_series([1.0], 0.5, 0.0, [0.0, 1.0])
+        np.testing.assert_allclose(thp[1], [math.exp(-2.0)], rtol=1e-14)
+        np.testing.assert_allclose(th[1], [0.5 * (1.0 - math.exp(-2.0))], rtol=1e-14)
 
-        _, thp = corrector([1.0], 0.5, 1.0, 1.0)
-        np.testing.assert_allclose(thp, [0.25], rtol=1e-14)
+        th, thp = corrector_series([1.0], 0.5, 1.0, [0.0, 1.0])
+        np.testing.assert_allclose(thp[1], [0.25], rtol=1e-14)
+        # p = 1: int_0^1 (1+s)^(-2) ds = 1/2
+        np.testing.assert_allclose(th[1], [0.5], rtol=1e-14)
 
-        th, thp = corrector([2.0, -1.0], 0.1, 0.3, 0.0)
-        np.testing.assert_array_equal(th, [0.0, 0.0])
-        np.testing.assert_allclose(thp, [2.0, -1.0])
+        th, thp = corrector_series([2.0, -1.0], 0.1, 0.3, [0.0])
+        np.testing.assert_array_equal(th, [[0.0, 0.0]])
+        np.testing.assert_allclose(thp, [[2.0, -1.0]])
 
     def test_ode_residual(self):
         # theta'' from the closed-form derivative of z:
-        # eps z' = -(1+t)^{-p} z exactly, so the residual measures quadrature
-        # and roundoff only.
+        # eps z' = -(1+t)^{-p} z exactly, so the residual measures roundoff only.
         t0 = np.array([1.0, -3.0])
         norm0 = math.sqrt(10.0)
+        times = np.linspace(0.0, 6.0, 13)
         for eps in (0.05, 0.4):
             for p in (0.0, 0.3, 1.0):
-                for t in np.linspace(0.0, 6.0, 13):
-                    _, thp = corrector(t0, eps, p, float(t))
-                    theta_dd = -((1.0 + t) ** (-p)) * thp / eps
-                    resid = eps * theta_dd + (1.0 + t) ** (-p) * thp
-                    assert np.max(np.abs(resid)) <= 1e-8 * norm0
+                _, thp = corrector_series(t0, eps, p, times)
+                weight = (1.0 + times[:, None]) ** (-p)
+                theta_dd = -weight * thp / eps
+                resid = eps * theta_dd + weight * thp
+                assert np.max(np.abs(resid)) <= 1e-8 * norm0
 
     def test_series_consistent_with_quadrature(self):
         times = np.linspace(0.0, 5.0, 2001)
         theta, theta_p = corrector_series([1.0], 0.08, 0.5, times)
         np.testing.assert_allclose(theta_p[:, 0], [z_eps(0.08, 0.5, t) for t in times],
                                    rtol=1e-12)
-        # derivative of the accumulated theta matches theta' away from t=0
+        # derivative of theta matches theta' away from t=0
         d = np.gradient(theta[:, 0], times)
         mid = slice(200, 1800)
         np.testing.assert_allclose(d[mid], theta_p[mid, 0], atol=2e-5)
 
+    @pytest.mark.parametrize("eps,p", [(0.04, 0.5), (0.8, 0.7), (0.01, 1.0)])
+    def test_series_matches_the_kernel_oracle(self, eps, p):
+        # theta / theta0 = int_0^t z_eps, against a 30-digit quadrature
+        times = np.array([0.0, 1e-4, 0.03, 0.5, 2.0, 9.0, 40.0])
+        theta, _ = corrector_series([2.0], eps, p, times)
+        want = [oracles.kernel_integral_mp(1.0 / eps, p, t) for t in times]
+        np.testing.assert_allclose(theta[:, 0] / 2.0, want, rtol=1e-12, atol=1e-15)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            corrector([1.0], 0.1, 1.5, 1.0)
+            corrector_series([1.0], 0.1, 1.5, [1.0])
         with pytest.raises(ValueError):
-            corrector([1.0], -0.1, 0.5, 1.0)
+            corrector_series([1.0], -0.1, 0.5, [1.0])
 
 
 def test_theta0_worked_values():

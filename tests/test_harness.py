@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from klab import IntegratorConfig, RateFit
 from klab.harness import (
@@ -134,6 +137,16 @@ class TestConfig:
         del doc["initial"]["u1"]
         with pytest.raises(ConfigError, match="initial.u1"):
             load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "initial,field",
+        [({"u0": "ab", "u1": [0.0]}, "initial.u0"), ({"u0": [1.0], "u1": [{}]}, "initial.u1"),
+         ({"u0": [[1.0], [2.0, 3.0]], "u1": [0.0]}, "initial.u0")],
+        ids=["string", "object", "ragged"],
+    )
+    def test_non_numeric_initial_data_is_named(self, initial, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(base_config(initial=initial))
 
     def test_flat_dissipation_caps_beta(self):
         doc = base_config(p=0.0, beta=5.0)
@@ -285,6 +298,11 @@ class TestRunScenario:
         assert render_report(out) == code
         assert (out / "report.json").read_bytes() == before
 
+    def test_decay_error_needs_a_halving_sweep(self, tmp_path):
+        cfg = config_from_dict(base_config(scenario="decay_error", epsilon=[0.04, 0.03, 0.01]))
+        with pytest.raises(ConfigError, match="halve"):
+            run_scenario(cfg, tmp_path / "out")
+
     def test_render_report_needs_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             render_report(tmp_path / "never_ran")
@@ -373,6 +391,19 @@ class TestRunScenario:
 
 
 class TestWkbScenario:
+    def test_all_skips_wkb_on_a_short_horizon(self, tmp_path):
+        # K 1, p 0.5, eps 0.05, t_end 6: the fit window cannot open before 0.9 t_end
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, base_config(scenario="all"))
+        res = run_cli("verify", "--config", str(cfgp), "--out", str(out))
+        assert res.returncode in (0, 1), res.stderr
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        names = {c["name"] for c in report["checks"]}
+        assert "wkb_amplitude_law" not in names and "energy_monotone" in names
+        cfgp = write_config(tmp_path, base_config(scenario="wkb"), name="wkb.json")
+        res = run_cli("verify", "--config", str(cfgp), "--out", str(tmp_path / "wkb"))
+        assert res.returncode == 2 and "too short" in res.stderr
+
     def test_fitted_amplitude_slopes_match_the_law(self, tmp_path):
         out = tmp_path / "out"
         assert run_scenario(config_from_dict(base_config(**WKB)), out) == 0
@@ -479,3 +510,104 @@ class TestCli:
         assert res.returncode == 2
         assert res.stderr.count("\n") == 1
         assert "runs.json" in res.stderr
+
+    @pytest.mark.parametrize(
+        "manifest,field",
+        [
+            ({"files": [], "config": {"p": 0.5}}, "runs.json files: expected dict"),
+            ({"files": {}, "config": []}, "runs.json config: expected dict"),
+            ({"files": {}, "config": {"p": "a"}}, "p: expected a number"),
+            ({"files": {"parabolic": 3}}, "runs.json files parabolic: expected str"),
+            ({"files": {"hyperbolic": {"0.1": ["x"]}}}, "runs.json files 0.1: expected str"),
+            ({"files": {"hyperbolic": {"small": "x.csv"}}}, "runs.json files.hyperbolic"),
+        ],
+        ids=["files_list", "config_list", "p_string", "name_number", "name_list", "eps_key"],
+    )
+    def test_report_on_misshapen_manifest_exit_two(self, tmp_path, manifest, field):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "runs.json").write_text(json.dumps(manifest), encoding="utf-8")
+        res = run_cli("report", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.count("\n") == 1
+        assert field in res.stderr
+
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter: the test process itself has scipy loaded
+        code = "import sys, klab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# properties over arbitrary documents
+# ---------------------------------------------------------------------------
+
+# any JSON value; lists and integers stay small, so no document asks for a giant K
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=8),
+    max_leaves=16,
+)
+VALID = base_config(
+    operator={"eigenvalues": [1.0, 4.0], "nu": 1.0},
+    mass={"affine": {"base": 1.0, "coeff": 0.5}},
+    initial={"u0": [1.0, 0.5], "u1": [0.0, -1.0]},
+    tolerances={"rel_tol": 1e-9, "abs_tol": 1e-300, "max_step": 0.5},
+    seed=3,
+)
+
+
+def _paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestProperties:
+    @FUZZ
+    @given(path=st.sampled_from(sorted(_paths(VALID))), value=JSON)
+    def test_config_from_dict_accepts_or_names_the_error(self, path, value):
+        doc = json.loads(json.dumps(VALID))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert cfg.u0.shape == cfg.u1.shape == (cfg.operator.dim,)
+
+    @FUZZ
+    @given(
+        manifest=JSON | st.fixed_dictionaries({}, optional={
+            "config": JSON | st.fixed_dictionaries({}, optional={"p": JSON}),
+            "files": JSON | st.fixed_dictionaries({}, optional={
+                "parabolic": JSON,
+                "hyperbolic": JSON | st.dictionaries(st.text(max_size=8), JSON, max_size=4),
+            }),
+        }),
+        report=st.none() | JSON | st.fixed_dictionaries({}, optional={
+            "checks": JSON | st.lists(JSON, max_size=4),
+            "measured_constants": JSON,
+        }),
+    )
+    def test_render_report_returns_a_verdict_or_names_the_error(self, manifest, report):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            (out / "runs.json").write_text(json.dumps(manifest), encoding="utf-8")
+            if report is not None:
+                (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+            try:
+                assert render_report(out) in (0, 1)
+            except ConfigError:
+                pass
