@@ -138,12 +138,6 @@ def _error_ratio(
     return ratio if math.isfinite(ratio) else math.inf
 
 
-def _rescale_factor(peak: float) -> float:
-    # Exact power of two bringing peak into [1, 2).
-    _, exponent = math.frexp(peak)
-    return math.ldexp(1.0, 1 - exponent)
-
-
 def solve_to_grid(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0,
@@ -271,7 +265,7 @@ def solve_to_grid(
             if renormalize:
                 peak = float(np.max(np.abs(y)))
                 if peak > 0.0 and not _RENORM_LO < peak < _RENORM_HI:
-                    s = _rescale_factor(peak)
+                    s = float(_member_scale(y)[0])
                     y = y * s
                     k1 = k1 * s  # valid because f is linear in y
                     log_scale += math.log(s)

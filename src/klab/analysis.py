@@ -235,13 +235,10 @@ def _slope_check(
 
 
 def hyperbolic_series(
-    traj: Trajectory,
-    eps: float,
-    op: SpectralOperator,
-    lp: en.LyapunovParams | None = None,
+    traj: Trajectory, lp: en.LyapunovParams | None = None
 ) -> dict[str, np.ndarray]:
     """Pointwise energy columns of a second-order run (``F`` only with ``lp``)."""
-    u, v, c = traj.u, traj.v, traj.c_trace
+    u, v, c, eps, op = traj.u, traj.v, traj.c_trace, traj.eps, traj.op
     out = {
         "gamma": en.gamma_eps(u, v, eps, op),
         "E": en.energy_E(u, v, eps, c, op),
@@ -257,34 +254,29 @@ def _h2_norm_sq(op: SpectralOperator, u: np.ndarray) -> np.ndarray:
     return sobolev_norm_sq(op, u, 0.0) + sobolev_norm_sq(op, u, 0.5) + sobolev_norm_sq(op, u, 1.0)
 
 
-def parabolic_gamma_series(traj: Trajectory, op: SpectralOperator) -> np.ndarray:
+def parabolic_gamma_series(traj: Trajectory) -> np.ndarray:
     """First-order-run energy ``|u|^2+|A^(1/2)u|^2+|Au|^2+(1+t)^(-2p)|u'|^2``."""
-    w = (1.0 + traj.times) ** (-2.0 * traj.meta["p"])
-    return _h2_norm_sq(op, traj.u) + w * sobolev_norm_sq(op, traj.velocity(op), 0.0)
+    w = (1.0 + traj.times) ** (-2.0 * traj.p)
+    return _h2_norm_sq(traj.op, traj.u) + w * sobolev_norm_sq(traj.op, traj.velocity(), 0.0)
 
 
-def check_energy_monotone(traj: Trajectory, eps: float, op: SpectralOperator) -> CheckReport:
+def check_energy_monotone(traj: Trajectory) -> CheckReport:
     """Monitor ``E' <= 0`` discretely along a second-order run."""
     if traj.kind != "hyperbolic":
         raise ValueError("energy monotonicity applies to hyperbolic runs")
-    tol = 10.0 * float(traj.meta.get("rel_tol", 1e-10))
-    E = en.energy_E(traj.u, traj.v, eps, traj.c_trace, op)
-    rhs = np.zeros_like(E)
+    E = en.energy_E(traj.u, traj.v, traj.eps, traj.c_trace, traj.op)
     return _slope_check(
         "energy_monotone",
         traj.times,
         E,
-        rhs,
-        tol,
-        {"eps": eps, "p": traj.meta.get("p")},
+        np.zeros_like(E),
+        10.0 * traj.rel_tol,
+        {"eps": traj.eps, "p": traj.p},
     )
 
 
 def check_energy_sandwich(
-    traj: Trajectory,
-    eps: float,
-    op: SpectralOperator,
-    lp: en.LyapunovParams | None = None,
+    traj: Trajectory, lp: en.LyapunovParams | None = None
 ) -> list[CheckReport]:
     """Two-sided equivalence for ``E`` and (with ``lp``) the lower bound for ``F``.
 
@@ -295,14 +287,13 @@ def check_energy_sandwich(
     """
     if traj.kind != "hyperbolic":
         raise ValueError("sandwich checks apply to hyperbolic runs")
-    m = traj.meta["mass"]
-    mu = mass_inf(m)
+    eps, op = traj.eps, traj.op
     c_sup = 1.01 * float(np.max(traj.c_trace))
-    k_lo, k_hi, k_lo_F = en.equivalence_constants(mu, c_sup)
+    k_lo, k_hi, k_lo_F = en.equivalence_constants(mass_inf(traj.mass), c_sup)
     base = en.energy_E(traj.u, traj.v, eps, 1.0, op)
     E = en.energy_E(traj.u, traj.v, eps, traj.c_trace, op)
     scale = 1.0 + base
-    tol = 10.0 * float(traj.meta.get("rel_tol", 1e-10))
+    tol = 10.0 * traj.rel_tol
     lo_slack = (E - k_lo * base) / scale
     hi_slack = (k_hi * base - E) / scale
     slack = np.minimum(lo_slack, hi_slack)
@@ -338,8 +329,6 @@ def assemble_psi3(
     theta_prime: np.ndarray,
     g: np.ndarray,
     lp: en.LyapunovParams,
-    eps: float,
-    op: SpectralOperator,
 ) -> np.ndarray:
     """Forcing term of the remainder Lyapunov inequality, from measured series.
 
@@ -351,7 +340,7 @@ def assemble_psi3(
     """
     if lp.sigma is None:
         raise ValueError("psi3 needs perturbation-case parameters (sigma present)")
-    c = traj.c_trace
+    c, eps, op = traj.c_trace, traj.eps, traj.op
     w = (1.0 + traj.times) ** (-lp.p)
     inv_sqrt_nu = 1.0 / math.sqrt(op.nu)
     tp_norm_sq = sobolev_norm_sq(op, theta_prime, 0.0)
@@ -366,28 +355,16 @@ def assemble_psi3(
     )
 
 
-def residual_series(
-    traj_eps: Trajectory, traj_parabolic: Trajectory, eps: float
-) -> np.ndarray:
+def residual_series(traj_eps: Trajectory, traj_parabolic: Trajectory) -> np.ndarray:
     """Residual ``g`` sampled on the shared grid, rows per sample time."""
     if not np.array_equal(traj_eps.times, traj_parabolic.times):
         raise ValueError("trajectories must share the sample grid")
-    meta = traj_parabolic.meta
-    return residual_g(
-        traj_parabolic.times,
-        traj_parabolic.u,
-        traj_eps.c_trace,
-        meta["operator"],
-        meta["mass"],
-        meta["p"],
-        eps,
-    )
+    par = traj_parabolic
+    return residual_g(par.times, par.u, traj_eps.c_trace, par.op, par.mass, par.p, traj_eps.eps)
 
 
 def check_lyapunov_decay(
     traj: Trajectory,
-    eps: float,
-    op: SpectralOperator,
     lp: en.LyapunovParams,
     which: str = "F",
     psi3: np.ndarray | None = None,
@@ -403,7 +380,6 @@ def check_lyapunov_decay(
     if traj.kind != "hyperbolic":
         raise ValueError("Lyapunov monitors apply to hyperbolic runs")
     t = traj.times
-    tol = 10.0 * float(traj.meta.get("rel_tol", 1e-10))
     w = (1.0 + t) ** (-lp.p)
     if which == "F":
         u, v, name = traj.u, traj.v, "lyapunov_decay_F"
@@ -415,7 +391,7 @@ def check_lyapunov_decay(
         u, v, name = rho, rprime, "lyapunov_decay_script_F"
     else:
         raise ValueError("which must be 'F' or 'script_F'")
-    F = en.energy_F(u, v, t, eps, traj.c_trace, op, lp)
+    F = en.energy_F(u, v, t, traj.eps, traj.c_trace, traj.op, lp)
     rhs = -lp.beta * w * F
     if which == "script_F":
         rhs = rhs + np.asarray(psi3, dtype=float)
@@ -424,8 +400,8 @@ def check_lyapunov_decay(
         t,
         F,
         rhs,
-        tol,
-        {"eps": eps, "beta": lp.beta, "delta": lp.delta, "T": lp.T, "p": lp.p},
+        10.0 * traj.rel_tol,
+        {"eps": traj.eps, "beta": lp.beta, "delta": lp.delta, "T": lp.T, "p": lp.p},
         t_start=lp.T,
     )
 
@@ -703,25 +679,23 @@ def check_hypotheses(
     """
     if not trajs_eps:
         raise ValueError("need at least one hyperbolic run")
-    op = traj_parabolic.meta["operator"]
-    m = traj_parabolic.meta["mass"]
-    p = float(traj_parabolic.meta["p"])
+    p = traj_parabolic.p
     t = traj_parabolic.times
     c_par = traj_parabolic.c_trace
     M1 = float(np.max(c_par))
-    cprime_par = coefficient_derivative(traj_parabolic, op, m)
+    cprime_par = coefficient_derivative(traj_parabolic)
     M2 = float(np.max(np.abs(cprime_par)))
     M3 = {}
     M4 = {}
     M5 = {}
     worst_t = 0.0
     for traj in trajs_eps:
-        eps = float(traj.meta["eps"])
+        eps = traj.eps
         if not np.array_equal(traj.times, t):
             raise ValueError("sweep runs must share the parabolic sample grid")
         c_eps = traj.c_trace
         M3[eps] = float(np.max(c_eps))
-        cprime = coefficient_derivative(traj, op, m)
+        cprime = coefficient_derivative(traj)
         weighted = (1.0 + t) ** p * np.abs(cprime)
         M4[eps] = float(np.max(weighted))
         diff = np.abs(c_eps - c_par) / eps
@@ -861,9 +835,7 @@ def ratio_horizon(
     return hi
 
 
-def check_optimality(
-    traj: Trajectory, eps: float, op: SpectralOperator, phi_spec: dict[str, Any]
-) -> CheckReport:
+def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
     """Divergence of ``H = E / Phi`` against a faster-decaying profile.
 
     ``phi_spec["form"]`` is ``"psi"`` (overdamped profile, needs ``p > 0``;
@@ -875,15 +847,14 @@ def check_optimality(
     """
     if traj.kind != "hyperbolic":
         raise ValueError("optimality applies to hyperbolic runs")
-    p = float(traj.meta["p"])
-    m = traj.meta["mass"]
+    p, eps, op = traj.p, traj.eps, traj.op
     t = traj.times
     form = phi_spec.get("form")
     if form == "psi":
         if p <= 0.0:
             raise ValueError("the overdamped profile requires p > 0")
         alpha = float(
-            phi_spec.get("alpha", en.gamma_rate(mass_inf(m), op.nu, p))
+            phi_spec.get("alpha", en.gamma_rate(mass_inf(traj.mass), op.nu, p))
         )
         profile = en.psi(alpha, p, t)
         profile_desc = {"form": "psi", "alpha": alpha}
@@ -891,7 +862,7 @@ def check_optimality(
         if p != 0.0:
             raise ValueError("the plain exponential profile requires p = 0")
         beta_hat = float(phi_spec["beta"])
-        series = hyperbolic_series(traj, eps, op)["gamma"]
+        series = hyperbolic_series(traj)["gamma"]
         t_env, v_env = envelope(t, series)
         window = default_fit_window(float(t[-1]), eps)
         inside = int(np.count_nonzero((t_env >= window[0]) & (t_env <= window[1])))
@@ -912,7 +883,7 @@ def check_optimality(
     H = en.optimality_H(traj.u, traj.v, eps, traj.c_trace, profile, op)
     i0 = int(np.argmin(H))
     t_end = float(t[-1])
-    tol = 1000.0 * float(traj.meta.get("rel_tol", 1e-10))
+    tol = 1000.0 * traj.rel_tol
     s_half = (0.5 * t_end - float(t[i0])) / (0.5 * t_end)
     # "Eventually increasing" through oscillation: past the global minimum the
     # sequence of local minima of H must be nondecreasing.
@@ -979,9 +950,7 @@ def wkb_window_start(eps: float, p: float, mu_nu: float, t_end: float) -> float:
     return lo
 
 
-def wkb_compare(
-    traj: Trajectory, eps: float, p: float, mu_nu: float
-) -> CheckReport:
+def wkb_compare(traj: Trajectory) -> CheckReport:
     """Oscillatory amplitude law on a single mode: fitted slope vs ``-1/(eps(1-p))``.
 
     The envelope is fit on ``|u|`` (the squared-amplitude slope is twice the
@@ -991,13 +960,14 @@ def wkb_compare(
     explain the data strictly worse (r-squared drop of at least 0.05 or a
     drifting slope), confirming the two regimes separate.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("the amplitude law applies to p in (0, 1)")
     if traj.kind != "hyperbolic":
         raise ValueError("expected a hyperbolic run")
-    op = traj.meta["operator"]
-    if op.dim != 1:
+    eps, p = traj.eps, traj.p
+    if not 0.0 < p < 1.0:
+        raise ValueError("the amplitude law applies to p in (0, 1)")
+    if traj.op.dim != 1:
         raise ValueError("expected a single-mode run")
+    mu_nu = mass_inf(traj.mass) * traj.op.nu
     t = traj.times
     t_end = float(t[-1])
     lo = wkb_window_start(eps, p, mu_nu, t_end)
@@ -1103,17 +1073,16 @@ def check_uniform_decay_weights(
         raise ValueError("need at least one run")
 
     def weighted_sup(traj: Trajectory) -> float:
-        op = traj.meta["operator"]
-        p = float(traj.meta["p"])
+        op, p = traj.op, traj.p
         one_t = 1.0 + traj.times
         total = (
-            one_t**2 * sobolev_norm_sq(op, traj.velocity(op), 0.0)
+            one_t**2 * sobolev_norm_sq(op, traj.velocity(), 0.0)
             + one_t ** (1.0 + p) * sobolev_norm_sq(op, traj.u, 0.5)
             + one_t ** (2.0 * (1.0 + p)) * sobolev_norm_sq(op, traj.u, 1.0)
         )
         return float(np.max(total))
 
-    per_eps = {float(tr.meta["eps"]): weighted_sup(tr) for tr in trajs_eps}
+    per_eps = {tr.eps: weighted_sup(tr) for tr in trajs_eps}
     ratio = _stability_ratio(list(per_eps.values()))
     slack = (2.0 - ratio) / 2.0 if math.isfinite(ratio) else -1.0
     params: dict[str, Any] = {
@@ -1127,7 +1096,7 @@ def check_uniform_decay_weights(
     return _report("uniform_decay_weights", slack, worst_t, 0.0, params)
 
 
-def check_parabolic_pointwise(traj: Trajectory, op: SpectralOperator) -> CheckReport:
+def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     """Pointwise overdamped bound with the constant measured at ``t = 0``.
 
     For constant mass the sharp envelope is
@@ -1137,11 +1106,10 @@ def check_parabolic_pointwise(traj: Trajectory, op: SpectralOperator) -> CheckRe
     """
     if traj.kind != "parabolic":
         raise ValueError("expected a parabolic run")
-    m = traj.meta["mass"]
-    if not m.is_constant:
+    if not traj.mass.is_constant:
         raise ValueError("the sharp pointwise bound applies to constant mass")
-    p = float(traj.meta["p"])
-    mu = mass_inf(m)
+    p, op = traj.p, traj.op
+    mu = mass_inf(traj.mass)
     t = traj.times
     lhs = _h2_norm_sq(op, traj.u)
     g = en.gamma_rate(mu, op.nu, p)
@@ -1171,15 +1139,13 @@ def probe_open_problem(trajs_eps: list[Trajectory]) -> dict[str, Any]:
     if not trajs_eps:
         raise ValueError("need at least one hyperbolic run")
     results = {}
-    for traj in sorted(trajs_eps, key=lambda tr: float(tr.meta["eps"])):
-        op = traj.meta["operator"]
-        m = traj.meta["mass"]
-        eps = float(traj.meta["eps"])
-        if not m.is_constant:
+    for traj in sorted(trajs_eps, key=lambda tr: tr.eps):
+        op, eps = traj.op, traj.eps
+        if not traj.mass.is_constant:
             raise ValueError("the probe runs with constant mass")
-        if traj.meta["p"] != 0.0:
+        if traj.p != 0.0:
             raise ValueError("the probe runs at p = 0")
-        mu_nu = mass_inf(m) * op.nu
+        mu_nu = mass_inf(traj.mass) * op.nu
         series = en.gamma_eps(traj.u, traj.v, eps, op)
         t = traj.times
         positive = series > 0.0

@@ -26,8 +26,7 @@ differenced, since the residual diagnostics are sensitive to them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,14 +89,15 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled run of one flow: state arrays, coefficient trace, provenance.
+    """Sampled run of one flow, carrying the flow itself.
 
-    ``u`` (and ``v`` for the second-order flow) have one row per sample time;
-    ``c_trace[i] = m(|A^(1/2)u(t_i)|^2)`` is recomputed at the samples, never
-    interpolated.  ``meta`` records p, eps (second-order only), the operator,
-    the mass function, the integrator tolerances that produced the run, and
-    ``steps``: the solver's ``StepStats`` as a dict (steps accepted and
-    rejected, right-hand-side calls, step range, renormalizations).
+    ``u`` (and ``v = u'`` for the second-order flow) have one row per sample
+    time; ``c_trace[i] = m(|A^(1/2)u(t_i)|^2)`` is recomputed at the samples,
+    never interpolated.  ``p``, ``op``, ``mass`` and ``eps`` (``None`` for
+    the first-order flow) define the flow, so every reader takes them from
+    here rather than as arguments; ``rel_tol`` is the tolerance the run was
+    integrated to and ``steps`` the solver's ``StepStats`` (steps accepted
+    and rejected, right-hand-side calls, step range, renormalizations).
     """
 
     kind: str  # "hyperbolic" | "parabolic"
@@ -105,7 +105,12 @@ class Trajectory:
     u: np.ndarray
     v: np.ndarray | None
     c_trace: np.ndarray
-    meta: dict[str, Any] = field(default_factory=dict)
+    p: float
+    op: SpectralOperator
+    mass: MassFunction
+    eps: float | None
+    rel_tol: float
+    steps: StepStats
 
     def __post_init__(self) -> None:
         if self.kind not in ("hyperbolic", "parabolic"):
@@ -121,19 +126,22 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         if u.ndim != 2 or u.shape[0] != times.size:
             raise ValueError("u must be a (samples, modes) array")
+        if u.shape[1] != self.op.dim:
+            raise ValueError("u must have one column per mode of the operator")
         if c.shape != times.shape:
             raise ValueError("c_trace must align with times")
         if self.kind == "hyperbolic":
             if self.v is None:
                 raise ValueError("hyperbolic trajectories carry v = u'")
+            if self.eps is None or not self.eps > 0:
+                raise ValueError("hyperbolic trajectories carry eps > 0")
             v = np.asarray(self.v, dtype=float)
             if v.shape != u.shape:
                 raise ValueError("v must align with u")
             object.__setattr__(self, "v", v)
-        elif self.v is not None:
-            raise ValueError("parabolic trajectories carry no v")
-        mass = self.meta.get("mass")
-        if isinstance(mass, MassFunction) and c.size and float(np.min(c)) < mass_inf(mass):
+        elif self.v is not None or self.eps is not None:
+            raise ValueError("parabolic trajectories carry no v and no eps")
+        if float(np.min(c)) < mass_inf(self.mass):
             raise ValueError("coefficient trace dips below the mass infimum")
         for arr in (times, u, c):
             arr.setflags(write=False)
@@ -147,13 +155,13 @@ class Trajectory:
     def n_samples(self) -> int:
         return int(self.times.size)
 
-    def velocity(self, op: SpectralOperator) -> np.ndarray:
+    def velocity(self) -> np.ndarray:
         """``u'`` at every sample: stored for the second-order flow, recomputed
         from the first-order equation (with the coefficient trace) otherwise."""
         if self.kind == "hyperbolic":
             return self.v
         return _parabolic_velocity(
-            self.times[:, None], self.u, self.c_trace[:, None], op.eigenvalues, self.meta["p"]
+            self.times[:, None], self.u, self.c_trace[:, None], self.op.eigenvalues, self.p
         )
 
 
@@ -256,26 +264,32 @@ def parabolic_rhs(t, u, p: float, op: SpectralOperator, m: MassFunction) -> np.n
     return du
 
 
-def _hyperbolic_cap(
-    op: SpectralOperator, m: MassFunction, eps: float, safety: float
-):
-    """Step ceiling resolving the fastest oscillation, with a running coefficient max.
+def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps: float, p: float, safety: float):
+    """``(f, cap)``: the second-order flow as the system ``y' = f(t, y)``, ``y = (u, u')``,
+    and its step ceiling for ``solve_to_grid``.
 
-    The fastest mode oscillates at ``sqrt(lambda_K c / eps)``; the cap keeps
-    ``safety`` of a period per step and tightens monotonically as the running
-    max of ``c`` grows.
+    The cap resolves the fastest oscillation: that mode turns at
+    ``sqrt(lambda_K c / eps)``, so a step keeps ``safety`` of its period,
+    with ``c`` the running max of the coefficient (the cap only tightens).
     """
+    K = op.dim
     lam = op.eigenvalues
     lam_max = op.lambda_max
     state = {"c_sup": mass_inf(m)}
 
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        u = y[:K]
+        v = y[K:]
+        c = _at_sigma(m_eval, m, lam, u)
+        return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
+
     def cap(t: float, y: np.ndarray) -> float:
-        c = _at_sigma(m_eval, m, lam, y[: lam.size])
+        c = _at_sigma(m_eval, m, lam, y[:K])
         if c > state["c_sup"]:
             state["c_sup"] = c
         return safety * 2.0 * math.pi * math.sqrt(eps / (lam_max * state["c_sup"]))
 
-    return cap
+    return f, cap
 
 
 def integrate(
@@ -293,8 +307,10 @@ def integrate(
 
     ``problem`` is ``"hyperbolic"`` (pass ``eps``; ``y0 = (u0, u1)``) or
     ``"parabolic"`` (``y0 = u0``; integrated through its scalar phase, see
-    the module docstring).  Raises :class:`IntegrationError` when step
-    control cannot continue; contract violations raise ``ValueError``.
+    the module docstring).  The returned :class:`Trajectory` carries ``p``,
+    ``op``, ``m``, ``eps``, ``cfg.rel_tol`` and the solver's statistics.
+    Raises :class:`IntegrationError` when step control cannot continue;
+    contract violations raise ``ValueError``.
     """
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
@@ -302,6 +318,7 @@ def integrate(
         raise ValueError("sample_count must be >= 2")
     times = np.linspace(0.0, float(t_end), int(sample_count))
     K = op.dim
+    lam = op.eigenvalues
 
     if problem == "hyperbolic":
         if eps is None or eps <= 0:
@@ -310,14 +327,7 @@ def integrate(
             raise ValueError("p must lie in [0, 1]")
         u0, u1 = y0
         flat0 = np.concatenate([as_vector(u0, op), as_vector(u1, op)])
-        lam = op.eigenvalues
-
-        def f(t: float, y: np.ndarray) -> np.ndarray:
-            u = y[:K]
-            v = y[K:]
-            c = _at_sigma(m_eval, m, lam, u)
-            return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
-
+        f, cap = _hyperbolic_system(op, m, eps, p, cfg.oscillation_safety)
         Y, _, stats = solve_to_grid(
             f,
             flat0,
@@ -325,27 +335,18 @@ def integrate(
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
             max_step=cfg.max_step,
-            step_cap_fn=_hyperbolic_cap(op, m, eps, cfg.oscillation_safety),
+            step_cap_fn=cap,
         )
         u = Y[:, :K]
-        v = Y[:, K:]
         c_trace = _at_sigma(m_eval, m, lam, u)
-        meta = {
-            "p": p,
-            "eps": eps,
-            "operator": op,
-            "mass": m,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "steps": asdict(stats),
-        }
-        return Trajectory("hyperbolic", times, u, v, c_trace, meta)
+        return Trajectory(
+            "hyperbolic", times, u, Y[:, K:], c_trace, p, op, m, eps, cfg.rel_tol, stats
+        )
 
     if problem == "parabolic":
         if p < 0:
             raise ValueError("p must be >= 0")
         u0 = as_vector(y0, op)
-        lam = op.eigenvalues
         weights = lam * u0 * u0
         decay = -2.0 * lam
 
@@ -365,15 +366,9 @@ def integrate(
         np.exp(u, out=u)
         u *= u0
         c_trace = _at_sigma(m_eval, m, lam, u)
-        meta = {
-            "p": p,
-            "operator": op,
-            "mass": m,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "steps": asdict(stats),
-        }
-        return Trajectory("parabolic", times, u, None, c_trace, meta)
+        return Trajectory(
+            "parabolic", times, u, None, c_trace, p, op, m, None, cfg.rel_tol, stats
+        )
 
     raise ValueError(f"unknown problem kind {problem!r}")
 
@@ -421,16 +416,14 @@ def corrector_series(
     return theta, theta_prime
 
 
-def coefficient_derivative(
-    traj: Trajectory, op: SpectralOperator, m: MassFunction
-) -> np.ndarray:
+def coefficient_derivative(traj: Trajectory) -> np.ndarray:
     """``c'(t_i) = 2 m'(|A^(1/2)u|^2) <Au, u'>`` at every sample, as an ``(n,)`` series.
 
     For parabolic trajectories ``u'`` is recomputed from the flow equation.
     """
-    lam = op.eigenvalues
-    dm = _at_sigma(m_prime, m, lam, traj.u)
-    return 2.0 * dm * ((traj.u * traj.velocity(op)) @ lam)
+    lam = traj.op.eigenvalues
+    dm = _at_sigma(m_prime, traj.mass, lam, traj.u)
+    return 2.0 * dm * ((traj.u * traj.velocity()) @ lam)
 
 
 def parabolic_second_derivative(
@@ -490,7 +483,7 @@ def remainders(
         raise ValueError("the corrector series must align with the trajectories")
     rho = u_eps_traj.u - u_traj.u
     r = rho - theta
-    r_prime = u_eps_traj.v - u_traj.velocity(u_traj.meta["operator"]) - theta_prime
+    r_prime = u_eps_traj.v - u_traj.velocity() - theta_prime
     return rho, r, r_prime
 
 
@@ -524,25 +517,16 @@ def hyperbolic_log_energy(
     if not (np.any(u0) or np.any(u1)):
         raise ValueError("log-energy runs need nontrivial initial data")
     K = op.dim
-    lam = op.eigenvalues
-    c = m_eval(m, 0.0)
     times = np.linspace(0.0, float(t_end), int(sample_count))
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        u = y[:K]
-        v = y[K:]
-        return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
-
-    cap_value = cfg.oscillation_safety * 2.0 * math.pi * math.sqrt(
-        eps / (op.lambda_max * c)
-    )
+    f, cap = _hyperbolic_system(op, m, eps, p, cfg.oscillation_safety)
     Y, log_scale, _ = solve_to_grid(
         f,
         np.concatenate([u0, u1]),
         times,
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
-        max_step=min(cfg.max_step, cap_value),
+        max_step=cfg.max_step,
+        step_cap_fn=cap,
         renormalize=True,
     )
     value = gamma_eps(Y[:, :K], Y[:, K:], eps, op)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -72,6 +73,8 @@ SCENARIOS = (
 )
 
 _PRESETS = ("lowest_mode", "well_prepared", "boundary_layer")
+# the longest float64 array numpy can describe: the sample grid must be one
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 class ConfigError(ValueError):
@@ -100,15 +103,21 @@ def _fail(field: str, message: str) -> None:
     raise ConfigError(f"{field}: {message}")
 
 
+def _float(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(field, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(field, "integer out of float range")
+
+
 def _number(raw: dict, field: str, default=None, required=False) -> float:
     if field not in raw:
         if required:
             _fail(field, "required field is missing")
         return default
-    value = raw[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(field, f"expected a number, got {value!r}")
-    return float(value)
+    return _float(raw[field], field)
 
 
 def _parse_operator(raw: Any) -> SpectralOperator:
@@ -122,7 +131,7 @@ def _parse_operator(raw: Any) -> SpectralOperator:
         nu = _number(raw, "nu", required=True)
         try:
             return SpectralOperator(np.asarray(raw["eigenvalues"], dtype=float), nu)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"operator: {exc}") from exc
     if "family" not in raw:
         _fail("operator", "needs either 'eigenvalues' or 'family'")
@@ -144,7 +153,7 @@ def _parse_operator(raw: Any) -> SpectralOperator:
         if family == "arithmetic":
             gap = raw.get("gap", raw.get("parameter", nu))
             return arithmetic_spectrum(nu, modes_raw, float(gap))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"operator: {exc}") from exc
     _fail("operator.family", f"unknown family {family!r}")
 
@@ -174,7 +183,7 @@ def _parse_mass(raw: Any) -> MassFunction:
             _fail("mass.variant", f"unknown variant {variant!r}")
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"mass: {exc}") from exc
     _fail("mass", "needs one of 'constant', 'affine', 'rational' or 'variant'")
 
@@ -206,7 +215,7 @@ def _parse_initial(
             _fail(f"initial.{key}", "required field is missing")
         try:
             vec = np.asarray(raw[key], dtype=float)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"initial.{key}: {exc}") from exc
         if vec.ndim != 1 or vec.size != op.dim:
             _fail(f"initial.{key}", f"length must match the operator's {op.dim} modes")
@@ -256,9 +265,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         _fail("epsilon", "expected a list of positive numbers")
     epsilon = []
     for i, e in enumerate(eps_raw):
-        if isinstance(e, bool) or not isinstance(e, (int, float)) or e <= 0:
+        value = _float(e, f"epsilon[{i}]")
+        if value <= 0:
             _fail(f"epsilon[{i}]", f"expected a positive number, got {e!r}")
-        epsilon.append(float(e))
+        epsilon.append(value)
     epsilon = tuple(sorted(set(epsilon), reverse=True))
     if "operator" not in raw:
         _fail("operator", "required field is missing")
@@ -283,8 +293,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     elif t_end <= 0:
         _fail("t_end", "must be positive")
     samples_raw = raw.get("samples", 4096)
-    if not isinstance(samples_raw, int) or isinstance(samples_raw, bool) or samples_raw < 2:
-        _fail("samples", f"expected an integer >= 2, got {samples_raw!r}")
+    if (
+        not isinstance(samples_raw, int)
+        or isinstance(samples_raw, bool)
+        or not 2 <= samples_raw <= _MAX_SAMPLES
+    ):
+        _fail("samples", f"expected an integer from 2 to {_MAX_SAMPLES}, got {samples_raw!r}")
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         _fail("tolerances", "expected an object")
@@ -294,7 +308,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             _fail(f"tolerances.{key}", "unknown field")
     try:
         icfg = IntegratorConfig(**{k: float(v) for k, v in tol_raw.items()})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
     scenario = raw.get("scenario", "simulate")
     if scenario not in SCENARIOS:
@@ -328,6 +342,8 @@ def _read_json(path: Path, what: str) -> Any:
         raise ConfigError(
             f"{what} {path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -351,6 +367,8 @@ def apply_override(raw: dict, spec: str) -> None:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
+    except ValueError as exc:  # an integer past the digit limit
+        raise ConfigError(f"override {key}: {exc}") from exc
     target = raw
     parts = key.split(".")
     for part in parts[:-1]:
@@ -467,7 +485,7 @@ class _Context:
             self._par = integrate(
                 "parabolic", c.u0, c.t_end, c.samples, c.integrator, c.operator, c.mass, c.p
             )
-            self.energies[None] = {"gamma": an.parabolic_gamma_series(self._par, c.operator)}
+            self.energies[None] = {"gamma": an.parabolic_gamma_series(self._par)}
         return self._par
 
     def hyperbolic(self, eps: float) -> Trajectory:
@@ -484,7 +502,7 @@ class _Context:
                 c.p,
                 eps=eps,
             )
-            series = an.hyperbolic_series(self._hyp[eps], eps, c.operator, self.decay_lp())
+            series = an.hyperbolic_series(self._hyp[eps], self.decay_lp())
             self.energies[eps] = {key: series[key] for key in ("gamma", "E", "F", "G")}
         return self._hyp[eps]
 
@@ -495,8 +513,8 @@ class _Context:
         """Solver statistics of every flow this run integrated and of each
         lemma kind's batched solve."""
         return {
-            "parabolic": None if self._par is None else self._par.meta["steps"],
-            "hyperbolic": {repr(eps): traj.meta["steps"] for eps, traj in self._hyp.items()},
+            "parabolic": None if self._par is None else asdict(self._par.steps),
+            "hyperbolic": {repr(eps): asdict(traj.steps) for eps, traj in self._hyp.items()},
             "lemmas": {kind: inst["steps"] for kind, inst in self.lemmas.items()},
         }
 
@@ -613,18 +631,18 @@ def _scn_decay(ctx: _Context) -> None:
     c = ctx.cfg
     lp = ctx.decay_lp()
     trajs = ctx.hyperbolic_sweep()
-    for traj, eps in zip(trajs, c.epsilon):
-        ctx.add_check(an.check_energy_monotone(traj, eps, c.operator))
-        for rep in an.check_energy_sandwich(traj, eps, c.operator, lp):
+    for traj in trajs:
+        ctx.add_check(an.check_energy_monotone(traj))
+        for rep in an.check_energy_sandwich(traj, lp):
             ctx.add_check(rep)
-        ctx.add_check(an.check_lyapunov_decay(traj, eps, c.operator, lp, "F"))
+        ctx.add_check(an.check_lyapunov_decay(traj, lp, "F"))
     uniform = an.check_uniform_decay_weights(trajs, ctx.parabolic())
     ctx.add_check(uniform)
     ctx.constants["C_2_4"] = uniform.params["C_2_4"]
     if "C_2_2" in uniform.params:
         ctx.constants["C_2_2"] = uniform.params["C_2_2"]
     if c.mass.is_constant:
-        ctx.add_check(an.check_parabolic_pointwise(ctx.parabolic(), c.operator))
+        ctx.add_check(an.check_parabolic_pointwise(ctx.parabolic()))
 
 
 def _scn_decay_error(ctx: _Context) -> None:
@@ -637,21 +655,18 @@ def _scn_decay_error(ctx: _Context) -> None:
     lp_pert = en.perturbation_params(c.beta, c.p, ctx.mu, c.operator.nu)
     g_sq: dict[float, np.ndarray] = {}
     gamma_r: dict[float, np.ndarray] = {}
-    for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
+    for traj in ctx.hyperbolic_sweep():
+        eps = traj.eps
         theta, theta_pr = corrector_series(th0, eps, c.p, traj.times)
         rho, _, rprime = remainders(traj, traj_par, theta, theta_pr)
-        g = an.residual_series(traj, traj_par, eps)
+        g = an.residual_series(traj, traj_par)
         g_sq[eps] = sobolev_norm_sq(c.operator, g, 0.0)
         gamma_r[eps] = en.gamma_r(rho, rprime, eps, c.operator)
         # the stronger remainder energy is the full energy of (rho, r')
         ctx.energies[eps]["gamma_r"] = gamma_r[eps]
         ctx.energies[eps]["gamma_c"] = en.gamma_eps(rho, rprime, eps, c.operator)
-        psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert, eps, c.operator)
-        ctx.add_check(
-            an.check_lyapunov_decay(
-                traj, eps, c.operator, lp_pert, "script_F", psi3, rho, rprime
-            )
-        )
+        psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert)
+        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, "script_F", psi3, rho, rprime))
     ctx.add_check(
         an.check_residual_bounds(
             traj_par.times, g_sq, c.beta, c.p, ctx.mu, c.operator.nu
@@ -671,8 +686,8 @@ def _scn_optimality(ctx: _Context) -> None:
         phi_spec: dict[str, Any] = {"form": "psi"}
     else:
         phi_spec = {"form": "exp", "beta": 2.0 * ctx.mu * c.operator.nu}
-    for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
-        ctx.add_check(an.check_optimality(traj, eps, c.operator, phi_spec))
+    for traj in ctx.hyperbolic_sweep():
+        ctx.add_check(an.check_optimality(traj, phi_spec))
 
 
 def _scn_lemmas(ctx: _Context, instances: int = 100) -> None:
@@ -709,8 +724,8 @@ def _scn_wkb(ctx: _Context) -> None:
             an.wkb_window_start(eps, c.p, mu_nu, c.t_end)
         except ValueError as exc:
             raise ConfigError(f"scenario 'wkb': eps={eps}: {exc}") from None
-    for traj, eps in zip(ctx.hyperbolic_sweep(), c.epsilon):
-        ctx.add_check(an.wkb_compare(traj, eps, c.p, mu_nu))
+    for traj in ctx.hyperbolic_sweep():
+        ctx.add_check(an.wkb_compare(traj))
 
 
 def _scn_open_problem(ctx: _Context) -> None:
@@ -831,11 +846,22 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path) -> int:
 
 
 def _read_csv(path: Path) -> dict[str, np.ndarray]:
+    """The columns of a klab CSV; any other file is a ConfigError naming it."""
     if not path.is_file():
         raise ConfigError(f"timeseries file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with path.open("r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data": rejected below
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"timeseries file {path}: not a klab CSV ({exc})") from exc
+    rows, cols = data.shape
+    if not {"t", "gamma"} <= set(header) or cols != len(header) or rows == 0:
+        raise ConfigError(
+            f"timeseries file {path}: not a klab CSV (needs a header naming t and gamma "
+            "over rows of one number per name)"
+        )
     # contiguous columns, laid out like the arrays the run wrote them from
     return dict(zip(header, np.ascontiguousarray(data.T)))
 

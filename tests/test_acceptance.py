@@ -172,7 +172,7 @@ def test_criterion_03_rate_spread():
             traj = shallow_run(cell)
             from klab.analysis import hyperbolic_series
 
-            gam = hyperbolic_series(traj, eps, OP1)["gamma"]
+            gam = hyperbolic_series(traj)["gamma"]
             t_env, v_env = envelope(traj.times, gam)
             fit = fit_decay_exponent(t_env, v_env, p, "hyperbolic", window)
             slope, r2 = fit.slope, fit.r_squared
@@ -253,18 +253,18 @@ def test_criterion_05_lyapunov_suite():
         u0, u1 = hyp.u[0], hyp.v[0]
         lp_decay = decay_params(1.0, p, 1.0, 1.0)
         reports = [
-            check_energy_monotone(hyp, eps, OP1),
-            check_lyapunov_decay(hyp, eps, OP1, lp_decay, which="F"),
+            check_energy_monotone(hyp),
+            check_lyapunov_decay(hyp, lp_decay, which="F"),
         ]
         par = integrate("parabolic", u0, t_end, n, CFG, OP1, M1, p)
         th0 = theta0(u0, u1, OP1, M1)
         theta, theta_p = corrector_series(th0, eps, p, par.times)
         rho, _, rprime = remainders(hyp, par, theta, theta_p)
-        g = residual_series(hyp, par, eps)
+        g = residual_series(hyp, par)
         lp_pert = perturbation_params(1.0, p, 1.0, 1.0)
-        psi3 = assemble_psi3(hyp, rho, theta_p, g, lp_pert, eps, OP1)
+        psi3 = assemble_psi3(hyp, rho, theta_p, g, lp_pert)
         reports.append(
-            check_lyapunov_decay(hyp, eps, OP1, lp_pert, which="script_F",
+            check_lyapunov_decay(hyp, lp_pert, which="script_F",
                                  psi3=psi3, rho=rho, rprime=rprime)
         )
         total += len(reports)
@@ -311,9 +311,9 @@ def test_criterion_06_comparison_lemmas():
     th0 = theta0([1.0], [-1.0], OP1, M1)
     theta, theta_p = corrector_series(th0, 0.02, 0.5, par.times)
     rho, _, rprime = remainders(hyp, par, theta, theta_p)
-    g = residual_series(hyp, par, 0.02)
+    g = residual_series(hyp, par)
     lp = perturbation_params(1.0, 0.5, 1.0, 1.0)
-    psi3 = assemble_psi3(hyp, rho, theta_p, g, lp, 0.02, OP1)
+    psi3 = assemble_psi3(hyp, rho, theta_p, g, lp)
     from klab.energies import energy_F
     from klab import phi
 

@@ -164,13 +164,13 @@ def test_report_and_fit_validation():
 class TestEnergyMonotone:
     def test_small_eps_passes(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 10.0, 600, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_energy_monotone(traj, 0.01, OP1)
+        rep = check_energy_monotone(traj)
         assert rep.passed
         assert rep.name == "energy_monotone"
 
     def test_zero_solution_trivially_passes(self):
         traj = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.1)
-        rep = check_energy_monotone(traj, 0.1, OP1)
+        rep = check_energy_monotone(traj)
         assert rep.passed
         assert rep.worst_slack == 0.0
 
@@ -178,7 +178,7 @@ class TestEnergyMonotone:
         # steep mass growth against weak damping flips the sign of E'
         aff = MassFunction("affine", 1.0, 5.0)
         traj = integrate("hyperbolic", ([2.0], [-5.0]), 4.0, 400, CFG, OP1, aff, 0.0, eps=0.5)
-        rep = check_energy_monotone(traj, 0.5, OP1)
+        rep = check_energy_monotone(traj)
         assert not rep.passed
         assert rep.worst_slack < -1.0
         assert rep.worst_t < 1.0
@@ -187,14 +187,14 @@ class TestEnergyMonotone:
 class TestEnergySandwich:
     def test_constant_mass_upper_bound_tight(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.5, eps=0.05)
-        reps = check_energy_sandwich(traj, 0.05, OP1, decay_params(1.0, 0.5, 1.0, 1.0))
+        reps = check_energy_sandwich(traj, decay_params(1.0, 0.5, 1.0, 1.0))
         by_name = {r.name: r for r in reps}
         assert by_name["sandwich_E"].passed
         assert by_name["sandwich_F"].passed
 
     def test_large_eps_breaks_the_F_floor(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 800, CFG, OP1, M1, 0.5, eps=2.0)
-        reps = check_energy_sandwich(traj, 2.0, OP1, decay_params(1.0, 0.5, 1.0, 1.0))
+        reps = check_energy_sandwich(traj, decay_params(1.0, 0.5, 1.0, 1.0))
         by_name = {r.name: r for r in reps}
         assert by_name["sandwich_E"].passed
         assert not by_name["sandwich_F"].passed
@@ -204,21 +204,21 @@ class TestLyapunovDecay:
     def test_decay_inequality_small_eps(self):
         lp = decay_params(1.0, 0.5, 1.0, 1.0)
         traj = integrate("hyperbolic", ([1.0], [0.0]), 10.0, 600, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, 0.01, OP1, lp, which="F")
+        rep = check_lyapunov_decay(traj, lp, which="F")
         assert rep.passed
         assert rep.name == "lyapunov_decay_F"
 
     def test_zero_solution_trivial(self):
         lp = decay_params(1.0, 0.5, 1.0, 1.0)
         traj = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, 0.01, OP1, lp, which="F")
+        rep = check_lyapunov_decay(traj, lp, which="F")
         assert rep.passed and rep.worst_slack == 0.0
 
     def test_start_time_past_horizon_checks_nothing(self):
         lp = perturbation_params(8.0, 0.5, 1.0, 1.0)   # T = delta(beta+sigma)/(2nu) - 1, large
         assert lp.T > 4.0
         traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, 0.01, OP1, lp, which="F")
+        rep = check_lyapunov_decay(traj, lp, which="F")
         assert rep.passed
         assert rep.params["intervals"] == 0
 
@@ -290,9 +290,9 @@ class TestComparisonLemmas:
         th0 = theta0(u0, u1, op, m)
         theta, theta_p = corrector_series(th0, eps, p, par.times)
         rho, r, rp = remainders(hyp, par, theta, theta_p)
-        g = residual_series(hyp, par, eps)
+        g = residual_series(hyp, par)
         lp = perturbation_params(1.0, p, 1.0, 1.0)
-        psi3 = assemble_psi3(hyp, rho, theta_p, g, lp, eps, op)
+        psi3 = assemble_psi3(hyp, rho, theta_p, g, lp)
         from klab.energies import energy_F
         F = energy_F(rho, rp, par.times, eps, hyp.c_trace, op, lp)
         rep = check_comparison_lemma(
@@ -404,7 +404,7 @@ class TestResidualBounds:
         for eps in (0.04, 0.02, 0.01):
             hyp = integrate("hyperbolic", ([1.0, -0.3], [0.0, 0.0]), 8.0, 400, CFG, op, M1,
                             0.5, eps=eps)
-            g = residual_series(hyp, par, eps)
+            g = residual_series(hyp, par)
             by_eps[eps] = np.array([float(row @ row) for row in g])
         rep = check_residual_bounds(par.times, by_eps, 1.0, 0.5, 1.0, 1.0)
         assert rep.passed
@@ -422,25 +422,25 @@ class TestOptimality:
     def test_scalar_profile_ratio(self):
         # e^{-5t} against the 2.254-rate flow: H grows like e^{2.746 t}
         traj = integrate("hyperbolic", ([1.0], [0.0]), 2.0, 400, CFG, OP1, M1, 0.0, eps=0.1)
-        rep = check_optimality(traj, 0.1, OP1, {"form": "exp", "beta": 5.0})
+        rep = check_optimality(traj, {"form": "exp", "beta": 5.0})
         assert rep.passed
         assert 14.0 <= rep.params["ratio"] <= 17.0
 
     def test_envelope_matching_profile_rejected(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.0, eps=0.1)
         with pytest.raises(ValueError):
-            check_optimality(traj, 0.1, OP1, {"form": "exp", "beta": 2.0})
+            check_optimality(traj, {"form": "exp", "beta": 2.0})
 
     def test_psi_form_requires_positive_p(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 100, CFG, OP1, M1, 0.0, eps=0.1)
         with pytest.raises(ValueError):
-            check_optimality(traj, 0.1, OP1, {"form": "psi"})
+            check_optimality(traj, {"form": "psi"})
 
     def test_p_zero_ratio_eventually_monotone(self):
         # the divergence profile at 1.2x the fitted rate grows monotonically
         # once the fast mode is gone
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 800, CFG, OP1, M1, 0.0, eps=0.1)
-        gam = hyperbolic_series(traj, 0.1, OP1)["gamma"]
+        gam = hyperbolic_series(traj)["gamma"]
         fit = fit_decay_exponent(traj.times, gam, 0.0, "t", window=(3.2, 8.0))
         beta_hat = 1.2 * (-fit.slope)
         ratio = gam * np.exp(beta_hat * traj.times)
@@ -500,7 +500,7 @@ def test_uniform_decay_weights_stable_for_constant_mass():
 class TestParabolicPointwise:
     def test_headroom_slack_at_start(self):
         traj = integrate("parabolic", [1.0], 6.0, 300, CFG, OP1, M1, 0.5)
-        rep = check_parabolic_pointwise(traj, OP1)
+        rep = check_parabolic_pointwise(traj)
         assert rep.passed
         # at lambda = nu every norm decays exactly at the theorem rate, so the
         # ratio to the bound is flat and the slack is pure headroom
@@ -510,7 +510,7 @@ class TestParabolicPointwise:
         aff = MassFunction("affine", 1.0, 1.0)
         traj = integrate("parabolic", [1.0], 6.0, 300, CFG, OP1, aff, 0.5)
         with pytest.raises(ValueError):
-            check_parabolic_pointwise(traj, OP1)
+            check_parabolic_pointwise(traj)
 
 
 class TestOpenProblemProbe:

@@ -1,5 +1,6 @@
 """Time integration, closed forms, corrector, and residual traces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +26,19 @@ from klab import (
     theta0,
     z_eps,
 )
+from klab._rk import StepStats
 import oracles
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
 M1 = MassFunction("constant", 1.0)
 CFG = IntegratorConfig()
+NO_STEPS = StepStats(0, 0, 1, math.inf, 0.0, 0)
+
+
+def hand_run(kind, u, v, c, mass=M1, eps=None, op=OP1, times=(0.0, 1.0)):
+    """A two-sample trajectory built by hand, at p = 0."""
+    return Trajectory(kind, np.array(times), np.array(u), v if v is None else np.array(v),
+                      np.array(c), 0.0, op, mass, eps, CFG.rel_tol, NO_STEPS)
 
 
 class TestRightHandSides:
@@ -131,8 +140,8 @@ class TestParabolicPhaseSolve:
         u0 = u0 / math.sqrt(float(op.eigenvalues @ (u0 * u0)))
         traj = integrate("parabolic", u0, 16.0, 512, CFG, op, self.AFFINE, 0.5)
         assert sizes == [1]
-        assert traj.meta["steps"]["rejected"] == 0
-        assert 0 < traj.meta["steps"]["accepted"] < 6000
+        assert traj.steps.rejected == 0
+        assert 0 < traj.steps.accepted < 6000
 
 
 class TestHyperbolicOracle:
@@ -241,25 +250,19 @@ def test_well_prepared_data_kills_theta0():
 class TestCoefficientTraces:
     def test_derivative_worked_values(self):
         aff = MassFunction("affine", 1.0, 1.0)
-        traj = Trajectory("hyperbolic", np.array([0.0, 1.0]),
-                          np.array([[1.0], [1.0]]), np.array([[-1.0], [-1.0]]),
-                          np.array([2.0, 2.0]))
-        assert coefficient_derivative(traj, OP1, aff)[0] == pytest.approx(-2.0)
-        const_run = Trajectory("hyperbolic", np.array([0.0, 1.0]),
-                               np.array([[1.0], [1.0]]), np.array([[-1.0], [-1.0]]),
-                               np.array([1.0, 1.0]))
-        assert coefficient_derivative(const_run, OP1, M1)[0] == 0.0
-        rest = Trajectory("hyperbolic", np.array([0.0, 1.0]),
-                          np.zeros((2, 1)), np.zeros((2, 1)), np.array([1.0, 1.0]))
-        assert coefficient_derivative(rest, OP1, aff)[0] == 0.0
+        traj = hand_run("hyperbolic", [[1.0], [1.0]], [[-1.0], [-1.0]], [2.0, 2.0], aff, 0.1)
+        assert coefficient_derivative(traj)[0] == pytest.approx(-2.0)
+        const_run = hand_run("hyperbolic", [[1.0], [1.0]], [[-1.0], [-1.0]], [1.0, 1.0],
+                             M1, 0.1)
+        assert coefficient_derivative(const_run)[0] == 0.0
+        rest = hand_run("hyperbolic", np.zeros((2, 1)), np.zeros((2, 1)), [1.0, 1.0], aff, 0.1)
+        assert coefficient_derivative(rest)[0] == 0.0
 
     def test_parabolic_trace_uses_ode_velocity(self):
         aff = MassFunction("affine", 1.0, 1.0)
-        traj = Trajectory("parabolic", np.array([0.0, 1.0]),
-                          np.array([[1.0], [0.5]]), None, np.array([2.0, 1.25]),
-                          meta={"p": 0.0})
+        traj = hand_run("parabolic", [[1.0], [0.5]], None, [2.0, 1.25], aff)
         # at t=0: sigma = 1, c = 2, so u' = -c*lam*u = -2 and c' = 2*1*(1*-2)
-        assert coefficient_derivative(traj, OP1, aff)[0] == pytest.approx(-4.0)
+        assert coefficient_derivative(traj)[0] == pytest.approx(-4.0)
 
     def test_trace_respects_lower_bound(self):
         for m in (MassFunction("affine", 0.5, 2.0), MassFunction("rational", 0.7, 3.0)):
@@ -334,8 +337,7 @@ class TestRemainders:
         par = integrate("parabolic", u0, 6.0, 240, CFG, op, M1, 0.5)
         from klab import parabolic_rhs
         v = parabolic_rhs(par.times, par.u, 0.5, op, M1)
-        twin = Trajectory("hyperbolic", par.times, par.u, v, par.c_trace,
-                          meta=dict(par.meta))
+        twin = dataclasses.replace(par, kind="hyperbolic", v=v, eps=0.05)
         rho, r, rp = remainders(twin, par, *corrector_series(np.zeros(2), 0.05, 0.5, par.times))
         assert not rho.any() and not r.any() and not rp.any()
 
@@ -353,7 +355,7 @@ class TestLogEnergyProbe:
         times, logs = hyperbolic_log_energy(OP1, M1, 0.05, 0.5, [1.0], [0.0], 12.0, 300, CFG)
         traj = integrate("hyperbolic", ([1.0], [0.0]), 12.0, 300, CFG, OP1, M1, 0.5, eps=0.05)
         from klab.analysis import hyperbolic_series
-        gamma = hyperbolic_series(traj, 0.05, OP1)["gamma"]
+        gamma = hyperbolic_series(traj)["gamma"]
         np.testing.assert_allclose(times, traj.times)
         np.testing.assert_allclose(logs, np.log(gamma), atol=1e-6)
 
@@ -393,11 +395,33 @@ class TestConfigAndFailures:
 
 
 def test_trajectory_validation():
-    times = np.array([0.0, 1.0, 0.5])
     u = np.zeros((3, 1))
     with pytest.raises(ValueError):
-        Trajectory("parabolic", times, u, None, np.ones(3))
+        hand_run("parabolic", u, None, np.ones(3), times=(0.0, 1.0, 0.5))
     with pytest.raises(ValueError):
-        Trajectory("parabolic", np.array([0.0, 1.0, 2.0]), u, None, np.ones(2))
+        hand_run("parabolic", u, None, np.ones(2), times=(0.0, 1.0, 2.0))
     with pytest.raises(ValueError):
-        Trajectory("sideways", np.array([0.0, 1.0, 2.0]), u, None, np.ones(3))
+        hand_run("sideways", u, None, np.ones(3), times=(0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "kind,eps,op,mass,message",
+    [
+        ("parabolic", None, SpectralOperator(np.array([1.0, 2.0]), 1.0), M1,
+         "one column per mode"),
+        ("parabolic", 0.1, OP1, M1, "no v and no eps"),
+        ("hyperbolic", None, OP1, M1, "eps > 0"),
+        ("hyperbolic", 0.0, OP1, M1, "eps > 0"),
+        ("hyperbolic", -0.1, OP1, M1, "eps > 0"),
+        # a hand-built run is held to its mass's infimum like an integrated one
+        ("parabolic", None, OP1, MassFunction("constant", 2.0), "mass infimum"),
+    ],
+    ids=["mode_count", "parabolic_eps", "hyperbolic_no_eps", "hyperbolic_zero_eps",
+         "hyperbolic_negative_eps", "below_mass_infimum"],
+)
+def test_trajectory_rejects_a_flow_that_does_not_fit(kind, eps, op, mass, message):
+    v = [[0.0], [0.0]] if kind == "hyperbolic" else None
+    with pytest.raises(ValueError, match=message):
+        hand_run(kind, [[1.0], [0.5]], v, [1.0, 1.0], mass, eps, op)
+    # the same arrays with the flow that fits are accepted
+    hand_run(kind, [[1.0], [0.5]], v, [1.0, 1.0], M1, 0.1 if v else None)

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from klab import IntegratorConfig, RateFit
+from klab.cli import main as cli_main
 from klab.harness import (
     SCENARIOS,
     ConfigError,
@@ -531,6 +532,73 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.count("\n") == 1
         assert field in res.stderr
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("runs.json", '{"config": {"p": 0.5}, "files": {"parabolic": "runs.json"}}'),
+            ("bad.csv", "t,gamma\n0.0,1.0\n1.0,abc\n"),
+            ("bad.csv", "t,phi\n0.0,1.0\n1.0,0.5\n"),
+            ("bad.csv", "t,gamma\n"),
+            ("bad.csv", "t,gamma,phi\n0.0,1.0\n"),
+        ],
+        ids=["manifest_as_csv", "non_numeric_cell", "no_gamma_column", "no_rows", "short_rows"],
+    )
+    def test_report_on_a_file_that_is_not_a_klab_csv_exit_two(self, tmp_path, name, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "runs.json").write_text(
+            json.dumps({"config": {"p": 0.5}, "files": {"parabolic": name}}), encoding="utf-8")
+        if name != "runs.json":
+            (out / name).write_text(text, encoding="utf-8")
+        res = run_cli("report", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.count("\n") == 1
+        assert f"timeseries file {out / name}" in res.stderr
+
+    @staticmethod
+    def verify_in_process(tmp_path, capsys, text, *extra):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        code = cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "o"), *extra])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,field",
+        [
+            (("p",), "p: integer out of float range"),
+            (("epsilon", 0), "epsilon[0]: integer out of float range"),
+            (("mass", "constant"), "mass: int too large"),
+            (("operator", "exponent"), "operator: int too large"),
+            (("tolerances", "rel_tol"), "tolerances: int too large"),
+            (("initial", "u0", 0), "initial.u0: int too large"),
+            (("samples",), "samples: expected an integer from 2 to"),
+        ],
+        ids=["p", "epsilon", "mass.constant", "operator.exponent", "tolerances.rel_tol",
+             "initial.u0", "samples"],
+    )
+    def test_an_integer_past_float_range_exit_two(self, tmp_path, capsys, path, field):
+        doc = base_config(operator={"family": "power", "nu": 1.0, "K": 1, "exponent": 2.0},
+                          tolerances={"rel_tol": 1e-10})
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        code, err = self.verify_in_process(tmp_path, capsys, json.dumps(doc))
+        assert code == 2, err
+        assert field in err
+
+    @pytest.mark.parametrize("where", ["file", "override"])
+    def test_an_integer_past_the_digit_limit_exit_two(self, tmp_path, capsys, where):
+        digits = "1" + "0" * 5000  # past Python's integer string-conversion limit
+        text = json.dumps(base_config())
+        if where == "file":
+            code, err = self.verify_in_process(tmp_path, capsys, text.replace("0.5", digits, 1))
+            assert f"config file {tmp_path / 'config.json'}: Exceeds the limit" in err
+        else:
+            code, err = self.verify_in_process(tmp_path, capsys, text, "--override", f"p={digits}")
+            assert "override p: Exceeds the limit" in err
+        assert code == 2, err
 
     def test_import_loads_no_scipy(self):
         # a fresh interpreter: the test process itself has scipy loaded
