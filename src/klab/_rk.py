@@ -7,9 +7,12 @@ measurement lives in).  A batch member, or a single state whose norm leaves
 ``[1e-100, 1e100]``, is first scaled by the exact power of two that brings
 its peak near 1, so a state below 1e-154 does not square to zero; the
 scaling changes no ratio.
-Steps are clipped to land exactly on the requested sample grid; sampled
-values therefore carry full integration accuracy and no interpolant is
-involved.
+By default steps are clipped to land exactly on the requested sample grid,
+so sampled values carry full integration accuracy.  With
+``land_on_samples=False`` the steps follow the error control alone and every
+sample inside a step comes from the pair's continuous extension (Shampine,
+"Some practical Runge-Kutta formulas", Math. Comp. 46, 1986), a quartic that
+is one order less accurate than the step itself.
 
 A state of shape ``(B, d)`` is a batch of ``B`` independent members sharing
 one time grid and one step sequence.  Each member's error is its own norm
@@ -63,6 +66,17 @@ _B1, _B3, _B4, _B5, _B6 = (
     -2187.0 / 6784.0,
     11.0 / 84.0,
 )
+# Continuous extension: the state at ``t + theta h`` is
+# ``y + h sum_i k_i sum_m _DENSE[i, m] theta^(m+1)`` over the seven stages.
+_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 # Difference between the 5th- and embedded 4th-order weights.
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71.0 / 57600.0,
@@ -146,11 +160,12 @@ def solve_to_grid(
     rel_tol: float,
     abs_tol: float,
     max_step: float = math.inf,
-    step_cap_fn: Callable[[float, np.ndarray], float] | None = None,
+    step_cap_fn: Callable[[float, np.ndarray], tuple[float, np.ndarray]] | None = None,
     max_steps: int = 10_000_000,
     renormalize: bool = False,
+    land_on_samples: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, StepStats]:
-    """Integrate ``y' = f(t, y)`` from ``times[0]`` hitting every grid time exactly.
+    """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
     Returns ``(Y, log_scale, stats)`` where ``Y[i]`` is the (possibly
     renormalized) state at ``times[i]`` and ``log_scale[i]`` the accumulated
@@ -162,10 +177,19 @@ def solve_to_grid(
     its own error norm (see the module docstring).  ``f`` receives and returns
     the whole state.
 
-    ``step_cap_fn(t, y)`` may impose a state-dependent step ceiling (used to
-    resolve the fastest oscillation of hyperbolic runs).  ``renormalize``
+    ``step_cap_fn(t, y)`` returns ``(cap, y)``: a state-dependent step
+    ceiling (used to resolve the fastest oscillation of hyperbolic runs) and
+    the state to continue from.  That is ``y`` itself, or a replacement the
+    caller's flow treats as the same solution (the hyperbolic flow zeroes
+    modes that no longer carry energy); the driver then evaluates ``f``
+    afresh there, one more call counted in ``rhs_evals``.  ``renormalize``
     requires ``f`` linear in ``y``; the caller is responsible for that.  It is
     refused for a batch.
+
+    ``land_on_samples`` (the default) clips every step to the next grid
+    time; ``False`` lets the error control alone set the steps, clips only
+    the last one to ``times[-1]`` and interpolates the samples in between
+    (see the module docstring).
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -201,15 +225,18 @@ def solve_to_grid(
     trial = np.where(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
-    h = min(float(np.min(trial)), max_step, float(grid[1] - grid[0]))
+    first_target = grid[1] if land_on_samples else grid[-1]
+    h = min(float(np.min(trial)), max_step, float(first_target - grid[0]))
 
     accepted = 0
     rejected = 0
+    replacements = 0
     renormalizations = 0
     h_min = math.inf
     h_max = 0.0
     j = 1
     just_rejected = False
+    last_accepted = None
 
     while j < n:
         if accepted + rejected >= max_steps:
@@ -219,8 +246,13 @@ def solve_to_grid(
 
         cap = max_step
         if step_cap_fn is not None:
-            cap = min(cap, step_cap_fn(t, y))
-        target = float(grid[j])
+            state_cap, y_cap = step_cap_fn(t, y)
+            cap = min(cap, state_cap)
+            if y_cap is not y:
+                y = y_cap
+                k1 = np.asarray(f(t, y), dtype=float)
+                replacements += 1
+        target = float(grid[j] if land_on_samples else grid[-1])
         remaining = target - t
         h_try = min(h, cap, remaining)
         hits_sample = h_try >= remaining * (1.0 - 1e-12)
@@ -255,13 +287,25 @@ def solve_to_grid(
             accepted += 1
             h_min = min(h_min, h_try)
             h_max = max(h_max, h_try)
-            t = target if hits_sample else t + h_try
-            y = y_new
-            k1 = k7
-            if hits_sample:
-                out[j] = y
+            t_new = target if hits_sample else t + h_try
+            if not land_on_samples:
+                # the samples this step passed, from the continuous extension
+                stop = int(np.searchsorted(grid, t_new, side="right"))
+                if stop > j:
+                    theta = (grid[j:stop] - t) / h_try
+                    powers = theta[:, None] ** np.arange(1, 5)
+                    q = np.tensordot(_DENSE.T, np.stack([k1, k2, k3, k4, k5, k6, k7]), axes=1)
+                    out[j:stop] = y + h_try * np.tensordot(powers, q, axes=1)
+                    if grid[stop - 1] == t_new:
+                        out[stop - 1] = y_new
+                    log_out[j:stop] = log_scale
+                    j = stop
+            elif hits_sample:
+                out[j] = y_new
                 log_out[j] = log_scale
                 j += 1
+            t, y = t_new, y_new
+            k1 = k7
             if renormalize:
                 peak = float(np.max(np.abs(y)))
                 if peak > 0.0 and not _RENORM_LO < peak < _RENORM_HI:
@@ -270,7 +314,20 @@ def solve_to_grid(
                     k1 = k1 * s  # valid because f is linear in y
                     log_scale += math.log(s)
                     renormalizations += 1
-            factor = _MAX_GROWTH if ratio == 0.0 else _SAFETY * ratio ** (-0.2)
+            steer = ratio
+            if not land_on_samples:
+                # no sample bounds these steps, so an error estimate passing
+                # through zero would grow the next step into a rejection.
+                # Carried to this step size (the estimate scales as h^5), the
+                # last ratio predicts this one: a drop below it is not trusted,
+                # and a rise above it is expected to go on once more.
+                if last_accepted is not None:
+                    last_ratio, last_h = last_accepted
+                    carried = last_ratio * (h_try / last_h) ** 5
+                    if carried > 0.0:
+                        steer = max(carried, ratio * ratio / carried)
+                last_accepted = (ratio, h_try)
+            factor = _MAX_GROWTH if steer == 0.0 else _SAFETY * steer ** (-0.2)
             if just_rejected:
                 factor = min(factor, 1.0)
             just_rejected = False
@@ -285,5 +342,6 @@ def solve_to_grid(
             h = h_try * factor
 
     attempts = accepted + rejected
-    stats = StepStats(accepted, rejected, 1 + 6 * attempts, h_min, h_max, renormalizations)
+    rhs_evals = 1 + 6 * attempts + replacements
+    stats = StepStats(accepted, rejected, rhs_evals, h_min, h_max, renormalizations)
     return out, log_out, stats

@@ -10,15 +10,19 @@ and its first-order limit
 
 Both decouple mode-by-mode except for the scalar coupling through
 ``|A^(1/2)u|^2``.  The integrator resolves the fast oscillation of the
-second-order flow with a state-dependent step cap; sampled values land on a
-uniform grid exactly (no interpolation).
+second-order flow with a state-dependent step cap, which follows the fastest
+mode that still carries energy: a mode whose share has fallen far below
+round-off is set to exactly 0, a fixed point of its linear equation.  The
+second-order flow's steps land on the uniform sample grid exactly.
 
 The first-order flow is solved through its scalar phase: with
 ``Lambda' = (1+t)^p m(sum_k lambda_k u_k(0)^2 exp(-2 lambda_k Lambda))`` and
 ``Lambda(0) = 0`` it is exactly ``u_k(t) = u_k(0) exp(-lambda_k Lambda(t))``.
 One scalar ODE replaces the K-mode system, whose explicit solve goes stiff as
 ``lambda_max`` grows and controls the decayed modes only in norm; the phase
-form gets every mode to relative accuracy.  Derivatives of the first-order
+form gets every mode to relative accuracy.  Its steps follow the error
+control, and the samples between them come from the integrator's continuous
+extension.  Derivatives of the first-order
 flow (``u'``, ``u''``) are always recomputed from the equation, never finite
 differenced, since the residual diagnostics are sensitive to them.
 """
@@ -98,6 +102,9 @@ class Trajectory:
     here rather than as arguments; ``rel_tol`` is the tolerance the run was
     integrated to and ``steps`` the solver's ``StepStats`` (steps accepted
     and rejected, right-hand-side calls, step range, renormalizations).
+    ``retired_modes`` counts the modes the second-order solve set to 0 once
+    they no longer carried energy, and ``last_retirement_t`` is the time of
+    the last of them (``None`` when none was).
     """
 
     kind: str  # "hyperbolic" | "parabolic"
@@ -111,6 +118,8 @@ class Trajectory:
     eps: float | None
     rel_tol: float
     steps: StepStats
+    retired_modes: int = 0
+    last_retirement_t: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("hyperbolic", "parabolic"):
@@ -264,18 +273,92 @@ def parabolic_rhs(t, u, p: float, op: SpectralOperator, m: MassFunction) -> np.n
     return du
 
 
+# A retired mode's share of ``gamma`` stays below _RETIRE_SHARE.  ``gamma``
+# is the strongest norm any output uses: it weights ``u_k`` by
+# ``1 + lambda_k + lambda_k^2``, up to ``lambda_max^2`` more than the weakest
+# (``|u|``, ``c``).  So a retired mode holds less than ``lambda_max^2 * 1e-40``
+# of any output norm, below double round-off (1.1e-16) for ``lambda_max``
+# up to 1e12, and 24 decades below it in ``gamma`` itself, which leaves room
+# for the remainder energies, smaller than ``gamma`` by about ``eps^2``.
+# The error control is normwise, so a decayed mode's computed state is
+# accurate only to about its own size (mode 64 of K = 64 at eps 0.01 was off
+# by 1.7 times its amplitude): a mode retires once its computed share is
+# _RETIRE_MARGIN times below the threshold.
+_RETIRE_SHARE = 1e-40
+_RETIRE_MARGIN = 100.0
+
+
+class _OscillationCap:
+    """Step ceiling of the second-order flow, for ``solve_to_grid``'s ``step_cap_fn``.
+
+    The cap resolves the fastest live oscillation: mode ``k`` turns at
+    ``sqrt(lambda_k c / eps)``, so a step keeps ``safety`` of the period of
+    the fastest mode not yet retired, with ``c`` the running max of the
+    coefficient.  At the start and after every step the cap itself limited,
+    modes whose share of the energy ``gamma`` has fallen ``_RETIRE_MARGIN``
+    times below ``_RETIRE_SHARE`` are set to exactly 0 (``retired`` counts
+    them, ``last_retirement_t`` is the time of the last).  Their equation is
+    linear in their own ``(u_k, u_k')`` given ``c``, so they stay 0.  The
+    share is bounded over an oscillation: with ``H_k = c lambda_k u_k^2 +
+    eps u_k'^2``, mode ``k``'s part of ``gamma`` is at most ``weight_k H_k``
+    at any phase.
+    """
+
+    def __init__(self, op: SpectralOperator, m: MassFunction, eps: float, safety: float):
+        self.lam = op.eigenvalues
+        self.m = m
+        self.eps = eps
+        self.safety = safety
+        self.c_sup = mass_inf(m)
+        self.live = np.ones(op.dim, dtype=bool)
+        self.lam_live = op.lambda_max
+        self.retired = 0
+        self.last_retirement_t: float | None = None
+        self._gamma_u = 1.0 + self.lam + self.lam * self.lam
+        self._gamma_v = 1.0 + eps * self.lam
+        self._t = -math.inf
+        self._cap = math.inf
+
+    def __call__(self, t: float, y: np.ndarray) -> tuple[float, np.ndarray]:
+        K = self.lam.size
+        c = _at_sigma(m_eval, self.m, self.lam, y[:K])
+        if c > self.c_sup:
+            self.c_sup = c
+        # only a step the cap limited can be lengthened by retiring modes
+        # (the first call, at the start, always checks)
+        if t - self._t >= (1.0 - 1e-9) * self._cap:
+            y = self._retire(t, y, c)
+        self._t = t
+        self._cap = self.safety * 2.0 * math.pi * math.sqrt(self.eps / (self.lam_live * self.c_sup))
+        return self._cap, y
+
+    def _retire(self, t: float, y: np.ndarray, c: float) -> np.ndarray:
+        K = self.lam.size
+        # scaled by a power of two so that no square underflows
+        _, exponent = math.frexp(float(np.max(np.abs(y))))
+        u = np.ldexp(y[:K], -exponent)
+        v = np.ldexp(y[K:], -exponent)
+        gamma = float(self._gamma_u @ (u * u) + self._gamma_v @ (v * v))
+        weight = np.maximum(self._gamma_u / (c * self.lam), self._gamma_v / self.eps)
+        bound = weight * (c * self.lam * u * u + self.eps * v * v)
+        dead = self.live & (_RETIRE_MARGIN * bound < _RETIRE_SHARE * gamma)
+        if not np.any(dead):
+            return y
+        self.live &= ~dead
+        self.lam_live = float(np.max(self.lam[self.live]))
+        self.retired += int(np.count_nonzero(dead))
+        self.last_retirement_t = t
+        y = y.copy()
+        y[:K][dead] = 0.0
+        y[K:][dead] = 0.0
+        return y
+
+
 def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps: float, p: float, safety: float):
     """``(f, cap)``: the second-order flow as the system ``y' = f(t, y)``, ``y = (u, u')``,
-    and its step ceiling for ``solve_to_grid``.
-
-    The cap resolves the fastest oscillation: that mode turns at
-    ``sqrt(lambda_K c / eps)``, so a step keeps ``safety`` of its period,
-    with ``c`` the running max of the coefficient (the cap only tightens).
-    """
+    and its :class:`_OscillationCap` for ``solve_to_grid``."""
     K = op.dim
     lam = op.eigenvalues
-    lam_max = op.lambda_max
-    state = {"c_sup": mass_inf(m)}
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         u = y[:K]
@@ -283,13 +366,21 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps: float, p: flo
         c = _at_sigma(m_eval, m, lam, u)
         return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
 
-    def cap(t: float, y: np.ndarray) -> float:
-        c = _at_sigma(m_eval, m, lam, y[:K])
-        if c > state["c_sup"]:
-            state["c_sup"] = c
-        return safety * 2.0 * math.pi * math.sqrt(eps / (lam_max * state["c_sup"]))
+    return f, _OscillationCap(op, m, eps, safety)
 
-    return f, cap
+
+# The limit flow's phase tolerances.  Mode k's relative error is lambda_k
+# times the phase's absolute error, and a mode underflows once its log-decay
+# lambda_k Lambda passes 745 (exp(-745) is below the smallest double).  So
+# every mode still represented keeps rel_tol while the phase's error stays
+# under rel_tol * max(Lambda / 745, 1 / lambda_max): a relative tolerance
+# rel_tol / 745 and an absolute one rel_tol / lambda_max (or abs_tol, if
+# larger), each divided by _PHASE_TOL_SAFETY for the local errors that
+# accumulate into the global one:
+# that global error came to about 8 times the local tolerance on constant-mass
+# closed forms (K 16 and 64, p 0.1 to 0.9), so 20 leaves a factor of 2.
+_PHASE_LOG_DECAY = 745.0
+_PHASE_TOL_SAFETY = 20.0
 
 
 def integrate(
@@ -340,7 +431,8 @@ def integrate(
         u = Y[:, :K]
         c_trace = _at_sigma(m_eval, m, lam, u)
         return Trajectory(
-            "hyperbolic", times, u, Y[:, K:], c_trace, p, op, m, eps, cfg.rel_tol, stats
+            "hyperbolic", times, u, Y[:, K:], c_trace, p, op, m, eps, cfg.rel_tol, stats,
+            cap.retired, cap.last_retirement_t,
         )
 
     if problem == "parabolic":
@@ -358,9 +450,10 @@ def integrate(
             f,
             np.zeros(1),
             times,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
+            rel_tol=cfg.rel_tol / (_PHASE_TOL_SAFETY * _PHASE_LOG_DECAY),
+            abs_tol=max(cfg.abs_tol, cfg.rel_tol / (_PHASE_TOL_SAFETY * op.lambda_max)),
             max_step=cfg.max_step,
+            land_on_samples=False,
         )
         u = np.multiply.outer(phase[:, 0], -lam)
         np.exp(u, out=u)
@@ -462,16 +555,14 @@ def residual_g(
 def remainders(
     u_eps_traj: Trajectory,
     u_traj: Trajectory,
-    theta: np.ndarray,
     theta_prime: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Series ``(rho, r, r')`` of the singular-perturbation decomposition.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Series ``(rho, r')`` of the singular-perturbation decomposition.
 
-    ``rho = u_eps - u``; ``r = rho - theta``; ``r' = u_eps' - u' - theta'``
-    with ``u'`` recomputed from the first-order flow and ``(theta, theta')``
-    the corrector series on the shared sample grid (see
-    :func:`corrector_series`).  By construction ``u_eps = u + theta + r``
-    holds to round-off at every sample.
+    ``rho = u_eps - u`` and ``r' = u_eps' - u' - theta'``, with ``u'``
+    recomputed from the first-order flow and ``theta'`` the corrector's
+    derivative on the shared sample grid (see :func:`corrector_series`).
+    The remainder itself is ``r = rho - theta``, so ``u_eps = u + theta + r``.
     """
     if u_eps_traj.kind != "hyperbolic" or u_traj.kind != "parabolic":
         raise ValueError("expected a hyperbolic and a parabolic trajectory")
@@ -479,12 +570,11 @@ def remainders(
         u_eps_traj.times, u_traj.times
     ):
         raise ValueError("trajectories must share the sample grid")
-    if np.shape(theta) != u_traj.u.shape or np.shape(theta_prime) != u_traj.u.shape:
+    if np.shape(theta_prime) != u_traj.u.shape:
         raise ValueError("the corrector series must align with the trajectories")
     rho = u_eps_traj.u - u_traj.u
-    r = rho - theta
     r_prime = u_eps_traj.v - u_traj.velocity() - theta_prime
-    return rho, r, r_prime
+    return rho, r_prime
 
 
 def hyperbolic_log_energy(

@@ -32,7 +32,6 @@ from . import energies as en
 from .evolution import (
     IntegratorConfig,
     Trajectory,
-    corrector_series,
     integrate,
     remainders,
     theta0,
@@ -514,7 +513,11 @@ class _Context:
         lemma kind's batched solve."""
         return {
             "parabolic": None if self._par is None else asdict(self._par.steps),
-            "hyperbolic": {repr(eps): asdict(traj.steps) for eps, traj in self._hyp.items()},
+            "hyperbolic": {
+                repr(eps): asdict(traj.steps)
+                | {"retired_modes": traj.retired_modes, "last_retirement_t": traj.last_retirement_t}
+                for eps, traj in self._hyp.items()
+            },
             "lemmas": {kind: inst["steps"] for kind, inst in self.lemmas.items()},
         }
 
@@ -657,8 +660,9 @@ def _scn_decay_error(ctx: _Context) -> None:
     gamma_r: dict[float, np.ndarray] = {}
     for traj in ctx.hyperbolic_sweep():
         eps = traj.eps
-        theta, theta_pr = corrector_series(th0, eps, c.p, traj.times)
-        rho, _, rprime = remainders(traj, traj_par, theta, theta_pr)
+        # only theta' = theta0 z_eps reaches a check; theta itself does not
+        theta_pr = np.multiply.outer(en.z_eps(eps, c.p, traj.times), th0)
+        rho, rprime = remainders(traj, traj_par, theta_pr)
         g = an.residual_series(traj, traj_par)
         g_sq[eps] = sobolev_norm_sq(c.operator, g, 0.0)
         gamma_r[eps] = en.gamma_r(rho, rprime, eps, c.operator)

@@ -288,8 +288,8 @@ class TestComparisonLemmas:
         par = integrate("parabolic", u0, t_end, n, CFG, op, m, p)
         hyp = integrate("hyperbolic", (u0, u1), t_end, n, CFG, op, m, p, eps=eps)
         th0 = theta0(u0, u1, op, m)
-        theta, theta_p = corrector_series(th0, eps, p, par.times)
-        rho, r, rp = remainders(hyp, par, theta, theta_p)
+        _, theta_p = corrector_series(th0, eps, p, par.times)
+        rho, rp = remainders(hyp, par, theta_p)
         g = residual_series(hyp, par)
         lp = perturbation_params(1.0, p, 1.0, 1.0)
         psi3 = assemble_psi3(hyp, rho, theta_p, g, lp)

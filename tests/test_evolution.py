@@ -26,6 +26,7 @@ from klab import (
     theta0,
     z_eps,
 )
+import klab.evolution
 from klab._rk import StepStats
 import oracles
 
@@ -94,15 +95,17 @@ class TestParabolicClosedForm:
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_every_component_matches_closed_form(self, p):
         # each mode to relative accuracy, down to hundreds of decades below the norm
+        # (samples between steps come from the interpolant, so two grids)
         op = power_spectrum(1.0, 16, 2.0)
         k = np.arange(1, 17)
         u0 = (-1.0) ** k / k**2
-        traj = integrate("parabolic", u0, 16.0, 256, CFG, op, M1, p)
-        exact = np.array([parabolic_closed_form(op, u0, p, 1.0, float(t)) for t in traj.times])
-        live = np.abs(exact) > 1e-250
-        assert np.min(np.abs(exact[live])) < 1e-200
-        rel = np.abs(traj.u[live] - exact[live]) / np.abs(exact[live])
-        assert np.max(rel) <= 1e-9
+        for samples in (256, 4096):
+            traj = integrate("parabolic", u0, 16.0, samples, CFG, op, M1, p)
+            exact = np.array([parabolic_closed_form(op, u0, p, 1.0, float(t)) for t in traj.times])
+            live = np.abs(exact) > 1e-250
+            assert np.min(np.abs(exact[live])) < 1e-200
+            rel = np.abs(traj.u[live] - exact[live]) / np.abs(exact[live])
+            assert np.max(rel) <= CFG.rel_tol
 
 
 class TestParabolicPhaseSolve:
@@ -174,6 +177,79 @@ class TestHyperbolicOracle:
         traj = integrate("hyperbolic", ([0.0], [0.0]), 5.0, 50, CFG, OP1, M1, 0.5, eps=0.05)
         assert np.all(traj.u == 0.0)
         assert np.all(traj.v == 0.0)
+
+
+class TestModeRetirement:
+    """Constant mass decouples the modes, so a per-mode DOP853 solve is an oracle."""
+
+    T_END = 3.0
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # K = 64, eps 0.01, p 0.5: the step cap binds, and the upper modes
+        # fall more than 40 decades below the energy within t = 3
+        op = power_spectrum(1.0, 64, 2.0)
+        k = np.arange(1, 65)
+        u0, u1 = (-1.0) ** k / k**2, 1.0 / k**2
+        u0, u1 = (u / math.sqrt(float(op.eigenvalues @ (u * u))) for u in (u0, u1))
+        run = lambda: integrate(  # noqa: E731
+            "hyperbolic", (u0, u1), self.T_END, 301, CFG, op, M1, 0.5, eps=0.01)
+        traj = run()
+        with pytest.MonkeyPatch.context() as mp:
+            # a threshold no share falls below: the solve as it was without retirement
+            mp.setattr(klab.evolution, "_RETIRE_SHARE", 0.0)
+            unretired = run()
+        log_amp, phase = oracles.hyperbolic_mode_solve(
+            op.eigenvalues, 1.0, 0.01, 0.5, u0, u1, traj.times)
+        w = np.sqrt(op.eigenvalues / 0.01)
+        amp = np.exp(log_amp)
+        exact = np.hstack([amp * np.cos(phase), -w * amp * np.sin(phase)])
+        return op, traj, unretired, exact, log_amp, phase
+
+    def test_retired_modes_stay_below_the_threshold(self, runs):
+        op, traj, unretired, _, log_amp, phase = runs
+        lam, K = op.eigenvalues, op.dim
+        assert unretired.retired_modes == 0
+        zero = (traj.u == 0.0) & (traj.v == 0.0)
+        retired = zero[-1]
+        assert 0 < traj.retired_modes == np.count_nonzero(retired) < K
+        assert 0.0 < traj.last_retirement_t < self.T_END
+        # the cap follows the fastest live mode, so the steps grew past the
+        # cap of the fastest mode, and no further (unit mass)
+        def cap(lam_top):
+            return CFG.oscillation_safety * 2.0 * math.pi * math.sqrt(0.01 / lam_top)
+
+        assert unretired.steps.h_max <= cap(lam[-1]) * (1.0 + 1e-12)
+        assert cap(lam[-1]) < traj.steps.h_max <= cap(lam[~retired][-1]) * (1.0 + 1e-12)
+        # the true share of gamma, in logs: each mode's weighted energy over the sum
+        w2 = lam / 0.01
+        log_e = 2.0 * log_amp + np.log(
+            (1.0 + lam + lam**2) * np.cos(phase) ** 2 + (1.0 + 0.01 * lam) * w2 * np.sin(phase) ** 2)
+        top = log_e.max(axis=1, keepdims=True)
+        log_share = log_e - top - np.log(np.exp(log_e - top).sum(axis=1, keepdims=True))
+        for k in np.flatnonzero(retired):
+            first = int(np.argmax(zero[:, k]))
+            assert np.all(zero[first:, k])  # zero is a fixed point
+            assert np.max(log_share[first:, k]) < math.log(klab.evolution._RETIRE_SHARE)
+
+    def test_live_modes_match_the_oracle_as_without_retirement(self, runs):
+        op, traj, unretired, exact, _, _ = runs
+        norm = np.linalg.norm(exact, axis=1)
+        live = np.tile(traj.u[-1] != 0.0, 2)
+
+        def errors(run):
+            return np.abs(np.hstack([run.u, run.v]) - exact) / norm[:, None]
+
+        # error control is normwise: each component measured against the norm
+        normwise = lambda run: np.max(np.linalg.norm(errors(run), axis=1))  # noqa: E731
+        assert normwise(traj) <= normwise(unretired) * 1.01
+        assert np.max(errors(traj)[:, live]) <= max(np.max(errors(unretired)), CFG.rel_tol)
+
+    def test_a_single_mode_retires_nothing(self):
+        # the only mode is all of gamma, however far it decays
+        traj = integrate("hyperbolic", ([1.0], [0.0]), 16.0, 9, CFG, OP1, M1, 0.5, eps=0.01)
+        assert traj.retired_modes == 0 and traj.last_retirement_t is None
+        assert np.all(traj.u != 0.0)
 
 
 class TestCorrector:
@@ -314,7 +390,9 @@ class TestRemainders:
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        rho, r, rp = remainders(hyp, par, *corrector_series(th0, 0.05, 0.5, par.times))
+        theta, theta_p = corrector_series(th0, 0.05, 0.5, par.times)
+        rho, rp = remainders(hyp, par, theta_p)
+        r = rho - theta
         np.testing.assert_allclose(rho[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(r[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rp[0], [0.0, 0.0], atol=1e-12)
@@ -324,7 +402,8 @@ class TestRemainders:
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
         theta, theta_p = corrector_series(th0, 0.05, 0.5, par.times)
-        rho, r, _ = remainders(hyp, par, theta, theta_p)
+        rho, _ = remainders(hyp, par, theta_p)
+        r = rho - theta
         # u_eps = u + theta + r at every sample, to roundoff
         np.testing.assert_allclose(par.u + theta + r, hyp.u, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(rho, hyp.u - par.u, rtol=0.0, atol=0.0)
@@ -338,16 +417,17 @@ class TestRemainders:
         from klab import parabolic_rhs
         v = parabolic_rhs(par.times, par.u, 0.5, op, M1)
         twin = dataclasses.replace(par, kind="hyperbolic", v=v, eps=0.05)
-        rho, r, rp = remainders(twin, par, *corrector_series(np.zeros(2), 0.05, 0.5, par.times))
-        assert not rho.any() and not r.any() and not rp.any()
+        theta, theta_p = corrector_series(np.zeros(2), 0.05, 0.5, par.times)
+        rho, rp = remainders(twin, par, theta_p)
+        assert not rho.any() and not (rho - theta).any() and not rp.any()
 
     def test_grid_mismatch_rejected(self):
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         short = integrate("parabolic", u0, 5.0, 240, CFG, op, M1, 0.5)
         with pytest.raises(ValueError):
-            remainders(hyp, short, *corrector_series(theta0(u0, u1, op, M1), 0.05, 0.5,
-                                                     short.times))
+            remainders(hyp, short, corrector_series(theta0(u0, u1, op, M1), 0.05, 0.5,
+                                                    short.times)[1])
 
 
 class TestLogEnergyProbe:

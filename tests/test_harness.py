@@ -28,6 +28,7 @@ from klab.harness import (
 
 REPO = Path(__file__).resolve().parents[1]
 STEP_FIELDS = ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "renormalizations")
+RETIREMENT_FIELDS = ("retired_modes", "last_retirement_t")
 
 
 def base_config(**extra):
@@ -325,11 +326,31 @@ class TestRunScenario:
         ]
         assert sorted(steps["hyperbolic"]) == ["0.01", "0.02", "0.04"]
         assert steps["lemmas"] == {}
+        assert sorted(steps["parabolic"]) == sorted(STEP_FIELDS)
+        for counts in steps["hyperbolic"].values():
+            assert sorted(counts) == sorted(STEP_FIELDS + RETIREMENT_FIELDS)
+            # a single mode always carries all the energy
+            assert counts["retired_modes"] == 0 and counts["last_retirement_t"] is None
         for counts in [steps["parabolic"], *steps["hyperbolic"].values()]:
-            assert sorted(counts) == sorted(STEP_FIELDS)
             assert counts["accepted"] > 0
             assert counts["rhs_evals"] == 1 + 6 * (counts["accepted"] + counts["rejected"])
             assert 0.0 < counts["h_min"] <= counts["h_max"]
+
+    def test_manifest_records_retired_modes(self, tmp_path):
+        # K = 64 at eps 0.01: the step cap binds, and the upper modes decay
+        # far below the norm within t = 3
+        cfg = config_from_dict(base_config(
+            scenario="simulate", epsilon=[0.01], t_end=3.0, samples=31,
+            operator={"family": "power", "nu": 1.0, "K": 64, "exponent": 2.0},
+            initial={"u0": [0.01 / k**2 for k in range(1, 65)], "u1": [0.0] * 64},
+        ))
+        for out in ("a", "b"):
+            assert run_scenario(cfg, tmp_path / out) == 0
+        manifest = (tmp_path / "a" / "runs.json").read_bytes()
+        assert manifest == (tmp_path / "b" / "runs.json").read_bytes()
+        counts = json.loads(manifest)["integrator"]["hyperbolic"]["0.01"]
+        assert 0 < counts["retired_modes"] < 64
+        assert 0.0 < counts["last_retirement_t"] < 3.0
 
     def test_manifest_lists_the_batched_solve_of_every_lemma_kind(self, tmp_path):
         cfg = config_from_dict(base_config(scenario="lemmas"))

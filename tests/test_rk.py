@@ -90,3 +90,30 @@ class TestTinyStates:
         scaled, _, scaled_stats = solve(np.full(2, 2.0**-531))
         np.testing.assert_array_equal(scaled, 2.0**-531 * unit)
         assert scaled_stats == unit_stats
+
+
+class TestContinuousExtension:
+    def test_interpolated_samples_match_the_solution(self):
+        # y' = -cos(t) y, y = y0 exp(-sin t): one system, and a batch whose
+        # second member starts 200 decades down
+        times = np.linspace(0.0, 10.0, 401)
+        for y0 in (np.ones(1), np.array([[1.0], [1e-200]])):
+            Y, _, stats = solve_to_grid(
+                lambda t, y: -np.cos(t) * y, y0, times,
+                rel_tol=REL_TOL, abs_tol=0.0, land_on_samples=False,
+            )
+            exact = np.multiply.outer(np.exp(-np.sin(times)), y0)
+            np.testing.assert_allclose(Y, exact, rtol=10.0 * REL_TOL, atol=0.0)
+            # the error control sets the steps, not the 400 sample intervals
+            assert stats.accepted < times.size - 1
+
+    def test_a_quartic_is_reproduced(self):
+        # the extension is a quartic in the step: exact, up to round-off,
+        # on y = t^4 - t^2 + 1 at samples inside steps
+        times = np.linspace(0.0, 2.0, 37)
+        Y, _, stats = solve_to_grid(
+            lambda t, y: np.array([4.0 * t**3 - 2.0 * t]), [1.0], times,
+            rel_tol=REL_TOL, abs_tol=1e-12, land_on_samples=False,
+        )
+        assert stats.accepted < times.size - 1
+        np.testing.assert_allclose(Y[:, 0], times**4 - times**2 + 1.0, rtol=0.0, atol=1e-13)
