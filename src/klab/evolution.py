@@ -56,6 +56,7 @@ __all__ = [
     "integrate",
     "parabolic_closed_form",
     "theta0",
+    "corrector_velocity",
     "corrector_series",
     "coefficient_derivative",
     "parabolic_second_derivative",
@@ -273,17 +274,33 @@ def parabolic_rhs(t, u, p: float, op: SpectralOperator, m: MassFunction) -> np.n
     return du
 
 
-# A retired mode's share of ``gamma`` stays below _RETIRE_SHARE.  ``gamma``
-# is the strongest norm any output uses: it weights ``u_k`` by
-# ``1 + lambda_k + lambda_k^2``, up to ``lambda_max^2`` more than the weakest
-# (``|u|``, ``c``).  So a retired mode holds less than ``lambda_max^2 * 1e-40``
-# of any output norm, below double round-off (1.1e-16) for ``lambda_max``
-# up to 1e12, and 24 decades below it in ``gamma`` itself, which leaves room
-# for the remainder energies, smaller than ``gamma`` by about ``eps^2``.
-# The error control is normwise, so a decayed mode's computed state is
-# accurate only to about its own size (mode 64 of K = 64 at eps 0.01 was off
-# by 1.7 times its amplitude): a mode retires once its computed share is
-# _RETIRE_MARGIN times below the threshold.
+# A mode retires (is set to exactly 0) once two things hold, and its share
+# of ``gamma`` then stays below _RETIRE_SHARE:
+# - Its share is negligible.  ``gamma`` is the strongest norm any output
+#   uses: it weights ``u_k`` by ``1 + lambda_k + lambda_k^2``, up to
+#   ``lambda_max^2`` more than the weakest (``|u|``, ``c``).  So a retired
+#   mode holds less than ``lambda_max^2 * 1e-40`` of any output norm, below
+#   double round-off (1.1e-16) for ``lambda_max`` up to 1e12, and 24 decades
+#   below it in ``gamma`` itself, which leaves room for the remainder
+#   energies, smaller than ``gamma`` by about ``eps^2``.  The error control
+#   is normwise, so a decayed mode's computed state is accurate only to about
+#   its own size (mode 64 of K = 64 at eps 0.01 was off by 1.7 times its
+#   amplitude): the computed share must be _RETIRE_MARGIN times below the
+#   threshold.
+# - Its ``lambda_k`` is above that of every live mode whose share is not
+#   negligible.  A mode's slowest solution decays at
+#   ``(b - sqrt(b^2 - 4 eps c lambda))/(2 eps)`` while it is overdamped and
+#   at ``b/(2 eps)`` once it is not (``b = (1+t)^(-p)``), a rate that never
+#   falls as ``lambda`` grows, at any time and for any ``c``.  So a retired
+#   mode decays at least as fast as every mode that holds the energy, and
+#   its share does not grow (these are frozen-coefficient rates; the margin
+#   leaves room for their drift), unless that energy sits on an overdamped mode's
+#   fast branch alone, which no check here separates out.  A tiny slow mode
+#   under a dominant fast one therefore stays live: it takes over later.
+#   Retiring a mode below a live one would not lift the cap either, which
+#   follows the fastest live mode.
+# A mode that is exactly 0 (both ``u_k`` and ``u_k'``) is a fixed point and
+# carries no energy at all: it leaves the cap without counting as retired.
 _RETIRE_SHARE = 1e-40
 _RETIRE_MARGIN = 100.0
 
@@ -295,13 +312,14 @@ class _OscillationCap:
     ``sqrt(lambda_k c / eps)``, so a step keeps ``safety`` of the period of
     the fastest mode not yet retired, with ``c`` the running max of the
     coefficient.  At the start and after every step the cap itself limited,
-    modes whose share of the energy ``gamma`` has fallen ``_RETIRE_MARGIN``
-    times below ``_RETIRE_SHARE`` are set to exactly 0 (``retired`` counts
-    them, ``last_retirement_t`` is the time of the last).  Their equation is
-    linear in their own ``(u_k, u_k')`` given ``c``, so they stay 0.  The
-    share is bounded over an oscillation: with ``H_k = c lambda_k u_k^2 +
-    eps u_k'^2``, mode ``k``'s part of ``gamma`` is at most ``weight_k H_k``
-    at any phase.
+    the modes that no longer carry energy (see ``_RETIRE_SHARE``) are set to
+    exactly 0 (``retired`` counts them, ``last_retirement_t`` is the time of
+    the last).  Their equation is linear in their own ``(u_k, u_k')`` given
+    ``c``, so they stay 0.  Whether a run retires modes, and when, therefore
+    depends on where the cap binds, and so on the sample grid too.  The share
+    is bounded over an oscillation: with ``H_k = c lambda_k u_k^2 + eps
+    u_k'^2``, mode ``k``'s part of ``gamma`` is at most ``weight_k H_k`` at
+    any phase.
     """
 
     def __init__(self, op: SpectralOperator, m: MassFunction, eps: float, safety: float):
@@ -334,6 +352,9 @@ class _OscillationCap:
 
     def _retire(self, t: float, y: np.ndarray, c: float) -> np.ndarray:
         K = self.lam.size
+        self.live &= (y[:K] != 0.0) | (y[K:] != 0.0)
+        if not np.any(self.live):
+            return y
         # scaled by a power of two so that no square underflows
         _, exponent = math.frexp(float(np.max(np.abs(y))))
         u = np.ldexp(y[:K], -exponent)
@@ -341,16 +362,17 @@ class _OscillationCap:
         gamma = float(self._gamma_u @ (u * u) + self._gamma_v @ (v * v))
         weight = np.maximum(self._gamma_u / (c * self.lam), self._gamma_v / self.eps)
         bound = weight * (c * self.lam * u * u + self.eps * v * v)
-        dead = self.live & (_RETIRE_MARGIN * bound < _RETIRE_SHARE * gamma)
-        if not np.any(dead):
-            return y
-        self.live &= ~dead
+        negligible = _RETIRE_MARGIN * bound < _RETIRE_SHARE * gamma
+        holding = self.live & ~negligible
+        dead = self.live & negligible & (self.lam > np.max(self.lam[holding]))
+        if np.any(dead):
+            self.live &= ~dead
+            self.retired += int(np.count_nonzero(dead))
+            self.last_retirement_t = t
+            y = y.copy()
+            y[:K][dead] = 0.0
+            y[K:][dead] = 0.0
         self.lam_live = float(np.max(self.lam[self.live]))
-        self.retired += int(np.count_nonzero(dead))
-        self.last_retirement_t = t
-        y = y.copy()
-        y[:K][dead] = 0.0
-        y[K:][dead] = 0.0
         return y
 
 
@@ -490,22 +512,31 @@ def theta0(u0, u1, op: SpectralOperator, m: MassFunction) -> np.ndarray:
     return u1 + c0 * op.eigenvalues * u0
 
 
+def corrector_velocity(theta0_vec, eps: float, p: float, times) -> np.ndarray:
+    """The boundary-layer corrector's derivative ``theta'(t) = theta0 z_eps(t)``.
+
+    An ``(n, K)`` array along the time grid, ``theta0`` at ``t = 0``.
+    ValueError (from ``z_eps``) unless ``eps > 0`` and ``0 <= p <= 1``.
+    """
+    th0 = as_vector(theta0_vec)
+    return z_eps(eps, p, np.asarray(times, dtype=float))[:, None] * th0
+
+
 def corrector_series(
     theta0_vec, eps: float, p: float, times
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary-layer corrector ``(theta, theta')`` sampled along a time grid.
 
-    ``theta'(t) = theta0 z_eps(t)`` and ``theta(t) = theta0 int_0^t z_eps``,
-    each an ``(n, K)`` array; the time integral is ``kernel_integral(1/eps,
-    p, t)``, a closed form at ``p = 0`` and a Gauss rule otherwise (about
-    1e-12 relative).  At ``t = 0``: ``theta = 0``, ``theta' = theta0``.
-    ValueError (from ``z_eps`` and ``kernel_integral``) unless ``eps > 0``
-    and ``0 <= p <= 1``.
+    ``theta'`` is :func:`corrector_velocity` and ``theta(t) = theta0
+    int_0^t z_eps``, each an ``(n, K)`` array; the time integral is
+    ``kernel_integral(1/eps, p, t)``, a closed form at ``p = 0`` and a Gauss
+    rule otherwise (about 1e-12 relative).  At ``t = 0``: ``theta = 0``,
+    ``theta' = theta0``.  ValueError (from ``z_eps`` and ``kernel_integral``)
+    unless ``eps > 0`` and ``0 <= p <= 1``.
     """
+    theta_prime = corrector_velocity(theta0_vec, eps, p, times)
     th0 = as_vector(theta0_vec)
-    times = np.asarray(times, dtype=float)
-    theta_prime = z_eps(eps, p, times)[:, None] * th0
-    theta = kernel_integral(1.0 / eps, p, times)[:, None] * th0
+    theta = kernel_integral(1.0 / eps, p, np.asarray(times, dtype=float))[:, None] * th0
     return theta, theta_prime
 
 
@@ -561,7 +592,7 @@ def remainders(
 
     ``rho = u_eps - u`` and ``r' = u_eps' - u' - theta'``, with ``u'``
     recomputed from the first-order flow and ``theta'`` the corrector's
-    derivative on the shared sample grid (see :func:`corrector_series`).
+    derivative on the shared sample grid (see :func:`corrector_velocity`).
     The remainder itself is ``r = rho - theta``, so ``u_eps = u + theta + r``.
     """
     if u_eps_traj.kind != "hyperbolic" or u_traj.kind != "parabolic":

@@ -32,6 +32,7 @@ from . import energies as en
 from .evolution import (
     IntegratorConfig,
     Trajectory,
+    corrector_velocity,
     integrate,
     remainders,
     theta0,
@@ -660,8 +661,7 @@ def _scn_decay_error(ctx: _Context) -> None:
     gamma_r: dict[float, np.ndarray] = {}
     for traj in ctx.hyperbolic_sweep():
         eps = traj.eps
-        # only theta' = theta0 z_eps reaches a check; theta itself does not
-        theta_pr = np.multiply.outer(en.z_eps(eps, c.p, traj.times), th0)
+        theta_pr = corrector_velocity(th0, eps, c.p, traj.times)
         rho, rprime = remainders(traj, traj_par, theta_pr)
         g = an.residual_series(traj, traj_par)
         g_sq[eps] = sobolev_norm_sq(c.operator, g, 0.0)

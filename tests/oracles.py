@@ -242,8 +242,12 @@ def hyperbolic_mode_solve(lam, c: float, eps: float, p: float, u0, u1, times,
         return np.concatenate([-damping * s * s, w - damping * s * co])
 
     y0 = np.concatenate([0.5 * np.log(u0 * u0 + (u1 / w) ** 2), np.arctan2(-u1 / w, u0)])
+    # a phase is held to rtol absolutely, so one that starts at 0 sets no
+    # vanishing scale; the first step resolves the fastest turn or decay
+    atol = np.concatenate([np.full(K, 1e-300), np.full(K, rtol)])
+    first = 0.01 / max(float(np.max(w)), 1.0 / eps)
     sol = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853", rtol=rtol,
-                    atol=1e-300, t_eval=times)
+                    atol=atol, first_step=first, t_eval=times)
     if sol.status != 0:
         raise RuntimeError(sol.message)
     return sol.y[:K].T, sol.y[K:].T

@@ -27,7 +27,7 @@ from klab import (
     check_hypotheses,
     check_lyapunov_decay,
     corrector_phi_integral,
-    corrector_series,
+    corrector_velocity,
     decay_params,
     envelope,
     epsilon_sweep_decay_error,
@@ -217,7 +217,7 @@ def test_criterion_04_decay_error_law():
     th0 = theta0([1.0], [-1.0], OP1, M1)
     gamma_r_by_eps = {}
     for eps in (0.04, 0.02, 0.01):
-        rho, rprime = remainders(sweep_run(eps), par, corrector_series(th0, eps, 0.5, par.times)[1])
+        rho, rprime = remainders(sweep_run(eps), par, corrector_velocity(th0, eps, 0.5, par.times))
         gamma_r_by_eps[eps] = gamma_r(rho, rprime, eps, OP1)
     rep = epsilon_sweep_decay_error(par.times, gamma_r_by_eps, 1.0, 0.5, 1.0, 1.0)
     elapsed = time.perf_counter() - start
@@ -258,7 +258,7 @@ def test_criterion_05_lyapunov_suite():
         ]
         par = integrate("parabolic", u0, t_end, n, CFG, OP1, M1, p)
         th0 = theta0(u0, u1, OP1, M1)
-        _, theta_p = corrector_series(th0, eps, p, par.times)
+        theta_p = corrector_velocity(th0, eps, p, par.times)
         rho, rprime = remainders(hyp, par, theta_p)
         g = residual_series(hyp, par)
         lp_pert = perturbation_params(1.0, p, 1.0, 1.0)
@@ -309,7 +309,7 @@ def test_criterion_06_comparison_lemmas():
     hyp = sweep_run(0.02)
     par = integrate("parabolic", [1.0], 16.0, 1600, CFG, OP1, M1, 0.5)
     th0 = theta0([1.0], [-1.0], OP1, M1)
-    _, theta_p = corrector_series(th0, 0.02, 0.5, par.times)
+    theta_p = corrector_velocity(th0, 0.02, 0.5, par.times)
     rho, rprime = remainders(hyp, par, theta_p)
     g = residual_series(hyp, par)
     lp = perturbation_params(1.0, 0.5, 1.0, 1.0)

@@ -24,7 +24,7 @@ from klab import (
     check_residual_bounds,
     check_uniform_decay_weights,
     corrector_phi_integral,
-    corrector_series,
+    corrector_velocity,
     decay_params,
     default_fit_window,
     envelope,
@@ -288,7 +288,7 @@ class TestComparisonLemmas:
         par = integrate("parabolic", u0, t_end, n, CFG, op, m, p)
         hyp = integrate("hyperbolic", (u0, u1), t_end, n, CFG, op, m, p, eps=eps)
         th0 = theta0(u0, u1, op, m)
-        _, theta_p = corrector_series(th0, eps, p, par.times)
+        theta_p = corrector_velocity(th0, eps, p, par.times)
         rho, rp = remainders(hyp, par, theta_p)
         g = residual_series(hyp, par)
         lp = perturbation_params(1.0, p, 1.0, 1.0)

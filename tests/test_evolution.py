@@ -14,6 +14,7 @@ from klab import (
     Trajectory,
     coefficient_derivative,
     corrector_series,
+    corrector_velocity,
     hyperbolic_log_energy,
     hyperbolic_rhs,
     integrate,
@@ -27,6 +28,7 @@ from klab import (
     z_eps,
 )
 import klab.evolution
+from klab.energies import gamma_eps
 from klab._rk import StepStats
 import oracles
 
@@ -179,6 +181,19 @@ class TestHyperbolicOracle:
         assert np.all(traj.v == 0.0)
 
 
+def log_mode_gamma(lam, eps, log_amp, phase):
+    """Each mode's part of ``gamma``, in logs, from an amplitude-phase oracle at unit mass."""
+    w2 = lam / eps
+    return 2.0 * log_amp + np.log((1.0 + lam + lam**2) * np.cos(phase) ** 2
+                                  + (1.0 + eps * lam) * w2 * np.sin(phase) ** 2)
+
+
+def log_sum(log_e):
+    """``log(sum(exp(log_e)))`` over the modes, without underflow."""
+    top = log_e.max(axis=1)
+    return top + np.log(np.exp(log_e - top[:, None]).sum(axis=1))
+
+
 class TestModeRetirement:
     """Constant mass decouples the modes, so a per-mode DOP853 solve is an oracle."""
 
@@ -221,12 +236,8 @@ class TestModeRetirement:
 
         assert unretired.steps.h_max <= cap(lam[-1]) * (1.0 + 1e-12)
         assert cap(lam[-1]) < traj.steps.h_max <= cap(lam[~retired][-1]) * (1.0 + 1e-12)
-        # the true share of gamma, in logs: each mode's weighted energy over the sum
-        w2 = lam / 0.01
-        log_e = 2.0 * log_amp + np.log(
-            (1.0 + lam + lam**2) * np.cos(phase) ** 2 + (1.0 + 0.01 * lam) * w2 * np.sin(phase) ** 2)
-        top = log_e.max(axis=1, keepdims=True)
-        log_share = log_e - top - np.log(np.exp(log_e - top).sum(axis=1, keepdims=True))
+        log_e = log_mode_gamma(lam, 0.01, log_amp, phase)
+        log_share = log_e - log_sum(log_e)[:, None]
         for k in np.flatnonzero(retired):
             first = int(np.argmax(zero[:, k]))
             assert np.all(zero[first:, k])  # zero is a fixed point
@@ -244,6 +255,39 @@ class TestModeRetirement:
         normwise = lambda run: np.max(np.linalg.norm(errors(run), axis=1))  # noqa: E731
         assert normwise(traj) <= normwise(unretired) * 1.01
         assert np.max(errors(traj)[:, live]) <= max(np.max(errors(unretired)), CFG.rel_tol)
+
+    @pytest.fixture(scope="class")
+    def buried(self):
+        # mode 1 at 1e-20 under mode 64 (the others 0): 2e-47 of gamma at
+        # the start, but overdamped at eps 0.01, p 0, so it decays about like
+        # e^(-t) against mode 64's e^(-50t) and carries gamma from about t = 1
+        op = power_spectrum(1.0, 64, 2.0)
+        u0, u1 = np.zeros(64), np.zeros(64)
+        u0[0], u0[-1] = 1e-20, 1.0
+        times = np.linspace(0.0, 4.0, 41)
+        log_amp, phase = oracles.hyperbolic_mode_solve(
+            op.eigenvalues[[0, -1]], 1.0, 0.01, 0.0, u0[[0, -1]], u1[[0, -1]], times)
+        log_e = log_mode_gamma(op.eigenvalues[[0, -1]], 0.01, log_amp, phase)
+        return op, u0, u1, times, log_e
+
+    def test_a_buried_slow_mode_stays_live(self, buried):
+        op, u0, u1, times, log_e = buried
+        traj = integrate("hyperbolic", (u0, u1), times[-1], times.size, CFG, op, M1, 0.0,
+                         eps=0.01)
+        # mode 64 retires once mode 1 holds gamma; the 62 modes that start
+        # at 0 leave the cap uncounted
+        assert traj.retired_modes == 1 and np.all(traj.u[-1, 1:] == 0.0)
+        assert np.all(traj.u[:, 0] != 0.0)
+        log_gamma = np.log(gamma_eps(traj.u, traj.v, 0.01, op))
+        np.testing.assert_allclose(log_gamma, log_sum(log_e), rtol=0.0, atol=1e-6)
+        after = traj.times > traj.last_retirement_t
+        assert np.all(log_e[after, 1] - log_sum(log_e)[after] < math.log(
+            klab.evolution._RETIRE_SHARE))
+
+    def test_log_energy_follows_a_buried_slow_mode(self, buried):
+        op, u0, u1, times, log_e = buried
+        _, logs = hyperbolic_log_energy(op, M1, 0.01, 0.0, u0, u1, times[-1], times.size, CFG)
+        np.testing.assert_allclose(logs, log_sum(log_e), rtol=0.0, atol=1e-6)
 
     def test_a_single_mode_retires_nothing(self):
         # the only mode is all of gamma, however far it decays
@@ -275,7 +319,7 @@ class TestCorrector:
         times = np.linspace(0.0, 6.0, 13)
         for eps in (0.05, 0.4):
             for p in (0.0, 0.3, 1.0):
-                _, thp = corrector_series(t0, eps, p, times)
+                thp = corrector_velocity(t0, eps, p, times)
                 weight = (1.0 + times[:, None]) ** (-p)
                 theta_dd = -weight * thp / eps
                 resid = eps * theta_dd + weight * thp
@@ -426,8 +470,8 @@ class TestRemainders:
         op, par, hyp = self._pair(0.05, u0, u1)
         short = integrate("parabolic", u0, 5.0, 240, CFG, op, M1, 0.5)
         with pytest.raises(ValueError):
-            remainders(hyp, short, corrector_series(theta0(u0, u1, op, M1), 0.05, 0.5,
-                                                    short.times)[1])
+            remainders(hyp, short, corrector_velocity(theta0(u0, u1, op, M1), 0.05, 0.5,
+                                                      short.times))
 
 
 class TestLogEnergyProbe:
