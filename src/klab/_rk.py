@@ -14,14 +14,32 @@ sample inside a step comes from the pair's continuous extension (Shampine,
 "Some practical Runge-Kutta formulas", Math. Comp. 46, 1986), a quartic that
 is one order less accurate than the step itself.
 
-A state of shape ``(B, d)`` is a batch of ``B`` independent members sharing
-one time grid and one step sequence.  Each member's error is its own norm
-over the last axis, measured against ``abs_tol + rel_tol * |y_i|``; a step is
-accepted only when every member's ratio is at most 1, and the step-size
-controller follows the largest ratio.  No member's accuracy contract is
-loosened by its neighbours, however far apart their magnitudes are; members
-merely take the steps the most demanding one needs.  A 1-D state of shape
-``(d,)`` is a single system and takes exactly the unbatched arithmetic.
+The driver steps clocks.  A clock owns rows of the state and keeps their
+time, step size, next sample, accept/reject decision, step cap and
+``StepStats``; every attempt computes the seven stages and error estimates
+of all rows in one set of array operations.
+
+- A state of shape ``(d,)`` is a single system: one clock over one row,
+  with exactly the unbatched arithmetic.
+- A state of shape ``(B, d)`` is by default a batch of ``B`` independent
+  members on one shared clock: one time grid and one step sequence.  Each
+  member's error is its own norm over the last axis, measured against
+  ``abs_tol + rel_tol * |y_i|``; a step is accepted only when every member's
+  ratio is at most 1, and the step-size controller follows the largest
+  ratio.  No member's accuracy contract is loosened by its neighbours,
+  however far apart their magnitudes are; members merely take the steps the
+  most demanding one needs.
+- With ``own_clocks=True`` each of the ``B`` members has its own clock and
+  takes exactly the steps, and produces exactly the bits, of its solo solve.
+
+Own clocks reproduce a solo solve bit for bit under two rules, which a
+right-hand side for them must keep too.  Every per-member scalar (times, step
+sizes, ratios and above all every ``**``) is a Python float: numpy's vector
+power may use another ``pow`` than the C library's (SIMD math libraries
+differ from it in the last bit in a few percent of calls).  And every
+per-member dot is the stacked ``(B, 1, d) @ (B, d, 1)`` matmul, which takes
+the same BLAS dot as a 1-D state; a plain ``(B, d) @ (d,)`` product sums in
+another order in about half the rows.
 
 For linear right-hand sides the driver can renormalize the state by exact
 powers of two whenever it leaves a magnitude window, accumulating the scaling
@@ -34,38 +52,45 @@ scale per member.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["IntegrationError", "StepStats", "solve_to_grid"]
+__all__ = ["BatchStats", "IntegrationError", "StepStats", "solve_to_grid"]
 
-# Dormand & Prince coefficients (the classic RK45 pair, FSAL form).
+# A step cap: ``(t, y) -> (cap, y)`` (see ``solve_to_grid``).
+_CapFn = Callable[[float, np.ndarray], tuple[float, np.ndarray]]
+
+# Dormand & Prince coefficients (the classic RK45 pair, FSAL form).  The
+# stage and error weights only ever multiply arrays, and as 0-d arrays they
+# do so about a third faster than as Python floats (numpy need not convert a
+# Python scalar), with the same IEEE products.  The nodes ``_C*`` advance
+# times, which stay Python floats.
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
+_A21 = np.array(1.0 / 5.0)
+_A31, _A32 = map(np.array, (3.0 / 40.0, 9.0 / 40.0))
+_A41, _A42, _A43 = map(np.array, (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0))
+_A51, _A52, _A53, _A54 = map(np.array, (
     19372.0 / 6561.0,
     -25360.0 / 2187.0,
     64448.0 / 6561.0,
     -212.0 / 729.0,
-)
-_A61, _A62, _A63, _A64, _A65 = (
+))
+_A61, _A62, _A63, _A64, _A65 = map(np.array, (
     9017.0 / 3168.0,
     -355.0 / 33.0,
     46732.0 / 5247.0,
     49.0 / 176.0,
     -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = (
+))
+_B1, _B3, _B4, _B5, _B6 = map(np.array, (
     35.0 / 384.0,
     500.0 / 1113.0,
     125.0 / 192.0,
     -2187.0 / 6784.0,
     11.0 / 84.0,
-)
+))
 # Continuous extension: the state at ``t + theta h`` is
 # ``y + h sum_i k_i sum_m _DENSE[i, m] theta^(m+1)`` over the seven stages.
 _DENSE = np.array([
@@ -78,14 +103,14 @@ _DENSE = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 # Difference between the 5th- and embedded 4th-order weights.
-_E1, _E3, _E4, _E5, _E6, _E7 = (
+_E1, _E3, _E4, _E5, _E6, _E7 = map(np.array, (
     71.0 / 57600.0,
     -71.0 / 16695.0,
     71.0 / 1920.0,
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
-)
+))
 
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
@@ -100,7 +125,15 @@ _SAFE_NORM_HI = 1e100
 
 
 class IntegrationError(RuntimeError):
-    """Integration could not continue (step underflow, budget, or nonfinite state)."""
+    """Integration could not continue (step underflow, budget, or nonfinite state).
+
+    ``member`` is the index of the failing member of an own-clock batch, else
+    ``None``.
+    """
+
+    def __init__(self, message: str, member: int | None = None) -> None:
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -115,12 +148,28 @@ class StepStats:
     renormalizations: int
 
 
+@dataclass(frozen=True)
+class BatchStats:
+    """What an own-clock batch did: each member's ``StepStats`` as its solo
+    solve reports them, and the steps summed over the members."""
+
+    members: tuple[StepStats, ...]
+
+    @property
+    def accepted(self) -> int:
+        return sum(s.accepted for s in self.members)
+
+    @property
+    def rejected(self) -> int:
+        return sum(s.rejected for s in self.members)
+
+
 def _norm(x: np.ndarray) -> np.ndarray:
     # Euclidean norm over the last axis.  Each member's norm is the same BLAS
     # dot as the norm of a 1-D state (``norm(x, axis=-1)`` sums in another
-    # order), so a (1, d) batch reproduces the unbatched run bit for bit.
+    # order), so a batch member reproduces the unbatched run bit for bit.
     if x.ndim == 1:
-        return np.linalg.norm(x)
+        return math.sqrt(x @ x)
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
@@ -133,23 +182,98 @@ def _member_scale(y: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.clip(-exponent, -1022, 1022))
 
 
+def _member_ratios(
+    err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
+) -> np.ndarray:
+    """Each member's error over its tolerance, from power-of-two scaled norms."""
+    s = _member_scale(y)
+    scale = abs_tol * s[..., 0] + rel_tol * np.maximum(_norm(s * y), _norm(s * y_new))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _norm(s * err_vec) / scale
+
+
+def _own_ratios(
+    err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
+) -> tuple[list[float], list[bool]]:
+    """Each member's ``_error_ratio`` as its single system computes it, and
+    whether its ``y_new`` is finite."""
+    members = len(y)
+    norms = _norm(np.concatenate((y, y_new, err_vec))).tolist()
+    ratios = []
+    finite = []
+    scaled = None
+    for i in range(members):
+        y_norm, new_norm, err_norm = norms[i], norms[members + i], norms[2 * members + i]
+        if _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
+            ratio = err_norm / (abs_tol + rel_tol * max(y_norm, new_norm))
+        else:
+            if scaled is None:
+                scaled = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol).tolist()
+            ratio = scaled[i]
+        ratios.append(ratio if math.isfinite(ratio) else math.inf)
+        # a finite norm has finite components; an infinite one may be overflow
+        finite.append(math.isfinite(new_norm) or bool(np.all(np.isfinite(y_new[i]))))
+    return ratios, finite
+
+
 def _error_ratio(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> float:
     """Largest member error over its tolerance; ``inf`` when not finite."""
     if y.ndim == 1:
-        y_norm = float(np.linalg.norm(y))
+        y_norm = math.sqrt(y @ y)
         if _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
             # the squares that decide these norms are normal numbers, where
             # the power-of-two scaling below would change no bit: skip it
-            scale = abs_tol + rel_tol * max(y_norm, float(np.linalg.norm(y_new)))
-            ratio = float(np.linalg.norm(err_vec)) / scale
+            scale = abs_tol + rel_tol * max(y_norm, math.sqrt(y_new @ y_new))
+            ratio = math.sqrt(err_vec @ err_vec) / scale
             return ratio if math.isfinite(ratio) else math.inf
-    s = _member_scale(y)
-    scale = abs_tol * s[..., 0] + rel_tol * np.maximum(_norm(s * y), _norm(s * y_new))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(np.max(_norm(s * err_vec) / scale))
+    ratio = float(np.max(_member_ratios(err_vec, y, y_new, rel_tol, abs_tol)))
     return ratio if math.isfinite(ratio) else math.inf
+
+
+class _Clock:
+    """One clock's step control: its rows, time, step size, next sample and counts.
+
+    ``member`` is ``i`` for member ``i`` of an own-clock batch and ``None``
+    for the one clock of a single system or shared batch; ``row`` indexes the
+    clock's rows in the state accordingly (``i`` or ``...``) and ``out`` is
+    its sample array.  ``h_try``, ``target`` and ``hits`` describe the
+    attempt in flight; a clock that has reached the last sample attempts
+    steps of length 0.
+    """
+
+    __slots__ = (
+        "member", "row", "out", "cap_fn", "t", "h", "j", "accepted", "rejected",
+        "replacements", "h_min", "h_max", "just_rejected", "last_accepted",
+        "h_try", "target", "hits",
+    )
+
+    def __init__(self, member: int | None, out, cap_fn, t: float, h: float) -> None:
+        self.member = member
+        self.row = ... if member is None else member
+        self.out = out
+        self.cap_fn = cap_fn
+        self.t = t
+        self.h = h
+        self.j = 1
+        self.accepted = 0
+        self.rejected = 0
+        self.replacements = 0
+        self.h_min = math.inf
+        self.h_max = 0.0
+        self.just_rejected = False
+        self.last_accepted: tuple[float, float] | None = None
+        self.h_try = 0.0
+        self.target = t
+        self.hits = False
+
+    def stats(self, renormalizations: int = 0) -> StepStats:
+        attempts = self.accepted + self.rejected
+        rhs_evals = 1 + 6 * attempts + self.replacements
+        return StepStats(
+            self.accepted, self.rejected, rhs_evals, self.h_min, self.h_max, renormalizations
+        )
 
 
 def _steered_ratio(ratio: float, h: float, last: tuple[float, float] | None) -> float:
@@ -182,11 +306,12 @@ def solve_to_grid(
     rel_tol: float,
     abs_tol: float,
     max_step: float = math.inf,
-    step_cap_fn: Callable[[float, np.ndarray], tuple[float, np.ndarray]] | None = None,
+    step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
     max_steps: int = 10_000_000,
     renormalize: bool = False,
     land_on_samples: bool = True,
-) -> tuple[np.ndarray, np.ndarray, StepStats]:
+    own_clocks: bool = False,
+) -> tuple[np.ndarray, np.ndarray, StepStats | BatchStats]:
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
     Returns ``(Y, log_scale, stats)`` where ``Y[i]`` is the (possibly
@@ -196,17 +321,25 @@ def solve_to_grid(
 
     ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
     independent members (``Y`` then has shape ``(n, B, d)``), each held to
-    its own error norm (see the module docstring).  ``f`` receives and returns
-    the whole state.
+    its own error norm on one shared clock (see the module docstring).  ``f``
+    receives and returns the whole state.
+
+    ``own_clocks=True`` gives each member of a ``(B, d)`` batch its own clock.
+    ``f`` then receives the members' times as a list of Python floats, ``Y`` has
+    shape ``(B, n, d)`` (member ``i``'s samples are ``Y[i]``), ``stats`` is a
+    :class:`BatchStats` and an :class:`IntegrationError` names the failing
+    member.  A member that has reached ``times[-1]`` rides along with a step
+    of length 0 until the last one has.
 
     ``step_cap_fn(t, y)`` returns ``(cap, y)``: a state-dependent step
     ceiling (used to resolve the fastest oscillation of hyperbolic runs) and
     the state to continue from.  That is ``y`` itself, or a replacement the
     caller's flow treats as the same solution (the hyperbolic flow zeroes
     modes that no longer carry energy); the driver then evaluates ``f``
-    afresh there, one more call counted in ``rhs_evals``.  ``renormalize``
-    requires ``f`` linear in ``y``; the caller is responsible for that.  It is
-    refused for a batch.
+    afresh there, one more call counted in ``rhs_evals``.  With own clocks it
+    is a sequence of one such function per member, each called with its
+    member's time and row.  ``renormalize`` requires ``f`` linear in ``y``;
+    the caller is responsible for that.  It is refused for a batch.
 
     ``land_on_samples`` (the default) clips every step to the next grid
     time; ``False`` lets the error control alone set the steps, clips only
@@ -227,22 +360,35 @@ def solve_to_grid(
         raise ValueError("initial state must have shape (d,) or (B, d)")
     if y.ndim == 2 and renormalize:
         raise ValueError("renormalize needs a single system, not a batch")
+    if own_clocks and y.ndim != 2:
+        raise ValueError("own clocks need a (B, d) batch")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
-    t = float(grid[0])
-
     n = grid.size
-    out = np.empty((n,) + y.shape)
-    out[0] = y
+    t0 = float(grid[0])
     log_scale = 0.0
     log_out = np.zeros(n)
+    if own_clocks:
+        members = y.shape[0]
+        cap_fns = [None] * members if step_cap_fn is None else list(step_cap_fn)
+        if len(cap_fns) != members:
+            raise ValueError("own clocks need one step cap function per member")
+        out = np.empty((members, n, y.shape[1]))
+        out[:, 0] = y
+        t_now = [t0] * members
+    else:
+        out = np.empty((n,) + y.shape)
+        out[0] = y
+        t_now = t0
 
-    k1 = np.asarray(f(t, y), dtype=float)
-    if not np.all(np.isfinite(k1)):
-        raise IntegrationError(f"right-hand side not finite at t={t:.6g}")
+    k1 = np.asarray(f(t_now, y), dtype=float)
+    finite = np.isfinite(k1).all(axis=-1)
+    if not np.all(finite):
+        member = int(np.argmin(finite)) if own_clocks else None
+        raise IntegrationError(f"right-hand side not finite at t={t0:.6g}", member)
 
     # First trial step: crude but safe; the controller takes over immediately.
-    # A batch starts from its most cautious member.
+    # A shared clock starts from its most cautious member.
     unit = _member_scale(y)
     y_norm = _norm(unit * y)
     f_norm = _norm(unit * k1)
@@ -251,113 +397,150 @@ def solve_to_grid(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
     first_target = grid[1] if land_on_samples else grid[-1]
-    h = min(float(np.min(trial)), max_step, float(first_target - grid[0]))
+    first = [min(float(h), max_step, float(first_target - grid[0])) for h in np.ravel(trial)]
+    if own_clocks:
+        clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
+    else:
+        clocks = [_Clock(None, out, step_cap_fn, t0, min(first))]
 
-    accepted = 0
-    rejected = 0
-    replacements = 0
     renormalizations = 0
-    h_min = math.inf
-    h_max = 0.0
-    j = 1
-    just_rejected = False
-    last_accepted = None
+    live = clocks
+    while live:
+        replaced = []
+        for c in live:
+            if c.accepted + c.rejected >= max_steps:
+                raise IntegrationError(
+                    f"step budget {max_steps} exceeded at t={c.t:.6g} (h={c.h:.3g})", c.member
+                )
+            cap = max_step
+            if c.cap_fn is not None:
+                state = y[c.row]
+                state_cap, y_cap = c.cap_fn(c.t, state)
+                cap = min(cap, state_cap)
+                if y_cap is not state:
+                    replaced.append((c, y_cap))
+            target = float(grid[c.j] if land_on_samples else grid[-1])
+            remaining = target - c.t
+            h_try = min(c.h, cap, remaining)
+            c.hits = h_try >= remaining * (1.0 - 1e-12)
+            if c.hits:
+                h_try = remaining
+            if h_try < 1e-14 * max(1.0, abs(c.t)):
+                raise IntegrationError(
+                    f"step size underflow at t={c.t:.6g} (h={h_try:.3g}): "
+                    "problem too stiff for the explicit step budget",
+                    c.member,
+                )
+            c.target = target
+            c.h_try = h_try
 
-    while j < n:
-        if accepted + rejected >= max_steps:
-            raise IntegrationError(
-                f"step budget {max_steps} exceeded at t={t:.6g} (h={h:.3g})"
-            )
-
-        cap = max_step
-        if step_cap_fn is not None:
-            state_cap, y_cap = step_cap_fn(t, y)
-            cap = min(cap, state_cap)
-            if y_cap is not y:
-                y = y_cap
-                k1 = np.asarray(f(t, y), dtype=float)
-                replacements += 1
-        target = float(grid[j] if land_on_samples else grid[-1])
-        remaining = target - t
-        h_try = min(h, cap, remaining)
-        hits_sample = h_try >= remaining * (1.0 - 1e-12)
-        if hits_sample:
-            h_try = remaining
-        if h_try < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(
-                f"step size underflow at t={t:.6g} (h={h_try:.3g}): "
-                "problem too stiff for the explicit step budget"
-            )
-
-        k2 = f(t + _C2 * h_try, y + h_try * (_A21 * k1))
-        k3 = f(t + _C3 * h_try, y + h_try * (_A31 * k1 + _A32 * k2))
-        k4 = f(t + _C4 * h_try, y + h_try * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(
-            t + _C5 * h_try,
-            y + h_try * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-        )
-        k6 = f(
-            t + h_try,
-            y + h_try * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-        )
-        y_new = y + h_try * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = f(t + h_try, y_new)
-
-        err_vec = h_try * (
-            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-        )
-        ratio = _error_ratio(err_vec, y, y_new, rel_tol, abs_tol)
-
-        if ratio <= 1.0 and np.all(np.isfinite(y_new)):
-            accepted += 1
-            h_min = min(h_min, h_try)
-            h_max = max(h_max, h_try)
-            t_new = target if hits_sample else t + h_try
-            if not land_on_samples:
-                # the samples this step passed, from the continuous extension
-                stop = int(np.searchsorted(grid, t_new, side="right"))
-                if stop > j:
-                    theta = (grid[j:stop] - t) / h_try
-                    powers = theta[:, None] ** np.arange(1, 5)
-                    q = np.tensordot(_DENSE.T, np.stack([k1, k2, k3, k4, k5, k6, k7]), axes=1)
-                    out[j:stop] = y + h_try * np.tensordot(powers, q, axes=1)
-                    if grid[stop - 1] == t_new:
-                        out[stop - 1] = y_new
-                    log_out[j:stop] = log_scale
-                    j = stop
-            elif hits_sample:
-                out[j] = y_new
-                log_out[j] = log_scale
-                j += 1
-            t, y = t_new, y_new
-            k1 = k7
-            if renormalize:
-                peak = float(np.max(np.abs(y)))
-                if peak > 0.0 and not _RENORM_LO < peak < _RENORM_HI:
-                    s = float(_member_scale(y)[0])
-                    y = y * s
-                    k1 = k1 * s  # valid because f is linear in y
-                    log_scale += math.log(s)
-                    renormalizations += 1
-            steer = ratio
-            if not land_on_samples:
-                steer = _steered_ratio(ratio, h_try, last_accepted)
-                last_accepted = (ratio, h_try)
-            factor = _MAX_GROWTH if steer == 0.0 else _SAFETY * steer ** (-0.2)
-            if just_rejected:
-                factor = min(factor, 1.0)
-            just_rejected = False
-            h = h_try * min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
+        # the stage times, per member in Python floats
+        if own_clocks:
+            t = [c.t for c in clocks]
+            steps = [c.h_try for c in clocks]
+            t2, t3, t4, t5 = ([s + a * dh for s, dh in zip(t, steps)] for a in (_C2, _C3, _C4, _C5))
+            t6 = [s + dh for s, dh in zip(t, steps)]
+            h = np.empty(y.shape)  # full rows multiply faster than a broadcast column
+            h[...] = np.array(steps)[:, None]
         else:
-            rejected += 1
-            just_rejected = True
-            if ratio == math.inf:
-                factor = _MIN_SHRINK
-            else:
-                factor = max(_MIN_SHRINK, min(1.0, _SAFETY * ratio ** (-0.2)))
-            h = h_try * factor
+            t = clocks[0].t
+            h = clocks[0].h_try
+            t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
+        if replaced:
+            y = y.copy()
+            for c, y_cap in replaced:
+                y[c.row] = y_cap
+            fresh = np.asarray(f(t, y), dtype=float)
+            k1 = k1.copy()
+            for c, _ in replaced:
+                k1[c.row] = fresh[c.row]
+                c.replacements += 1
 
-    attempts = accepted + rejected
-    rhs_evals = 1 + 6 * attempts + replacements
-    stats = StepStats(accepted, rejected, rhs_evals, h_min, h_max, renormalizations)
-    return out, log_out, stats
+        k2 = f(t2, y + h * (_A21 * k1))
+        k3 = f(t3, y + h * (_A31 * k1 + _A32 * k2))
+        k4 = f(t4, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = f(t5, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = f(t6, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = f(t6, y_new)
+
+        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        if own_clocks:
+            ratios, finite = _own_ratios(err_vec, y, y_new, rel_tol, abs_tol)
+        else:
+            ratios = [_error_ratio(err_vec, y, y_new, rel_tol, abs_tol)]
+            finite = [bool(np.all(np.isfinite(y_new)))]
+
+        accepted = []
+        for c in live:
+            i = c.member or 0
+            ratio = ratios[i]
+            if ratio <= 1.0 and finite[i]:
+                accepted.append(c)
+                h_try = c.h_try
+                c.accepted += 1
+                c.h_min = min(c.h_min, h_try)
+                c.h_max = max(c.h_max, h_try)
+                t_new = c.target if c.hits else c.t + h_try
+                if not land_on_samples:
+                    # the samples this step passed, from the continuous extension
+                    stop = int(np.searchsorted(grid, t_new, side="right"))
+                    if stop > c.j:
+                        theta = (grid[c.j:stop] - c.t) / h_try
+                        powers = theta[:, None] ** np.arange(1, 5)
+                        ks = np.stack([k1, k2, k3, k4, k5, k6, k7])[:, c.row]
+                        q = np.tensordot(_DENSE.T, ks, axes=1)
+                        c.out[c.j:stop] = y[c.row] + h_try * np.tensordot(powers, q, axes=1)
+                        if grid[stop - 1] == t_new:
+                            c.out[stop - 1] = y_new[c.row]
+                        log_out[c.j:stop] = log_scale
+                        c.j = stop
+                elif c.hits:
+                    c.out[c.j] = y_new[c.row]
+                    log_out[c.j] = log_scale
+                    c.j += 1
+                c.t = t_new
+                steer = ratio
+                if not land_on_samples:
+                    steer = _steered_ratio(ratio, h_try, c.last_accepted)
+                    c.last_accepted = (ratio, h_try)
+                factor = _MAX_GROWTH if steer == 0.0 else _SAFETY * steer ** (-0.2)
+                if c.just_rejected:
+                    factor = min(factor, 1.0)
+                c.just_rejected = False
+                c.h = h_try * min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
+            else:
+                c.rejected += 1
+                c.just_rejected = True
+                if ratio == math.inf:
+                    factor = _MIN_SHRINK
+                else:
+                    factor = max(_MIN_SHRINK, min(1.0, _SAFETY * ratio ** (-0.2)))
+                c.h = c.h_try * factor
+
+        if len(accepted) == len(live):
+            # finished clocks took steps of length 0, and their samples are out
+            y, k1 = y_new, k7
+        elif accepted:
+            rows = [c.row for c in accepted]
+            y = y.copy()
+            y[rows] = y_new[rows]
+            k1 = k1.copy()
+            k1[rows] = k7[rows]
+        if renormalize and accepted:
+            peak = float(np.max(np.abs(y)))
+            if peak > 0.0 and not _RENORM_LO < peak < _RENORM_HI:
+                s = float(_member_scale(y)[0])
+                y = y * s
+                k1 = k1 * s  # valid because f is linear in y
+                log_scale += math.log(s)
+                renormalizations += 1
+        done = [c for c in live if c.j >= n]
+        if done:
+            for c in done:
+                c.h_try = 0.0
+            live = [c for c in live if c.j < n]
+
+    if own_clocks:
+        return out, log_out, BatchStats(tuple(c.stats() for c in clocks))
+    return out, log_out, clocks[0].stats(renormalizations)

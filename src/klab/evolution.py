@@ -13,7 +13,11 @@ Both decouple mode-by-mode except for the scalar coupling through
 second-order flow with a state-dependent step cap, which follows the fastest
 mode that still carries energy: a mode whose share has fallen far below
 round-off is set to exactly 0, a fixed point of its linear equation.  The
-second-order flow's steps land on the uniform sample grid exactly.
+second-order flow's steps land on the uniform sample grid exactly.  An eps
+sweep is one solve: its members share the grid and the array operations of
+every step, but each keeps its own clock, step cap and retired modes, so
+each reproduces its single-eps run bit for bit and reports the same step
+statistics (the ``runs.json`` manifest is unchanged by the batching).
 
 The first-order flow is solved through its scalar phase: with
 ``Lambda' = (1+t)^p m(sum_k lambda_k u_k(0)^2 exp(-2 lambda_k Lambda))`` and
@@ -30,11 +34,12 @@ differenced, since the residual diagnostics are sensitive to them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rk import IntegrationError, StepStats, solve_to_grid
+from ._rk import BatchStats, IntegrationError, StepStats, solve_to_grid
 from .energies import gamma_eps, growth_integral, kernel_integral, z_eps
 from .spectral import (
     MassFunction,
@@ -178,13 +183,10 @@ class Trajectory:
 def _at_sigma(fn, m: MassFunction, lam: np.ndarray, u: np.ndarray):
     """``fn(m, |A^(1/2)u|^2)`` of one state, or an ``(n,)`` array over the rows of ``u``.
 
-    ``fn`` is ``m_eval`` or ``m_prime``; they stay scalar functions, so rows
-    go through a comprehension over the ``sigma`` array.
+    ``fn`` is ``m_eval`` or ``m_prime``.
     """
     sigma = (u * u) @ lam
-    if u.ndim == 1:
-        return fn(m, float(sigma))
-    return np.array([fn(m, s) for s in sigma.tolist()])
+    return fn(m, float(sigma) if u.ndim == 1 else sigma)
 
 
 def _column(x, u: np.ndarray):
@@ -198,9 +200,9 @@ def _parabolic_velocity(t, u, c, lam: np.ndarray, p: float):
     return -((1.0 + t) ** p) * c * lam * u
 
 
-def _hyperbolic_acceleration(t, u, v, c, lam: np.ndarray, eps: float, p: float):
-    """Second-order flow ``u'' = -((1+t)^(-p) u' + c A u)/eps``, row-wise like ``_parabolic_velocity``."""
-    w = (1.0 + t) ** (-p)
+def _hyperbolic_acceleration(w, u, v, c, lam: np.ndarray, eps):
+    """Second-order flow ``u'' = -(w u' + c A u)/eps`` with the damping ``w = (1+t)^(-p)``;
+    ``w``, ``c`` and ``eps`` scalars or ``(n, 1)`` columns against the rows of ``u``."""
     return -(w * v + c * lam * u) / eps
 
 
@@ -254,7 +256,8 @@ def hyperbolic_rhs(
         raise ValueError("u and v must have the same shape")
     lam = op.eigenvalues
     c = _column(_at_sigma(m_eval, m, lam, u), u)
-    dv = _hyperbolic_acceleration(_column(t, u), u, v, c, lam, eps, p)
+    w = (1.0 + _column(t, u)) ** (-p)
+    dv = _hyperbolic_acceleration(w, u, v, c, lam, eps)
     _require_finite(dv, t)
     return v.copy(), dv
 
@@ -376,19 +379,47 @@ class _OscillationCap:
         return y
 
 
-def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps: float, p: float, safety: float):
+def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float, safety: float):
     """``(f, cap)``: the second-order flow as the system ``y' = f(t, y)``, ``y = (u, u')``,
-    and its :class:`_OscillationCap` for ``solve_to_grid``."""
+    and its :class:`_OscillationCap` for ``solve_to_grid``.
+
+    A sequence ``eps`` gives the flows of an own-clock batch instead: ``f``
+    of a ``(B, 2K)`` state with the members' times as a list, and one cap
+    per member.  Each member's row is computed with the arithmetic of its
+    single system, bit for bit (see ``klab._rk``): the damping weights are
+    Python float powers and ``sigma`` the stacked matmul.
+    """
     K = op.dim
     lam = op.eigenvalues
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        u = y[:K]
-        v = y[K:]
-        c = _at_sigma(m_eval, m, lam, u)
-        return np.concatenate([v, _hyperbolic_acceleration(t, u, v, c, lam, eps, p)])
+    if np.ndim(eps) == 0:
 
-    return f, _OscillationCap(op, m, eps, safety)
+        def f(t: float, y: np.ndarray) -> np.ndarray:
+            u = y[:K]
+            v = y[K:]
+            c = m_eval(m, float((u * u) @ lam))
+            dy = np.empty_like(y)
+            dy[:K] = v
+            dy[K:] = _hyperbolic_acceleration((1.0 + t) ** (-p), u, v, c, lam, eps)
+            return dy
+
+        return f, _OscillationCap(op, m, eps, safety)
+
+    # eps as full rows: they divide faster than a broadcast column
+    eps_rows = np.repeat(np.array(eps, dtype=float)[:, None], K, axis=1)
+    lam_col = lam[:, None]
+
+    def f_batch(t: list[float], y: np.ndarray) -> np.ndarray:
+        u = y[:, :K]
+        v = y[:, K:]
+        c = m_eval(m, np.matmul((u * u)[:, None, :], lam_col)[:, 0, 0])
+        w = np.array([(1.0 + s) ** (-p) for s in t])
+        dy = np.empty_like(y)
+        dy[:, :K] = v
+        dy[:, K:] = _hyperbolic_acceleration(w[:, None], u, v, c[:, None], lam, eps_rows)
+        return dy
+
+    return f_batch, [_OscillationCap(op, m, e, safety) for e in eps]
 
 
 # The limit flow's phase tolerances.  Mode k's relative error is lambda_k
@@ -405,6 +436,49 @@ _PHASE_LOG_DECAY = 745.0
 _PHASE_TOL_SAFETY = 20.0
 
 
+def _hyperbolic_runs(
+    flat0: np.ndarray,
+    times: np.ndarray,
+    cfg: IntegratorConfig,
+    op: SpectralOperator,
+    m: MassFunction,
+    p: float,
+    eps: list[float],
+) -> list[Trajectory]:
+    """One second-order trajectory per ``eps``, all from ``flat0 = (u0, u1)``.
+
+    A single ``eps`` is one system; several are one own-clock batch, in which
+    each member takes the steps and the bits of its single-system solve.
+    """
+    K = op.dim
+    batch = len(eps) > 1
+    f, caps = _hyperbolic_system(op, m, eps if batch else eps[0], p, cfg.oscillation_safety)
+    try:
+        Y, _, stats = solve_to_grid(
+            f,
+            np.tile(flat0, (len(eps), 1)) if batch else flat0,
+            times,
+            rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol,
+            max_step=cfg.max_step,
+            step_cap_fn=caps,
+            own_clocks=batch,
+        )
+    except IntegrationError as exc:
+        raise IntegrationError(f"eps={eps[exc.member or 0]!r}: {exc}") from exc
+    if not batch:
+        Y, stats, caps = Y[None], BatchStats((stats,)), [caps]
+    trajs = []
+    for Y_i, steps, cap, eps_i in zip(Y, stats.members, caps, eps):
+        u = Y_i[:, :K]
+        c_trace = _at_sigma(m_eval, m, op.eigenvalues, u)
+        trajs.append(Trajectory(
+            "hyperbolic", times, u, Y_i[:, K:], c_trace, p, op, m, eps_i, cfg.rel_tol, steps,
+            cap.retired, cap.last_retirement_t,
+        ))
+    return trajs
+
+
 def integrate(
     problem: str,
     y0,
@@ -414,48 +488,39 @@ def integrate(
     op: SpectralOperator,
     m: MassFunction,
     p: float,
-    eps: float | None = None,
-) -> Trajectory:
+    eps: float | Sequence[float] | None = None,
+) -> Trajectory | list[Trajectory]:
     """Run one flow on the uniform grid ``linspace(0, t_end, sample_count)``.
 
     ``problem`` is ``"hyperbolic"`` (pass ``eps``; ``y0 = (u0, u1)``) or
     ``"parabolic"`` (``y0 = u0``; integrated through its scalar phase, see
     the module docstring).  The returned :class:`Trajectory` carries ``p``,
     ``op``, ``m``, ``eps``, ``cfg.rel_tol`` and the solver's statistics.
-    Raises :class:`IntegrationError` when step control cannot continue;
-    contract violations raise ``ValueError``.
+    A sequence ``eps`` integrates the whole sweep as one solve and returns
+    one trajectory per value, in order, each bit for bit the one a single
+    ``eps`` gives.
+    Raises :class:`IntegrationError` when step control cannot continue (for a
+    second-order run, naming its ``eps``); contract violations raise
+    ``ValueError``.
     """
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")
     times = np.linspace(0.0, float(t_end), int(sample_count))
-    K = op.dim
     lam = op.eigenvalues
 
     if problem == "hyperbolic":
-        if eps is None or eps <= 0:
+        sweep = eps is not None and np.ndim(eps) == 1
+        members = [float(e) for e in eps] if sweep else [eps]
+        if not members or any(e is None or not e > 0 for e in members):
             raise ValueError("hyperbolic runs need eps > 0")
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         u0, u1 = y0
         flat0 = np.concatenate([as_vector(u0, op), as_vector(u1, op)])
-        f, cap = _hyperbolic_system(op, m, eps, p, cfg.oscillation_safety)
-        Y, _, stats = solve_to_grid(
-            f,
-            flat0,
-            times,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            step_cap_fn=cap,
-        )
-        u = Y[:, :K]
-        c_trace = _at_sigma(m_eval, m, lam, u)
-        return Trajectory(
-            "hyperbolic", times, u, Y[:, K:], c_trace, p, op, m, eps, cfg.rel_tol, stats,
-            cap.retired, cap.last_retirement_t,
-        )
+        trajs = _hyperbolic_runs(flat0, times, cfg, op, m, p, members)
+        return trajs if sweep else trajs[0]
 
     if problem == "parabolic":
         if p < 0:

@@ -8,8 +8,10 @@ configuration, the emitted files and the solver statistics of each flow
 and of each lemma kind's batched solve, so reports can be re-rendered later
 without re-integrating.
 
-Scenario runners only integrate flows (each once, through ``_Context``) and
-add checks and constants.  After the runner, each integrated flow gets one
+Scenario runners only integrate flows (each once, through ``_Context``, the
+eps sweep as one solve) and add checks and constants; a failing check of one
+flow names that flow's ``runs.json`` ``integrator`` entry.  After the
+runner, each integrated flow gets one
 CSV, and the rate fits are derived from those CSV columns by ``_fits``,
 the same function ``render_report`` applies to the CSVs it reads back.
 
@@ -488,10 +490,12 @@ class _Context:
             self.energies[None] = {"gamma": an.parabolic_gamma_series(self._par)}
         return self._par
 
-    def hyperbolic(self, eps: float) -> Trajectory:
-        if eps not in self._hyp:
+    def hyperbolic_sweep(self) -> list[Trajectory]:
+        """The second-order flow at every eps of the config, integrated as one solve."""
+        missing = [eps for eps in dict.fromkeys(self.cfg.epsilon) if eps not in self._hyp]
+        if missing:
             c = self.cfg
-            self._hyp[eps] = integrate(
+            trajs = integrate(
                 "hyperbolic",
                 (c.u0, c.u1),
                 c.t_end,
@@ -500,14 +504,15 @@ class _Context:
                 c.operator,
                 c.mass,
                 c.p,
-                eps=eps,
+                eps=missing,
             )
-            series = an.hyperbolic_series(self._hyp[eps], self.decay_lp())
-            self.energies[eps] = {key: series[key] for key in ("gamma", "E", "F", "G")}
-        return self._hyp[eps]
-
-    def hyperbolic_sweep(self) -> list[Trajectory]:
-        return [self.hyperbolic(e) for e in self.cfg.epsilon]
+            # the energy columns one flow at a time, so that only one flow's
+            # (n, K) temporaries are alive at once
+            for eps, traj in zip(missing, trajs):
+                self._hyp[eps] = traj
+                series = an.hyperbolic_series(traj, self.decay_lp())
+                self.energies[eps] = {key: series[key] for key in ("gamma", "E", "F", "G")}
+        return [self._hyp[eps] for eps in self.cfg.epsilon]
 
     def step_counts(self) -> dict[str, Any]:
         """Solver statistics of every flow this run integrated and of each
@@ -522,7 +527,13 @@ class _Context:
             "lemmas": {kind: inst["steps"] for kind, inst in self.lemmas.items()},
         }
 
-    def add_check(self, rep: an.CheckReport) -> None:
+    def add_check(self, rep: an.CheckReport, flow: Trajectory | None = None) -> None:
+        """Record a check; a failing check of one ``flow`` names that flow's
+        entry of the manifest's ``integrator`` under ``params["integrator"]``."""
+        if flow is not None and not rep.passed:
+            rep.params["integrator"] = (
+                "parabolic" if flow.kind == "parabolic" else f"hyperbolic/{flow.eps!r}"
+            )
         self.checks.append(rep)
 
     def decay_lp(self) -> en.LyapunovParams:
@@ -636,17 +647,17 @@ def _scn_decay(ctx: _Context) -> None:
     lp = ctx.decay_lp()
     trajs = ctx.hyperbolic_sweep()
     for traj in trajs:
-        ctx.add_check(an.check_energy_monotone(traj))
+        ctx.add_check(an.check_energy_monotone(traj), traj)
         for rep in an.check_energy_sandwich(traj, lp):
-            ctx.add_check(rep)
-        ctx.add_check(an.check_lyapunov_decay(traj, lp, "F"))
+            ctx.add_check(rep, traj)
+        ctx.add_check(an.check_lyapunov_decay(traj, lp, "F"), traj)
     uniform = an.check_uniform_decay_weights(trajs, ctx.parabolic())
     ctx.add_check(uniform)
     ctx.constants["C_2_4"] = uniform.params["C_2_4"]
     if "C_2_2" in uniform.params:
         ctx.constants["C_2_2"] = uniform.params["C_2_2"]
     if c.mass.is_constant:
-        ctx.add_check(an.check_parabolic_pointwise(ctx.parabolic()))
+        ctx.add_check(an.check_parabolic_pointwise(ctx.parabolic()), ctx.parabolic())
 
 
 def _scn_decay_error(ctx: _Context) -> None:
@@ -670,7 +681,7 @@ def _scn_decay_error(ctx: _Context) -> None:
         ctx.energies[eps]["gamma_r"] = gamma_r[eps]
         ctx.energies[eps]["gamma_c"] = en.gamma_eps(rho, rprime, eps, c.operator)
         psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert)
-        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, "script_F", psi3, rho, rprime))
+        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, "script_F", psi3, rho, rprime), traj)
     ctx.add_check(
         an.check_residual_bounds(
             traj_par.times, g_sq, c.beta, c.p, ctx.mu, c.operator.nu
@@ -691,7 +702,7 @@ def _scn_optimality(ctx: _Context) -> None:
     else:
         phi_spec = {"form": "exp", "beta": 2.0 * ctx.mu * c.operator.nu}
     for traj in ctx.hyperbolic_sweep():
-        ctx.add_check(an.check_optimality(traj, phi_spec))
+        ctx.add_check(an.check_optimality(traj, phi_spec), traj)
 
 
 def _scn_lemmas(ctx: _Context, instances: int = 100) -> None:
@@ -729,7 +740,7 @@ def _scn_wkb(ctx: _Context) -> None:
         except ValueError as exc:
             raise ConfigError(f"scenario 'wkb': eps={eps}: {exc}") from None
     for traj in ctx.hyperbolic_sweep():
-        ctx.add_check(an.wkb_compare(traj))
+        ctx.add_check(an.wkb_compare(traj), traj)
 
 
 def _scn_open_problem(ctx: _Context) -> None:

@@ -194,19 +194,26 @@ def log_sum(log_e):
     return top + np.log(np.exp(log_e - top[:, None]).sum(axis=1))
 
 
+@pytest.fixture(scope="module")
+def retirement_data():
+    """K = 64 and data whose upper modes decay fastest: ``(op, u0, u1)``."""
+    op = power_spectrum(1.0, 64, 2.0)
+    k = np.arange(1, 65)
+    u0, u1 = (-1.0) ** k / k**2, 1.0 / k**2
+    u0, u1 = (u / math.sqrt(float(op.eigenvalues @ (u * u))) for u in (u0, u1))
+    return op, u0, u1
+
+
 class TestModeRetirement:
     """Constant mass decouples the modes, so a per-mode DOP853 solve is an oracle."""
 
     T_END = 3.0
 
     @pytest.fixture(scope="class")
-    def runs(self):
+    def runs(self, retirement_data):
         # K = 64, eps 0.01, p 0.5: the step cap binds, and the upper modes
         # fall more than 40 decades below the energy within t = 3
-        op = power_spectrum(1.0, 64, 2.0)
-        k = np.arange(1, 65)
-        u0, u1 = (-1.0) ** k / k**2, 1.0 / k**2
-        u0, u1 = (u / math.sqrt(float(op.eigenvalues @ (u * u))) for u in (u0, u1))
+        op, u0, u1 = retirement_data
         run = lambda: integrate(  # noqa: E731
             "hyperbolic", (u0, u1), self.T_END, 301, CFG, op, M1, 0.5, eps=0.01)
         traj = run()
@@ -294,6 +301,79 @@ class TestModeRetirement:
         traj = integrate("hyperbolic", ([1.0], [0.0]), 16.0, 9, CFG, OP1, M1, 0.5, eps=0.01)
         assert traj.retired_modes == 0 and traj.last_retirement_t is None
         assert np.all(traj.u != 0.0)
+
+
+def all_mode_data(seed, op):
+    """``u0``, ``u1`` drawn N(0,1)/k^2 on every mode, scaled to ``|A^(1/2)u| = 1``."""
+    rng = np.random.default_rng(seed)
+    k2 = np.arange(1, op.dim + 1, dtype=float) ** 2
+    data = []
+    for _ in range(2):
+        u = rng.standard_normal(op.dim) / k2
+        data.append(u / math.sqrt(float(k2 @ (u * u))))
+    return tuple(data)
+
+
+def assert_same_run(batch, solo):
+    assert batch.eps == solo.eps
+    np.testing.assert_array_equal(batch.u, solo.u)
+    np.testing.assert_array_equal(batch.v, solo.v)
+    np.testing.assert_array_equal(batch.c_trace, solo.c_trace)
+    assert batch.steps == solo.steps
+    assert batch.retired_modes == solo.retired_modes
+    assert batch.last_retirement_t == solo.last_retirement_t
+
+
+class TestSweepBatch:
+    """A sequence of eps is one solve whose members are their single runs, bit for bit."""
+
+    def test_a_k4_sweep_is_three_single_runs(self):
+        # the sweep of the verify benchmark's decay scenarios (seed 1): K 4,
+        # affine mass, p 0.5, 4096 samples to t = 16
+        op = power_spectrum(1.0, 4, 2.0)
+        args = (all_mode_data(1, op), 16.0, 4096, CFG, op, MassFunction.affine(1.0, 1.0), 0.5)
+        sweep = [0.04, 0.02, 0.01]
+        trajs = integrate("hyperbolic", *args, eps=sweep)
+        assert [t.eps for t in trajs] == sweep
+        for traj in trajs:
+            assert_same_run(traj, integrate("hyperbolic", *args, eps=traj.eps))
+
+    def test_members_retire_modes_at_their_own_times(self, retirement_data):
+        # the data of TestModeRetirement: eps 0.02 retires no mode by t = 3,
+        # eps 0.01 retires 37 (the last at t = 1.22), eps 0.005 42 (t = 0.54)
+        op, u0, u1 = retirement_data
+        args = ((u0, u1), TestModeRetirement.T_END, 301, CFG, op, M1, 0.5)
+        trajs = integrate("hyperbolic", *args, eps=[0.02, 0.01, 0.005])
+        assert [t.retired_modes for t in trajs] == [0, 37, 42]
+        assert trajs[2].last_retirement_t < 0.6 < 1.2 < trajs[1].last_retirement_t
+        for traj in trajs:
+            assert_same_run(traj, integrate("hyperbolic", *args, eps=traj.eps))
+
+    def test_a_single_eps_in_a_sequence_is_the_single_run(self):
+        args = (([1.0], [0.0]), 4.0, 50, CFG, OP1, M1, 0.5)
+        (traj,) = integrate("hyperbolic", *args, eps=[0.1])
+        assert_same_run(traj, integrate("hyperbolic", *args, eps=0.1))
+
+    def test_an_underflow_names_the_members_eps(self):
+        # eps 1e-30 caps the step near 1e-15 at once
+        with pytest.raises(IntegrationError, match=r"eps=1e-30: step size underflow at t=0"):
+            integrate("hyperbolic", ([1.0], [0.0]), 1.0, 4, CFG, OP1, M1, 0.0, eps=[0.1, 1e-30])
+
+    def test_the_budget_names_the_members_eps(self, monkeypatch):
+        # to t = 1 at two samples, eps 1 takes 29 steps and eps 0.1 takes 121
+        solve = klab.evolution.solve_to_grid
+        monkeypatch.setattr(
+            klab.evolution, "solve_to_grid", lambda *a, **kw: solve(*a, max_steps=50, **kw)
+        )
+        message = r"eps=0.1: step budget 50 exceeded at t=0\."
+        with pytest.raises(IntegrationError, match=message) as err:
+            integrate("hyperbolic", ([1.0], [0.0]), 1.0, 2, CFG, OP1, M1, 0.0, eps=[1.0, 0.1])
+        assert err.value.__cause__.member == 1
+
+    def test_every_eps_must_be_positive(self):
+        for eps in ([0.1, 0.0], [0.1, -1.0], []):
+            with pytest.raises(ValueError, match="eps > 0"):
+                integrate("hyperbolic", ([1.0], [0.0]), 1.0, 4, CFG, OP1, M1, 0.0, eps=eps)
 
 
 class TestCorrector:

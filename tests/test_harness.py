@@ -352,6 +352,38 @@ class TestRunScenario:
         assert 0 < counts["retired_modes"] < 64
         assert 0.0 < counts["last_retirement_t"] < 3.0
 
+    def test_a_failing_flow_check_names_its_integrator_entry(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import klab.analysis
+
+        failed = set()
+
+        def failing(check):
+            def run(*args, **kwargs):
+                rep = check(*args, **kwargs)
+                failed.add(rep.name)
+                return dataclasses.replace(rep, passed=False, worst_slack=-1e3)
+
+            return run
+
+        # one check of each second-order flow and the limit flow's pointwise check
+        for name in ("check_energy_monotone", "check_parabolic_pointwise"):
+            monkeypatch.setattr(klab.analysis, name, failing(getattr(klab.analysis, name)))
+        cfg = config_from_dict(base_config(scenario="decay", epsilon=[0.04, 0.02]))
+        assert run_scenario(cfg, tmp_path / "out") == 1
+        out = tmp_path / "out"
+        checks = json.loads((out / "report.json").read_text(encoding="utf-8"))["checks"]
+        manifest = json.loads((out / "runs.json").read_text(encoding="utf-8"))["integrator"]
+        named = [c["params"]["integrator"] for c in checks if c["name"] in failed]
+        assert named == ["hyperbolic/0.04", "hyperbolic/0.02", "parabolic"]
+        for key in named:
+            kind, _, eps = key.partition("/")
+            entry = manifest[kind][eps] if eps else manifest[kind]
+            assert entry["accepted"] > 0
+        # passing checks carry no such key
+        assert all("integrator" not in c["params"] for c in checks if c["passed"])
+
     def test_manifest_lists_the_batched_solve_of_every_lemma_kind(self, tmp_path):
         cfg = config_from_dict(base_config(scenario="lemmas"))
         for out in ("a", "b"):
@@ -384,32 +416,35 @@ class TestRunScenario:
         assert len(calls) == 3
 
     @pytest.mark.parametrize(
-        "scenario,extra,solves",
+        "scenario,extra,members",
         [
-            # one limit flow and three second-order flows; the sweep reuses them
-            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, 4),
+            # the limit flow, then the three second-order flows as one solve;
+            # the sweep reuses them
+            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, [1, 3]),
             # the probe reads the scenario's own two second-order runs
-            ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, 2),
+            ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, [2]),
             # 300 synthetic instances, one batched solve per lemma kind
-            ("lemmas", {}, 3),
+            ("lemmas", {}, [100, 100, 100]),
         ],
+        ids=["decay_error", "open_problem", "lemmas"],
     )
-    def test_each_flow_is_integrated_once(self, tmp_path, monkeypatch, scenario, extra, solves):
+    def test_each_flow_is_integrated_once(self, tmp_path, monkeypatch, scenario, extra, members):
         import klab.analysis
         import klab.evolution
 
         calls = []
         solve = klab.evolution.solve_to_grid
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting(f, y0, *args, **kwargs):
+            # the members of one solve: the rows of a batch, or one system
+            calls.append(1 if np.ndim(y0) == 1 else len(y0))
+            return solve(f, y0, *args, **kwargs)
 
         for module in (klab.evolution, klab.analysis):
             monkeypatch.setattr(module, "solve_to_grid", counting)
         cfg = config_from_dict(base_config(scenario=scenario, **extra))
         assert run_scenario(cfg, tmp_path / "out") in (0, 1)
-        assert len(calls) == solves
+        assert calls == members
 
 
 class TestWkbScenario:

@@ -1,9 +1,11 @@
-"""The Dormand-Prince integrator's batch axis: per-member error control."""
+"""The Dormand-Prince integrator's batch axis: per-member error control and clocks."""
+
+import math
 
 import numpy as np
 import pytest
 
-from klab._rk import solve_to_grid
+from klab._rk import IntegrationError, solve_to_grid
 
 REL_TOL = 1e-10
 
@@ -117,3 +119,109 @@ class TestContinuousExtension:
         )
         assert stats.accepted < times.size - 1
         np.testing.assert_allclose(Y[:, 0], times**4 - times**2 + 1.0, rtol=0.0, atol=1e-13)
+
+
+def _oscillator(stiffness):
+    """A nonlinear damped oscillator, row by row; ``stiffness`` is one row of
+    mode stiffnesses or an ``(B, 2)`` array of them, one row per member (whose
+    times then come as a list)."""
+
+    def f(t, y):
+        if isinstance(t, list):
+            t = np.array(t)[:, None]
+        u, v = y[..., :2], y[..., 2:]
+        c = 1.0 + np.sum(u * u, axis=-1, keepdims=True)
+        return np.concatenate([v, -v / (1.0 + t) - c * stiffness * u], axis=-1)
+
+    return f
+
+
+class TestOwnClocks:
+    STIFFNESS = np.array([[1.0, 100.0], [1.0, 2.0], [1.0, 5.0]])
+    Y0 = np.array([[1.0, -0.5, 0.3, 0.0], [0.5, 0.5, 0.0, 1.0], [1e-200, 0.0, 0.0, -1e-200]])
+    TIMES = np.linspace(0.0, 5.0, 64)
+
+    def solo(self, i, **kwargs):
+        return solve_to_grid(
+            _oscillator(self.STIFFNESS[i]), self.Y0[i], self.TIMES,
+            rel_tol=REL_TOL, abs_tol=1e-300, **kwargs,
+        )
+
+    def batch(self, **kwargs):
+        return solve_to_grid(
+            _oscillator(self.STIFFNESS), self.Y0, self.TIMES,
+            rel_tol=REL_TOL, abs_tol=1e-300, own_clocks=True, **kwargs,
+        )
+
+    def test_each_member_is_its_solo_solve(self):
+        # member 0 rejects steps while members 1 and 2 accept theirs; member 2
+        # lies 200 decades down, where its error norms are taken scaled
+        Y, _, stats = self.batch()
+        assert Y.shape == (3, self.TIMES.size, 4)
+        for i in range(3):
+            solo, _, solo_stats = self.solo(i)
+            np.testing.assert_array_equal(Y[i], solo)
+            assert stats.members[i] == solo_stats
+        assert stats.members[0].rejected > 0
+        assert stats.members[1].rejected == stats.members[2].rejected == 0
+        assert stats.members[0].accepted != stats.members[1].accepted
+
+    def test_each_member_has_its_own_step_cap(self):
+        caps = [lambda t, y: (0.01, y), lambda t, y: (math.inf, y), lambda t, y: (0.05, y)]
+        Y, _, stats = self.batch(step_cap_fn=caps)
+        for i, cap in enumerate(caps):
+            solo, _, solo_stats = self.solo(i, step_cap_fn=cap)
+            np.testing.assert_array_equal(Y[i], solo)
+            assert stats.members[i] == solo_stats
+        assert stats.members[0].h_max <= 0.01 and stats.members[2].h_max <= 0.05
+
+    def test_a_replaced_state_is_counted_for_its_member(self):
+        # member 1 is set to 0 once, at the start; the others go on as they are
+        def zeroing(t, y):
+            return (math.inf, np.zeros_like(y) if t == 0.0 else y)
+
+        caps = [lambda t, y: (math.inf, y), zeroing, lambda t, y: (math.inf, y)]
+        Y, _, stats = self.batch(step_cap_fn=caps)
+        assert not np.any(Y[1, 1:])
+        assert stats.members[1].rhs_evals == 1 + 6 * stats.members[1].accepted + 1
+        for i in (0, 2):
+            solo, _, solo_stats = self.solo(i)
+            np.testing.assert_array_equal(Y[i], solo)
+            assert stats.members[i] == solo_stats
+
+    def test_the_budget_names_the_member_that_ran_out(self):
+        # member 2 needs the most steps
+        steps = [self.solo(i)[2].accepted + self.solo(i)[2].rejected for i in range(3)]
+        budget = sorted(steps)[1] + 1
+        with pytest.raises(IntegrationError, match="step budget") as err:
+            self.batch(max_steps=budget)
+        assert err.value.member == int(np.argmax(steps))
+
+    def test_an_underflow_names_the_member(self):
+        caps = [lambda t, y: (math.inf, y), lambda t, y: (1e-20, y), lambda t, y: (math.inf, y)]
+        with pytest.raises(IntegrationError, match="underflow at t=0") as err:
+            self.batch(step_cap_fn=caps)
+        assert err.value.member == 1
+
+    @pytest.mark.parametrize(
+        "y0,kwargs",
+        [(np.ones(2), {}), (np.ones((3, 2)), {}), (np.ones((3, 2)), {"own_clocks": True})],
+        ids=["single", "shared", "own"],
+    )
+    def test_step_totals_are_integers_for_every_layout(self, y0, kwargs):
+        _, _, stats = solve_to_grid(
+            lambda t, y: -y, y0, np.linspace(0.0, 1.0, 5), rel_tol=REL_TOL, abs_tol=0.0, **kwargs
+        )
+        assert type(stats.accepted) is int and type(stats.rejected) is int
+        assert stats.accepted >= 4
+        if kwargs:
+            assert stats.accepted == sum(s.accepted for s in stats.members)
+            assert stats.rejected == sum(s.rejected for s in stats.members)
+
+    def test_own_clocks_are_validated(self):
+        with pytest.raises(ValueError, match="batch"):
+            solve_to_grid(lambda t, y: -y, np.ones(2), [0.0, 1.0],
+                          rel_tol=REL_TOL, abs_tol=0.0, own_clocks=True)
+        with pytest.raises(ValueError, match="per member"):
+            solve_to_grid(lambda t, y: -y, np.ones((2, 1)), [0.0, 1.0], rel_tol=REL_TOL,
+                          abs_tol=0.0, own_clocks=True, step_cap_fn=[lambda t, y: (1.0, y)])
