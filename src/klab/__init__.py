@@ -9,7 +9,6 @@ monitors the differential inequalities the theory predicts.
 from .spectral import (
     MassFunction,
     SpectralOperator,
-    apply_power,
     arithmetic_spectrum,
     as_states,
     as_vector,
@@ -38,6 +37,7 @@ from .energies import (
     perturbation_params,
     phi,
     psi,
+    require_admissible_beta,
     weight_integral,
     z_eps,
 )
@@ -46,14 +46,10 @@ from .evolution import (
     IntegratorConfig,
     Trajectory,
     coefficient_derivative,
-    corrector_series,
     corrector_velocity,
     hyperbolic_log_energy,
-    hyperbolic_rhs,
     integrate,
     parabolic_closed_form,
-    parabolic_rhs,
-    parabolic_second_derivative,
     remainders,
     residual_g,
     theta0,
@@ -91,7 +87,6 @@ from .harness import (
     SCENARIOS,
     apply_override,
     config_from_dict,
-    emit_report,
     emit_timeseries,
     load_config,
     render_report,

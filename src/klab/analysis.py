@@ -25,7 +25,7 @@ import numpy as np
 
 from . import energies as en
 from .evolution import Trajectory, coefficient_derivative, residual_g
-from .spectral import SpectralOperator, mass_inf, sobolev_norm_sq
+from .spectral import mass_inf, sobolev_norm_sq
 from ._rk import solve_to_grid
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "check_energy_monotone",
     "check_energy_sandwich",
     "check_lyapunov_decay",
+    "LEMMA_SERIES",
     "check_comparison_lemma",
     "synthetic_lemma_instances",
     "check_hypotheses",
@@ -249,15 +250,10 @@ def hyperbolic_series(
     return out
 
 
-def _h2_norm_sq(op: SpectralOperator, u: np.ndarray) -> np.ndarray:
-    """``|u|^2 + |A^(1/2)u|^2 + |Au|^2`` per row."""
-    return sobolev_norm_sq(op, u, 0.0) + sobolev_norm_sq(op, u, 0.5) + sobolev_norm_sq(op, u, 1.0)
-
-
 def parabolic_gamma_series(traj: Trajectory) -> np.ndarray:
     """First-order-run energy ``|u|^2+|A^(1/2)u|^2+|Au|^2+(1+t)^(-2p)|u'|^2``."""
     w = (1.0 + traj.times) ** (-2.0 * traj.p)
-    return _h2_norm_sq(traj.op, traj.u) + w * sobolev_norm_sq(traj.op, traj.velocity(), 0.0)
+    return en._h2_norm_sq(traj.op, traj.u) + w * sobolev_norm_sq(traj.op, traj.velocity(), 0.0)
 
 
 def check_energy_monotone(traj: Trajectory) -> CheckReport:
@@ -414,6 +410,28 @@ def _grid_integral(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.trapezoid(y, t))
 
 
+# The series each comparison lemma bounds, by kind: its hypothesis is a
+# differential inequality for that series, and the equality ODE below is the
+# extremal case the synthetic instances integrate.
+LEMMA_SERIES = {"lemma32": "G", "lemma33": "E", "lemma34": "F"}
+
+
+def _lemma32_rate(t, G, eps, K, p, phi_vals):
+    """``G' = -G/(eps (1+t)^p) + (K/eps)(1+t)^p Phi``."""
+    w = (1.0 + t) ** p
+    return -G / (eps * w) + (K / eps) * w * phi_vals
+
+
+def _lemma33_rate(E, psi1, psi2):
+    """``E' = psi1 sqrt(E) + psi2``."""
+    return psi1 * np.sqrt(np.maximum(E, 0.0)) + psi2
+
+
+def _lemma34_rate(t, F, beta, p, psi_vals):
+    """``F' = -beta (1+t)^(-p) F + psi``."""
+    return -beta * F / (1.0 + t) ** p + psi_vals
+
+
 def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
     """Verify one comparison lemma's conclusion on sampled inputs.
 
@@ -434,10 +452,13 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
     ``params["failure_kind"] = "hypothesis"``, distinct from a conclusion
     failure.  ``inputs["tol"]`` (default 1e-8) is the slack tolerance.
     """
+    if kind not in LEMMA_SERIES:
+        raise ValueError(f"unknown lemma kind {kind!r}")
+    name = f"comparison_{kind}"
     tol = float(inputs.get("tol", 1e-8))
     t = np.asarray(inputs["times"], dtype=float)
+    y = np.asarray(inputs[LEMMA_SERIES[kind]], dtype=float)
     if kind == "lemma32":
-        G = np.asarray(inputs["G"], dtype=float)
         eps = float(inputs["eps"])
         K = float(inputs["K"])
         beta = float(inputs["beta"])
@@ -447,59 +468,31 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
         if 2.0 * eps * beta > 1.0:
             raise ValueError("lemma32 requires 2*eps*beta <= 1")
         phi_vals = en.phi(beta, p, t)
-        rhs = -G / (eps * (1.0 + t) ** p) + (K / eps) * (1.0 + t) ** p * phi_vals
-        hyp = _slope_check(
-            "comparison_lemma32", t, G, rhs, tol, {"eps": eps, "K": K, "beta": beta, "p": p}
-        )
-        if not hyp.passed:
-            params = dict(hyp.params, failure_kind="hypothesis")
-            return CheckReport(hyp.name, False, hyp.worst_slack, hyp.worst_t, params)
-        bound = (2.0 * K + G[0]) * (1.0 + t) ** (2.0 * p) * phi_vals
-        slack = (bound - G) / np.maximum(bound, _TINY)
-        worst = int(np.argmin(slack))
-        params = {"eps": eps, "K": K, "beta": beta, "p": p, "bound_at_0": float(bound[0])}
-        rep = _report("comparison_lemma32", float(slack[worst]), float(t[worst]), tol, params)
-        if not rep.passed:
-            rep.params["failure_kind"] = "conclusion"
-        return rep
+        params = {"eps": eps, "K": K, "beta": beta, "p": p}
+        hyp = _slope_check(name, t, y, _lemma32_rate(t, y, eps, K, p, phi_vals), tol, params)
 
-    if kind == "lemma33":
-        E = np.asarray(inputs["E"], dtype=float)
+        def conclusion():
+            bound = (2.0 * K + y[0]) * (1.0 + t) ** (2.0 * p) * phi_vals
+            slack = (bound - y) / np.maximum(bound, _TINY)
+            return slack, t, dict(params, bound_at_0=float(bound[0]))
+
+    elif kind == "lemma33":
         psi1 = np.asarray(inputs["psi1"], dtype=float)
         psi2 = np.asarray(inputs["psi2"], dtype=float)
         if np.any(psi1 < 0) or np.any(psi2 < 0):
             raise ValueError("psi1 and psi2 must be nonnegative")
-        if abs(E[0]) > tol:
-            return _report(
-                "comparison_lemma33",
-                -abs(float(E[0])),
-                float(t[0]),
-                tol,
-                {"failure_kind": "hypothesis", "reason": "E(0) != 0"},
-            )
-        rhs = psi1 * np.sqrt(np.maximum(E, 0.0)) + psi2
-        hyp = _slope_check("comparison_lemma33", t, E, rhs, tol, {})
-        if not hyp.passed:
-            params = dict(hyp.params, failure_kind="hypothesis")
-            return CheckReport(hyp.name, False, hyp.worst_slack, hyp.worst_t, params)
-        K1 = float(inputs.get("K1", _grid_integral(t, psi1)))
-        K2 = float(inputs.get("K2", _grid_integral(t, psi2)))
-        bound = K1 * K1 + 2.0 * K2
-        slack = (bound - E) / max(bound, _TINY)
-        worst = int(np.argmin(slack))
-        rep = _report(
-            "comparison_lemma33",
-            float(slack[worst]),
-            float(t[worst]),
-            tol,
-            {"K1": K1, "K2": K2, "bound": bound},
-        )
-        if not rep.passed:
-            rep.params["failure_kind"] = "conclusion"
-        return rep
+        if abs(y[0]) > tol:
+            hyp = _report(name, -abs(float(y[0])), float(t[0]), tol, {"reason": "E(0) != 0"})
+        else:
+            hyp = _slope_check(name, t, y, _lemma33_rate(y, psi1, psi2), tol, {})
 
-    if kind == "lemma34":
-        F = np.asarray(inputs["F"], dtype=float)
+        def conclusion():
+            K1 = float(inputs.get("K1", _grid_integral(t, psi1)))
+            K2 = float(inputs.get("K2", _grid_integral(t, psi2)))
+            bound = K1 * K1 + 2.0 * K2
+            return (bound - y) / max(bound, _TINY), t, {"K1": K1, "K2": K2, "bound": bound}
+
+    else:
         psi_vals = np.asarray(inputs["psi"], dtype=float)
         T = float(inputs["T"])
         beta = float(inputs["beta"])
@@ -507,34 +500,30 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
         if np.any(psi_vals < 0):
             raise ValueError("psi must be nonnegative")
         phi_vals = en.phi(beta, p, t)
-        rhs = -beta * F / (1.0 + t) ** p + psi_vals
-        hyp = _slope_check(
-            "comparison_lemma34", t, F, rhs, tol, {"beta": beta, "p": p, "T": T}, t_start=T
-        )
-        if not hyp.passed:
-            params = dict(hyp.params, failure_kind="hypothesis")
-            return CheckReport(hyp.name, False, hyp.worst_slack, hyp.worst_t, params)
-        integral = float(
-            inputs.get("psi_over_phi_integral", _grid_integral(t, psi_vals / phi_vals))
-        )
-        iT = int(np.searchsorted(t, T - 1e-12 * max(1.0, T)))
-        const = F[iT] / phi_vals[iT] + integral
-        mask = t >= t[iT]
-        bound = const * phi_vals[mask]
-        slack = (bound - F[mask]) / np.maximum(np.abs(bound), _TINY)
-        worst = int(np.argmin(slack))
-        rep = _report(
-            "comparison_lemma34",
-            float(slack[worst]),
-            float(t[mask][worst]),
-            tol,
-            {"beta": beta, "p": p, "T": T, "bound_constant": float(const)},
-        )
-        if not rep.passed:
-            rep.params["failure_kind"] = "conclusion"
-        return rep
+        params = {"beta": beta, "p": p, "T": T}
+        rhs = _lemma34_rate(t, y, beta, p, psi_vals)
+        hyp = _slope_check(name, t, y, rhs, tol, params, t_start=T)
 
-    raise ValueError(f"unknown lemma kind {kind!r}")
+        def conclusion():
+            integral = float(
+                inputs.get("psi_over_phi_integral", _grid_integral(t, psi_vals / phi_vals))
+            )
+            iT = int(np.searchsorted(t, T - 1e-12 * max(1.0, T)))
+            const = y[iT] / phi_vals[iT] + integral
+            mask = t >= t[iT]
+            bound = const * phi_vals[mask]
+            slack = (bound - y[mask]) / np.maximum(np.abs(bound), _TINY)
+            return slack, t[mask], dict(params, bound_constant=float(const))
+
+    if hyp.passed:
+        slack, times, params = conclusion()
+        worst = int(np.argmin(slack))
+        rep = _report(name, float(slack[worst]), float(times[worst]), tol, params)
+    else:
+        rep = hyp
+    if not rep.passed:
+        rep.params["failure_kind"] = "conclusion" if hyp.passed else "hypothesis"
+    return rep
 
 
 def _draw_lemma_params(kind: str, rng: np.random.Generator) -> dict[str, float]:
@@ -612,23 +601,22 @@ def synthetic_lemma_instances(
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
             t = s * t_end
-            w = (1.0 + t) ** p
-            rate = -y[:, 0] / (eps * w) + (K / eps) * w * en.phi(beta, p, t)
+            rate = _lemma32_rate(t, y[:, 0], eps, K, p, en.phi(beta, p, t))
             return (t_end * rate)[:, None]
 
     elif kind == "lemma33":
         forcing = (par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
-            p1, p2 = _lemma33_forcing(s * t_end, *forcing)
-            return (t_end * (p1 * np.sqrt(np.maximum(y[:, 0], 0.0)) + p2))[:, None]
+            rate = _lemma33_rate(y[:, 0], *_lemma33_forcing(s * t_end, *forcing))
+            return (t_end * rate)[:, None]
 
     else:
         beta, beta_fast, q = par["beta"], par["beta_fast"], par["q"]
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
             t = s * t_end
-            rate = -beta * y[:, 0] / (1.0 + t) ** p + q * en.phi(beta_fast, p, t)
+            rate = _lemma34_rate(t, y[:, 0], beta, p, q * en.phi(beta_fast, p, t))
             return (t_end * rate)[:, None]
 
     Y, _, stats = solve_to_grid(
@@ -639,15 +627,15 @@ def synthetic_lemma_instances(
     for i, d in enumerate(draws):
         times = d["t_end"] * tau
         series = Y[:, i, 0] * np.exp(-d["shrink"] * times)
-        inst: dict[str, Any] = {"times": times, "steps": steps}
+        inst: dict[str, Any] = {"times": times, "steps": steps, LEMMA_SERIES[kind]: series}
         if kind == "lemma32":
-            inst.update(G=series, eps=d["eps"], K=d["K"], beta=d["beta"], p=d["p"])
+            inst.update(eps=d["eps"], K=d["K"], beta=d["beta"], p=d["p"])
         elif kind == "lemma33":
             psi1, psi2 = _lemma33_forcing(times, d["a1"], d["b1"], d["a2"], d["b2"], d["k1"])
-            inst.update(E=series, psi1=psi1, psi2=psi2)
+            inst.update(psi1=psi1, psi2=psi2)
         else:
             psi = (d["q"] + d["extra"]) * en.phi(d["beta_fast"], d["p"], times)
-            inst.update(F=series, psi=psi, T=d["T"], beta=d["beta"], p=d["p"])
+            inst.update(psi=psi, T=d["T"], beta=d["beta"], p=d["p"])
         instances.append(inst)
     return instances
 
@@ -749,8 +737,7 @@ def check_residual_bounds(
     ``int_0^inf z_eps/phi <= 4 eps`` is asserted exactly for every ``eps``
     with ``2 eps beta <= 1`` and ``4 eps <= 1``.
     """
-    if p == 0.0 and beta >= 2.0 * mu * nu:
-        raise ValueError("p=0 requires beta < 2*mu*nu")
+    en.require_admissible_beta(beta, p, mu, nu)
     t = np.asarray(times, dtype=float)
     phi_vals = en.phi(beta, p, t)
     weight = (1.0 + t) ** p
@@ -1025,8 +1012,7 @@ def epsilon_sweep_decay_error(
     for small, large in zip(eps_sorted, eps_sorted[1:]):
         if abs(large / small - 2.0) > 1e-9:
             raise ValueError("eps values must form a halving (ratio-2) sweep")
-    if p == 0.0 and beta >= 2.0 * mu * nu:
-        raise ValueError("p=0 requires beta < 2*mu*nu")
+    en.require_admissible_beta(beta, p, mu, nu)
     eps_desc = eps_sorted[::-1]
     t = np.asarray(times, dtype=float)
     phi_vals = en.phi(beta, p, t)
@@ -1111,7 +1097,7 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     p, op = traj.p, traj.op
     mu = mass_inf(traj.mass)
     t = traj.times
-    lhs = _h2_norm_sq(op, traj.u)
+    lhs = en._h2_norm_sq(op, traj.u)
     g = en.gamma_rate(mu, op.nu, p)
     C = 1.05 * lhs[0] * math.exp(g)
     bound = en.parabolic_bound_rhs(t, p, mu, op.nu, C)

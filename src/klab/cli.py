@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Four subcommands, all batch-oriented:
+Three subcommands, all batch-oriented:
 
 - ``klab simulate --config c.json --out d/`` integrates the configured flows
   and writes timeseries CSVs (ignoring the config's scenario field).
 - ``klab verify --config c.json --out d/`` runs the configured scenario's
   checks and writes CSVs plus ``report.json``.
-- ``klab sweep --config c.json --out d/ --override epsilon=[0.04,0.02,0.01]``
-  is ``verify`` with config overrides applied first (batch ergonomics).
 - ``klab report --out d/`` re-renders ``report.json`` from the stored CSVs.
+
+``simulate`` and ``verify`` apply each ``--override key=value`` to the config
+first, for example ``--override epsilon=[0.04,0.02,0.01]``.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration or
 environment error, 3 integration or other runtime failure.
@@ -42,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, summary in (
         ("simulate", "integrate the configured flows and write timeseries CSVs"),
         ("verify", "run the configured scenario's checks and write a report"),
-        ("sweep", "verify with --override applied to the config first"),
     ):
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=True, help="path to the JSON run config")

@@ -36,6 +36,7 @@ __all__ = [
     "parabolic_bound_rhs",
     "gamma_rate",
     "LyapunovParams",
+    "require_admissible_beta",
     "decay_params",
     "perturbation_params",
     "gamma_eps",
@@ -211,6 +212,17 @@ class LyapunovParams:
             raise ValueError("sigma must be > 0 when present")
 
 
+def require_admissible_beta(beta: float, p: float, mu: float, nu: float) -> None:
+    """The decay rate ``beta`` the estimates admit: at ``p = 0`` only ``beta < 2 mu nu``.
+
+    ValueError otherwise; every ``p > 0`` admits every ``beta``.
+    """
+    if p == 0.0 and beta >= 2.0 * mu * nu:
+        raise ValueError(
+            f"p=0 requires beta < 2*mu*nu (got beta={beta}, 2*mu*nu={2.0 * mu * nu})"
+        )
+
+
 def decay_params(beta: float, p: float, mu: float, nu: float) -> LyapunovParams:
     """Lyapunov parameters for the decay monitors.
 
@@ -221,11 +233,8 @@ def decay_params(beta: float, p: float, mu: float, nu: float) -> LyapunovParams:
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
+    require_admissible_beta(beta, p, mu, nu)
     if p == 0.0:
-        if beta >= 2.0 * mu * nu:
-            raise ValueError(
-                f"p=0 requires beta < 2*mu*nu (got beta={beta}, 2*mu*nu={2.0 * mu * nu})"
-            )
         delta = 2.0 * (beta + 1.0) * nu / (2.0 * mu * nu - beta)
         return LyapunovParams(beta, p, delta, 0.0)
     delta = (beta + 2.0) / mu
@@ -243,11 +252,8 @@ def perturbation_params(beta: float, p: float, mu: float, nu: float) -> Lyapunov
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
+    require_admissible_beta(beta, p, mu, nu)
     if p == 0.0:
-        if beta >= 2.0 * mu * nu:
-            raise ValueError(
-                f"p=0 requires beta < 2*mu*nu (got beta={beta}, 2*mu*nu={2.0 * mu * nu})"
-            )
         delta = 4.0 * (beta + 1.0) * nu / (2.0 * mu * nu - beta)
         sigma = mu * nu - beta / 2.0
         return LyapunovParams(beta, p, delta, 0.0, sigma)
@@ -257,15 +263,14 @@ def perturbation_params(beta: float, p: float, mu: float, nu: float) -> Lyapunov
     return LyapunovParams(beta, p, delta, T, sigma)
 
 
+def _h2_norm_sq(op: SpectralOperator, u):
+    """``|u|^2 + |A^(1/2)u|^2 + |Au|^2``, summed left to right; one value per row."""
+    return sobolev_norm_sq(op, u, 0.0) + sobolev_norm_sq(op, u, 0.5) + sobolev_norm_sq(op, u, 1.0)
+
+
 def gamma_eps(u, v, eps: float, op: SpectralOperator):
     """Full second-order energy ``|u|^2 + |A^(1/2)u|^2 + |Au|^2 + |u'|^2 + eps |A^(1/2)u'|^2``."""
-    return (
-        sobolev_norm_sq(op, u, 0.0)
-        + sobolev_norm_sq(op, u, 0.5)
-        + sobolev_norm_sq(op, u, 1.0)
-        + sobolev_norm_sq(op, v, 0.0)
-        + eps * sobolev_norm_sq(op, v, 0.5)
-    )
+    return _h2_norm_sq(op, u) + sobolev_norm_sq(op, v, 0.0) + eps * sobolev_norm_sq(op, v, 0.5)
 
 
 def gamma_r(rho, rprime, eps: float, op: SpectralOperator):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk import BatchStats, IntegrationError, StepStats, solve_to_grid
-from .energies import gamma_eps, growth_integral, kernel_integral, z_eps
+from .energies import gamma_eps, growth_integral, z_eps
 from .spectral import (
     MassFunction,
     SpectralOperator,
@@ -56,15 +56,11 @@ __all__ = [
     "Trajectory",
     "IntegratorConfig",
     "IntegrationError",
-    "hyperbolic_rhs",
-    "parabolic_rhs",
     "integrate",
     "parabolic_closed_form",
     "theta0",
     "corrector_velocity",
-    "corrector_series",
     "coefficient_derivative",
-    "parabolic_second_derivative",
     "residual_g",
     "remainders",
     "hyperbolic_log_energy",
@@ -166,10 +162,6 @@ class Trajectory:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c_trace", c)
 
-    @property
-    def n_samples(self) -> int:
-        return int(self.times.size)
-
     def velocity(self) -> np.ndarray:
         """``u'`` at every sample: stored for the second-order flow, recomputed
         from the first-order equation (with the coefficient trace) otherwise."""
@@ -223,58 +215,6 @@ def _parabolic_acceleration(t, u: np.ndarray, m: MassFunction, lam: np.ndarray, 
     second = -(one_t**p) * c_prime * au
     third = one_t ** (2.0 * p) * c * c * lam * au
     return c, first + second + third
-
-
-def _require_finite(x: np.ndarray, t) -> None:
-    bad = ~np.isfinite(x).all(axis=-1)
-    if np.any(bad):
-        t_bad = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)[bad]
-        raise IntegrationError(f"nonfinite right-hand side at t={float(t_bad[0]):.6g}")
-
-
-def hyperbolic_rhs(
-    t,
-    u,
-    v,
-    eps: float,
-    p: float,
-    op: SpectralOperator,
-    m: MassFunction,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the second-order flow as a first-order system.
-
-    ``du = v`` and ``dv_k = -[(1+t)^(-p) v_k + m(|A^(1/2)u|^2) lambda_k u_k]/eps``
-    for one state or for ``(n, K)`` rows with ``(n,)`` times.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    u = as_states(u, op)
-    v = as_states(v, op)
-    if u.shape != v.shape:
-        raise ValueError("u and v must have the same shape")
-    lam = op.eigenvalues
-    c = _column(_at_sigma(m_eval, m, lam, u), u)
-    w = (1.0 + _column(t, u)) ** (-p)
-    dv = _hyperbolic_acceleration(w, u, v, c, lam, eps)
-    _require_finite(dv, t)
-    return v.copy(), dv
-
-
-def parabolic_rhs(t, u, p: float, op: SpectralOperator, m: MassFunction) -> np.ndarray:
-    """First-order flow: ``du_k = -(1+t)^p m(|A^(1/2)u|^2) lambda_k u_k`` (any p >= 0).
-
-    One state, or ``(n, K)`` rows with ``(n,)`` times.
-    """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    u = as_states(u, op)
-    lam = op.eigenvalues
-    c = _column(_at_sigma(m_eval, m, lam, u), u)
-    du = _parabolic_velocity(_column(t, u), u, c, lam, p)
-    _require_finite(du, t)
-    return du
 
 
 # A mode retires (is set to exactly 0) once two things hold, and its share
@@ -581,28 +521,10 @@ def corrector_velocity(theta0_vec, eps: float, p: float, times) -> np.ndarray:
     """The boundary-layer corrector's derivative ``theta'(t) = theta0 z_eps(t)``.
 
     An ``(n, K)`` array along the time grid, ``theta0`` at ``t = 0``.
-    ValueError (from ``z_eps``) unless ``eps > 0`` and ``0 <= p <= 1``.
+    ValueError (from ``z_eps``) unless ``eps > 0``.
     """
     th0 = as_vector(theta0_vec)
     return z_eps(eps, p, np.asarray(times, dtype=float))[:, None] * th0
-
-
-def corrector_series(
-    theta0_vec, eps: float, p: float, times
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary-layer corrector ``(theta, theta')`` sampled along a time grid.
-
-    ``theta'`` is :func:`corrector_velocity` and ``theta(t) = theta0
-    int_0^t z_eps``, each an ``(n, K)`` array; the time integral is
-    ``kernel_integral(1/eps, p, t)``, a closed form at ``p = 0`` and a Gauss
-    rule otherwise (about 1e-12 relative).  At ``t = 0``: ``theta = 0``,
-    ``theta' = theta0``.  ValueError (from ``z_eps`` and ``kernel_integral``)
-    unless ``eps > 0`` and ``0 <= p <= 1``.
-    """
-    theta_prime = corrector_velocity(theta0_vec, eps, p, times)
-    th0 = as_vector(theta0_vec)
-    theta = kernel_integral(1.0 / eps, p, np.asarray(times, dtype=float))[:, None] * th0
-    return theta, theta_prime
 
 
 def coefficient_derivative(traj: Trajectory) -> np.ndarray:
@@ -613,18 +535,6 @@ def coefficient_derivative(traj: Trajectory) -> np.ndarray:
     lam = traj.op.eigenvalues
     dm = _at_sigma(m_prime, traj.mass, lam, traj.u)
     return 2.0 * dm * ((traj.u * traj.velocity()) @ lam)
-
-
-def parabolic_second_derivative(
-    t, u, p: float, op: SpectralOperator, m: MassFunction
-) -> np.ndarray:
-    """``u''`` of the first-order flow by analytic chaining (no differencing).
-
-    ``u'' = -p(1+t)^(p-1) c Au - (1+t)^p c' Au + (1+t)^(2p) c^2 A^2 u`` with
-    ``c'`` evaluated through ``u'`` from the flow equation.  One state, or
-    ``(n, K)`` rows with ``(n,)`` times.
-    """
-    return _parabolic_acceleration(t, as_states(u, op), m, op.eigenvalues, p)[1]
 
 
 def residual_g(

@@ -59,7 +59,6 @@ __all__ = [
     "run_scenario",
     "render_report",
     "emit_timeseries",
-    "emit_report",
 ]
 
 SCENARIOS = (
@@ -137,24 +136,22 @@ def _parse_operator(raw: Any) -> SpectralOperator:
             raise ConfigError(f"operator: {exc}") from exc
     if "family" not in raw:
         _fail("operator", "needs either 'eigenvalues' or 'family'")
-    family = raw["family"]
-    nu = _number(raw, "nu", required=True)
-    modes_raw = raw.get("K", raw.get("modes"))
-    if not isinstance(modes_raw, int) or isinstance(modes_raw, bool) or modes_raw < 1:
-        _fail("operator.K", "expected a positive integer mode count")
-    known = {"family", "nu", "K", "modes", "exponent", "gap", "parameter"}
+    known = {"family", "nu", "K", "exponent", "gap"}
     for key in raw:
         if key not in known:
             _fail(f"operator.{key}", "unknown field")
+    family = raw["family"]
+    nu = _number(raw, "nu", required=True)
+    modes_raw = raw.get("K")
+    if not isinstance(modes_raw, int) or isinstance(modes_raw, bool) or modes_raw < 1:
+        _fail("operator.K", "expected a positive integer mode count")
     try:
         if family == "uniform":
             return uniform_spectrum(nu, modes_raw)
         if family == "power":
-            exponent = raw.get("exponent", raw.get("parameter", 2.0))
-            return power_spectrum(nu, modes_raw, float(exponent))
+            return power_spectrum(nu, modes_raw, float(raw.get("exponent", 2.0)))
         if family == "arithmetic":
-            gap = raw.get("gap", raw.get("parameter", nu))
-            return arithmetic_spectrum(nu, modes_raw, float(gap))
+            return arithmetic_spectrum(nu, modes_raw, float(raw.get("gap", nu)))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"operator: {exc}") from exc
     _fail("operator.family", f"unknown family {family!r}")
@@ -163,31 +160,26 @@ def _parse_operator(raw: Any) -> SpectralOperator:
 def _parse_mass(raw: Any) -> MassFunction:
     if not isinstance(raw, dict):
         _fail("mass", "expected an object")
+    # {"constant": c}, {"affine" | "rational": {"base", "coeff"}} or
+    # {"variant", "base", "coeff"}; a constant mass has no coefficient
+    variant = next((v for v in MassFunction._VARIANTS if v in raw), None)
     try:
-        if "constant" in raw:
-            return MassFunction.constant(float(raw["constant"]))
-        if "affine" in raw:
-            spec = raw["affine"]
-            return MassFunction.affine(float(spec["base"]), float(spec["coeff"]))
-        if "rational" in raw:
-            spec = raw["rational"]
-            return MassFunction.rational(float(spec["base"]), float(spec["coeff"]))
-        if "variant" in raw:
-            variant = raw["variant"]
-            base = float(raw.get("base", 1.0))
-            coeff = float(raw.get("coeff", 0.0))
-            if variant == "constant":
-                return MassFunction.constant(base)
-            if variant == "affine":
-                return MassFunction.affine(base, coeff)
-            if variant == "rational":
-                return MassFunction.rational(base, coeff)
-            _fail("mass.variant", f"unknown variant {variant!r}")
+        if variant == "constant":
+            base, coeff = raw["constant"], 0.0
+        elif variant is not None:
+            base, coeff = raw[variant]["base"], raw[variant]["coeff"]
+        elif "variant" in raw:
+            variant, base, coeff = raw["variant"], raw.get("base", 1.0), raw.get("coeff", 0.0)
+            if variant not in MassFunction._VARIANTS:
+                _fail("mass.variant", f"unknown variant {variant!r}")
+        else:
+            _fail("mass", "needs one of 'constant', 'affine', 'rational' or 'variant'")
+        base, coeff = float(base), float(coeff)
+        return MassFunction(variant, base, 0.0 if variant == "constant" else coeff)
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"mass: {exc}") from exc
-    _fail("mass", "needs one of 'constant', 'affine', 'rational' or 'variant'")
 
 
 def _parse_initial(
@@ -203,11 +195,8 @@ def _parse_initial(
         u0[0] = 1.0
         if preset == "lowest_mode":
             u1 = np.zeros(op.dim)
-        elif preset == "well_prepared":
-            sigma = float((op.eigenvalues * u0 * u0).sum())
-            from .spectral import m_eval
-
-            u1 = -m_eval(m, sigma) * op.eigenvalues * u0
+        elif preset == "well_prepared":  # the corrector vanishes
+            u1 = -theta0(u0, np.zeros(op.dim), op, m)
         else:  # boundary_layer
             u1 = u0.copy()
         return u0, u1
@@ -284,11 +273,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     beta = _number(raw, "beta", required=True)
     if beta <= 0:
         _fail("beta", "must be positive")
-    if p == 0.0 and beta >= 2.0 * mass_inf(m) * op.nu:
-        raise ConfigError(
-            "p=0 requires beta < 2*mu*nu "
-            f"(beta={beta}, 2*mu*nu={2.0 * mass_inf(m) * op.nu})"
-        )
+    try:
+        en.require_admissible_beta(beta, p, mass_inf(m), op.nu)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     t_end = _number(raw, "t_end", default=None)
     if t_end is None:
         t_end = _default_t_end(beta, p)
@@ -445,20 +433,6 @@ def _write_report(
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def emit_report(
-    reports: list[an.CheckReport],
-    fits: list[tuple[str, an.RateFit]],
-    path: str | Path,
-) -> None:
-    """Write the report JSON: checks, fits, measured constants; sorted keys."""
-    _write_report(
-        Path(path),
-        [_check_entry(r) for r in reports],
-        [_fit_entry(n, f) for n, f in fits],
-        {},
-    )
-
-
 # ---------------------------------------------------------------------------
 # scenario orchestration
 
@@ -569,13 +543,10 @@ def _flow_csv(
     }
 
 
-# the series each lemma kind compares with its profile, written as ``gamma``
-_LEMMA_SERIES = {"lemma32": "G", "lemma33": "E", "lemma34": "F"}
-
-
 def _lemma_csv(ctx: _Context, kind: str, inst: dict[str, Any]) -> dict[str, np.ndarray]:
-    """The compared series of a synthetic lemma instance and its ratio to ``phi``."""
-    series = np.asarray(inst[_LEMMA_SERIES[kind]], dtype=float)
+    """The series a synthetic lemma instance bounds, written as ``gamma``, and its
+    ratio to ``phi``."""
+    series = np.asarray(inst[an.LEMMA_SERIES[kind]], dtype=float)
     beta = float(inst.get("beta", ctx.cfg.beta))
     p = float(inst.get("p", ctx.cfg.p))
     phi = en.phi(beta, p, inst["times"])
@@ -707,7 +678,7 @@ def _scn_optimality(ctx: _Context) -> None:
 
 def _scn_lemmas(ctx: _Context, instances: int = 100) -> None:
     rng = np.random.default_rng(ctx.cfg.seed)
-    for kind in _LEMMA_SERIES:
+    for kind in an.LEMMA_SERIES:
         for i, inputs in enumerate(an.synthetic_lemma_instances(kind, rng, instances)):
             rep = an.check_comparison_lemma(kind, inputs)
             rep.params["instance"] = i

@@ -23,7 +23,6 @@ __all__ = [
     "as_vector",
     "as_states",
     "sobolev_norm_sq",
-    "apply_power",
     "m_eval",
     "m_prime",
     "mass_inf",
@@ -132,16 +131,6 @@ def sobolev_norm_sq(op: SpectralOperator, v, s: float):
     return float(norm) if v.ndim == 1 else norm
 
 
-def apply_power(op: SpectralOperator, v, s: float) -> np.ndarray:
-    """``(A^s v)_k = lambda_k^s v_k``; ``s = 0`` is the identity."""
-    v = as_vector(v, op)
-    if s < 0:
-        raise ValueError("power s must be >= 0")
-    if s == 0:
-        return v.copy()
-    return op.eigenvalues**s * v
-
-
 @dataclass(frozen=True)
 class MassFunction:
     """Scalar nonlinearity ``m(sigma)`` with an analytic derivative and infimum.
@@ -170,18 +159,6 @@ class MassFunction:
             raise ValueError("base must be a positive finite real")
         if not (math.isfinite(self.coeff) and self.coeff >= 0.0):
             raise ValueError("coeff must be a nonnegative finite real")
-
-    @classmethod
-    def constant(cls, value: float) -> "MassFunction":
-        return cls("constant", value)
-
-    @classmethod
-    def affine(cls, base: float, slope: float) -> "MassFunction":
-        return cls("affine", base, slope)
-
-    @classmethod
-    def rational(cls, base: float, coeff: float) -> "MassFunction":
-        return cls("rational", base, coeff)
 
     @property
     def is_constant(self) -> bool:

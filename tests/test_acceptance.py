@@ -249,7 +249,7 @@ def test_criterion_05_lyapunov_suite():
     for p, eps, hyp in runs:
         assert eps <= 0.05
         t_end = float(hyp.times[-1])
-        n = hyp.n_samples
+        n = hyp.times.size
         u0, u1 = hyp.u[0], hyp.v[0]
         lp_decay = decay_params(1.0, p, 1.0, 1.0)
         reports = [

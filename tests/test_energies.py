@@ -102,10 +102,6 @@ _ROW_FUNCTIONALS = [
     ("energy_G", lambda t, u, v, c: energy_G(v)),
     ("optimality_H", lambda t, u, v, c: optimality_H(u, v, 0.03, c, 1.0 + t, OP3)),
     ("sobolev_norm_sq", lambda t, u, v, c: klab.sobolev_norm_sq(OP3, u, 0.75)),
-    ("parabolic_rhs", lambda t, u, v, c: klab.parabolic_rhs(t, u, 0.5, OP3, _MASS)),
-    ("hyperbolic_rhs", lambda t, u, v, c: klab.hyperbolic_rhs(t, u, v, 0.03, 0.5, OP3, _MASS)[1]),
-    ("parabolic_second_derivative",
-     lambda t, u, v, c: klab.parabolic_second_derivative(t, u, 0.5, OP3, _MASS)),
     ("residual_g", lambda t, u, v, c: klab.residual_g(t, u, c, OP3, _MASS, 0.5, 0.03)),
 ]
 

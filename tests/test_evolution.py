@@ -13,14 +13,11 @@ from klab import (
     SpectralOperator,
     Trajectory,
     coefficient_derivative,
-    corrector_series,
     corrector_velocity,
     hyperbolic_log_energy,
-    hyperbolic_rhs,
     integrate,
+    kernel_integral,
     parabolic_closed_form,
-    parabolic_rhs,
-    parabolic_second_derivative,
     power_spectrum,
     remainders,
     residual_g,
@@ -46,27 +43,27 @@ def hand_run(kind, u, v, c, mass=M1, eps=None, op=OP1, times=(0.0, 1.0)):
 
 class TestRightHandSides:
     def test_hyperbolic_worked_values(self):
-        du, dv = hyperbolic_rhs(0.0, np.array([1.0]), np.array([1.0]), 1.0, 0.7, OP1, M1)
-        np.testing.assert_allclose(du, [1.0])
-        np.testing.assert_allclose(dv, [-2.0])
+        # the system y' = f(t, y), y = (u, u'), that integrate solves
+        def rhs(t, u, v, eps, p):
+            f, _ = klab.evolution._hyperbolic_system(OP1, M1, eps, p, CFG.oscillation_safety)
+            return f(t, np.array([u, v]))
 
-        du, dv = hyperbolic_rhs(0.0, np.array([0.0]), np.array([0.0]), 0.5, 0.0, OP1, M1)
-        np.testing.assert_array_equal(du, [0.0])
-        np.testing.assert_array_equal(dv, [0.0])
-
-        _, dv = hyperbolic_rhs(3.0, np.array([0.0]), np.array([1.0]), 0.5, 1.0, OP1, M1)
-        np.testing.assert_allclose(dv, [-0.5])
+        np.testing.assert_allclose(rhs(0.0, 1.0, 1.0, 1.0, 0.7), [1.0, -2.0])
+        np.testing.assert_array_equal(rhs(0.0, 0.0, 0.0, 0.5, 0.0), [0.0, 0.0])
+        np.testing.assert_allclose(rhs(3.0, 0.0, 1.0, 0.5, 1.0), [1.0, -0.5])
 
     def test_parabolic_worked_values(self):
-        assert parabolic_rhs(0.0, np.array([0.0]), 0.3, OP1, M1) == pytest.approx([0.0])
+        # u' = -(1+t)^p c A u, recomputed from the coefficient trace at each sample
+        assert hand_run("parabolic", [[0.0], [0.0]], None, [1.0, 1.0]).velocity()[0] == 0.0
 
         op2 = SpectralOperator(np.array([2.0]), 1.0)
         m3 = MassFunction("constant", 3.0)
-        du = parabolic_rhs(0.0, np.array([1.0]), 0.9, op2, m3)
-        np.testing.assert_allclose(du, [-6.0])
+        run = dataclasses.replace(
+            hand_run("parabolic", [[1.0], [1.0]], None, [3.0, 3.0], m3, op=op2), p=0.9)
+        np.testing.assert_allclose(run.velocity()[0], [-6.0])
 
-        du = parabolic_rhs(1.0, np.array([1.0]), 1.0, OP1, M1)
-        np.testing.assert_allclose(du, [-2.0])
+        run = dataclasses.replace(hand_run("parabolic", [[1.0], [1.0]], None, [1.0, 1.0]), p=1.0)
+        np.testing.assert_allclose(run.velocity()[1], [-2.0])
 
 
 class TestParabolicClosedForm:
@@ -331,7 +328,7 @@ class TestSweepBatch:
         # the sweep of the verify benchmark's decay scenarios (seed 1): K 4,
         # affine mass, p 0.5, 4096 samples to t = 16
         op = power_spectrum(1.0, 4, 2.0)
-        args = (all_mode_data(1, op), 16.0, 4096, CFG, op, MassFunction.affine(1.0, 1.0), 0.5)
+        args = (all_mode_data(1, op), 16.0, 4096, CFG, op, MassFunction("affine", 1.0, 1.0), 0.5)
         sweep = [0.04, 0.02, 0.01]
         trajs = integrate("hyperbolic", *args, eps=sweep)
         assert [t.eps for t in trajs] == sweep
@@ -376,18 +373,24 @@ class TestSweepBatch:
                 integrate("hyperbolic", ([1.0], [0.0]), 1.0, 4, CFG, OP1, M1, 0.0, eps=eps)
 
 
+def corrector(th0, eps, p, times):
+    """``(theta, theta')`` of the corrector: ``theta = theta0 int_0^t z_eps``."""
+    theta = kernel_integral(1.0 / eps, p, np.asarray(times, dtype=float))[:, None] * th0
+    return theta, corrector_velocity(th0, eps, p, times)
+
+
 class TestCorrector:
     def test_worked_values(self):
-        th, thp = corrector_series([1.0], 0.5, 0.0, [0.0, 1.0])
+        th, thp = corrector([1.0], 0.5, 0.0, [0.0, 1.0])
         np.testing.assert_allclose(thp[1], [math.exp(-2.0)], rtol=1e-14)
         np.testing.assert_allclose(th[1], [0.5 * (1.0 - math.exp(-2.0))], rtol=1e-14)
 
-        th, thp = corrector_series([1.0], 0.5, 1.0, [0.0, 1.0])
+        th, thp = corrector([1.0], 0.5, 1.0, [0.0, 1.0])
         np.testing.assert_allclose(thp[1], [0.25], rtol=1e-14)
         # p = 1: int_0^1 (1+s)^(-2) ds = 1/2
         np.testing.assert_allclose(th[1], [0.5], rtol=1e-14)
 
-        th, thp = corrector_series([2.0, -1.0], 0.1, 0.3, [0.0])
+        th, thp = corrector(np.array([2.0, -1.0]), 0.1, 0.3, [0.0])
         np.testing.assert_array_equal(th, [[0.0, 0.0]])
         np.testing.assert_allclose(thp, [[2.0, -1.0]])
 
@@ -407,7 +410,7 @@ class TestCorrector:
 
     def test_series_consistent_with_quadrature(self):
         times = np.linspace(0.0, 5.0, 2001)
-        theta, theta_p = corrector_series([1.0], 0.08, 0.5, times)
+        theta, theta_p = corrector([1.0], 0.08, 0.5, times)
         np.testing.assert_allclose(theta_p[:, 0], [z_eps(0.08, 0.5, t) for t in times],
                                    rtol=1e-12)
         # derivative of theta matches theta' away from t=0
@@ -419,15 +422,17 @@ class TestCorrector:
     def test_series_matches_the_kernel_oracle(self, eps, p):
         # theta / theta0 = int_0^t z_eps, against a 30-digit quadrature
         times = np.array([0.0, 1e-4, 0.03, 0.5, 2.0, 9.0, 40.0])
-        theta, _ = corrector_series([2.0], eps, p, times)
+        theta, _ = corrector([2.0], eps, p, times)
         want = [oracles.kernel_integral_mp(1.0 / eps, p, t) for t in times]
         np.testing.assert_allclose(theta[:, 0] / 2.0, want, rtol=1e-12, atol=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            corrector_series([1.0], 0.1, 1.5, [1.0])
+            corrector([1.0], 0.1, 1.5, [1.0])
         with pytest.raises(ValueError):
-            corrector_series([1.0], -0.1, 0.5, [1.0])
+            corrector([1.0], -0.1, 0.5, [1.0])
+        with pytest.raises(ValueError):
+            corrector_velocity([1.0], -0.1, 0.5, [1.0])
 
 
 def test_theta0_worked_values():
@@ -475,15 +480,14 @@ class TestCoefficientTraces:
 
 class TestSecondDerivativeAndResidual:
     def test_parabolic_second_derivative_values(self):
-        zero = np.array([0.0])
-        np.testing.assert_array_equal(parabolic_second_derivative(0.0, zero, 0.0, OP1, M1), [0.0])
+        # with c_eps = c the residual is -eps u'', u'' of the limit flow
+        def udd(t, u, op):
+            return residual_g(t, np.array([u]), 1.0, op, M1, 0.0, 0.5) / -0.5
 
-        np.testing.assert_allclose(
-            parabolic_second_derivative(2.0, np.array([1.0]), 0.0, OP1, M1), [1.0])
-
+        np.testing.assert_array_equal(udd(0.0, 0.0, OP1), [0.0])
+        np.testing.assert_allclose(udd(2.0, 1.0, OP1), [1.0])
         op2 = SpectralOperator(np.array([2.0]), 1.0)
-        np.testing.assert_allclose(parabolic_second_derivative(
-            0.0, np.array([1.0]), 0.0, op2, M1), [4.0])
+        np.testing.assert_allclose(udd(0.0, 1.0, op2), [4.0])
 
     def test_residual_worked_values(self):
         zero = np.array([0.0])
@@ -496,10 +500,12 @@ class TestSecondDerivativeAndResidual:
         traj = integrate("parabolic", [1.0, -0.2], 3.0, 120, CFG,
                          SpectralOperator(np.array([1.0, 2.0]), 1.0), M1, 0.5)
         op = SpectralOperator(np.array([1.0, 2.0]), 1.0)
+        lam = op.eigenvalues
         for i in (0, 60, 119):
             t, u = traj.times[i], traj.u[i]
             g = residual_g(t, u, 1.0, op, M1, 0.5, 0.02)
-            udd = parabolic_second_derivative(t, u, 0.5, op, M1)
+            # u' = -(1+t)^p A u at unit mass, so u'' = ((1+t)^(2p) A^2 - p (1+t)^(p-1) A) u
+            udd = ((1.0 + t) * lam**2 - 0.5 * (1.0 + t) ** -0.5 * lam) * u
             np.testing.assert_allclose(g, -0.02 * udd, rtol=1e-14)
 
 
@@ -514,7 +520,7 @@ class TestRemainders:
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        theta, theta_p = corrector_series(th0, 0.05, 0.5, par.times)
+        theta, theta_p = corrector(th0, 0.05, 0.5, par.times)
         rho, rp = remainders(hyp, par, theta_p)
         r = rho - theta
         np.testing.assert_allclose(rho[0], [0.0, 0.0], atol=1e-15)
@@ -525,7 +531,7 @@ class TestRemainders:
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        theta, theta_p = corrector_series(th0, 0.05, 0.5, par.times)
+        theta, theta_p = corrector(th0, 0.05, 0.5, par.times)
         rho, _ = remainders(hyp, par, theta_p)
         r = rho - theta
         # u_eps = u + theta + r at every sample, to roundoff
@@ -538,10 +544,8 @@ class TestRemainders:
         u0 = [1.0, 0.5]
         op = SpectralOperator(np.array([1.0, 2.0]), 1.0)
         par = integrate("parabolic", u0, 6.0, 240, CFG, op, M1, 0.5)
-        from klab import parabolic_rhs
-        v = parabolic_rhs(par.times, par.u, 0.5, op, M1)
-        twin = dataclasses.replace(par, kind="hyperbolic", v=v, eps=0.05)
-        theta, theta_p = corrector_series(np.zeros(2), 0.05, 0.5, par.times)
+        twin = dataclasses.replace(par, kind="hyperbolic", v=par.velocity(), eps=0.05)
+        theta, theta_p = corrector(np.zeros(2), 0.05, 0.5, par.times)
         rho, rp = remainders(twin, par, theta_p)
         assert not rho.any() and not (rho - theta).any() and not rp.any()
 

@@ -1,5 +1,7 @@
 """Config loading, file emission, scenarios and the CLI contract."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,14 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from klab import IntegratorConfig, RateFit
+import klab.analysis
+import klab.evolution
+from klab import IntegratorConfig
 from klab.cli import main as cli_main
 from klab.harness import (
     SCENARIOS,
     ConfigError,
     apply_override,
     config_from_dict,
-    emit_report,
     emit_timeseries,
     load_config,
     render_report,
@@ -234,20 +237,23 @@ class TestEmission:
         np.testing.assert_array_equal(back, v)
 
     def test_empty_report(self, tmp_path):
-        path = tmp_path / "report.json"
-        emit_report([], [], path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        # a manifest that lists no flow and no prior report: nothing to carry or fit
+        (tmp_path / "runs.json").write_text(json.dumps({"files": {}}), encoding="utf-8")
+        assert render_report(tmp_path) == 0
+        doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert doc == {"checks": [], "fits": [], "measured_constants": {}}
 
     def test_report_entries(self, tmp_path):
-        fit = RateFit(slope=-2.0, intercept=0.1, r_squared=0.999,
-                      window=(1.0, 4.0), abscissa="t")
-        path = tmp_path / "report.json"
-        emit_report([], [("toy", fit)], path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["fits"][0]["name"] == "toy"
-        assert doc["fits"][0]["slope"] == -2.0
-        assert doc["fits"][0]["abscissa"] == "t"
+        cfg = config_from_dict(base_config(epsilon=[], scenario="simulate"))
+        assert run_scenario(cfg, tmp_path) == 0
+        doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert doc["checks"] == [] and doc["measured_constants"] == {}
+        (fit,) = doc["fits"]
+        assert set(fit) == {"name", "slope", "r_squared", "window", "abscissa"}
+        assert fit["name"] == "parabolic_gamma"
+        assert fit["abscissa"] == "parabolic"
+        assert fit["window"] == pytest.approx([2.4, 6.0])
+        assert fit["slope"] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +537,7 @@ class TestCli:
     def test_sweep_override_changes_the_run(self, tmp_path):
         cfgp = write_config(tmp_path, base_config())
         out = tmp_path / "out"
-        res = run_cli("sweep", "--config", str(cfgp), "--out", str(out),
+        res = run_cli("verify", "--config", str(cfgp), "--out", str(out),
                       "--override", "epsilon=[0.04]")
         assert res.returncode == 0, res.stderr
         manifest = json.loads((out / "runs.json").read_text(encoding="utf-8"))
@@ -656,6 +662,19 @@ class TestCli:
             assert "override p: Exceeds the limit" in err
         assert code == 2, err
 
+    @pytest.mark.parametrize(
+        "operator",
+        [{"family": "uniform", "nu": 1.0, "modes": 1},
+         {"family": "power", "nu": 1.0, "K": 1, "parameter": 2.0},
+         {"family": "arithmetic", "nu": 1.0, "K": 1, "parameter": 0.5}],
+        ids=["modes", "parameter_as_exponent", "parameter_as_gap"],
+    )
+    def test_an_operator_alias_is_an_unknown_field(self, tmp_path, capsys, operator):
+        alias = "modes" if "modes" in operator else "parameter"
+        code, err = self.verify_in_process(tmp_path, capsys, json.dumps(base_config(operator=operator)))
+        assert code == 2, err
+        assert err == f"error: operator.{alias}: unknown field\n"
+
     def test_import_loads_no_scipy(self):
         # a fresh interpreter: the test process itself has scipy loaded
         code = "import sys, klab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
@@ -692,19 +711,47 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
+def _field(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    _field(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
+# each example may integrate a flow, so fewer of them
+CLI_FUZZ = settings(FUZZ, max_examples=40)
+# VALID on a shorter, coarser grid with one field replaced: by any JSON value,
+# or a number by a number
+CLI_VALID = dict(VALID, t_end=2.0, samples=32)
+_CLI_PATHS = sorted(_paths(CLI_VALID))
+_CLI_NUMBER_PATHS = [
+    path for path in _CLI_PATHS if isinstance(_field(CLI_VALID, path), (int, float))
+]
+CLI_DOCUMENTS = JSON | st.builds(
+    lambda path, value: _replaced(CLI_VALID, path, value), st.sampled_from(_CLI_PATHS), JSON)
+CLI_NEAR_VALID = st.builds(
+    lambda path, value: _replaced(CLI_VALID, path, value),
+    st.sampled_from(_CLI_NUMBER_PATHS), st.floats(0.0, 64.0) | st.integers(0, 64),
+)
+# an override key: the text before its first "=", dotted or not
+OVERRIDE_KEYS = st.lists(
+    st.text(st.characters(blacklist_characters="="), max_size=6), min_size=1, max_size=3
+).map(".".join)
 
 
 class TestProperties:
     @FUZZ
     @given(path=st.sampled_from(sorted(_paths(VALID))), value=JSON)
     def test_config_from_dict_accepts_or_names_the_error(self, path, value):
-        doc = json.loads(json.dumps(VALID))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+        doc = _replaced(VALID, path, value)
         try:
             cfg = config_from_dict(doc)
         except ConfigError:
@@ -735,3 +782,61 @@ class TestProperties:
                 assert render_report(out) in (0, 1)
             except ConfigError:
                 pass
+
+    @settings(FUZZ, max_examples=100)
+    @given(key=OVERRIDE_KEYS, fragment=JSON.map(json.dumps) | st.text(max_size=12))
+    def test_apply_override_sets_the_field_or_names_the_error(self, key, fragment):
+        doc = json.loads(json.dumps(VALID))
+        try:
+            apply_override(doc, f"{key}={fragment}")
+        except ConfigError:
+            return
+        try:
+            want = json.loads(fragment)
+        except ValueError:
+            want = fragment
+        *parents, last = key.strip().split(".")
+        target = doc
+        for part in parents:
+            target = target[part]
+        assert json.dumps(target[last]) == json.dumps(want)
+
+    @staticmethod
+    def check_cli_exit(doc):
+        """``klab verify`` on ``doc``: exit 2 with one ``error:`` line when the
+        config is invalid, else 0 or 1 silently or 2 or 3 with one line."""
+        try:
+            config_from_dict(json.loads(json.dumps(doc)))
+            valid = True
+        except ConfigError:
+            valid = False
+        solve = klab.evolution.solve_to_grid
+
+        def budgeted(*args, **kwargs):  # a run that would take long fails fast (exit 3)
+            return solve(*args, max_steps=2000, **kwargs)
+
+        with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp,
+              contextlib.redirect_stderr(io.StringIO()) as err):
+            mp.setattr(klab.evolution, "solve_to_grid", budgeted)
+            mp.setattr(klab.analysis, "solve_to_grid", budgeted)
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code = cli_main(["verify", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        text = err.getvalue()
+        assert "Traceback" not in text
+        if not valid:
+            assert code == 2 and text.startswith("error: ") and text.count("\n") == 1, text
+        elif code in (0, 1):
+            assert text == ""
+        else:
+            assert code in (2, 3) and text.count("\n") == 1, text
+
+    @CLI_FUZZ
+    @given(doc=CLI_DOCUMENTS)
+    def test_cli_on_any_document_exits_with_a_code(self, doc):
+        self.check_cli_exit(doc)
+
+    @CLI_FUZZ
+    @given(doc=CLI_NEAR_VALID)
+    def test_cli_on_a_document_with_one_number_changed_exits_with_a_code(self, doc):
+        self.check_cli_exit(doc)

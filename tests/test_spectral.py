@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from klab import (
     MassFunction,
     SpectralOperator,
-    apply_power,
     arithmetic_spectrum,
     as_vector,
     m_eval,
@@ -28,16 +27,6 @@ def test_norm_matches_worked_values():
     assert sobolev_norm_sq(op, [1.0], 1.0) == pytest.approx(4.0, abs=0.0)
 
 
-def test_apply_power_componentwise():
-    op = SpectralOperator(np.array([1.0, 4.0]), 1.0)
-    out = apply_power(op, [1.0, 1.0], 0.5)
-    np.testing.assert_allclose(out, [1.0, 2.0], rtol=0.0, atol=0.0)
-
-    single = SpectralOperator(np.array([3.0]), 1.0)
-    np.testing.assert_array_equal(apply_power(single, [2.0], 0.0), [2.0])
-    np.testing.assert_allclose(apply_power(single, [2.0], 2.0), [18.0])
-
-
 def test_norm_power_consistency():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -48,7 +37,7 @@ def test_norm_power_consistency():
         v = rng.standard_normal(dim)
         s = float(rng.uniform(0.0, 2.0))
         direct = sobolev_norm_sq(op, v, s)
-        via_power = sobolev_norm_sq(flat, apply_power(op, v, s), 0.0)
+        via_power = sobolev_norm_sq(flat, lam**s * v, 0.0)
         assert direct == pytest.approx(via_power, rel=1e-12)
 
 
@@ -91,7 +80,7 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         as_vector([1.0, np.nan], op)
     with pytest.raises(ValueError):
-        apply_power(op, [1.0, 2.0, 3.0], 1.0)
+        sobolev_norm_sq(op, [1.0, 2.0, 3.0], 1.0)
 
 
 def test_mass_worked_values():
