@@ -47,7 +47,6 @@ from .evolution import (
     Trajectory,
     coefficient_derivative,
     corrector_velocity,
-    hyperbolic_log_energy,
     integrate,
     parabolic_closed_form,
     remainders,

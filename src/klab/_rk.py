@@ -40,13 +40,6 @@ differ from it in the last bit in a few percent of calls).  And every
 per-member dot is the stacked ``(B, 1, d) @ (B, d, 1)`` matmul, which takes
 the same BLAS dot as a 1-D state; a plain ``(B, d) @ (d,)`` product sums in
 another order in about half the rows.
-
-For linear right-hand sides the driver can renormalize the state by exact
-powers of two whenever it leaves a magnitude window, accumulating the scaling
-in log space.  IEEE754 multiplication by a power of two is exact, so the
-renormalized run is bit-faithful to the plain one while never underflowing.
-Renormalization applies to a single system only: a batch would need one
-scale per member.
 """
 
 from __future__ import annotations
@@ -115,9 +108,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = map(np.array, (
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
-# Renormalization window for linear runs (powers of two keep scaling exact).
-_RENORM_LO = 1e-140
-_RENORM_HI = 1e140
 # A 1-D state whose norm lies in this window has its error norms taken
 # unscaled: none of the squares that matter can underflow or overflow.
 _SAFE_NORM_LO = 1e-100
@@ -145,7 +135,6 @@ class StepStats:
     rhs_evals: int
     h_min: float
     h_max: float
-    renormalizations: int
 
 
 @dataclass(frozen=True)
@@ -268,12 +257,10 @@ class _Clock:
         self.target = t
         self.hits = False
 
-    def stats(self, renormalizations: int = 0) -> StepStats:
+    def stats(self) -> StepStats:
         attempts = self.accepted + self.rejected
         rhs_evals = 1 + 6 * attempts + self.replacements
-        return StepStats(
-            self.accepted, self.rejected, rhs_evals, self.h_min, self.h_max, renormalizations
-        )
+        return StepStats(self.accepted, self.rejected, rhs_evals, self.h_min, self.h_max)
 
 
 def _steered_ratio(ratio: float, h: float, last: tuple[float, float] | None) -> float:
@@ -305,19 +292,16 @@ def solve_to_grid(
     *,
     rel_tol: float,
     abs_tol: float,
-    max_step: float = math.inf,
     step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
     max_steps: int = 10_000_000,
-    renormalize: bool = False,
     land_on_samples: bool = True,
     own_clocks: bool = False,
-) -> tuple[np.ndarray, np.ndarray, StepStats | BatchStats]:
+) -> tuple[np.ndarray, None, StepStats | BatchStats]:
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
-    Returns ``(Y, log_scale, stats)`` where ``Y[i]`` is the (possibly
-    renormalized) state at ``times[i]`` and ``log_scale[i]`` the accumulated
-    natural log of the scaling applied up to that sample (all zeros unless
-    ``renormalize``); the true state is ``Y[i] * exp(-log_scale[i])``.
+    Returns ``(Y, None, stats)`` where ``Y[i]`` is the state at ``times[i]``.
+    The middle slot is always ``None``: it keeps the three-value shape that
+    callers unpack.
 
     ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
     independent members (``Y`` then has shape ``(n, B, d)``), each held to
@@ -338,8 +322,7 @@ def solve_to_grid(
     modes that no longer carry energy); the driver then evaluates ``f``
     afresh there, one more call counted in ``rhs_evals``.  With own clocks it
     is a sequence of one such function per member, each called with its
-    member's time and row.  ``renormalize`` requires ``f`` linear in ``y``;
-    the caller is responsible for that.  It is refused for a batch.
+    member's time and row.
 
     ``land_on_samples`` (the default) clips every step to the next grid
     time; ``False`` lets the error control alone set the steps, clips only
@@ -358,16 +341,12 @@ def solve_to_grid(
     y = np.array(y0, dtype=float)
     if y.ndim not in (1, 2) or y.size == 0:
         raise ValueError("initial state must have shape (d,) or (B, d)")
-    if y.ndim == 2 and renormalize:
-        raise ValueError("renormalize needs a single system, not a batch")
     if own_clocks and y.ndim != 2:
         raise ValueError("own clocks need a (B, d) batch")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
     n = grid.size
     t0 = float(grid[0])
-    log_scale = 0.0
-    log_out = np.zeros(n)
     if own_clocks:
         members = y.shape[0]
         cap_fns = [None] * members if step_cap_fn is None else list(step_cap_fn)
@@ -397,13 +376,12 @@ def solve_to_grid(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
     first_target = grid[1] if land_on_samples else grid[-1]
-    first = [min(float(h), max_step, float(first_target - grid[0])) for h in np.ravel(trial)]
+    first = [min(float(h), float(first_target - grid[0])) for h in np.ravel(trial)]
     if own_clocks:
         clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
     else:
         clocks = [_Clock(None, out, step_cap_fn, t0, min(first))]
 
-    renormalizations = 0
     live = clocks
     while live:
         replaced = []
@@ -412,11 +390,10 @@ def solve_to_grid(
                 raise IntegrationError(
                     f"step budget {max_steps} exceeded at t={c.t:.6g} (h={c.h:.3g})", c.member
                 )
-            cap = max_step
+            cap = math.inf
             if c.cap_fn is not None:
                 state = y[c.row]
-                state_cap, y_cap = c.cap_fn(c.t, state)
-                cap = min(cap, state_cap)
+                cap, y_cap = c.cap_fn(c.t, state)
                 if y_cap is not state:
                     replaced.append((c, y_cap))
             target = float(grid[c.j] if land_on_samples else grid[-1])
@@ -493,11 +470,9 @@ def solve_to_grid(
                         c.out[c.j:stop] = y[c.row] + h_try * np.tensordot(powers, q, axes=1)
                         if grid[stop - 1] == t_new:
                             c.out[stop - 1] = y_new[c.row]
-                        log_out[c.j:stop] = log_scale
                         c.j = stop
                 elif c.hits:
                     c.out[c.j] = y_new[c.row]
-                    log_out[c.j] = log_scale
                     c.j += 1
                 c.t = t_new
                 steer = ratio
@@ -527,14 +502,6 @@ def solve_to_grid(
             y[rows] = y_new[rows]
             k1 = k1.copy()
             k1[rows] = k7[rows]
-        if renormalize and accepted:
-            peak = float(np.max(np.abs(y)))
-            if peak > 0.0 and not _RENORM_LO < peak < _RENORM_HI:
-                s = float(_member_scale(y)[0])
-                y = y * s
-                k1 = k1 * s  # valid because f is linear in y
-                log_scale += math.log(s)
-                renormalizations += 1
         done = [c for c in live if c.j >= n]
         if done:
             for c in done:
@@ -542,5 +509,5 @@ def solve_to_grid(
             live = [c for c in live if c.j < n]
 
     if own_clocks:
-        return out, log_out, BatchStats(tuple(c.stats() for c in clocks))
-    return out, log_out, clocks[0].stats(renormalizations)
+        return out, None, BatchStats(tuple(c.stats() for c in clocks))
+    return out, None, clocks[0].stats()

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk import BatchStats, IntegrationError, StepStats, solve_to_grid
-from .energies import gamma_eps, growth_integral, z_eps
+from .energies import growth_integral, z_eps
 from .spectral import (
     MassFunction,
     SpectralOperator,
@@ -63,13 +63,12 @@ __all__ = [
     "coefficient_derivative",
     "residual_g",
     "remainders",
-    "hyperbolic_log_energy",
 ]
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control knobs.
+    """The integrator's tolerances.
 
     ``abs_tol`` defaults to 1e-300, which makes the normwise error control
     purely relative in practice: solutions here decay through hundreds of
@@ -79,18 +78,12 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-300
-    max_step: float = math.inf
-    oscillation_safety: float = 0.2
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0 or not self.abs_tol > 0:
             raise ValueError("tolerances must be positive")
         if self.rel_tol > 1e-3 or self.abs_tol > 1e-3:
             raise ValueError("tolerances must be <= 1e-3")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
-        if not self.oscillation_safety > 0:
-            raise ValueError("oscillation_safety must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ class Trajectory:
     the first-order flow) define the flow, so every reader takes them from
     here rather than as arguments; ``rel_tol`` is the tolerance the run was
     integrated to and ``steps`` the solver's ``StepStats`` (steps accepted
-    and rejected, right-hand-side calls, step range, renormalizations).
+    and rejected, right-hand-side calls, step range).
     ``retired_modes`` counts the modes the second-order solve set to 0 once
     they no longer carried energy, and ``last_retirement_t`` is the time of
     the last of them (``None`` when none was).
@@ -246,30 +239,31 @@ def _parabolic_acceleration(t, u: np.ndarray, m: MassFunction, lam: np.ndarray, 
 # carries no energy at all: it leaves the cap without counting as retired.
 _RETIRE_SHARE = 1e-40
 _RETIRE_MARGIN = 100.0
+# The share of the fastest live mode's period a step may span.
+_OSCILLATION_SAFETY = 0.2
 
 
 class _OscillationCap:
     """Step ceiling of the second-order flow, for ``solve_to_grid``'s ``step_cap_fn``.
 
     The cap resolves the fastest live oscillation: mode ``k`` turns at
-    ``sqrt(lambda_k c / eps)``, so a step keeps ``safety`` of the period of
-    the fastest mode not yet retired, with ``c`` the running max of the
-    coefficient.  At the start and after every step the cap itself limited,
-    the modes that no longer carry energy (see ``_RETIRE_SHARE``) are set to
-    exactly 0 (``retired`` counts them, ``last_retirement_t`` is the time of
-    the last).  Their equation is linear in their own ``(u_k, u_k')`` given
-    ``c``, so they stay 0.  Whether a run retires modes, and when, therefore
-    depends on where the cap binds, and so on the sample grid too.  The share
-    is bounded over an oscillation: with ``H_k = c lambda_k u_k^2 + eps
-    u_k'^2``, mode ``k``'s part of ``gamma`` is at most ``weight_k H_k`` at
-    any phase.
+    ``sqrt(lambda_k c / eps)``, so a step keeps ``_OSCILLATION_SAFETY`` of
+    the period of the fastest mode not yet retired, with ``c`` the running
+    max of the coefficient.  At the start and after every step the cap
+    itself limited, the modes that no longer carry energy (see
+    ``_RETIRE_SHARE``) are set to exactly 0 (``retired`` counts them,
+    ``last_retirement_t`` is the time of the last).  Their equation is
+    linear in their own ``(u_k, u_k')`` given ``c``, so they stay 0.  Whether
+    a run retires modes, and when, therefore depends on where the cap binds,
+    and so on the sample grid too.  The share is bounded over an
+    oscillation: with ``H_k = c lambda_k u_k^2 + eps u_k'^2``, mode ``k``'s
+    part of ``gamma`` is at most ``weight_k H_k`` at any phase.
     """
 
-    def __init__(self, op: SpectralOperator, m: MassFunction, eps: float, safety: float):
+    def __init__(self, op: SpectralOperator, m: MassFunction, eps: float):
         self.lam = op.eigenvalues
         self.m = m
         self.eps = eps
-        self.safety = safety
         self.c_sup = mass_inf(m)
         self.live = np.ones(op.dim, dtype=bool)
         self.lam_live = op.lambda_max
@@ -290,7 +284,8 @@ class _OscillationCap:
         if t - self._t >= (1.0 - 1e-9) * self._cap:
             y = self._retire(t, y, c)
         self._t = t
-        self._cap = self.safety * 2.0 * math.pi * math.sqrt(self.eps / (self.lam_live * self.c_sup))
+        self._cap = (_OSCILLATION_SAFETY * 2.0 * math.pi
+                     * math.sqrt(self.eps / (self.lam_live * self.c_sup)))
         return self._cap, y
 
     def _retire(self, t: float, y: np.ndarray, c: float) -> np.ndarray:
@@ -319,7 +314,7 @@ class _OscillationCap:
         return y
 
 
-def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float, safety: float):
+def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float):
     """``(f, cap)``: the second-order flow as the system ``y' = f(t, y)``, ``y = (u, u')``,
     and its :class:`_OscillationCap` for ``solve_to_grid``.
 
@@ -343,7 +338,7 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float, saf
             dy[K:] = _hyperbolic_acceleration((1.0 + t) ** (-p), u, v, c, lam, eps)
             return dy
 
-        return f, _OscillationCap(op, m, eps, safety)
+        return f, _OscillationCap(op, m, eps)
 
     # eps as full rows: they divide faster than a broadcast column
     eps_rows = np.repeat(np.array(eps, dtype=float)[:, None], K, axis=1)
@@ -359,7 +354,7 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float, saf
         dy[:, K:] = _hyperbolic_acceleration(w[:, None], u, v, c[:, None], lam, eps_rows)
         return dy
 
-    return f_batch, [_OscillationCap(op, m, e, safety) for e in eps]
+    return f_batch, [_OscillationCap(op, m, e) for e in eps]
 
 
 # The limit flow's phase tolerances.  Mode k's relative error is lambda_k
@@ -392,7 +387,7 @@ def _hyperbolic_runs(
     """
     K = op.dim
     batch = len(eps) > 1
-    f, caps = _hyperbolic_system(op, m, eps if batch else eps[0], p, cfg.oscillation_safety)
+    f, caps = _hyperbolic_system(op, m, eps if batch else eps[0], p)
     try:
         Y, _, stats = solve_to_grid(
             f,
@@ -400,7 +395,6 @@ def _hyperbolic_runs(
             times,
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
-            max_step=cfg.max_step,
             step_cap_fn=caps,
             own_clocks=batch,
         )
@@ -479,7 +473,6 @@ def integrate(
             times,
             rel_tol=cfg.rel_tol / (_PHASE_TOL_SAFETY * _PHASE_LOG_DECAY),
             abs_tol=max(cfg.abs_tol, cfg.rel_tol / (_PHASE_TOL_SAFETY * op.lambda_max)),
-            max_step=cfg.max_step,
             land_on_samples=False,
         )
         u = np.multiply.outer(phase[:, 0], -lam)
@@ -582,51 +575,3 @@ def remainders(
     r_prime = u_eps_traj.v - u_traj.velocity() - theta_prime
     return rho, r_prime
 
-
-def hyperbolic_log_energy(
-    op: SpectralOperator,
-    m: MassFunction,
-    eps: float,
-    p: float,
-    u0,
-    u1,
-    t_end: float,
-    sample_count: int,
-    cfg: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the full energy along a constant-mass run, renormalization-safe.
-
-    Returns ``(times, log_gamma)`` where ``log_gamma[i]`` is the natural log
-    of ``|u|^2+|A^(1/2)u|^2+|Au|^2+|u'|^2+eps|A^(1/2)u'|^2`` at ``times[i]``.
-    Only valid for constant mass: the flow is then linear, so the integrator
-    may rescale the state by exact powers of two and the run reaches depths
-    (log gamma of order -10^3 and beyond) that plain doubles cannot represent.
-    """
-    if not m.is_constant:
-        raise ValueError("log-energy runs require a constant mass function")
-    if eps is None or eps <= 0:
-        raise ValueError("eps must be > 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    u0 = as_vector(u0, op)
-    u1 = as_vector(u1, op)
-    if not (np.any(u0) or np.any(u1)):
-        raise ValueError("log-energy runs need nontrivial initial data")
-    K = op.dim
-    times = np.linspace(0.0, float(t_end), int(sample_count))
-    f, cap = _hyperbolic_system(op, m, eps, p, cfg.oscillation_safety)
-    Y, log_scale, _ = solve_to_grid(
-        f,
-        np.concatenate([u0, u1]),
-        times,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        step_cap_fn=cap,
-        renormalize=True,
-    )
-    value = gamma_eps(Y[:, :K], Y[:, K:], eps, op)
-    if np.any(value <= 0.0):
-        t_bad = float(times[np.argmax(value <= 0.0)])
-        raise IntegrationError(f"energy vanished at t={t_bad:.6g} despite renormalization")
-    return times, np.log(value) - 2.0 * log_scale

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -292,13 +292,15 @@ def config_from_dict(raw: dict) -> RunConfig:
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         _fail("tolerances", "expected an object")
-    known_tols = {"rel_tol", "abs_tol", "max_step", "oscillation_safety"}
-    for key in tol_raw:
+    known_tols = {f.name for f in fields(IntegratorConfig)}
+    tols = {}
+    for key, value in tol_raw.items():
         if key not in known_tols:
             _fail(f"tolerances.{key}", "unknown field")
+        tols[key] = _float(value, f"tolerances.{key}")
     try:
-        icfg = IntegratorConfig(**{k: float(v) for k, v in tol_raw.items()})
-    except (ValueError, TypeError, OverflowError) as exc:
+        icfg = IntegratorConfig(**tols)
+    except ValueError as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
     scenario = raw.get("scenario", "simulate")
     if scenario not in SCENARIOS:
@@ -758,13 +760,6 @@ _SCENARIO_RUNNERS = {
 
 def _config_echo(cfg: RunConfig) -> dict[str, Any]:
     """The resolved config as a document ``config_from_dict`` reads back to the same run."""
-    tolerances = {
-        "rel_tol": cfg.integrator.rel_tol,
-        "abs_tol": cfg.integrator.abs_tol,
-        "oscillation_safety": cfg.integrator.oscillation_safety,
-    }
-    if not math.isinf(cfg.integrator.max_step):
-        tolerances["max_step"] = cfg.integrator.max_step
     return {
         "p": cfg.p,
         "epsilon": list(cfg.epsilon),
@@ -784,7 +779,7 @@ def _config_echo(cfg: RunConfig) -> dict[str, Any]:
         "t_end": cfg.t_end,
         "samples": cfg.samples,
         "beta": cfg.beta,
-        "tolerances": tolerances,
+        "tolerances": asdict(cfg.integrator),
         "scenario": cfg.scenario,
         "seed": cfg.seed,
     }

@@ -251,3 +251,24 @@ def hyperbolic_mode_solve(lam, c: float, eps: float, p: float, u0, u1, times,
     if sol.status != 0:
         raise RuntimeError(sol.message)
     return sol.y[:K].T, sol.y[K:].T
+
+
+def hyperbolic_log_gamma(lam, c: float, eps: float, p: float, u0, u1,
+                         times) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of ``gamma`` and of each mode's part of it along the constant-mass flow.
+
+    ``gamma = |u|^2 + |A^(1/2)u|^2 + |Au|^2 + |u'|^2 + eps |A^(1/2)u'|^2``, so
+    mode ``k`` holds ``(1 + lambda_k + lambda_k^2) u_k^2 + (1 + eps lambda_k)
+    u_k'^2``.  Both come from ``hyperbolic_mode_solve``'s amplitude-phase form
+    in logs, so nothing underflows however many decades the flow decays.
+    Returns ``(log_gamma, log_modes)``, of shapes ``(samples,)`` and
+    ``(samples, K)``.
+    """
+    lam = np.asarray(lam, dtype=float)
+    log_amp, phase = hyperbolic_mode_solve(lam, c, eps, p, u0, u1, times)
+    w2 = c * lam / eps
+    log_modes = 2.0 * log_amp + np.log((1.0 + lam + lam**2) * np.cos(phase) ** 2
+                                       + (1.0 + eps * lam) * w2 * np.sin(phase) ** 2)
+    top = log_modes.max(axis=1)
+    log_gamma = top + np.log(np.exp(log_modes - top[:, None]).sum(axis=1))
+    return log_gamma, log_modes

@@ -43,7 +43,7 @@ from klab import (
     theta0,
 )
 from klab.analysis import assemble_psi3
-from klab.evolution import hyperbolic_log_energy, parabolic_closed_form
+from klab.evolution import parabolic_closed_form
 import oracles
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
@@ -60,7 +60,8 @@ SHALLOW_CELLS = {
     (0.5, 0.02): (40.0, (16.0, 40.0)),
     (0.7, 0.02): (20.0, (8.0, 20.0)),
 }
-# the remaining cell decays through ~500 decades; it runs on the log probe
+# the remaining cell decays through ~500 decades, past what doubles hold;
+# it reads the log-gamma oracle
 DEEP_CELL = (0.3, 0.02)
 DEEP_HORIZON = 430.0
 DEEP_WINDOW = (250.0, 430.0)
@@ -95,12 +96,13 @@ def shallow_run(cell):
 
 
 def probe_run(cell, t_end, samples):
+    """``(times, log gamma)`` of the unit-mode constant-mass run, from the mode oracle."""
     key = ("probe", cell, t_end)
     if key not in _cache:
         p, eps = cell
-        _cache[key] = hyperbolic_log_energy(
-            OP1, M1, eps, p, [1.0], [0.0], t_end, samples, CFG
-        )
+        times = np.linspace(0.0, t_end, samples)
+        log_gamma, _ = oracles.hyperbolic_log_gamma([1.0], 1.0, eps, p, [1.0], [0.0], times)
+        _cache[key] = times, log_gamma
     return _cache[key]
 
 
@@ -191,7 +193,7 @@ def test_criterion_03_rate_spread():
         worst_rel = max(worst_rel, abs(slope - predicted) / abs(predicted))
         worst_r2 = min(worst_r2, r2)
 
-        # profile-ratio sub-check on the log probe
+        # profile-ratio sub-check on the log-gamma oracle
         horizon = RATIO_HORIZONS[cell]
         times, logs = probe_run(cell, horizon, 6000 if cell == DEEP_CELL else 2000)
         alpha = gamma_rate(1.0, 1.0, p)

@@ -14,7 +14,6 @@ from klab import (
     Trajectory,
     coefficient_derivative,
     corrector_velocity,
-    hyperbolic_log_energy,
     integrate,
     kernel_integral,
     parabolic_closed_form,
@@ -32,7 +31,7 @@ import oracles
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
 M1 = MassFunction("constant", 1.0)
 CFG = IntegratorConfig()
-NO_STEPS = StepStats(0, 0, 1, math.inf, 0.0, 0)
+NO_STEPS = StepStats(0, 0, 1, math.inf, 0.0)
 
 
 def hand_run(kind, u, v, c, mass=M1, eps=None, op=OP1, times=(0.0, 1.0)):
@@ -45,7 +44,7 @@ class TestRightHandSides:
     def test_hyperbolic_worked_values(self):
         # the system y' = f(t, y), y = (u, u'), that integrate solves
         def rhs(t, u, v, eps, p):
-            f, _ = klab.evolution._hyperbolic_system(OP1, M1, eps, p, CFG.oscillation_safety)
+            f, _ = klab.evolution._hyperbolic_system(OP1, M1, eps, p)
             return f(t, np.array([u, v]))
 
         np.testing.assert_allclose(rhs(0.0, 1.0, 1.0, 1.0, 0.7), [1.0, -2.0])
@@ -178,19 +177,6 @@ class TestHyperbolicOracle:
         assert np.all(traj.v == 0.0)
 
 
-def log_mode_gamma(lam, eps, log_amp, phase):
-    """Each mode's part of ``gamma``, in logs, from an amplitude-phase oracle at unit mass."""
-    w2 = lam / eps
-    return 2.0 * log_amp + np.log((1.0 + lam + lam**2) * np.cos(phase) ** 2
-                                  + (1.0 + eps * lam) * w2 * np.sin(phase) ** 2)
-
-
-def log_sum(log_e):
-    """``log(sum(exp(log_e)))`` over the modes, without underflow."""
-    top = log_e.max(axis=1)
-    return top + np.log(np.exp(log_e - top[:, None]).sum(axis=1))
-
-
 @pytest.fixture(scope="module")
 def retirement_data():
     """K = 64 and data whose upper modes decay fastest: ``(op, u0, u1)``."""
@@ -223,10 +209,12 @@ class TestModeRetirement:
         w = np.sqrt(op.eigenvalues / 0.01)
         amp = np.exp(log_amp)
         exact = np.hstack([amp * np.cos(phase), -w * amp * np.sin(phase)])
-        return op, traj, unretired, exact, log_amp, phase
+        log_gamma, log_modes = oracles.hyperbolic_log_gamma(
+            op.eigenvalues, 1.0, 0.01, 0.5, u0, u1, traj.times)
+        return op, traj, unretired, exact, log_modes - log_gamma[:, None]
 
     def test_retired_modes_stay_below_the_threshold(self, runs):
-        op, traj, unretired, _, log_amp, phase = runs
+        op, traj, unretired, _, log_share = runs
         lam, K = op.eigenvalues, op.dim
         assert unretired.retired_modes == 0
         zero = (traj.u == 0.0) & (traj.v == 0.0)
@@ -236,19 +224,17 @@ class TestModeRetirement:
         # the cap follows the fastest live mode, so the steps grew past the
         # cap of the fastest mode, and no further (unit mass)
         def cap(lam_top):
-            return CFG.oscillation_safety * 2.0 * math.pi * math.sqrt(0.01 / lam_top)
+            return klab.evolution._OSCILLATION_SAFETY * 2.0 * math.pi * math.sqrt(0.01 / lam_top)
 
         assert unretired.steps.h_max <= cap(lam[-1]) * (1.0 + 1e-12)
         assert cap(lam[-1]) < traj.steps.h_max <= cap(lam[~retired][-1]) * (1.0 + 1e-12)
-        log_e = log_mode_gamma(lam, 0.01, log_amp, phase)
-        log_share = log_e - log_sum(log_e)[:, None]
         for k in np.flatnonzero(retired):
             first = int(np.argmax(zero[:, k]))
             assert np.all(zero[first:, k])  # zero is a fixed point
             assert np.max(log_share[first:, k]) < math.log(klab.evolution._RETIRE_SHARE)
 
     def test_live_modes_match_the_oracle_as_without_retirement(self, runs):
-        op, traj, unretired, exact, _, _ = runs
+        op, traj, unretired, exact, _ = runs
         norm = np.linalg.norm(exact, axis=1)
         live = np.tile(traj.u[-1] != 0.0, 2)
 
@@ -269,13 +255,12 @@ class TestModeRetirement:
         u0, u1 = np.zeros(64), np.zeros(64)
         u0[0], u0[-1] = 1e-20, 1.0
         times = np.linspace(0.0, 4.0, 41)
-        log_amp, phase = oracles.hyperbolic_mode_solve(
+        log_gamma, log_modes = oracles.hyperbolic_log_gamma(
             op.eigenvalues[[0, -1]], 1.0, 0.01, 0.0, u0[[0, -1]], u1[[0, -1]], times)
-        log_e = log_mode_gamma(op.eigenvalues[[0, -1]], 0.01, log_amp, phase)
-        return op, u0, u1, times, log_e
+        return op, u0, u1, times, log_gamma, log_modes
 
     def test_a_buried_slow_mode_stays_live(self, buried):
-        op, u0, u1, times, log_e = buried
+        op, u0, u1, times, oracle_log_gamma, log_modes = buried
         traj = integrate("hyperbolic", (u0, u1), times[-1], times.size, CFG, op, M1, 0.0,
                          eps=0.01)
         # mode 64 retires once mode 1 holds gamma; the 62 modes that start
@@ -283,15 +268,10 @@ class TestModeRetirement:
         assert traj.retired_modes == 1 and np.all(traj.u[-1, 1:] == 0.0)
         assert np.all(traj.u[:, 0] != 0.0)
         log_gamma = np.log(gamma_eps(traj.u, traj.v, 0.01, op))
-        np.testing.assert_allclose(log_gamma, log_sum(log_e), rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(log_gamma, oracle_log_gamma, rtol=0.0, atol=1e-6)
         after = traj.times > traj.last_retirement_t
-        assert np.all(log_e[after, 1] - log_sum(log_e)[after] < math.log(
+        assert np.all(log_modes[after, 1] - oracle_log_gamma[after] < math.log(
             klab.evolution._RETIRE_SHARE))
-
-    def test_log_energy_follows_a_buried_slow_mode(self, buried):
-        op, u0, u1, times, log_e = buried
-        _, logs = hyperbolic_log_energy(op, M1, 0.01, 0.0, u0, u1, times[-1], times.size, CFG)
-        np.testing.assert_allclose(logs, log_sum(log_e), rtol=0.0, atol=1e-6)
 
     def test_a_single_mode_retires_nothing(self):
         # the only mode is all of gamma, however far it decays
@@ -560,19 +540,12 @@ class TestRemainders:
 
 class TestLogEnergyProbe:
     def test_agrees_with_plain_run(self):
-        times, logs = hyperbolic_log_energy(OP1, M1, 0.05, 0.5, [1.0], [0.0], 12.0, 300, CFG)
+        # the log-gamma oracle the deep acceptance cells read, against integrate
         traj = integrate("hyperbolic", ([1.0], [0.0]), 12.0, 300, CFG, OP1, M1, 0.5, eps=0.05)
+        logs, _ = oracles.hyperbolic_log_gamma([1.0], 1.0, 0.05, 0.5, [1.0], [0.0], traj.times)
         from klab.analysis import hyperbolic_series
         gamma = hyperbolic_series(traj)["gamma"]
-        np.testing.assert_allclose(times, traj.times)
-        np.testing.assert_allclose(logs, np.log(gamma), atol=1e-6)
-
-    def test_survives_depths_plain_doubles_cannot(self):
-        # log Gamma lands below -750 here, past the range exp() can represent
-        times, logs = hyperbolic_log_energy(OP1, M1, 0.02, 0.3, [1.0], [0.0], 120.0, 600, CFG)
-        assert np.isfinite(logs).all()
-        assert logs[-1] < -750.0
-        assert logs[-1] < logs[0]
+        np.testing.assert_allclose(logs, np.log(gamma), rtol=0.0, atol=1e-6)
 
 
 class TestConfigAndFailures:
@@ -581,10 +554,6 @@ class TestConfigAndFailures:
             IntegratorConfig(rel_tol=1e-2)
         with pytest.raises(ValueError):
             IntegratorConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(oscillation_safety=-1.0)
 
     def test_overflowing_state_is_typed_failure(self):
         # lam*u/eps overflows double range on the first step

@@ -30,7 +30,7 @@ from klab.harness import (
 )
 
 REPO = Path(__file__).resolve().parents[1]
-STEP_FIELDS = ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "renormalizations")
+STEP_FIELDS = ("accepted", "rejected", "rhs_evals", "h_min", "h_max")
 RETIREMENT_FIELDS = ("retired_modes", "last_retirement_t")
 
 
@@ -187,10 +187,10 @@ class TestConfig:
             np.testing.assert_allclose(cfg.u1, [u1])
 
     def test_tolerance_block(self):
-        doc = base_config(tolerances={"rel_tol": 1e-8, "max_step": 0.5})
+        doc = base_config(tolerances={"rel_tol": 1e-8, "abs_tol": 1e-200})
         cfg = config_from_dict(doc)
         assert cfg.integrator.rel_tol == 1e-8
-        assert cfg.integrator.max_step == 0.5
+        assert cfg.integrator.abs_tol == 1e-200
         with pytest.raises(ConfigError, match="tolerances.step_cap"):
             config_from_dict(base_config(tolerances={"step_cap": 0.5}))
 
@@ -315,7 +315,7 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             render_report(tmp_path / "never_ran")
 
-    @pytest.mark.parametrize("tolerances", [{}, {"max_step": 0.5}])
+    @pytest.mark.parametrize("tolerances", [{}, {"abs_tol": 1e-200}])
     def test_manifest_config_reloads_to_the_same_run(self, tmp_path, tolerances):
         cfg = config_from_dict(base_config(tolerances=tolerances))
         assert run_scenario(cfg, tmp_path / "a") == 0
@@ -632,7 +632,7 @@ class TestCli:
             (("epsilon", 0), "epsilon[0]: integer out of float range"),
             (("mass", "constant"), "mass: int too large"),
             (("operator", "exponent"), "operator: int too large"),
-            (("tolerances", "rel_tol"), "tolerances: int too large"),
+            (("tolerances", "rel_tol"), "tolerances.rel_tol: integer out of float range"),
             (("initial", "u0", 0), "initial.u0: int too large"),
             (("samples",), "samples: expected an integer from 2 to"),
         ],
@@ -661,6 +661,21 @@ class TestCli:
             code, err = self.verify_in_process(tmp_path, capsys, text, "--override", f"p={digits}")
             assert "override p: Exceeds the limit" in err
         assert code == 2, err
+
+    @pytest.mark.parametrize("value", ["1e-8", True, [1e-8]], ids=["string", "bool", "list"])
+    def test_a_tolerance_that_is_not_a_number_exit_two(self, tmp_path, capsys, value):
+        doc = base_config(tolerances={"rel_tol": value})
+        code, err = self.verify_in_process(tmp_path, capsys, json.dumps(doc))
+        assert code == 2, err
+        assert err == f"error: tolerances.rel_tol: expected a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", ["max_step", "oscillation_safety"])
+    def test_a_dropped_tolerance_key_exit_two(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tolerances={key: 0.5})), encoding="utf-8")
+        res = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: tolerances.{key}: unknown field\n"
 
     @pytest.mark.parametrize(
         "operator",
@@ -699,7 +714,7 @@ VALID = base_config(
     operator={"eigenvalues": [1.0, 4.0], "nu": 1.0},
     mass={"affine": {"base": 1.0, "coeff": 0.5}},
     initial={"u0": [1.0, 0.5], "u1": [0.0, -1.0]},
-    tolerances={"rel_tol": 1e-9, "abs_tol": 1e-300, "max_step": 0.5},
+    tolerances={"rel_tol": 1e-9, "abs_tol": 1e-300},
     seed=3,
 )
 

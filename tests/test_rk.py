@@ -17,11 +17,10 @@ class TestBatchAxis:
         rates = np.array([0.01, 0.1, 1.0, 10.0, 3.0])
         y0 = np.array([[1.0, -1.0], [1.0, 0.5], [2.0, 1.0], [1.0, 1.0], [1e-200, -2e-200]])
         times = np.linspace(0.0, 4.0, 81)
-        Y, log_scale, stats = solve_to_grid(
+        Y, _, stats = solve_to_grid(
             lambda t, y: -rates[:, None] * y, y0, times, rel_tol=REL_TOL, abs_tol=0.0
         )
         assert Y.shape == (times.size, *y0.shape)
-        assert not np.any(log_scale)
         exact = y0[None, :, :] * np.exp(-np.multiply.outer(times, rates))[:, :, None]
         np.testing.assert_allclose(Y, exact, rtol=10.0 * REL_TOL, atol=0.0)
         assert stats.accepted > 0
@@ -42,13 +41,6 @@ class TestBatchAxis:
         assert batch_stats == flat_stats
         assert flat_stats.rejected > 0  # the controller's rejection branch ran too
 
-    def test_renormalize_refuses_a_batch(self):
-        with pytest.raises(ValueError, match="batch"):
-            solve_to_grid(
-                lambda t, y: -y, np.ones((2, 1)), [0.0, 1.0],
-                rel_tol=REL_TOL, abs_tol=0.0, renormalize=True,
-            )
-
     @pytest.mark.parametrize("y0", [np.ones((2, 2, 1)), np.ones((0, 3))])
     def test_state_shape_is_validated(self, y0):
         with pytest.raises(ValueError, match="shape"):
@@ -62,17 +54,6 @@ class TestStepStats:
         # FSAL: one evaluation to start, six per attempted step
         assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
         assert 0.0 < stats.h_min <= stats.h_max <= 0.2 + 1e-15
-        assert stats.renormalizations == 0
-
-    def test_renormalizations_are_counted(self):
-        # exp(-200 t) leaves the [1e-140, 1e140] window about every 1.6 time units
-        times = np.linspace(0.0, 10.0, 11)
-        Y, log_scale, stats = solve_to_grid(
-            lambda t, y: -200.0 * y, [1.0], times, rel_tol=REL_TOL, abs_tol=0.0, renormalize=True
-        )
-        assert stats.renormalizations >= 5
-        true_log = np.log(Y[:, 0]) - log_scale
-        np.testing.assert_allclose(true_log, -200.0 * times, rtol=1e-9)
 
 
 class TestTinyStates:
