@@ -3,10 +3,10 @@
 Local error per step is controlled against ``abs_tol + rel_tol * |y|`` with
 ``|y|`` the Euclidean norm of the state, so tracking stays purely relative
 while the solution decays through hundreds of decades (the regime every decay
-measurement lives in).  A batch member, or a single state whose norm leaves
-``[1e-100, 1e100]``, is first scaled by the exact power of two that brings
+measurement lives in).  A state or batch member whose norm leaves
+``[1e-100, 1e100]`` is first scaled by the exact power of two that brings
 its peak near 1, so a state below 1e-154 does not square to zero; the
-scaling changes no ratio.
+scaling changes no ratio.  A shared clock scales all or none of its members.
 By default steps are clipped to land exactly on the requested sample grid,
 so sampled values carry full integration accuracy.  With
 ``land_on_samples=False`` the steps follow the error control alone and every
@@ -108,8 +108,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = map(np.array, (
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
-# A 1-D state whose norm lies in this window has its error norms taken
-# unscaled: none of the squares that matter can underflow or overflow.
+# A state whose norm lies in this window has its error norms taken unscaled
+# (see ``_unscaled_ratio``).
 _SAFE_NORM_LO = 1e-100
 _SAFE_NORM_HI = 1e100
 
@@ -181,6 +181,19 @@ def _member_ratios(
         return _norm(s * err_vec) / scale
 
 
+def _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol: float, abs_tol: float):
+    """Error over tolerance from unscaled norms (one member's floats or each
+    member's arrays), or ``None`` when a ``|y|`` leaves the safe window: inside
+    it the squares that decide the norms are normal numbers, where the
+    power-of-two scaling of ``_member_ratios`` would change no bit."""
+    if isinstance(y_norm, float):
+        inside, peak = _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI, max(y_norm, new_norm)
+    else:
+        inside = _SAFE_NORM_LO < y_norm.min() and y_norm.max() < _SAFE_NORM_HI
+        peak = np.maximum(y_norm, new_norm)
+    return err_norm / (abs_tol + rel_tol * peak) if inside else None
+
+
 def _own_ratios(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> tuple[list[float], list[bool]]:
@@ -192,10 +205,9 @@ def _own_ratios(
     finite = []
     scaled = None
     for i in range(members):
-        y_norm, new_norm, err_norm = norms[i], norms[members + i], norms[2 * members + i]
-        if _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
-            ratio = err_norm / (abs_tol + rel_tol * max(y_norm, new_norm))
-        else:
+        new_norm = norms[members + i]
+        ratio = _unscaled_ratio(norms[i], new_norm, norms[2 * members + i], rel_tol, abs_tol)
+        if ratio is None:
             if scaled is None:
                 scaled = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol).tolist()
             ratio = scaled[i]
@@ -210,15 +222,15 @@ def _error_ratio(
 ) -> float:
     """Largest member error over its tolerance; ``inf`` when not finite."""
     if y.ndim == 1:
-        y_norm = math.sqrt(y @ y)
-        if _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
-            # the squares that decide these norms are normal numbers, where
-            # the power-of-two scaling below would change no bit: skip it
-            scale = abs_tol + rel_tol * max(y_norm, math.sqrt(y_new @ y_new))
-            ratio = math.sqrt(err_vec @ err_vec) / scale
-            return ratio if math.isfinite(ratio) else math.inf
-    ratio = float(np.max(_member_ratios(err_vec, y, y_new, rel_tol, abs_tol)))
-    return ratio if math.isfinite(ratio) else math.inf
+        ratio = _unscaled_ratio(_norm(y), _norm(y_new), _norm(err_vec), rel_tol, abs_tol)
+    else:
+        norms = _norm(np.concatenate((y, y_new, err_vec))).reshape(3, -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = _unscaled_ratio(*norms, rel_tol, abs_tol)
+        ratio = None if ratio is None else ratio.max()
+    if ratio is None:
+        ratio = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol).max()
+    return float(ratio) if math.isfinite(ratio) else math.inf
 
 
 class _Clock:

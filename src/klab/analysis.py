@@ -416,10 +416,10 @@ def _grid_integral(t: np.ndarray, y: np.ndarray) -> float:
 LEMMA_SERIES = {"lemma32": "G", "lemma33": "E", "lemma34": "F"}
 
 
-def _lemma32_rate(t, G, eps, K, p, phi_vals):
+def _lemma32_rate(t, G, eps, K_over_eps, p, phi_vals):
     """``G' = -G/(eps (1+t)^p) + (K/eps)(1+t)^p Phi``."""
     w = (1.0 + t) ** p
-    return -G / (eps * w) + (K / eps) * w * phi_vals
+    return -G / (eps * w) + K_over_eps * w * phi_vals
 
 
 def _lemma33_rate(E, psi1, psi2):
@@ -469,7 +469,7 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
             raise ValueError("lemma32 requires 2*eps*beta <= 1")
         phi_vals = en.phi(beta, p, t)
         params = {"eps": eps, "K": K, "beta": beta, "p": p}
-        hyp = _slope_check(name, t, y, _lemma32_rate(t, y, eps, K, p, phi_vals), tol, params)
+        hyp = _slope_check(name, t, y, _lemma32_rate(t, y, eps, K / eps, p, phi_vals), tol, params)
 
         def conclusion():
             bound = (2.0 * K + y[0]) * (1.0 + t) ** (2.0 * p) * phi_vals
@@ -567,8 +567,14 @@ def _draw_lemma_params(kind: str, rng: np.random.Generator) -> dict[str, float]:
     return d
 
 
-def _lemma33_forcing(t: np.ndarray, a1, b1, a2, b2, k1) -> tuple[np.ndarray, np.ndarray]:
-    return a1 * np.exp(-b1 * t) + 0.3 / (1.0 + t) ** k1, a2 * np.exp(-b2 * t)
+def _lemma33_forcing(a1, b1, a2, b2, k1):
+    """``t -> (psi1, psi2)``, lemma33's forcing; ``-b1`` and ``-b2`` are taken once."""
+    neg_b1, neg_b2 = -b1, -b2
+
+    def forcing(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return a1 * np.exp(neg_b1 * t) + 0.3 / (1.0 + t) ** k1, a2 * np.exp(neg_b2 * t)
+
+    return forcing
 
 
 def synthetic_lemma_instances(
@@ -596,27 +602,30 @@ def synthetic_lemma_instances(
     t_end, p = par["t_end"], par["p"]
     tau = np.linspace(0.0, 1.0, grid_points)
 
+    # everything that does not depend on the time is set up once per solve
     if kind == "lemma32":
-        beta, eps, K = par["beta"], par["eps"], par["K"]
+        eps, K_over_eps = par["eps"], par["K"] / par["eps"]
+        phi_at = en._phi_fn(par["beta"], p)
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
             t = s * t_end
-            rate = _lemma32_rate(t, y[:, 0], eps, K, p, en.phi(beta, p, t))
+            rate = _lemma32_rate(t, y[:, 0], eps, K_over_eps, p, phi_at(t))
             return (t_end * rate)[:, None]
 
     elif kind == "lemma33":
-        forcing = (par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
+        forcing = _lemma33_forcing(par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
-            rate = _lemma33_rate(y[:, 0], *_lemma33_forcing(s * t_end, *forcing))
+            rate = _lemma33_rate(y[:, 0], *forcing(s * t_end))
             return (t_end * rate)[:, None]
 
     else:
-        beta, beta_fast, q = par["beta"], par["beta_fast"], par["q"]
+        beta, q = par["beta"], par["q"]
+        phi_at = en._phi_fn(par["beta_fast"], p)
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
             t = s * t_end
-            rate = _lemma34_rate(t, y[:, 0], beta, p, q * en.phi(beta_fast, p, t))
+            rate = _lemma34_rate(t, y[:, 0], beta, p, q * phi_at(t))
             return (t_end * rate)[:, None]
 
     Y, _, stats = solve_to_grid(
@@ -631,7 +640,7 @@ def synthetic_lemma_instances(
         if kind == "lemma32":
             inst.update(eps=d["eps"], K=d["K"], beta=d["beta"], p=d["p"])
         elif kind == "lemma33":
-            psi1, psi2 = _lemma33_forcing(times, d["a1"], d["b1"], d["a2"], d["b2"], d["k1"])
+            psi1, psi2 = _lemma33_forcing(d["a1"], d["b1"], d["a2"], d["b2"], d["k1"])(times)
             inst.update(psi1=psi1, psi2=psi2)
         else:
             psi = (d["q"] + d["extra"]) * en.phi(d["beta_fast"], d["p"], times)

@@ -54,6 +54,22 @@ __all__ = [
 DEGENERATE_P = 1e-12
 
 
+def _weight_fn(p):
+    """``t -> weight_integral(p, t)``, with everything that depends on ``p`` alone done once."""
+    q = 1.0 - np.asarray(p, dtype=float)
+    degenerate = q < DEGENERATE_P
+    q = np.where(degenerate, 1.0, q)
+
+    def weight(t):
+        t = np.asarray(t, dtype=float)
+        if (t < 0).any():
+            raise ValueError("t must be >= 0")
+        log1p_t = np.log1p(t)
+        return np.where(degenerate, log1p_t, np.expm1(q * log1p_t) / q)
+
+    return weight
+
+
 def weight_integral(p, t):
     """Integral of the damping weight: ``int_0^t (1+s)^(-p) ds``.
 
@@ -61,14 +77,7 @@ def weight_integral(p, t):
     routed to ``log(1+t)`` when ``1-p`` is below the degeneracy threshold;
     broadcasts.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    q = 1.0 - np.asarray(p, dtype=float)
-    degenerate = q < DEGENERATE_P
-    q = np.where(degenerate, 1.0, q)
-    log1p_t = np.log1p(t)
-    return np.where(degenerate, log1p_t, np.expm1(q * log1p_t) / q)
+    return _weight_fn(p)(t)
 
 
 def growth_integral(p, t):
@@ -86,10 +95,26 @@ def phi(beta, p, t):
     ``(1+t)^(-beta)`` at ``p = 1``.  Strictly decreasing, ``phi(beta, p, 0) = 1``.
     The arguments broadcast together (a time grid, a batch of parameters).
     """
+    return _phi_fn(beta, p)(t)
+
+
+def _phi_fn(beta, p):
+    """``t -> phi(beta, p, t)`` for a solve that evaluates ``phi`` at many times.
+
+    ``beta`` is checked and everything that depends on ``(beta, p)`` alone is
+    done once; each call still checks ``t >= 0`` and evaluates the same
+    operations as ``phi`` in the same order, so the values are its bits.
+    """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0):
         raise ValueError("beta must be > 0")
-    return np.exp(-beta * weight_integral(p, t))
+    neg_beta = -beta
+    weight = _weight_fn(p)
+
+    def phi_at(t):
+        return np.exp(neg_beta * weight(t))
+
+    return phi_at
 
 
 def psi(alpha, p, t):

@@ -80,10 +80,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-300
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0 or not self.abs_tol > 0:
-            raise ValueError("tolerances must be positive")
-        if self.rel_tol > 1e-3 or self.abs_tol > 1e-3:
-            raise ValueError("tolerances must be <= 1e-3")
+        for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            if not value > 0:
+                raise ValueError(f"{name}: must be positive, got {value}")
+            if value > 1e-3:
+                raise ValueError(f"{name}: must be <= 1e-3, got {value}")
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     try:
         icfg = IntegratorConfig(**tols)
     except ValueError as exc:
-        raise ConfigError(f"tolerances: {exc}") from exc
+        raise ConfigError(f"tolerances.{exc}") from exc
     scenario = raw.get("scenario", "simulate")
     if scenario not in SCENARIOS:
         _fail("scenario", f"unknown scenario {scenario!r} (expected one of {SCENARIOS})")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import klab
+from klab import energies
 from klab import (
     LyapunovParams,
     SpectralOperator,
@@ -141,6 +142,47 @@ class TestComparisonFunctions:
         # broadcasting: one (beta, p) per row of a batch
         got = phi(np.array([[0.5], [1.0]]), np.array([[p], [0.5]]), t)
         np.testing.assert_allclose(got[1], [scalar_phi(1.0, 0.5, float(s)) for s in t], rtol=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0, 1.0 - 1e-13])
+    def test_the_phi_factory_is_phi_bit_for_bit(self, p):
+        # the closed form as phi evaluated it in one call, before its
+        # (beta, p) set-up moved into a factory that a solve builds once
+        def one_call_phi(beta, p, t):
+            t = np.asarray(t, dtype=float)
+            q = 1.0 - np.asarray(p, dtype=float)
+            degenerate = q < energies.DEGENERATE_P
+            q = np.where(degenerate, 1.0, q)
+            log1p_t = np.log1p(t)
+            w = np.where(degenerate, log1p_t, np.expm1(q * log1p_t) / q)
+            return np.exp(-np.asarray(beta, dtype=float) * w)
+
+        grid = np.linspace(0.0, 12.0, 600)
+        betas = np.array([0.2, 0.7, 1.5, 3.0])
+        ps = np.array([p, 0.5, 1.0, p])
+        cases = [
+            (1.3, p, 4.7),  # scalars
+            (1.3, p, grid),  # one (beta, p) over a time grid
+            (betas, ps, 2.5),  # one (beta, p) per member at a shared time
+            (betas, ps, np.array([0.0, 1.0, 7.5, 11.0])),  # and at each member's time
+        ]
+        for beta, pp, t in cases:
+            phi_at = energies._phi_fn(beta, pp)
+            want = one_call_phi(beta, pp, t)
+            for got in (phi_at(t), phi_at(t), phi(beta, pp, t)):  # the factory is reusable
+                assert np.array_equal(got, want)
+                assert np.shape(got) == np.shape(want)
+
+    def test_the_phi_factory_validates(self):
+        with pytest.raises(ValueError, match="beta"):
+            energies._phi_fn(np.array([1.0, 0.0]), 0.5)
+        with pytest.raises(ValueError, match="beta"):
+            energies._phi_fn(-1.0, 0.5)
+        phi_at = energies._phi_fn(1.0, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="t must be"):
+            phi_at(np.array([1.0, -1e-300]))
+        with pytest.raises(ValueError, match="t must be"):
+            phi_at(-1.0)
+        assert np.array_equal(phi_at(np.array([1.0, 2.0])), phi(1.0, [0.5, 1.0], [1.0, 2.0]))
 
     def test_phi_array_validates(self):
         with pytest.raises(ValueError):

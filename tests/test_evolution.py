@@ -550,9 +550,9 @@ class TestLogEnergyProbe:
 
 class TestConfigAndFailures:
     def test_integrator_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rel_tol: must be <= 1e-3, got 0.01$"):
             IntegratorConfig(rel_tol=1e-2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^abs_tol: must be positive, got 0.0$"):
             IntegratorConfig(abs_tol=0.0)
 
     def test_overflowing_state_is_typed_failure(self):

@@ -669,6 +669,19 @@ class TestCli:
         assert code == 2, err
         assert err == f"error: tolerances.rel_tol: expected a number, got {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("rel_tol", 0.5, "must be <= 1e-3, got 0.5"),
+         ("rel_tol", 0.0, "must be positive, got 0.0"),
+         ("abs_tol", 0.01, "must be <= 1e-3, got 0.01"),
+         ("abs_tol", -1e-300, "must be positive, got -1e-300")],
+    )
+    def test_an_out_of_range_tolerance_names_its_field(self, tmp_path, capsys, key, value, message):
+        doc = base_config(tolerances={key: value})
+        code, err = self.verify_in_process(tmp_path, capsys, json.dumps(doc))
+        assert code == 2, err
+        assert err == f"error: tolerances.{key}: {message}\n"
+
     @pytest.mark.parametrize("key", ["max_step", "oscillation_safety"])
     def test_a_dropped_tolerance_key_exit_two(self, tmp_path, key):
         path = tmp_path / "config.json"

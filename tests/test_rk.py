@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from klab._rk import IntegrationError, solve_to_grid
+import klab._rk
+from klab._rk import IntegrationError, _error_ratio, _member_ratios, solve_to_grid
 
 REL_TOL = 1e-10
 
@@ -45,6 +47,73 @@ class TestBatchAxis:
     def test_state_shape_is_validated(self, y0):
         with pytest.raises(ValueError, match="shape"):
             solve_to_grid(lambda t, y: -y, y0, [0.0, 1.0], rel_tol=REL_TOL, abs_tol=0.0)
+
+
+def _step_rows(magnitudes, d=3, seed=0):
+    """``(err_vec, y, y_new)`` of a ``(B, d)`` batch whose member ``i`` has
+    norm about ``magnitudes[i]``, ``y_new`` within 1e-3 of ``y`` and an error
+    1e-9 to 1e-3 of ``|y|``."""
+    rng = np.random.default_rng(seed)
+    scale = np.asarray(magnitudes, dtype=float)[:, None]
+    y = scale * rng.uniform(0.5, 1.0, (scale.size, d)) * rng.choice([-1.0, 1.0], (scale.size, d))
+    y_new = y * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, y.shape))
+    err = y * 10.0 ** rng.uniform(-9.0, -3.0, y.shape)
+    return err, y, y_new
+
+
+def _scaled_ratio(err, y, y_new, rel_tol, abs_tol):
+    """The largest member ratio with every member's norms scaled."""
+    ratio = float(np.max(_member_ratios(err, y, y_new, rel_tol, abs_tol)))
+    return ratio if math.isfinite(ratio) else math.inf
+
+
+class TestSharedClockErrorRatio:
+    """A shared clock takes its members' norms unscaled when all lie in the
+    safe window, and the result is the scaled one, bit for bit."""
+
+    def test_inside_the_window_the_norms_are_not_scaled(self, monkeypatch):
+        err, y, y_new = _step_rows([1.0, 3e-50, 2e-99, 5e99, 1e-5])
+        want = _scaled_ratio(err, y, y_new, REL_TOL, 1e-300)
+
+        def refuse(*args):
+            raise AssertionError("scaled norms taken inside the window")
+
+        monkeypatch.setattr(klab._rk, "_member_ratios", refuse)
+        assert _error_ratio(err, y, y_new, REL_TOL, 1e-300) == want
+
+    @pytest.mark.parametrize("outside", [0.0, 1e-160, 1e120], ids=["zero", "1e-160", "1e120"])
+    def test_one_member_outside_the_window_scales_them_all(self, outside):
+        err, y, y_new = _step_rows([1.0, outside, 3e-50, 5e99])
+        for abs_tol in (1e-300, 1e-14):
+            got = _error_ratio(err, y, y_new, REL_TOL, abs_tol)
+            assert got == _scaled_ratio(err, y, y_new, REL_TOL, abs_tol)
+            assert math.isfinite(got)
+
+    @pytest.mark.parametrize("mags", [[1.0, 1e-5], [1.0, 1e120]], ids=["inside", "outside"])
+    def test_a_non_finite_y_new_gives_inf(self, mags):
+        err, y, y_new = _step_rows(mags)
+        nan_new = y_new.copy()
+        nan_new[1, 0] = np.nan
+        assert _error_ratio(err, y, nan_new, REL_TOL, 1e-300) == math.inf
+        # an overflowed step: the error estimate, made from f(y_new), overflows too
+        inf_new, inf_err = y_new.copy(), err.copy()
+        inf_new[1, 2] = inf_err[1, 2] = np.inf
+        assert _error_ratio(inf_err, y, inf_new, REL_TOL, 1e-300) == math.inf
+        assert _scaled_ratio(inf_err, y, inf_new, REL_TOL, 1e-300) == math.inf
+
+    @given(
+        # half inside the window, half anywhere a double reaches
+        exponents=st.lists(st.integers(-99, 99) | st.integers(-320, 307), min_size=1, max_size=6),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        abs_tol=st.sampled_from([1e-300, 1e-14]),
+        rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+    )
+    def test_any_magnitudes_give_the_scaled_ratio(self, exponents, d, seed, abs_tol, rel_tol):
+        err, y, y_new = _step_rows([10.0**e for e in exponents], d, seed)
+        assert _error_ratio(err, y, y_new, rel_tol, abs_tol) == _scaled_ratio(
+            err, y, y_new, rel_tol, abs_tol
+        )
 
 
 class TestStepStats:
