@@ -74,7 +74,6 @@ from .analysis import (
     fit_decay_exponent,
     oscillation_onset,
     probe_open_problem,
-    ratio_horizon,
     residual_series,
     synthetic_lemma_instances,
     wkb_compare,

@@ -196,35 +196,42 @@ def _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol: float, abs_tol: float):
 
 def _own_ratios(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
-) -> tuple[list[float], list[bool]]:
-    """Each member's ``_error_ratio`` as its single system computes it, and
-    whether its ``y_new`` is finite."""
+) -> list[float]:
+    """Each member's ``_error_ratio`` as its single system computes it."""
     members = len(y)
     norms = _norm(np.concatenate((y, y_new, err_vec))).tolist()
     ratios = []
-    finite = []
     scaled = None
     for i in range(members):
         new_norm = norms[members + i]
+        # a finite norm has finite components; an infinite one may be overflow
+        if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new[i])):
+            ratios.append(math.inf)
+            continue
         ratio = _unscaled_ratio(norms[i], new_norm, norms[2 * members + i], rel_tol, abs_tol)
         if ratio is None:
             if scaled is None:
                 scaled = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol).tolist()
             ratio = scaled[i]
         ratios.append(ratio if math.isfinite(ratio) else math.inf)
-        # a finite norm has finite components; an infinite one may be overflow
-        finite.append(math.isfinite(new_norm) or bool(np.all(np.isfinite(y_new[i]))))
-    return ratios, finite
+    return ratios
 
 
 def _error_ratio(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> float:
-    """Largest member error over its tolerance; ``inf`` when not finite."""
+    """Largest member error over its tolerance; ``inf`` when not finite, and
+    when a member's ``y_new`` has a non-finite component."""
     if y.ndim == 1:
-        ratio = _unscaled_ratio(_norm(y), _norm(y_new), _norm(err_vec), rel_tol, abs_tol)
+        new_norm = _norm(y_new)
+        if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new)):
+            return math.inf
+        ratio = _unscaled_ratio(_norm(y), new_norm, _norm(err_vec), rel_tol, abs_tol)
     else:
         norms = _norm(np.concatenate((y, y_new, err_vec))).reshape(3, -1)
+        # a non-finite component makes its member's norm non-finite too
+        if not math.isfinite(norms[1].max()) and not np.all(np.isfinite(y_new)):
+            return math.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = _unscaled_ratio(*norms, rel_tol, abs_tol)
         ratio = None if ratio is None else ratio.max()
@@ -455,16 +462,14 @@ def solve_to_grid(
 
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         if own_clocks:
-            ratios, finite = _own_ratios(err_vec, y, y_new, rel_tol, abs_tol)
+            ratios = _own_ratios(err_vec, y, y_new, rel_tol, abs_tol)
         else:
             ratios = [_error_ratio(err_vec, y, y_new, rel_tol, abs_tol)]
-            finite = [bool(np.all(np.isfinite(y_new)))]
 
         accepted = []
         for c in live:
-            i = c.member or 0
-            ratio = ratios[i]
-            if ratio <= 1.0 and finite[i]:
+            ratio = ratios[c.member or 0]
+            if ratio <= 1.0:
                 accepted.append(c)
                 h_try = c.h_try
                 c.accepted += 1

@@ -54,7 +54,6 @@ __all__ = [
     "check_uniform_decay_weights",
     "check_parabolic_pointwise",
     "probe_open_problem",
-    "ratio_horizon",
     "hyperbolic_series",
     "parabolic_gamma_series",
 ]
@@ -173,7 +172,7 @@ def default_fit_window(t_end: float, eps: float | None = None) -> tuple[float, f
 
 
 def fit_decay_exponent(
-    times, values, p: float, abscissa: str, window: tuple[float, float] | None = None
+    times, values, p: float, abscissa: str, window: tuple[float, float]
 ) -> RateFit:
     """Fit ``log(value)`` linearly in the chosen abscissa over ``window``.
 
@@ -184,8 +183,6 @@ def fit_decay_exponent(
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be aligned 1-d arrays")
-    if window is None:
-        window = default_fit_window(float(t[-1]))
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy t_lo < t_hi")
@@ -271,10 +268,8 @@ def check_energy_monotone(traj: Trajectory) -> CheckReport:
     )
 
 
-def check_energy_sandwich(
-    traj: Trajectory, lp: en.LyapunovParams | None = None
-) -> list[CheckReport]:
-    """Two-sided equivalence for ``E`` and (with ``lp``) the lower bound for ``F``.
+def check_energy_sandwich(traj: Trajectory, lp: en.LyapunovParams) -> list[CheckReport]:
+    """Two-sided equivalence for ``E`` and the lower bound for ``F``.
 
     The comparison weight is ``eps|u'|^2 + |A^(1/2)u|^2``; constants come from
     the run's measured coefficient supremum (with 1% headroom) and the mass
@@ -294,29 +289,25 @@ def check_energy_sandwich(
     hi_slack = (k_hi * base - E) / scale
     slack = np.minimum(lo_slack, hi_slack)
     worst = int(np.argmin(slack))
-    reports = [
+    F = en.energy_F(traj.u, traj.v, traj.times, eps, traj.c_trace, op, lp)
+    f_slack = (F - k_lo_F * base) / scale
+    worst_F = int(np.argmin(f_slack))
+    return [
         _report(
             "sandwich_E",
             float(slack[worst]),
             float(traj.times[worst]),
             tol,
             {"eps": eps, "k_lower": k_lo, "k_upper": k_hi, "c_sup": c_sup},
-        )
+        ),
+        _report(
+            "sandwich_F",
+            float(f_slack[worst_F]),
+            float(traj.times[worst_F]),
+            tol,
+            {"eps": eps, "k_lower": k_lo_F, "c_sup": c_sup, "delta": lp.delta},
+        ),
     ]
-    if lp is not None:
-        F = en.energy_F(traj.u, traj.v, traj.times, eps, traj.c_trace, op, lp)
-        f_slack = (F - k_lo_F * base) / scale
-        worst = int(np.argmin(f_slack))
-        reports.append(
-            _report(
-                "sandwich_F",
-                float(f_slack[worst]),
-                float(traj.times[worst]),
-                tol,
-                {"eps": eps, "k_lower": k_lo_F, "c_sup": c_sup, "delta": lp.delta},
-            )
-        )
-    return reports
 
 
 def assemble_psi3(
@@ -362,34 +353,30 @@ def residual_series(traj_eps: Trajectory, traj_parabolic: Trajectory) -> np.ndar
 def check_lyapunov_decay(
     traj: Trajectory,
     lp: en.LyapunovParams,
-    which: str = "F",
-    psi3: np.ndarray | None = None,
-    rho: np.ndarray | None = None,
-    rprime: np.ndarray | None = None,
+    remainder: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> CheckReport:
     """Discrete monitor of the Lyapunov decay inequality for ``t >= lp.T``.
 
-    ``which="F"`` checks ``F' <= -beta (1+t)^(-p) F`` along the run;
-    ``which="script_F"`` checks the remainder version with forcing ``psi3``
-    and needs the ``rho``/``rprime`` series of the decomposition.
+    Without ``remainder`` it checks ``F' <= -beta (1+t)^(-p) F`` along the
+    run (``lyapunov_decay_F``).  With the decomposition's
+    ``remainder = (rho, rprime, psi3)`` it checks the remainder version, the
+    same inequality for ``(rho, r')`` with forcing ``psi3``
+    (``lyapunov_decay_script_F``), which needs perturbation-case ``lp``.
     """
     if traj.kind != "hyperbolic":
         raise ValueError("Lyapunov monitors apply to hyperbolic runs")
     t = traj.times
     w = (1.0 + t) ** (-lp.p)
-    if which == "F":
+    if remainder is None:
         u, v, name = traj.u, traj.v, "lyapunov_decay_F"
-    elif which == "script_F":
-        if lp.sigma is None:
-            raise ValueError("script_F needs perturbation-case parameters")
-        if psi3 is None or rho is None or rprime is None:
-            raise ValueError("script_F needs psi3, rho and rprime series")
-        u, v, name = rho, rprime, "lyapunov_decay_script_F"
     else:
-        raise ValueError("which must be 'F' or 'script_F'")
+        if lp.sigma is None:
+            raise ValueError("the remainder form needs perturbation-case parameters")
+        u, v, psi3 = remainder
+        name = "lyapunov_decay_script_F"
     F = en.energy_F(u, v, t, traj.eps, traj.c_trace, traj.op, lp)
     rhs = -lp.beta * w * F
-    if which == "script_F":
+    if remainder is not None:
         rhs = rhs + np.asarray(psi3, dtype=float)
     return _slope_check(
         name,
@@ -443,10 +430,10 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
     - ``lemma33``: ``times, E, psi1, psi2`` (optional exact ``K1``, ``K2``);
       hypothesis ``E' <= psi1 sqrt(E) + psi2`` with ``E(0) = 0``, conclusion
       ``E <= K1^2 + 2 K2``.
-    - ``lemma34``: ``times, F, psi, T, beta, p`` (optional exact
-      ``psi_over_phi_integral``); hypothesis
+    - ``lemma34``: ``times, F, psi, T, beta, p``; hypothesis
       ``F' <= -beta (1+t)^(-p) F + psi`` for ``t >= T``, conclusion
-      ``F <= (F(T)/Phi(T) + int psi/Phi) Phi``.
+      ``F <= (F(T)/Phi(T) + int psi/Phi) Phi`` with the integral taken by the
+      trapezoid rule on ``times``.
 
     A violated hypothesis yields a failing report with
     ``params["failure_kind"] = "hypothesis"``, distinct from a conclusion
@@ -505,9 +492,7 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
         hyp = _slope_check(name, t, y, rhs, tol, params, t_start=T)
 
         def conclusion():
-            integral = float(
-                inputs.get("psi_over_phi_integral", _grid_integral(t, psi_vals / phi_vals))
-            )
+            integral = _grid_integral(t, psi_vals / phi_vals)
             iT = int(np.searchsorted(t, T - 1e-12 * max(1.0, T)))
             const = y[iT] / phi_vals[iT] + integral
             mask = t >= t[iT]
@@ -578,7 +563,7 @@ def _lemma33_forcing(a1, b1, a2, b2, k1):
 
 
 def synthetic_lemma_instances(
-    kind: str, rng: np.random.Generator, count: int, grid_points: int = 600
+    kind: str, rng: np.random.Generator, count: int
 ) -> list[dict[str, Any]]:
     """``count`` random inputs whose hypotheses hold by construction.
 
@@ -590,7 +575,7 @@ def synthetic_lemma_instances(
     Parameters are drawn instance after instance, so a given ``rng`` state
     yields the same instances however ``count`` splits them.  All instances
     are integrated in one batched solve in normalized time ``tau = t/t_end``
-    on the shared grid ``linspace(0, 1, grid_points)``, as
+    on the shared grid ``linspace(0, 1, 600)``, as
     ``dy/dtau = t_end f(tau t_end, y)``; each member keeps its own error norm,
     and instance ``i`` is sampled at ``times = t_end_i * tau``.  Every
     instance records that solve's statistics under ``"steps"``.
@@ -600,7 +585,7 @@ def synthetic_lemma_instances(
     draws = [_draw_lemma_params(kind, rng) for _ in range(count)]
     par = {key: np.array([d[key] for d in draws]) for key in draws[0]}
     t_end, p = par["t_end"], par["p"]
-    tau = np.linspace(0.0, 1.0, grid_points)
+    tau = np.linspace(0.0, 1.0, 600)
 
     # everything that does not depend on the time is set up once per solve
     if kind == "lemma32":
@@ -664,6 +649,11 @@ def _stability_ratio(values: list[float]) -> float:
     return vmax / vmin
 
 
+def _stability_slack(ratio: float, limit: float) -> float:
+    """Margin of a ``_stability_ratio`` under ``limit``, relative to it; -1 when infinite."""
+    return (limit - ratio) / limit if math.isfinite(ratio) else -1.0
+
+
 def check_hypotheses(
     trajs_eps: list[Trajectory], traj_parabolic: Trajectory
 ) -> CheckReport:
@@ -704,7 +694,7 @@ def check_hypotheses(
         "M4": _stability_ratio(list(M4.values())),
         "M5": _stability_ratio(list(M5.values())),
     }
-    slack = min((2.0 - r) / 2.0 if math.isfinite(r) else -1.0 for r in ratios.values())
+    slack = min(_stability_slack(r, 2.0) for r in ratios.values())
     params = {
         "M1": M1,
         "M2": M2,
@@ -766,10 +756,7 @@ def check_residual_bounds(
             z_slacks.append((4.0 * eps - z_val) / (4.0 * eps))
     ratio_I = _stability_ratio(list(I_norm.values()))
     ratio_B = _stability_ratio(list(B_norm.values()))
-    slacks = [
-        (4.0 - ratio_I) / 4.0 if math.isfinite(ratio_I) else -1.0,
-        (4.0 - ratio_B) / 4.0 if math.isfinite(ratio_B) else -1.0,
-    ] + z_slacks
+    slacks = [_stability_slack(ratio_I, 4.0), _stability_slack(ratio_B, 4.0)] + z_slacks
     slack = min(slacks)
     params = {
         "beta": beta,
@@ -786,56 +773,11 @@ def check_residual_bounds(
 # optimality, WKB, sweeps
 
 
-def ratio_horizon(
-    eps: float,
-    p: float,
-    mu: float,
-    nu: float,
-    factor: float = 10.0,
-    band_log: float | None = None,
-) -> float:
-    """Earliest convenient ``t_end`` for the divergence-ratio test.
-
-    Uses the oscillatory amplitude law ``log Gamma ~ -W(t)/eps`` against the
-    overdamped envelope exponent ``gamma ((1+t)^(1+p)-1)``: the ratio of the
-    two profiles turns around at ``(1+t*)^(2p) = 1/(2 mu nu eps)`` and the
-    returned horizon places ``t_end/2`` past the turnaround with enough
-    headroom to beat ``factor`` despite oscillation-phase sampling.
-    """
-    if p <= 0:
-        raise ValueError("the profile-ratio horizon applies to p > 0")
-    g = en.gamma_rate(mu, nu, p)
-    if band_log is None:
-        band_log = max(0.0, math.log(max(1.0 / (3.0 * eps), 1.0)))
-    margin = math.log(factor) + band_log + 2.0
-
-    def excess(t_end: float) -> float:
-        def f(t: float) -> float:
-            return -en.weight_integral(p, t) / eps + g * en.growth_integral(p, t)
-
-        return f(t_end) - f(0.5 * t_end) - margin
-
-    t_star = (1.0 / (2.0 * mu * nu * eps)) ** (1.0 / (2.0 * p)) - 1.0
-    lo = max(2.0 * (t_star + 1.0), 1.0)
-    hi = lo
-    while excess(hi) < 0.0:
-        hi *= 1.5
-        if hi > 1e9:
-            raise ValueError("no finite horizon reaches the requested ratio")
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
     """Divergence of ``H = E / Phi`` against a faster-decaying profile.
 
-    ``phi_spec["form"]`` is ``"psi"`` (overdamped profile, needs ``p > 0``;
-    rate defaults to the limit flow's decay constant) or ``"exp"`` (plain
+    ``phi_spec["form"]`` is ``"psi"`` (overdamped profile at the limit flow's
+    decay constant, needs ``p > 0``) or ``"exp"`` (plain
     ``exp(-beta_hat t)``, needs ``p = 0`` and ``beta_hat`` above the run's
     fitted decay rate).  Asserts ``H`` is eventually increasing with the late
     minimum in the first half of the run, and
@@ -849,9 +791,7 @@ def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
     if form == "psi":
         if p <= 0.0:
             raise ValueError("the overdamped profile requires p > 0")
-        alpha = float(
-            phi_spec.get("alpha", en.gamma_rate(mass_inf(traj.mass), op.nu, p))
-        )
+        alpha = float(en.gamma_rate(mass_inf(traj.mass), op.nu, p))
         profile = en.psi(alpha, p, t)
         profile_desc = {"form": "psi", "alpha": alpha}
     elif form == "exp":
@@ -916,9 +856,9 @@ def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
     return _report("optimality_H", slack, worst_t, tol, params)
 
 
-def oscillation_onset(eps: float, p: float, mu_nu: float, level: float = 2.0) -> float:
+def oscillation_onset(eps: float, p: float, mu_nu: float) -> float:
     """Time at which the damping discriminant ratio ``4 eps mu nu (1+t)^(2p)``
-    reaches ``level``.
+    reaches 2.
 
     Below 1 the flow is locally overdamped (real frozen-coefficient roots);
     the oscillatory amplitude law applies once the ratio is comfortably above
@@ -926,7 +866,7 @@ def oscillation_onset(eps: float, p: float, mu_nu: float, level: float = 2.0) ->
     """
     if p <= 0:
         raise ValueError("the onset time applies to p > 0")
-    base = level / (4.0 * eps * mu_nu)
+    base = 2.0 / (4.0 * eps * mu_nu)
     if base <= 1.0:
         return 0.0
     return base ** (1.0 / (2.0 * p)) - 1.0
@@ -1031,7 +971,7 @@ def epsilon_sweep_decay_error(
     ]
     S = dict(zip(eps_desc, sups))
     ratio_sweep = _stability_ratio(sups)
-    slacks = [(4.0 - ratio_sweep) / 4.0 if math.isfinite(ratio_sweep) else -1.0]
+    slacks = [_stability_slack(ratio_sweep, 4.0)]
     halvings = {}
     for large, small in zip(eps_desc, eps_desc[1:]):
         if S[large] == 0.0 and S[small] == 0.0:
@@ -1056,13 +996,13 @@ def epsilon_sweep_decay_error(
 
 
 def check_uniform_decay_weights(
-    trajs_eps: list[Trajectory], traj_parabolic: Trajectory | None = None
+    trajs_eps: list[Trajectory], traj_parabolic: Trajectory
 ) -> CheckReport:
     """Weighted suprema of the global-existence bounds, stable across the sweep.
 
     Measures ``sup (1+t)^2 |u'|^2 + (1+t)^(1+p) |A^(1/2)u|^2 +
     (1+t)^(2(1+p)) |Au|^2`` per run; the per-``eps`` values must agree within
-    2x.  The limit-flow value (when provided) is reported alongside.
+    2x.  The limit-flow value ``C_2_2`` is reported alongside.
     """
     if not trajs_eps:
         raise ValueError("need at least one run")
@@ -1079,14 +1019,13 @@ def check_uniform_decay_weights(
 
     per_eps = {tr.eps: weighted_sup(tr) for tr in trajs_eps}
     ratio = _stability_ratio(list(per_eps.values()))
-    slack = (2.0 - ratio) / 2.0 if math.isfinite(ratio) else -1.0
-    params: dict[str, Any] = {
+    slack = _stability_slack(ratio, 2.0)
+    params = {
         "C_2_4": max(per_eps.values()),
         "per_eps": {repr(k): v for k, v in per_eps.items()},
         "sweep_ratio": ratio,
+        "C_2_2": weighted_sup(traj_parabolic),
     }
-    if traj_parabolic is not None:
-        params["C_2_2"] = weighted_sup(traj_parabolic)
     worst_t = float(trajs_eps[0].times[-1])
     return _report("uniform_decay_weights", slack, worst_t, 0.0, params)
 

@@ -27,6 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .spectral import SpectralOperator, as_states, sobolev_norm_sq
 
 __all__ = [
+    "DEGENERATE_P",
     "weight_integral",
     "growth_integral",
     "phi",

@@ -328,6 +328,10 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float):
     K = op.dim
     lam = op.eigenvalues
 
+    # Two right-hand sides on purpose: the same bits come out of a single eps
+    # run as an own-clock batch of one, but that took 1.9-2.0 s against
+    # 0.9-1.1 s for the K = 64 single-eps solve (1.8-2x), the per-member lists
+    # and stacked matmuls costing more than the one row saves.
     if np.ndim(eps) == 0:
 
         def f(t: float, y: np.ndarray) -> np.ndarray:

@@ -623,12 +623,11 @@ def _scn_decay(ctx: _Context) -> None:
         ctx.add_check(an.check_energy_monotone(traj), traj)
         for rep in an.check_energy_sandwich(traj, lp):
             ctx.add_check(rep, traj)
-        ctx.add_check(an.check_lyapunov_decay(traj, lp, "F"), traj)
+        ctx.add_check(an.check_lyapunov_decay(traj, lp), traj)
     uniform = an.check_uniform_decay_weights(trajs, ctx.parabolic())
     ctx.add_check(uniform)
     ctx.constants["C_2_4"] = uniform.params["C_2_4"]
-    if "C_2_2" in uniform.params:
-        ctx.constants["C_2_2"] = uniform.params["C_2_2"]
+    ctx.constants["C_2_2"] = uniform.params["C_2_2"]
     if c.mass.is_constant:
         ctx.add_check(an.check_parabolic_pointwise(ctx.parabolic()), ctx.parabolic())
 
@@ -654,7 +653,7 @@ def _scn_decay_error(ctx: _Context) -> None:
         ctx.energies[eps]["gamma_r"] = gamma_r[eps]
         ctx.energies[eps]["gamma_c"] = en.gamma_eps(rho, rprime, eps, c.operator)
         psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert)
-        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, "script_F", psi3, rho, rprime), traj)
+        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, (rho, rprime, psi3)), traj)
     ctx.add_check(
         an.check_residual_bounds(
             traj_par.times, g_sq, c.beta, c.p, ctx.mu, c.operator.nu
@@ -678,10 +677,10 @@ def _scn_optimality(ctx: _Context) -> None:
         ctx.add_check(an.check_optimality(traj, phi_spec), traj)
 
 
-def _scn_lemmas(ctx: _Context, instances: int = 100) -> None:
+def _scn_lemmas(ctx: _Context) -> None:
     rng = np.random.default_rng(ctx.cfg.seed)
     for kind in an.LEMMA_SERIES:
-        for i, inputs in enumerate(an.synthetic_lemma_instances(kind, rng, instances)):
+        for i, inputs in enumerate(an.synthetic_lemma_instances(kind, rng, 100)):
             rep = an.check_comparison_lemma(kind, inputs)
             rep.params["instance"] = i
             ctx.add_check(rep)

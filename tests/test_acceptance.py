@@ -256,7 +256,7 @@ def test_criterion_05_lyapunov_suite():
         lp_decay = decay_params(1.0, p, 1.0, 1.0)
         reports = [
             check_energy_monotone(hyp),
-            check_lyapunov_decay(hyp, lp_decay, which="F"),
+            check_lyapunov_decay(hyp, lp_decay),
         ]
         par = integrate("parabolic", u0, t_end, n, CFG, OP1, M1, p)
         th0 = theta0(u0, u1, OP1, M1)
@@ -265,10 +265,7 @@ def test_criterion_05_lyapunov_suite():
         g = residual_series(hyp, par)
         lp_pert = perturbation_params(1.0, p, 1.0, 1.0)
         psi3 = assemble_psi3(hyp, rho, theta_p, g, lp_pert)
-        reports.append(
-            check_lyapunov_decay(hyp, lp_pert, which="script_F",
-                                 psi3=psi3, rho=rho, rprime=rprime)
-        )
+        reports.append(check_lyapunov_decay(hyp, lp_pert, (rho, rprime, psi3)))
         total += len(reports)
         for rep in reports:
             if not rep.passed:

@@ -35,7 +35,6 @@ from klab import (
     perturbation_params,
     phi,
     probe_open_problem,
-    ratio_horizon,
     remainders,
     residual_series,
     synthetic_lemma_instances,
@@ -100,14 +99,14 @@ def test_abscissa_values_mappings():
 class TestRateFitting:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 6.0, 300)
-        fit = fit_decay_exponent(t, np.exp(-3.0 * t), 0.0, "t")
+        fit = fit_decay_exponent(t, np.exp(-3.0 * t), 0.0, "t", (2.4, 6.0))
         assert fit.slope == pytest.approx(-3.0, rel=1e-8)
         assert fit.r_squared >= 1.0 - 1e-10
         assert fit.abscissa == "t"
 
     def test_exact_power_law(self):
         t = np.linspace(0.0, 20.0, 500)
-        fit = fit_decay_exponent(t, (1.0 + t) ** (-2.0), 1.0, "log1p")
+        fit = fit_decay_exponent(t, (1.0 + t) ** (-2.0), 1.0, "log1p", (8.0, 20.0))
         assert fit.slope == pytest.approx(-2.0, rel=1e-8)
         assert fit.r_squared >= 1.0 - 1e-10
 
@@ -117,7 +116,7 @@ class TestRateFitting:
         for _ in range(50):
             rate = float(rng.uniform(0.1, 8.0))
             scale = float(rng.uniform(0.2, 30.0))
-            fit = fit_decay_exponent(t, scale * np.exp(-rate * t), 0.0, "t")
+            fit = fit_decay_exponent(t, scale * np.exp(-rate * t), 0.0, "t", (4.0, 10.0))
             assert fit.slope == pytest.approx(-rate, rel=1e-8)
             assert fit.r_squared >= 1.0 - 1e-10
             assert fit.intercept == pytest.approx(math.log(scale), rel=1e-6)
@@ -132,7 +131,7 @@ class TestRateFitting:
     def test_window_and_positivity_errors(self):
         t = np.linspace(0.0, 5.0, 100)
         with pytest.raises(ValueError):
-            fit_decay_exponent(t, np.exp(-t) - 0.5, 0.0, "t")   # sign change
+            fit_decay_exponent(t, np.exp(-t) - 0.5, 0.0, "t", (2.0, 5.0))  # sign change
         with pytest.raises(ValueError):
             fit_decay_exponent(t, np.exp(-t), 0.0, "t", window=(4.9, 4.95))  # < 3 points
 
@@ -204,23 +203,43 @@ class TestLyapunovDecay:
     def test_decay_inequality_small_eps(self):
         lp = decay_params(1.0, 0.5, 1.0, 1.0)
         traj = integrate("hyperbolic", ([1.0], [0.0]), 10.0, 600, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, lp, which="F")
+        rep = check_lyapunov_decay(traj, lp)
         assert rep.passed
         assert rep.name == "lyapunov_decay_F"
 
     def test_zero_solution_trivial(self):
         lp = decay_params(1.0, 0.5, 1.0, 1.0)
         traj = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, lp, which="F")
+        rep = check_lyapunov_decay(traj, lp)
         assert rep.passed and rep.worst_slack == 0.0
 
     def test_start_time_past_horizon_checks_nothing(self):
         lp = perturbation_params(8.0, 0.5, 1.0, 1.0)   # T = delta(beta+sigma)/(2nu) - 1, large
         assert lp.T > 4.0
         traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, lp, which="F")
+        rep = check_lyapunov_decay(traj, lp)
         assert rep.passed
         assert rep.params["intervals"] == 0
+
+    def test_the_remainder_series_select_the_remainder_form(self):
+        p, eps = 0.5, 0.02
+        hyp = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, p, eps=eps)
+        par = integrate("parabolic", [1.0], 8.0, 400, CFG, OP1, M1, p)
+        theta_p = corrector_velocity(theta0([1.0], [0.0], OP1, M1), eps, p, par.times)
+        rho, rprime = remainders(hyp, par, theta_p)
+        lp = perturbation_params(1.0, p, 1.0, 1.0)
+        psi3 = assemble_psi3(hyp, rho, theta_p, residual_series(hyp, par), lp)
+        assert check_lyapunov_decay(hyp, lp).name == "lyapunov_decay_F"
+        rep = check_lyapunov_decay(hyp, lp, (rho, rprime, psi3))
+        assert rep.name == "lyapunov_decay_script_F"
+        assert rep.passed and rep.params["intervals"] > 0
+        # the monitored series are the ones passed, not the run's
+        zero = np.zeros_like(rho)
+        rep = check_lyapunov_decay(hyp, lp, (zero, zero, np.zeros(hyp.times.size)))
+        assert rep.name == "lyapunov_decay_script_F" and rep.worst_slack == 0.0
+        # the remainder form needs sigma, which decay parameters lack
+        with pytest.raises(ValueError, match="perturbation"):
+            check_lyapunov_decay(hyp, decay_params(1.0, p, 1.0, 1.0), (rho, rprime, psi3))
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +472,11 @@ class TestOptimality:
 def test_oscillation_onset_values():
     # level 2 coincides with the profile-ratio turnaround
     assert oscillation_onset(0.02, 0.5, 1.0) == pytest.approx(24.0)
-    assert oscillation_onset(0.05, 0.3, 1.0, level=1.0) == pytest.approx(
-        5.0 ** (1.0 / 0.6) - 1.0)
+    assert oscillation_onset(0.05, 0.3, 1.0) == pytest.approx(10.0 ** (1.0 / 0.6) - 1.0)
+    # already past level 2 at t = 0
+    assert oscillation_onset(1.0, 0.5, 1.0) == 0.0
     with pytest.raises(ValueError):
         oscillation_onset(0.02, 0.0, 1.0)
-
-
-def test_ratio_horizon_is_past_double_turnaround():
-    for eps, p in ((0.05, 0.5), (0.02, 0.7)):
-        t_star = oscillation_onset(eps, p, 1.0)
-        h = ratio_horizon(eps, p, 1.0, 1.0)
-        assert h >= 2.0 * t_star
-    with pytest.raises(ValueError):
-        ratio_horizon(0.05, 0.0, 1.0, 1.0)
 
 
 class TestDecayErrorSweep:

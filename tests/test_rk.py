@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import klab._rk
-from klab._rk import IntegrationError, _error_ratio, _member_ratios, solve_to_grid
+from klab._rk import (
+    IntegrationError,
+    _error_ratio,
+    _member_ratios,
+    _own_ratios,
+    solve_to_grid,
+)
 
 REL_TOL = 1e-10
 
@@ -100,6 +106,29 @@ class TestSharedClockErrorRatio:
         inf_new[1, 2] = inf_err[1, 2] = np.inf
         assert _error_ratio(inf_err, y, inf_new, REL_TOL, 1e-300) == math.inf
         assert _scaled_ratio(inf_err, y, inf_new, REL_TOL, 1e-300) == math.inf
+
+    @pytest.mark.parametrize("mags", [[1.0, 1e-5], [1.0, 1e120]], ids=["inside", "outside"])
+    def test_an_infinite_y_new_with_a_finite_error_gives_inf(self, mags):
+        # the infinite norm of y_new would otherwise make the tolerance
+        # infinite and the ratio 0
+        err, y, y_new = _step_rows(mags)
+        y_new[1, 2] = np.inf
+        assert np.all(np.isfinite(err))
+        assert _error_ratio(err, y, y_new, REL_TOL, 1e-300) == math.inf
+        assert _error_ratio(err[1], y[1], y_new[1], REL_TOL, 1e-300) == math.inf
+        assert _own_ratios(err, y, y_new, REL_TOL, 1e-300)[1] == math.inf
+
+    def test_an_overflowed_norm_of_a_finite_y_new_is_not_rejected(self):
+        # components near 1e200 square to inf, but the state is finite
+        err, y, y_new = _step_rows([1.0, 1e200])
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(y_new[1] @ y_new[1]))
+            want = _scaled_ratio(err, y, y_new, REL_TOL, 1e-300)
+            assert math.isfinite(want)
+            assert _error_ratio(err, y, y_new, REL_TOL, 1e-300) == want
+            assert _error_ratio(err[1], y[1], y_new[1], REL_TOL, 1e-300) == _scaled_ratio(
+                err[1:], y[1:], y_new[1:], REL_TOL, 1e-300
+            )
 
     @given(
         # half inside the window, half anywhere a double reaches
