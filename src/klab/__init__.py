@@ -32,7 +32,6 @@ from .energies import (
     gamma_rate,
     growth_integral,
     kernel_integral,
-    optimality_H,
     parabolic_bound_rhs,
     perturbation_params,
     phi,

@@ -319,8 +319,9 @@ def solve_to_grid(
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
     Returns ``(Y, None, stats)`` where ``Y[i]`` is the state at ``times[i]``.
-    The middle slot is always ``None``: it keeps the three-value shape that
-    callers unpack.
+    The middle slot is always ``None``.  It stays because the benchmark's
+    tracer (``perfbench/tracing.py``) reads the statistics as ``out[2]``;
+    no caller needs it, and it goes once the tracer reads ``out[-1]``.
 
     ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
     independent members (``Y`` then has shape ``(n, B, d)``), each held to

@@ -8,11 +8,14 @@ ten times the integrator's relative tolerance.  Slacks are reported
 normalized by that local scale, so a report's ``worst_slack`` is comparable
 across runs whose magnitudes differ by hundreds of decades.
 
-Rate fits regress ``log(value)`` against one of four abscissas; the two
+Rate fits regress ``log(value)`` against one of three abscissas; the two
 weighted abscissas are kept unnormalized (``(1+t)^(1-p)-1`` and
 ``(1+t)^(1+p)-1``) so that fitted slopes read directly as ``-1/(eps(1-p))``
 in the oscillatory regime and ``-gamma``-like constants in the overdamped
 one.
+
+The checks take the energy series they test; only ``hyperbolic_series`` and
+``parabolic_gamma_series`` evaluate them on a flow's states.
 """
 
 from __future__ import annotations
@@ -139,23 +142,24 @@ def envelope(times, values) -> tuple[np.ndarray, np.ndarray]:
     return t[keep], v[keep]
 
 
-_ABSCISSAS = ("t", "hyperbolic", "log1p", "parabolic")
+_ABSCISSAS = ("t", "hyperbolic", "parabolic")
 
 
 def abscissa_values(abscissa: str, p: float, times) -> np.ndarray:
     """Map sample times onto the regression abscissa.
 
-    ``"t"``: the raw time; ``"hyperbolic"``: ``(1+t)^(1-p)-1``;
-    ``"log1p"``: ``log(1+t)`` (the p = 1 weight); ``"parabolic"``:
-    ``(1+t)^(1+p)-1``.
+    ``"t"``: the raw time; ``"hyperbolic"``: ``(1+t)^(1-p)-1``, which is
+    identically 0 at ``p = 1`` and so is routed to its p = 1 weight
+    ``log(1+t)`` below ``DEGENERATE_P`` from 1, as ``weight_integral`` is;
+    ``"parabolic"``: ``(1+t)^(1+p)-1``.
     """
     t = np.asarray(times, dtype=float)
     if abscissa == "t":
         return t.copy()
     if abscissa == "hyperbolic":
-        return np.expm1((1.0 - p) * np.log1p(t))
-    if abscissa == "log1p":
-        return np.log1p(t)
+        q = 1.0 - p
+        log1p_t = np.log1p(t)
+        return log1p_t if q < en.DEGENERATE_P else np.expm1(q * log1p_t)
     if abscissa == "parabolic":
         return en.growth_integral(p, t)
     raise ValueError(f"unknown abscissa {abscissa!r} (expected one of {_ABSCISSAS})")
@@ -232,19 +236,15 @@ def _slope_check(
     return _report(name, float(slack[worst]), float(t[start + worst]), tol, params)
 
 
-def hyperbolic_series(
-    traj: Trajectory, lp: en.LyapunovParams | None = None
-) -> dict[str, np.ndarray]:
-    """Pointwise energy columns of a second-order run (``F`` only with ``lp``)."""
+def hyperbolic_series(traj: Trajectory, lp: en.LyapunovParams) -> dict[str, np.ndarray]:
+    """Pointwise energy columns of a second-order run, in CSV column order."""
     u, v, c, eps, op = traj.u, traj.v, traj.c_trace, traj.eps, traj.op
-    out = {
+    return {
         "gamma": en.gamma_eps(u, v, eps, op),
         "E": en.energy_E(u, v, eps, c, op),
+        "F": en.energy_F(u, v, traj.times, eps, c, op, lp),
         "G": en.energy_G(v),
     }
-    if lp is not None:
-        out["F"] = en.energy_F(u, v, traj.times, eps, c, op, lp)
-    return out
 
 
 def parabolic_gamma_series(traj: Trajectory) -> np.ndarray:
@@ -253,11 +253,20 @@ def parabolic_gamma_series(traj: Trajectory) -> np.ndarray:
     return en._h2_norm_sq(traj.op, traj.u) + w * sobolev_norm_sq(traj.op, traj.velocity(), 0.0)
 
 
-def check_energy_monotone(traj: Trajectory) -> CheckReport:
-    """Monitor ``E' <= 0`` discretely along a second-order run."""
+def _series(traj: Trajectory, **series) -> list[np.ndarray]:
+    """The given series as float arrays; ValueError unless each has one value per sample."""
+    out = [np.asarray(values, dtype=float) for values in series.values()]
+    for name, arr in zip(series, out):
+        if arr.shape != traj.times.shape:
+            raise ValueError(f"{name} must hold one value per sample, got shape {arr.shape}")
+    return out
+
+
+def check_energy_monotone(traj: Trajectory, E) -> CheckReport:
+    """Monitor ``E' <= 0`` discretely along a second-order run's ``E`` series."""
     if traj.kind != "hyperbolic":
         raise ValueError("energy monotonicity applies to hyperbolic runs")
-    E = en.energy_E(traj.u, traj.v, traj.eps, traj.c_trace, traj.op)
+    (E,) = _series(traj, E=E)
     return _slope_check(
         "energy_monotone",
         traj.times,
@@ -268,8 +277,8 @@ def check_energy_monotone(traj: Trajectory) -> CheckReport:
     )
 
 
-def check_energy_sandwich(traj: Trajectory, lp: en.LyapunovParams) -> list[CheckReport]:
-    """Two-sided equivalence for ``E`` and the lower bound for ``F``.
+def check_energy_sandwich(traj: Trajectory, E, F, lp: en.LyapunovParams) -> list[CheckReport]:
+    """Two-sided equivalence for the run's ``E`` and the lower bound for its ``F``.
 
     The comparison weight is ``eps|u'|^2 + |A^(1/2)u|^2``; constants come from
     the run's measured coefficient supremum (with 1% headroom) and the mass
@@ -278,18 +287,17 @@ def check_energy_sandwich(traj: Trajectory, lp: en.LyapunovParams) -> list[Check
     """
     if traj.kind != "hyperbolic":
         raise ValueError("sandwich checks apply to hyperbolic runs")
-    eps, op = traj.eps, traj.op
+    E, F = _series(traj, E=E, F=F)
+    eps = traj.eps
     c_sup = 1.01 * float(np.max(traj.c_trace))
     k_lo, k_hi, k_lo_F = en.equivalence_constants(mass_inf(traj.mass), c_sup)
-    base = en.energy_E(traj.u, traj.v, eps, 1.0, op)
-    E = en.energy_E(traj.u, traj.v, eps, traj.c_trace, op)
+    base = en.energy_E(traj.u, traj.v, eps, 1.0, traj.op)
     scale = 1.0 + base
     tol = 10.0 * traj.rel_tol
     lo_slack = (E - k_lo * base) / scale
     hi_slack = (k_hi * base - E) / scale
     slack = np.minimum(lo_slack, hi_slack)
     worst = int(np.argmin(slack))
-    F = en.energy_F(traj.u, traj.v, traj.times, eps, traj.c_trace, op, lp)
     f_slack = (F - k_lo_F * base) / scale
     worst_F = int(np.argmin(f_slack))
     return [
@@ -351,33 +359,28 @@ def residual_series(traj_eps: Trajectory, traj_parabolic: Trajectory) -> np.ndar
 
 
 def check_lyapunov_decay(
-    traj: Trajectory,
-    lp: en.LyapunovParams,
-    remainder: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    traj: Trajectory, lp: en.LyapunovParams, F, psi3=None
 ) -> CheckReport:
     """Discrete monitor of the Lyapunov decay inequality for ``t >= lp.T``.
 
-    Without ``remainder`` it checks ``F' <= -beta (1+t)^(-p) F`` along the
-    run (``lyapunov_decay_F``).  With the decomposition's
-    ``remainder = (rho, rprime, psi3)`` it checks the remainder version, the
-    same inequality for ``(rho, r')`` with forcing ``psi3``
-    (``lyapunov_decay_script_F``), which needs perturbation-case ``lp``.
+    Without ``psi3`` it checks ``F' <= -beta (1+t)^(-p) F`` for the run's
+    ``F`` series (``lyapunov_decay_F``).  With ``psi3`` it checks the
+    remainder version, the same inequality for the ``F`` series of
+    ``(rho, r')`` with forcing ``psi3`` (``lyapunov_decay_script_F``), which
+    needs perturbation-case ``lp``.
     """
     if traj.kind != "hyperbolic":
         raise ValueError("Lyapunov monitors apply to hyperbolic runs")
+    (F,) = _series(traj, F=F)
     t = traj.times
     w = (1.0 + t) ** (-lp.p)
-    if remainder is None:
-        u, v, name = traj.u, traj.v, "lyapunov_decay_F"
-    else:
+    rhs = -lp.beta * w * F
+    name = "lyapunov_decay_F"
+    if psi3 is not None:
         if lp.sigma is None:
             raise ValueError("the remainder form needs perturbation-case parameters")
-        u, v, psi3 = remainder
+        rhs = rhs + _series(traj, psi3=psi3)[0]
         name = "lyapunov_decay_script_F"
-    F = en.energy_F(u, v, t, traj.eps, traj.c_trace, traj.op, lp)
-    rhs = -lp.beta * w * F
-    if remainder is not None:
-        rhs = rhs + np.asarray(psi3, dtype=float)
     return _slope_check(
         name,
         t,
@@ -773,63 +776,68 @@ def check_residual_bounds(
 # optimality, WKB, sweeps
 
 
-def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
-    """Divergence of ``H = E / Phi`` against a faster-decaying profile.
+def check_optimality(traj: Trajectory, E, gamma) -> CheckReport:
+    """Divergence of ``H = E / profile`` for a profile decaying faster than the run.
 
-    ``phi_spec["form"]`` is ``"psi"`` (overdamped profile at the limit flow's
-    decay constant, needs ``p > 0``) or ``"exp"`` (plain
-    ``exp(-beta_hat t)``, needs ``p = 0`` and ``beta_hat`` above the run's
-    fitted decay rate).  Asserts ``H`` is eventually increasing with the late
-    minimum in the first half of the run, and
-    ``H(t_end) / H(t_end/2) >= 10``.
+    The profile follows from the run: for ``p > 0`` the overdamped envelope
+    ``psi`` at the limit flow's rate ``gamma_rate(mu, nu, p)``; for ``p = 0``
+    the plain ``exp(-2 mu nu t)``, which must decay faster than the rate
+    fitted to the run's ``gamma`` (else, or when no rate can be fitted, the
+    report fails with ``params["failure_kind"] = "profile"``).  Asserts ``H``
+    is eventually increasing with the late minimum in the first half, and
+    ``H(t_end) / H(t_end/2) >= 10``.  ``H`` is taken in log space, ``log E``
+    minus the closed-form log profile, so a profile below the smallest double
+    still gives a verdict.
     """
     if traj.kind != "hyperbolic":
         raise ValueError("optimality applies to hyperbolic runs")
-    p, eps, op = traj.p, traj.eps, traj.op
+    E, gamma = _series(traj, E=E, gamma=gamma)
+    p, eps = traj.p, traj.eps
+    mu, nu = mass_inf(traj.mass), traj.op.nu
     t = traj.times
-    form = phi_spec.get("form")
-    if form == "psi":
-        if p <= 0.0:
-            raise ValueError("the overdamped profile requires p > 0")
-        alpha = float(en.gamma_rate(mass_inf(traj.mass), op.nu, p))
-        profile = en.psi(alpha, p, t)
-        profile_desc = {"form": "psi", "alpha": alpha}
-    elif form == "exp":
-        if p != 0.0:
-            raise ValueError("the plain exponential profile requires p = 0")
-        beta_hat = float(phi_spec["beta"])
-        series = hyperbolic_series(traj)["gamma"]
-        t_env, v_env = envelope(t, series)
-        window = default_fit_window(float(t[-1]), eps)
-        inside = int(np.count_nonzero((t_env >= window[0]) & (t_env <= window[1])))
-        if inside < 3:
-            # overdamped runs have a single hump; fit the raw series instead
-            t_env, v_env = t, series
-        fit = fit_decay_exponent(t_env, v_env, p, "t", window)
-        if beta_hat <= -fit.slope:
-            raise ValueError(
-                f"beta_hat={beta_hat} does not decay faster than the measured rate "
-                f"{-fit.slope:.6g}"
-            )
-        profile = np.exp(-beta_hat * t)
-        profile_desc = {"form": "exp", "beta": beta_hat, "fitted_rate": float(-fit.slope)}
-    else:
-        raise ValueError("phi_spec['form'] must be 'psi' or 'exp'")
-
-    H = en.optimality_H(traj.u, traj.v, eps, traj.c_trace, profile, op)
-    i0 = int(np.argmin(H))
     t_end = float(t[-1])
     tol = 1000.0 * traj.rel_tol
+    params: dict[str, Any] = {"eps": eps, "p": p}
+    if p > 0.0:
+        alpha = float(en.gamma_rate(mu, nu, p))
+        log_profile = -alpha * en.growth_integral(p, t)
+        params["profile"] = {"form": "psi", "alpha": alpha}
+    else:
+        beta_hat = 2.0 * mu * nu
+        window = default_fit_window(t_end, eps)
+        try:
+            t_env, v_env = envelope(t, gamma)
+            inside = int(np.count_nonzero((t_env >= window[0]) & (t_env <= window[1])))
+            if inside < 3:
+                # overdamped runs have a single hump; fit the raw series instead
+                t_env, v_env = t, gamma
+            fitted_rate = float(-fit_decay_exponent(t_env, v_env, p, "t", window).slope)
+        except ValueError:  # under three samples in the window, or gamma reaching 0
+            fitted_rate = math.nan
+        params["profile"] = {"form": "exp", "beta": beta_hat, "fitted_rate": fitted_rate}
+        if not beta_hat > fitted_rate:
+            # the run outpaces the profile, or its rate is unknown: H cannot
+            # witness optimality
+            params.update(failure_kind="profile", beta_hat=beta_hat, fitted_rate=fitted_rate)
+            return _report("optimality_H", -1.0, window[0], tol, params)
+        log_profile = -beta_hat * t
+
+    with np.errstate(divide="ignore"):  # zero energy: log H = -inf
+        log_H = np.log(E) - log_profile
+    i0 = int(np.argmin(log_H))
     s_half = (0.5 * t_end - float(t[i0])) / (0.5 * t_end)
     # "Eventually increasing" through oscillation: past the global minimum the
     # sequence of local minima of H must be nondecreasing.
-    tail = H[i0:]
+    tail = log_H[i0:]
     interior = np.flatnonzero(
         (tail[1:-1] < tail[:-2]) & (tail[1:-1] < tail[2:])
     )
     if interior.size >= 2:
         mins = tail[interior + 1]
-        incr = np.diff(mins) / np.maximum(mins[:-1], _TINY)
+        # relative increase from one local minimum to the next; equal minima
+        # (two zeros among them) do not increase
+        with np.errstate(invalid="ignore"):
+            incr = np.where(mins[1:] == mins[:-1], 0.0, np.expm1(np.diff(mins)))
         k = int(np.argmin(incr))
         s_tail = float(incr[k])
         worst_tail_t = float(t[i0 + 1 + int(interior[k + 1])])
@@ -837,7 +845,8 @@ def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
         s_tail = 0.0
         worst_tail_t = float(t[i0])
     i_half = int(np.searchsorted(t, 0.5 * t_end))
-    ratio = float(H[-1] / max(H[i_half], _TINY))
+    with np.errstate(over="ignore"):  # a ratio past the largest double is inf
+        ratio = float(np.exp(log_H[-1] - max(log_H[i_half], math.log(_TINY))))
     s_ratio = ratio / 10.0 - 1.0
     slack = min(s_half, s_tail, s_ratio)
     if slack == s_tail:
@@ -846,13 +855,7 @@ def check_optimality(traj: Trajectory, phi_spec: dict[str, Any]) -> CheckReport:
         worst_t = float(t[i0])
     else:
         worst_t = t_end
-    params = {
-        "eps": eps,
-        "p": p,
-        "profile": profile_desc,
-        "ratio": ratio,
-        "minimum_t": float(t[i0]),
-    }
+    params.update(ratio=ratio, minimum_t=float(t[i0]))
     return _report("optimality_H", slack, worst_t, tol, params)
 
 
@@ -1061,26 +1064,27 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     )
 
 
-def probe_open_problem(trajs_eps: list[Trajectory]) -> dict[str, Any]:
+def probe_open_problem(
+    trajs_eps: list[Trajectory], gamma_by_eps: dict[float, np.ndarray]
+) -> dict[str, Any]:
     """Borderline-rate probe at ``p = 0``: is the energy kept in check at the sharp rate?
 
-    For each second-order run (constant mass, ``p = 0``) takes the
-    undamped-rate product ``log Gamma + 2 mu nu t`` and reports its running
-    maximum over the first and the whole horizon, flagging growth.  Purely
-    informational: the answer at the sharp rate is not known, so no
-    pass/fail is attached.
+    For each second-order run (constant mass, ``p = 0``) takes its ``gamma``
+    series from ``gamma_by_eps`` and the undamped-rate product
+    ``log gamma + 2 mu nu t``, and reports its running maximum over the first
+    and the whole horizon, flagging growth.  Purely informational: the answer
+    at the sharp rate is not known, so no pass/fail is attached.
     """
     if not trajs_eps:
         raise ValueError("need at least one hyperbolic run")
     results = {}
     for traj in sorted(trajs_eps, key=lambda tr: tr.eps):
-        op, eps = traj.op, traj.eps
         if not traj.mass.is_constant:
             raise ValueError("the probe runs with constant mass")
         if traj.p != 0.0:
             raise ValueError("the probe runs at p = 0")
-        mu_nu = mass_inf(traj.mass) * op.nu
-        series = en.gamma_eps(traj.u, traj.v, eps, op)
+        mu_nu = mass_inf(traj.mass) * traj.op.nu
+        (series,) = _series(traj, gamma=gamma_by_eps[traj.eps])
         t = traj.times
         positive = series > 0.0
         logs = np.full(t.size, -math.inf)
@@ -1088,7 +1092,7 @@ def probe_open_problem(trajs_eps: list[Trajectory]) -> dict[str, Any]:
         half = int(t.size // 2)
         sup_half = float(np.max(logs[:half]))
         sup_full = float(np.max(logs))
-        results[repr(eps)] = {
+        results[repr(traj.eps)] = {
             "sup_log_weighted_half": sup_half,
             "sup_log_weighted": sup_full,
             "grows": bool(sup_full > sup_half + 0.01),

@@ -45,7 +45,6 @@ __all__ = [
     "energy_E",
     "energy_F",
     "energy_G",
-    "optimality_H",
     "equivalence_constants",
 ]
 
@@ -334,13 +333,6 @@ def energy_G(v):
     """Kinetic term ``|u'|^2``."""
     v = as_states(v)
     return (v * v).sum(axis=-1)
-
-
-def optimality_H(u, v, eps: float, c_val, phi_val, op: SpectralOperator):
-    """Ratio ``(eps |u'|^2 / c + |A^(1/2)u|^2) / phi_val`` whose divergence witnesses optimality."""
-    if np.any(np.asarray(phi_val) <= 0):
-        raise ValueError("phi_val must be > 0")
-    return energy_E(u, v, eps, c_val, op) / phi_val
 
 
 def equivalence_constants(mu: float, c_sup: float) -> tuple[float, float, float]:

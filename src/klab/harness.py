@@ -486,8 +486,7 @@ class _Context:
             # (n, K) temporaries are alive at once
             for eps, traj in zip(missing, trajs):
                 self._hyp[eps] = traj
-                series = an.hyperbolic_series(traj, self.decay_lp())
-                self.energies[eps] = {key: series[key] for key in ("gamma", "E", "F", "G")}
+                self.energies[eps] = an.hyperbolic_series(traj, self.decay_lp())
         return [self._hyp[eps] for eps in self.cfg.epsilon]
 
     def step_counts(self) -> dict[str, Any]:
@@ -620,10 +619,11 @@ def _scn_decay(ctx: _Context) -> None:
     lp = ctx.decay_lp()
     trajs = ctx.hyperbolic_sweep()
     for traj in trajs:
-        ctx.add_check(an.check_energy_monotone(traj), traj)
-        for rep in an.check_energy_sandwich(traj, lp):
+        series = ctx.energies[traj.eps]
+        ctx.add_check(an.check_energy_monotone(traj, series["E"]), traj)
+        for rep in an.check_energy_sandwich(traj, series["E"], series["F"], lp):
             ctx.add_check(rep, traj)
-        ctx.add_check(an.check_lyapunov_decay(traj, lp), traj)
+        ctx.add_check(an.check_lyapunov_decay(traj, lp, series["F"]), traj)
     uniform = an.check_uniform_decay_weights(trajs, ctx.parabolic())
     ctx.add_check(uniform)
     ctx.constants["C_2_4"] = uniform.params["C_2_4"]
@@ -652,8 +652,9 @@ def _scn_decay_error(ctx: _Context) -> None:
         # the stronger remainder energy is the full energy of (rho, r')
         ctx.energies[eps]["gamma_r"] = gamma_r[eps]
         ctx.energies[eps]["gamma_c"] = en.gamma_eps(rho, rprime, eps, c.operator)
+        F_r = en.energy_F(rho, rprime, traj.times, eps, traj.c_trace, c.operator, lp_pert)
         psi3 = an.assemble_psi3(traj, rho, theta_pr, g, lp_pert)
-        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, (rho, rprime, psi3)), traj)
+        ctx.add_check(an.check_lyapunov_decay(traj, lp_pert, F_r, psi3), traj)
     ctx.add_check(
         an.check_residual_bounds(
             traj_par.times, g_sq, c.beta, c.p, ctx.mu, c.operator.nu
@@ -668,13 +669,9 @@ def _scn_decay_error(ctx: _Context) -> None:
 
 def _scn_optimality(ctx: _Context) -> None:
     ctx.require_epsilon("optimality")
-    c = ctx.cfg
-    if c.p > 0.0:
-        phi_spec: dict[str, Any] = {"form": "psi"}
-    else:
-        phi_spec = {"form": "exp", "beta": 2.0 * ctx.mu * c.operator.nu}
     for traj in ctx.hyperbolic_sweep():
-        ctx.add_check(an.check_optimality(traj, phi_spec), traj)
+        series = ctx.energies[traj.eps]
+        ctx.add_check(an.check_optimality(traj, series["E"], series["gamma"]), traj)
 
 
 def _scn_lemmas(ctx: _Context) -> None:
@@ -722,7 +719,9 @@ def _scn_open_problem(ctx: _Context) -> None:
         raise ConfigError("scenario 'open_problem': p must be 0")
     if not c.mass.is_constant:
         raise ConfigError("scenario 'open_problem': the mass function must be constant")
-    ctx.constants["open_problem"] = an.probe_open_problem(ctx.hyperbolic_sweep())
+    trajs = ctx.hyperbolic_sweep()
+    gamma = {traj.eps: ctx.energies[traj.eps]["gamma"] for traj in trajs}
+    ctx.constants["open_problem"] = an.probe_open_problem(trajs, gamma)
 
 
 def _if_applicable(scenario: Callable[[_Context], None], ctx: _Context) -> None:

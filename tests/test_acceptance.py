@@ -29,6 +29,7 @@ from klab import (
     corrector_phi_integral,
     corrector_velocity,
     decay_params,
+    energy_F,
     envelope,
     epsilon_sweep_decay_error,
     fit_decay_exponent,
@@ -42,7 +43,7 @@ from klab import (
     synthetic_lemma_instances,
     theta0,
 )
-from klab.analysis import assemble_psi3
+from klab.analysis import assemble_psi3, hyperbolic_series
 from klab.evolution import parabolic_closed_form
 import oracles
 
@@ -172,9 +173,7 @@ def test_criterion_03_rate_spread():
         if cell in SHALLOW_CELLS:
             _, window = SHALLOW_CELLS[cell]
             traj = shallow_run(cell)
-            from klab.analysis import hyperbolic_series
-
-            gam = hyperbolic_series(traj)["gamma"]
+            gam = hyperbolic_series(traj, decay_params(1.0, p, 1.0, 1.0))["gamma"]
             t_env, v_env = envelope(traj.times, gam)
             fit = fit_decay_exponent(t_env, v_env, p, "hyperbolic", window)
             slope, r2 = fit.slope, fit.r_squared
@@ -254,9 +253,10 @@ def test_criterion_05_lyapunov_suite():
         n = hyp.times.size
         u0, u1 = hyp.u[0], hyp.v[0]
         lp_decay = decay_params(1.0, p, 1.0, 1.0)
+        energies = hyperbolic_series(hyp, lp_decay)
         reports = [
-            check_energy_monotone(hyp),
-            check_lyapunov_decay(hyp, lp_decay),
+            check_energy_monotone(hyp, energies["E"]),
+            check_lyapunov_decay(hyp, lp_decay, energies["F"]),
         ]
         par = integrate("parabolic", u0, t_end, n, CFG, OP1, M1, p)
         th0 = theta0(u0, u1, OP1, M1)
@@ -265,7 +265,8 @@ def test_criterion_05_lyapunov_suite():
         g = residual_series(hyp, par)
         lp_pert = perturbation_params(1.0, p, 1.0, 1.0)
         psi3 = assemble_psi3(hyp, rho, theta_p, g, lp_pert)
-        reports.append(check_lyapunov_decay(hyp, lp_pert, (rho, rprime, psi3)))
+        F_r = energy_F(rho, rprime, hyp.times, eps, hyp.c_trace, OP1, lp_pert)
+        reports.append(check_lyapunov_decay(hyp, lp_pert, F_r, psi3))
         total += len(reports)
         for rep in reports:
             if not rep.passed:

@@ -30,6 +30,7 @@ from klab import (
     envelope,
     epsilon_sweep_decay_error,
     fit_decay_exponent,
+    gamma_rate,
     integrate,
     oscillation_onset,
     perturbation_params,
@@ -46,6 +47,11 @@ import oracles
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
 M1 = MassFunction("constant", 1.0)
 CFG = IntegratorConfig()
+
+
+def series(traj, lp=None):
+    """The energy columns of a second-order run, as a scenario builds them."""
+    return hyperbolic_series(traj, lp or decay_params(1.0, traj.p, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +95,10 @@ class TestEnvelope:
 def test_abscissa_values_mappings():
     t = np.array([0.0, 3.0])
     np.testing.assert_allclose(abscissa_values("t", 0.5, t), [0.0, 3.0])
-    np.testing.assert_allclose(abscissa_values("log1p", 1.0, t), [0.0, math.log(4.0)])
     np.testing.assert_allclose(abscissa_values("hyperbolic", 0.5, t), [0.0, 1.0])
+    # at p = 1 the unnormalized weight is identically 0: it takes log(1+t)
+    for p in (1.0, 1.0 - 1e-13):
+        np.testing.assert_array_equal(abscissa_values("hyperbolic", p, t), np.log1p(t))
     np.testing.assert_allclose(abscissa_values("parabolic", 0.5, t), [0.0, 7.0])
     with pytest.raises(ValueError):
         abscissa_values("quadratic", 0.5, t)
@@ -106,7 +114,7 @@ class TestRateFitting:
 
     def test_exact_power_law(self):
         t = np.linspace(0.0, 20.0, 500)
-        fit = fit_decay_exponent(t, (1.0 + t) ** (-2.0), 1.0, "log1p", (8.0, 20.0))
+        fit = fit_decay_exponent(t, (1.0 + t) ** (-2.0), 1.0, "hyperbolic", (8.0, 20.0))
         assert fit.slope == pytest.approx(-2.0, rel=1e-8)
         assert fit.r_squared >= 1.0 - 1e-10
 
@@ -163,13 +171,13 @@ def test_report_and_fit_validation():
 class TestEnergyMonotone:
     def test_small_eps_passes(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 10.0, 600, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_energy_monotone(traj)
+        rep = check_energy_monotone(traj, series(traj)["E"])
         assert rep.passed
         assert rep.name == "energy_monotone"
 
     def test_zero_solution_trivially_passes(self):
         traj = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.1)
-        rep = check_energy_monotone(traj)
+        rep = check_energy_monotone(traj, series(traj)["E"])
         assert rep.passed
         assert rep.worst_slack == 0.0
 
@@ -177,7 +185,7 @@ class TestEnergyMonotone:
         # steep mass growth against weak damping flips the sign of E'
         aff = MassFunction("affine", 1.0, 5.0)
         traj = integrate("hyperbolic", ([2.0], [-5.0]), 4.0, 400, CFG, OP1, aff, 0.0, eps=0.5)
-        rep = check_energy_monotone(traj)
+        rep = check_energy_monotone(traj, series(traj)["E"])
         assert not rep.passed
         assert rep.worst_slack < -1.0
         assert rep.worst_t < 1.0
@@ -186,14 +194,18 @@ class TestEnergyMonotone:
 class TestEnergySandwich:
     def test_constant_mass_upper_bound_tight(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.5, eps=0.05)
-        reps = check_energy_sandwich(traj, decay_params(1.0, 0.5, 1.0, 1.0))
+        lp = decay_params(1.0, 0.5, 1.0, 1.0)
+        s = series(traj, lp)
+        reps = check_energy_sandwich(traj, s["E"], s["F"], lp)
         by_name = {r.name: r for r in reps}
         assert by_name["sandwich_E"].passed
         assert by_name["sandwich_F"].passed
 
     def test_large_eps_breaks_the_F_floor(self):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 800, CFG, OP1, M1, 0.5, eps=2.0)
-        reps = check_energy_sandwich(traj, decay_params(1.0, 0.5, 1.0, 1.0))
+        lp = decay_params(1.0, 0.5, 1.0, 1.0)
+        s = series(traj, lp)
+        reps = check_energy_sandwich(traj, s["E"], s["F"], lp)
         by_name = {r.name: r for r in reps}
         assert by_name["sandwich_E"].passed
         assert not by_name["sandwich_F"].passed
@@ -203,21 +215,21 @@ class TestLyapunovDecay:
     def test_decay_inequality_small_eps(self):
         lp = decay_params(1.0, 0.5, 1.0, 1.0)
         traj = integrate("hyperbolic", ([1.0], [0.0]), 10.0, 600, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, lp)
+        rep = check_lyapunov_decay(traj, lp, series(traj, lp)["F"])
         assert rep.passed
         assert rep.name == "lyapunov_decay_F"
 
     def test_zero_solution_trivial(self):
         lp = decay_params(1.0, 0.5, 1.0, 1.0)
         traj = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, lp)
+        rep = check_lyapunov_decay(traj, lp, series(traj, lp)["F"])
         assert rep.passed and rep.worst_slack == 0.0
 
     def test_start_time_past_horizon_checks_nothing(self):
         lp = perturbation_params(8.0, 0.5, 1.0, 1.0)   # T = delta(beta+sigma)/(2nu) - 1, large
         assert lp.T > 4.0
         traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.5, eps=0.01)
-        rep = check_lyapunov_decay(traj, lp)
+        rep = check_lyapunov_decay(traj, lp, series(traj, lp)["F"])
         assert rep.passed
         assert rep.params["intervals"] == 0
 
@@ -229,17 +241,37 @@ class TestLyapunovDecay:
         rho, rprime = remainders(hyp, par, theta_p)
         lp = perturbation_params(1.0, p, 1.0, 1.0)
         psi3 = assemble_psi3(hyp, rho, theta_p, residual_series(hyp, par), lp)
-        assert check_lyapunov_decay(hyp, lp).name == "lyapunov_decay_F"
-        rep = check_lyapunov_decay(hyp, lp, (rho, rprime, psi3))
+        F_r = klab.energy_F(rho, rprime, hyp.times, eps, hyp.c_trace, OP1, lp)
+        assert check_lyapunov_decay(hyp, lp, series(hyp, lp)["F"]).name == "lyapunov_decay_F"
+        rep = check_lyapunov_decay(hyp, lp, F_r, psi3)
         assert rep.name == "lyapunov_decay_script_F"
         assert rep.passed and rep.params["intervals"] > 0
         # the monitored series are the ones passed, not the run's
-        zero = np.zeros_like(rho)
-        rep = check_lyapunov_decay(hyp, lp, (zero, zero, np.zeros(hyp.times.size)))
+        zero = np.zeros(hyp.times.size)
+        rep = check_lyapunov_decay(hyp, lp, zero, zero)
         assert rep.name == "lyapunov_decay_script_F" and rep.worst_slack == 0.0
         # the remainder form needs sigma, which decay parameters lack
         with pytest.raises(ValueError, match="perturbation"):
-            check_lyapunov_decay(hyp, decay_params(1.0, p, 1.0, 1.0), (rho, rprime, psi3))
+            check_lyapunov_decay(hyp, decay_params(1.0, p, 1.0, 1.0), F_r, psi3)
+
+
+def test_a_series_of_another_length_is_rejected():
+    traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 60, CFG, OP1, M1, 0.0, eps=0.05)
+    lp = decay_params(1.0, 0.0, 1.0, 1.0)
+    good = series(traj, lp)
+    short = good["E"][:-1]
+    calls = [
+        lambda: check_energy_monotone(traj, short),
+        lambda: check_energy_sandwich(traj, good["E"], short, lp),
+        lambda: check_lyapunov_decay(traj, lp, short),
+        lambda: check_lyapunov_decay(traj, perturbation_params(1.0, 0.0, 1.0, 1.0),
+                                     good["F"], short),
+        lambda: check_optimality(traj, good["E"], good["gamma"][:, None]),
+        lambda: probe_open_problem([traj], {0.05: short}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="one value per sample"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +471,69 @@ class TestResidualBounds:
 
 class TestOptimality:
     def test_scalar_profile_ratio(self):
-        # e^{-5t} against the 2.254-rate flow: H grows like e^{2.746 t}
-        traj = integrate("hyperbolic", ([1.0], [0.0]), 2.0, 400, CFG, OP1, M1, 0.0, eps=0.1)
-        rep = check_optimality(traj, {"form": "exp", "beta": 5.0})
+        # exp(-2t) against the underdamped flow at eps 0.75, whose energy
+        # decays at 1/eps = 4/3: H grows like e^{2t/3}
+        traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.0, eps=0.75)
+        s = series(traj)
+        rep = check_optimality(traj, s["E"], s["gamma"])
         assert rep.passed
-        assert 14.0 <= rep.params["ratio"] <= 17.0
+        assert rep.params["profile"]["form"] == "exp" and rep.params["profile"]["beta"] == 2.0
+        assert 14.0 <= rep.params["ratio"] <= 18.0
+        # the log-space ratio is the plain one where the profile is representable
+        H = s["E"] / np.exp(-2.0 * traj.times)
+        plain = H[-1] / H[int(np.searchsorted(traj.times, 4.0))]
+        assert rep.params["ratio"] == pytest.approx(plain, rel=1e-12)
 
     def test_envelope_matching_profile_rejected(self):
+        # the lowest mode below eps = 1/(2 mu nu) decays faster than exp(-2t):
+        # a failing report naming the profile, not an exception
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.0, eps=0.1)
-        with pytest.raises(ValueError):
-            check_optimality(traj, {"form": "exp", "beta": 2.0})
+        s = series(traj)
+        rep = check_optimality(traj, s["E"], s["gamma"])
+        assert not rep.passed
+        assert rep.params["failure_kind"] == "profile"
+        assert rep.params["beta_hat"] == 2.0
+        assert rep.params["fitted_rate"] == pytest.approx(oracles.SCALAR_SQ_RATE, rel=1e-3)
 
     def test_psi_form_requires_positive_p(self):
-        traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 100, CFG, OP1, M1, 0.0, eps=0.1)
-        with pytest.raises(ValueError):
-            check_optimality(traj, {"form": "psi"})
+        # the profile follows from the run: psi at the limit rate for p > 0,
+        # the plain exponential at p = 0
+        profiles = {}
+        for p in (0.5, 0.0):
+            traj = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 100, CFG, OP1, M1, p, eps=0.75)
+            s = series(traj)
+            profiles[p] = check_optimality(traj, s["E"], s["gamma"]).params["profile"]
+        assert profiles[0.5] == {"form": "psi", "alpha": gamma_rate(1.0, 1.0, 0.5)}
+        assert profiles[0.0]["form"] == "exp" and profiles[0.0]["beta"] == 2.0
+
+    def test_an_underflowing_profile_still_gives_a_verdict(self):
+        # psi(4/3, 0.5, t) falls below the smallest double past t = 67, so
+        # E / psi is no number there; log space keeps H
+        traj = integrate("hyperbolic", ([1.0], [0.0]), 80.0, 800, CFG, OP1, M1, 0.5, eps=0.05)
+        assert klab.psi(gamma_rate(1.0, 1.0, 0.5), 0.5, traj.times[-1]) == 0.0
+        s = series(traj)
+        rep = check_optimality(traj, s["E"], s["gamma"])
+        assert rep.passed and math.isfinite(rep.worst_slack)
+        assert rep.params["ratio"] > 1e200
+
+    def test_zero_data_give_a_finite_failing_slack(self):
+        # log E = -inf everywhere, so H shows no growth; at p = 0 a zero gamma
+        # has no rate to fit, so the profile is not known to be faster
+        reps = {}
+        for p in (0.5, 0.0):
+            traj = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 100, CFG, OP1, M1, p, eps=0.75)
+            s = series(traj)
+            reps[p] = check_optimality(traj, s["E"], s["gamma"])
+            assert not reps[p].passed and reps[p].worst_slack == -1.0
+        assert reps[0.5].params["ratio"] == 0.0
+        assert reps[0.0].params["failure_kind"] == "profile"
+        assert math.isnan(reps[0.0].params["fitted_rate"])
 
     def test_p_zero_ratio_eventually_monotone(self):
         # the divergence profile at 1.2x the fitted rate grows monotonically
         # once the fast mode is gone
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 800, CFG, OP1, M1, 0.0, eps=0.1)
-        gam = hyperbolic_series(traj)["gamma"]
+        gam = series(traj)["gamma"]
         fit = fit_decay_exponent(traj.times, gam, 0.0, "t", window=(3.2, 8.0))
         beta_hat = 1.2 * (-fit.slope)
         ratio = gam * np.exp(beta_hat * traj.times)
@@ -527,7 +601,7 @@ class TestParabolicPointwise:
 class TestOpenProblemProbe:
     def test_scalar_rate_beats_threshold(self):
         run = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 400, CFG, OP1, M1, 0.0, eps=0.1)
-        out = probe_open_problem([run])
+        out = probe_open_problem([run], {0.1: series(run)["gamma"]})
         assert out["informational"] is True
         assert out["rate"] == pytest.approx(2.0)
         entry = out["per_eps"]["0.1"]
@@ -537,11 +611,11 @@ class TestOpenProblemProbe:
 
     def test_zero_data_supremum_is_log_zero(self):
         run = integrate("hyperbolic", ([0.0], [0.0]), 4.0, 100, CFG, OP1, M1, 0.0, eps=0.1)
-        out = probe_open_problem([run])
+        out = probe_open_problem([run], {0.1: series(run)["gamma"]})
         assert out["per_eps"]["0.1"]["sup_log_weighted"] == -math.inf
 
     def test_rejects_varying_mass(self):
         run = integrate("hyperbolic", ([1.0], [0.0]), 4.0, 100, CFG, OP1,
                         MassFunction("affine", 1.0, 1.0), 0.0, eps=0.1)
         with pytest.raises(ValueError):
-            probe_open_problem([run])
+            probe_open_problem([run], {0.1: series(run)["gamma"]})

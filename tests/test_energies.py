@@ -20,7 +20,6 @@ from klab import (
     gamma_rate,
     growth_integral,
     kernel_integral,
-    optimality_H,
     parabolic_bound_rhs,
     perturbation_params,
     phi,
@@ -101,7 +100,6 @@ _ROW_FUNCTIONALS = [
     ("energy_E", lambda t, u, v, c: energy_E(u, v, 0.03, c, OP3)),
     ("energy_F", lambda t, u, v, c: energy_F(u, v, t, 0.03, c, OP3, _LP)),
     ("energy_G", lambda t, u, v, c: energy_G(v)),
-    ("optimality_H", lambda t, u, v, c: optimality_H(u, v, 0.03, c, 1.0 + t, OP3)),
     ("sobolev_norm_sq", lambda t, u, v, c: klab.sobolev_norm_sq(OP3, u, 0.75)),
     ("residual_g", lambda t, u, v, c: klab.residual_g(t, u, c, OP3, _MASS, 0.5, 0.03)),
 ]
@@ -343,20 +341,3 @@ class TestConstants:
         assert (k2, k3, k4) == (pytest.approx(0.5), pytest.approx(1.0), pytest.approx(0.25))
         k2, k3, k4 = equivalence_constants(2.0, 0.5)
         assert (k2, k3, k4) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(0.5))
-
-
-class TestOptimalityFunctional:
-    def test_worked_value_and_homogeneity(self):
-        u, v = np.array([1.0]), np.array([0.0])
-        assert optimality_H(u, v, 1.0, 1.0, 1.0, OP1) == pytest.approx(1.0)
-        assert optimality_H(u, v, 1.0, 1.0, 2.0, OP1) == pytest.approx(0.5)
-
-        zero = np.array([0.0])
-        assert optimality_H(zero, zero, 1.0, 1.0, 1.0, OP1) == 0.0
-
-    def test_rejects_nonpositive_phi(self):
-        u, v = np.array([1.0]), np.array([0.0])
-        with pytest.raises(ValueError):
-            optimality_H(u, v, 1.0, 1.0, 0.0, OP1)
-        with pytest.raises(ValueError):
-            optimality_H(u, v, 1.0, 1.0, -1.0, OP1)

@@ -544,7 +544,7 @@ class TestLogEnergyProbe:
         traj = integrate("hyperbolic", ([1.0], [0.0]), 12.0, 300, CFG, OP1, M1, 0.5, eps=0.05)
         logs, _ = oracles.hyperbolic_log_gamma([1.0], 1.0, 0.05, 0.5, [1.0], [0.0], traj.times)
         from klab.analysis import hyperbolic_series
-        gamma = hyperbolic_series(traj)["gamma"]
+        gamma = hyperbolic_series(traj, klab.decay_params(1.0, 0.5, 1.0, 1.0))["gamma"]
         np.testing.assert_allclose(logs, np.log(gamma), rtol=0.0, atol=1e-6)
 
 

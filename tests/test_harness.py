@@ -408,18 +408,33 @@ class TestRunScenario:
 
     def test_all_builds_the_series_of_each_flow_once(self, tmp_path, monkeypatch):
         import klab.analysis
+        import klab.energies
 
-        calls = []
-        series = klab.analysis.hyperbolic_series
+        per_flow = {
+            # the series: gamma, E, and F (which evaluates E again); then the
+            # sandwich's comparison weight, E at c = 1
+            "decay": {"hyperbolic_series": 1, "energy_E": 3, "energy_F": 1, "gamma_eps": 1},
+            # decay_error adds the remainder's F (with its E) and gamma_c on (rho, r')
+            "all": {"hyperbolic_series": 1, "energy_E": 4, "energy_F": 2, "gamma_eps": 2},
+        }
+        calls = {}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return series(*args, **kwargs)
+        def counting(name, fn):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(klab.analysis, "hyperbolic_series", counting)
-        assert run_scenario(config_from_dict(scenario_config("all")), tmp_path / "out") in (0, 1)
-        # three second-order flows, each with one CSV
-        assert len(calls) == 3
+            return count
+
+        for name in per_flow["all"]:
+            module = klab.analysis if name == "hyperbolic_series" else klab.energies
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for scenario, counts in per_flow.items():
+            calls.update(dict.fromkeys(counts, 0))
+            cfg = config_from_dict(dict(scenario_config("all"), scenario=scenario))
+            assert run_scenario(cfg, tmp_path / scenario) in (0, 1)
+            # three second-order flows, each with one CSV; the checks read its series
+            assert calls == {name: 3 * count for name, count in counts.items()}, scenario
 
     @pytest.mark.parametrize(
         "scenario,extra,members",
@@ -769,6 +784,14 @@ CLI_NEAR_VALID = st.builds(
     lambda path, value: _replaced(CLI_VALID, path, value),
     st.sampled_from(_CLI_NUMBER_PATHS), st.floats(0.0, 64.0) | st.integers(0, 64),
 )
+# the lowest mode of a single-mode operator under constant mass, scenario all
+LOWEST_MODE_RUN = {
+    "operator": {"family": "power", "nu": 1.0, "K": 1},
+    "mass": {"constant": 1.0},
+    "initial": {"preset": "lowest_mode"},
+    "beta": 1.0,
+    "scenario": "all",
+}
 # an override key: the text before its first "=", dotted or not
 OVERRIDE_KEYS = st.lists(
     st.text(st.characters(blacklist_characters="="), max_size=6), min_size=1, max_size=3
@@ -857,7 +880,37 @@ class TestProperties:
         elif code in (0, 1):
             assert text == ""
         else:
+            # a runtime failure of a valid config is a bug; only the solver may fail
             assert code in (2, 3) and text.count("\n") == 1, text
+            assert code == 2 or text.startswith("integration failure: "), text
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # p = 0, eps below 1/(2 mu nu): the flow outpaces exp(-2 mu nu t)
+            dict(LOWEST_MODE_RUN, p=0.0, epsilon=[0.1], t_end=8.0, samples=400),
+            # p = 0 with no rate to fit: zero data, and three samples
+            dict(LOWEST_MODE_RUN, p=0.0, epsilon=[0.1], t_end=8.0, scenario="optimality",
+                 initial={"u0": [0.0], "u1": [0.0]}),
+            dict(LOWEST_MODE_RUN, p=0.0, epsilon=[0.1], t_end=8.0, samples=3,
+                 scenario="optimality"),
+            # the default horizon 200, where psi falls to exp(-3800) = 0
+            dict(LOWEST_MODE_RUN, p=0.5, epsilon=[0.05], samples=2000, scenario="optimality"),
+            # p = 1: the hyperbolic fit abscissa (1+t)^(1-p) - 1 is identically 0
+            dict(SCENARIO_CONFIGS["decay"], p=1.0, epsilon=[0.05], t_end=8.0, samples=512,
+                 beta=1.0, scenario="simulate"),
+        ],
+        ids=["p0_fast_flow", "p0_zero_data", "p0_three_samples", "psi_underflow", "p1_fit"],
+    )
+    def test_a_valid_config_exits_0_or_1_silently(self, tmp_path, capfd, doc):
+        path = write_config(tmp_path, doc)
+        code = cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        out, err = capfd.readouterr()
+        assert code in (0, 1) and out == "" and err == "", (code, out, err)
+        if doc["p"] == 1.0:
+            report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+            slopes = {fit["name"]: fit["slope"] for fit in report["fits"]}
+            assert np.isfinite(slopes["gamma_envelope_eps0.05"])
 
     @CLI_FUZZ
     @given(doc=CLI_DOCUMENTS)
