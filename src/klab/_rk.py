@@ -52,6 +52,9 @@ import numpy as np
 
 __all__ = ["BatchStats", "IntegrationError", "StepStats", "solve_to_grid"]
 
+# Attempted steps a clock may take before the solve fails.
+_MAX_STEPS = 10_000_000
+
 # A step cap: ``(t, y) -> (cap, y)`` (see ``solve_to_grid``).
 _CapFn = Callable[[float, np.ndarray], tuple[float, np.ndarray]]
 
@@ -312,7 +315,6 @@ def solve_to_grid(
     rel_tol: float,
     abs_tol: float,
     step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
-    max_steps: int = 10_000_000,
     land_on_samples: bool = True,
     own_clocks: bool = False,
 ) -> tuple[np.ndarray, None, StepStats | BatchStats]:
@@ -367,6 +369,7 @@ def solve_to_grid(
         raise ValueError("initial state must be finite")
     n = grid.size
     t0 = float(grid[0])
+    max_steps = _MAX_STEPS
     if own_clocks:
         members = y.shape[0]
         cap_fns = [None] * members if step_cap_fn is None else list(step_cap_fn)

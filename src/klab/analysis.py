@@ -430,9 +430,10 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
     - ``lemma32``: ``times, G, eps, K, beta, p``; hypothesis
       ``G' <= -G/(eps (1+t)^p) + (K/eps)(1+t)^p Phi`` (needs ``2 eps beta <= 1``),
       conclusion ``G <= (2K + G(0)) (1+t)^(2p) Phi``.
-    - ``lemma33``: ``times, E, psi1, psi2`` (optional exact ``K1``, ``K2``);
-      hypothesis ``E' <= psi1 sqrt(E) + psi2`` with ``E(0) = 0``, conclusion
-      ``E <= K1^2 + 2 K2``.
+    - ``lemma33``: ``times, E, psi1, psi2``; hypothesis ``E' <= psi1 sqrt(E) +
+      psi2`` with ``E(0) = 0``, conclusion ``E <= K1^2 + 2 K2`` with ``K1``,
+      ``K2`` the integrals of ``psi1``, ``psi2`` by the trapezoid rule on
+      ``times``.
     - ``lemma34``: ``times, F, psi, T, beta, p``; hypothesis
       ``F' <= -beta (1+t)^(-p) F + psi`` for ``t >= T``, conclusion
       ``F <= (F(T)/Phi(T) + int psi/Phi) Phi`` with the integral taken by the
@@ -440,12 +441,12 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
 
     A violated hypothesis yields a failing report with
     ``params["failure_kind"] = "hypothesis"``, distinct from a conclusion
-    failure.  ``inputs["tol"]`` (default 1e-8) is the slack tolerance.
+    failure.  The slack tolerance is 1e-8.
     """
     if kind not in LEMMA_SERIES:
         raise ValueError(f"unknown lemma kind {kind!r}")
     name = f"comparison_{kind}"
-    tol = float(inputs.get("tol", 1e-8))
+    tol = 1e-8
     t = np.asarray(inputs["times"], dtype=float)
     y = np.asarray(inputs[LEMMA_SERIES[kind]], dtype=float)
     if kind == "lemma32":
@@ -477,8 +478,8 @@ def check_comparison_lemma(kind: str, inputs: dict[str, Any]) -> CheckReport:
             hyp = _slope_check(name, t, y, _lemma33_rate(y, psi1, psi2), tol, {})
 
         def conclusion():
-            K1 = float(inputs.get("K1", _grid_integral(t, psi1)))
-            K2 = float(inputs.get("K2", _grid_integral(t, psi2)))
+            K1 = _grid_integral(t, psi1)
+            K2 = _grid_integral(t, psi2)
             bound = K1 * K1 + 2.0 * K2
             return (bound - y) / max(bound, _TINY), t, {"K1": K1, "K2": K2, "bound": bound}
 
@@ -714,13 +715,13 @@ def corrector_phi_integral(eps: float, beta: float, p: float) -> float:
     """``int_0^inf z_eps / phi``, the corrector integral of ``check_residual_bounds``.
 
     The integrand is ``exp(-(1/eps - beta) W(t))`` with ``W`` the damping
-    weight integral, so this is ``kernel_integral(1/eps - beta, p, inf)``.
+    weight integral, so this is ``kernel_integral(1/eps - beta, p)``.
     Defined on the check's domain ``4 eps <= 1`` and ``2 eps beta <= 1``,
-    where the rate is at least 2.
+    where the rate is at least ``1/(2 eps) >= 2``.
     """
     if not (eps > 0 and beta > 0 and 4.0 * eps <= 1.0 and 2.0 * eps * beta <= 1.0):
         raise ValueError("the corrector integral needs eps, beta > 0, 4*eps <= 1, 2*eps*beta <= 1")
-    return float(en.kernel_integral(1.0 / eps - beta, p, math.inf))
+    return en.kernel_integral(1.0 / eps - beta, p)
 
 
 def check_residual_bounds(
@@ -897,7 +898,10 @@ def wkb_compare(traj: Trajectory) -> CheckReport:
     the boundary layer and the overdamped-to-oscillatory transition.  Also
     fits the same envelope against the overdamped abscissa and requires it to
     explain the data strictly worse (r-squared drop of at least 0.05 or a
-    drifting slope), confirming the two regimes separate.
+    drifting slope), confirming the two regimes separate.  When a window
+    holds under three envelope points, or ``|u|`` reaches 0 in one, no rate
+    can be fitted: the report fails with ``params["failure_kind"] = "fit"``
+    and the ``envelope_points`` in the window.
     """
     if traj.kind != "hyperbolic":
         raise ValueError("expected a hyperbolic run")
@@ -911,34 +915,36 @@ def wkb_compare(traj: Trajectory) -> CheckReport:
     t_end = float(t[-1])
     lo = wkb_window_start(eps, p, mu_nu, t_end)
     window = (lo, t_end)
-    series = np.abs(traj.u[:, 0])
-    t_env, v_env = envelope(t, series)
-    fit_h = fit_decay_exponent(t_env, v_env, p, "hyperbolic", window)
+    mid = 0.5 * (lo + t_end)
+    params: dict[str, Any] = {"eps": eps, "p": p, "mu_nu": mu_nu, "window": [lo, t_end]}
+    points = 0
+    try:
+        t_env, v_env = envelope(t, np.abs(traj.u[:, 0]))
+        points = int(np.count_nonzero((t_env >= lo) & (t_env <= t_end)))
+        fit_h = fit_decay_exponent(t_env, v_env, p, "hyperbolic", window)
+        fit_p = fit_decay_exponent(t_env, v_env, p, "parabolic", window)
+        first = fit_decay_exponent(t_env, v_env, p, "parabolic", (lo, mid))
+        second = fit_decay_exponent(t_env, v_env, p, "parabolic", (mid, t_end))
+    except ValueError:  # under three samples or envelope points in a window, or |u| at 0
+        params.update(failure_kind="fit", envelope_points=points)
+        return _report("wkb_amplitude_law", -1.0, t_end, 0.0, params)
     fitted = 2.0 * fit_h.slope
     predicted = -1.0 / (eps * (1.0 - p))
     rel_err = abs(fitted - predicted) / abs(predicted)
     s_fit = (0.15 - rel_err) / 0.15
 
-    fit_p = fit_decay_exponent(t_env, v_env, p, "parabolic", window)
-    mid = 0.5 * (lo + t_end)
-    first = fit_decay_exponent(t_env, v_env, p, "parabolic", (lo, mid))
-    second = fit_decay_exponent(t_env, v_env, p, "parabolic", (mid, t_end))
     drift = abs(first.slope - second.slope) / max(abs(fit_p.slope), _TINY)
     s_r2 = (fit_h.r_squared - fit_p.r_squared - 0.05) / 0.05
     s_drift = (drift - 0.2) / 0.2
     s_spread = max(s_r2, s_drift)
     slack = min(s_fit, s_spread)
-    params = {
-        "eps": eps,
-        "p": p,
-        "mu_nu": mu_nu,
-        "window": [lo, t_end],
+    params.update({
         "fitted_slope": fitted,
         "predicted_slope": predicted,
         "r_squared": fit_h.r_squared,
         "overdamped_r_squared": fit_p.r_squared,
         "overdamped_drift": drift,
-    }
+    })
     return _report("wkb_amplitude_law", slack, t_end, 0.0, params)
 
 
@@ -1039,7 +1045,8 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     For constant mass the sharp envelope is
     ``C exp(-gamma (1+t)^(1+p))`` with ``gamma = 2 mu nu/(1+p)``; ``C`` is
     calibrated so the bound is met with 5% headroom at ``t = 0`` and must
-    then hold at every sample.
+    then hold at every sample.  Zero data give ``C = 0``, and the flow, 0
+    throughout, meets the zero bound with slack 0.
     """
     if traj.kind != "parabolic":
         raise ValueError("expected a parabolic run")
@@ -1051,7 +1058,7 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     lhs = en._h2_norm_sq(op, traj.u)
     g = en.gamma_rate(mu, op.nu, p)
     C = 1.05 * lhs[0] * math.exp(g)
-    bound = en.parabolic_bound_rhs(t, p, mu, op.nu, C)
+    bound = en.parabolic_bound_rhs(t, p, mu, op.nu, C) if C > 0.0 else np.zeros_like(lhs)
     slack_arr = (bound - lhs) / np.maximum(bound, _TINY)
     worst = int(np.argmin(slack_arr))
     params = {"p": p, "C": C, "gamma": g}

@@ -11,9 +11,10 @@ their defining ODEs: they serve as reference curves in ratio tests, so
 quadrature error in them would contaminate every measurement that divides by
 them.  The exponents are evaluated with ``expm1``/``log1p`` so that small-``t``
 values stay accurate to a few ulp, which matters when they feed log-linear
-regression.  Every one of them broadcasts over its arguments (time grids,
-batches of parameters); the envelopes compute their exponents through
-``weight_integral`` and ``growth_integral``.
+regression.  The envelopes broadcast over their arguments (time grids,
+batches of parameters) and compute their exponents through
+``weight_integral`` and ``growth_integral``; the kernel integral takes one
+rate and one ``p``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .spectral import SpectralOperator, as_states, sobolev_norm_sq
 
@@ -140,53 +140,31 @@ def z_eps(eps, p, t):
     return np.exp(-weight_integral(p, t) / eps)
 
 
-# 48-point Gauss rules: Laguerre for the fast-rate tail identity, Legendre for slow rates.
+# 48-point Gauss-Laguerre rule of the fast-rate identity in ``kernel_integral``.
 _LAGUERRE = laggauss(48)
-_LEGENDRE = leggauss(48)
 
 
-def kernel_integral(rate, p, t):
-    """``int_0^t exp(-rate W(s)) ds``, ``W`` the damping weight integral; broadcasts.
+def kernel_integral(rate: float, p: float) -> float:
+    """``int_0^inf exp(-rate W(s)) ds``, ``W`` the damping weight integral, for ``rate >= 2``.
 
-    ``rate = 1/eps`` integrates ``z_eps``.  Each rule is accurate to about
-    1e-12 relative plus 1e-15 absolute.  At ``p = 0``: ``-expm1(-rate t)/rate``.
-    For ``rate >= 2``, ``w = rate (W(s) - W(t))`` gives ``(L(a) - z(t) (1+t)^p
-    L(a (1+t)^(-q)))/rate`` with ``q = 1-p``, ``a = q/rate`` and ``L(a) =
-    int_0^inf e^(-w) (1 + a w)^(p/q) dw``, by Gauss-Laguerre (the factor beside
-    ``e^(-w)`` stays below ``e^(w/2)``); below ``DEGENERATE_P`` from ``p = 1``
-    the exact ``(1 - (1+t)^(1-rate))/(rate-1)``.  For ``rate < 2``,
-    Gauss-Legendre in ``log(1+s)``, so ``t`` may be ``inf`` only in the others.
+    ``rate = 1/eps`` integrates ``z_eps``.  At ``p = 0``: ``1/rate``; below
+    ``DEGENERATE_P`` from ``p = 1``: ``1/(rate - 1)``.  Otherwise ``w = rate
+    W(s)`` gives ``L(q/rate)/rate`` with ``q = 1-p`` and ``L(a) = int_0^inf
+    e^(-w) (1 + a w)^(p/q) dw``, by Gauss-Laguerre (the factor beside
+    ``e^(-w)`` stays below ``e^(w/2)``), accurate to about 1e-12 relative.
     """
-    rate, p, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (rate, p, t)))
-    if np.any(rate <= 0) or np.any((p < 0) | (p > 1)) or np.any(t < 0):
-        raise ValueError("need rate > 0, p in [0, 1] and t >= 0")
-    out = np.array(-np.expm1(-rate * t) / rate)
-    fast = (p > 0) & (rate >= 2.0)
-    slow = (p > 0) & (rate < 2.0)
-    if np.any(np.isinf(t[slow])):
-        raise ValueError("an infinite range needs rate >= 2 or p = 0")
-
-    r, pf, tf = rate[fast], p[fast], t[fast]
-    degenerate = 1.0 - pf < DEGENERATE_P
-    q = np.where(degenerate, 1.0, 1.0 - pf)
+    rate, p = float(rate), float(p)
+    if not (rate >= 2.0 and 0.0 <= p <= 1.0):
+        raise ValueError("need rate >= 2 and p in [0, 1]")
+    if p == 0.0:
+        return 1.0 / rate
+    q = 1.0 - p
+    if q < DEGENERATE_P:
+        return 1.0 / (rate - 1.0)
     nodes, weights = _LAGUERRE
-
-    def L(a):
-        return np.exp((pf / q)[:, None] * np.log1p(a[:, None] * nodes)) @ weights
-
-    with np.errstate(invalid="ignore"):  # inf - inf at t = inf, where the tail is 0
-        tail = np.exp(pf * np.log1p(tf) - r * weight_integral(pf, tf))
-        tail = np.where(np.isinf(tf), 0.0, tail * L(q / r * (1.0 + tf) ** -q))
-    out[fast] = np.where(
-        degenerate, -np.expm1((1.0 - r) * np.log1p(tf)) / (r - 1.0), (L(q / r) - tail) / r
-    )
-
-    nodes, weights = _LEGENDRE
-    half = 0.5 * np.log1p(t[slow])[:, None]
-    v = half * (nodes + 1.0)
-    integrand = np.exp(v - rate[slow, None] * weight_integral(p[slow, None], np.expm1(v)))
-    out[slow] = (half * integrand) @ weights
-    return out[()]
+    # (1, 48) @ (48,), the shapes the sum has always been taken in
+    a = np.array([[q / rate]])
+    return float((np.exp(np.array([[p / q]]) * np.log1p(a * nodes)) @ weights)[0] / rate)
 
 
 def gamma_rate(mu: float, nu: float, p: float) -> float:

@@ -160,22 +160,16 @@ def _parse_operator(raw: Any) -> SpectralOperator:
 def _parse_mass(raw: Any) -> MassFunction:
     if not isinstance(raw, dict):
         _fail("mass", "expected an object")
-    # {"constant": c}, {"affine" | "rational": {"base", "coeff"}} or
-    # {"variant", "base", "coeff"}; a constant mass has no coefficient
+    # {"constant": c} or {"affine" | "rational": {"base", "coeff"}}
     variant = next((v for v in MassFunction._VARIANTS if v in raw), None)
     try:
         if variant == "constant":
             base, coeff = raw["constant"], 0.0
         elif variant is not None:
             base, coeff = raw[variant]["base"], raw[variant]["coeff"]
-        elif "variant" in raw:
-            variant, base, coeff = raw["variant"], raw.get("base", 1.0), raw.get("coeff", 0.0)
-            if variant not in MassFunction._VARIANTS:
-                _fail("mass.variant", f"unknown variant {variant!r}")
         else:
-            _fail("mass", "needs one of 'constant', 'affine', 'rational' or 'variant'")
-        base, coeff = float(base), float(coeff)
-        return MassFunction(variant, base, 0.0 if variant == "constant" else coeff)
+            _fail("mass", "needs one of 'constant', 'affine' or 'rational'")
+        return MassFunction(variant, float(base), float(coeff))
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
@@ -468,9 +462,8 @@ class _Context:
 
     def hyperbolic_sweep(self) -> list[Trajectory]:
         """The second-order flow at every eps of the config, integrated as one solve."""
-        missing = [eps for eps in dict.fromkeys(self.cfg.epsilon) if eps not in self._hyp]
-        if missing:
-            c = self.cfg
+        c = self.cfg
+        if c.epsilon and not self._hyp:
             trajs = integrate(
                 "hyperbolic",
                 (c.u0, c.u1),
@@ -480,14 +473,14 @@ class _Context:
                 c.operator,
                 c.mass,
                 c.p,
-                eps=missing,
+                eps=c.epsilon,
             )
             # the energy columns one flow at a time, so that only one flow's
             # (n, K) temporaries are alive at once
-            for eps, traj in zip(missing, trajs):
+            for eps, traj in zip(c.epsilon, trajs):
                 self._hyp[eps] = traj
                 self.energies[eps] = an.hyperbolic_series(traj, self.decay_lp())
-        return [self._hyp[eps] for eps in self.cfg.epsilon]
+        return [self._hyp[eps] for eps in c.epsilon]
 
     def step_counts(self) -> dict[str, Any]:
         """Solver statistics of every flow this run integrated and of each
@@ -765,11 +758,11 @@ def _config_echo(cfg: RunConfig) -> dict[str, Any]:
             "eigenvalues": [float(v) for v in cfg.operator.eigenvalues],
             "nu": cfg.operator.nu,
         },
-        "mass": {
-            "variant": cfg.mass.variant,
-            "base": cfg.mass.base,
-            "coeff": cfg.mass.coeff,
-        },
+        "mass": (
+            {"constant": cfg.mass.base}
+            if cfg.mass.variant == "constant"
+            else {cfg.mass.variant: {"base": cfg.mass.base, "coeff": cfg.mass.coeff}}
+        ),
         "initial": {
             "u0": [float(v) for v in cfg.u0],
             "u1": [float(v) for v in cfg.u1],

@@ -15,7 +15,6 @@ from klab import (
     coefficient_derivative,
     corrector_velocity,
     integrate,
-    kernel_integral,
     parabolic_closed_form,
     power_spectrum,
     remainders,
@@ -23,6 +22,7 @@ from klab import (
     theta0,
     z_eps,
 )
+import klab._rk
 import klab.evolution
 from klab.energies import gamma_eps
 from klab._rk import StepStats
@@ -338,10 +338,7 @@ class TestSweepBatch:
 
     def test_the_budget_names_the_members_eps(self, monkeypatch):
         # to t = 1 at two samples, eps 1 takes 29 steps and eps 0.1 takes 121
-        solve = klab.evolution.solve_to_grid
-        monkeypatch.setattr(
-            klab.evolution, "solve_to_grid", lambda *a, **kw: solve(*a, max_steps=50, **kw)
-        )
+        monkeypatch.setattr(klab._rk, "_MAX_STEPS", 50)
         message = r"eps=0.1: step budget 50 exceeded at t=0\."
         with pytest.raises(IntegrationError, match=message) as err:
             integrate("hyperbolic", ([1.0], [0.0]), 1.0, 2, CFG, OP1, M1, 0.0, eps=[1.0, 0.1])
@@ -353,25 +350,15 @@ class TestSweepBatch:
                 integrate("hyperbolic", ([1.0], [0.0]), 1.0, 4, CFG, OP1, M1, 0.0, eps=eps)
 
 
-def corrector(th0, eps, p, times):
-    """``(theta, theta')`` of the corrector: ``theta = theta0 int_0^t z_eps``."""
-    theta = kernel_integral(1.0 / eps, p, np.asarray(times, dtype=float))[:, None] * th0
-    return theta, corrector_velocity(th0, eps, p, times)
-
-
 class TestCorrector:
     def test_worked_values(self):
-        th, thp = corrector([1.0], 0.5, 0.0, [0.0, 1.0])
+        thp = corrector_velocity([1.0], 0.5, 0.0, [0.0, 1.0])
         np.testing.assert_allclose(thp[1], [math.exp(-2.0)], rtol=1e-14)
-        np.testing.assert_allclose(th[1], [0.5 * (1.0 - math.exp(-2.0))], rtol=1e-14)
 
-        th, thp = corrector([1.0], 0.5, 1.0, [0.0, 1.0])
+        thp = corrector_velocity([1.0], 0.5, 1.0, [0.0, 1.0])
         np.testing.assert_allclose(thp[1], [0.25], rtol=1e-14)
-        # p = 1: int_0^1 (1+s)^(-2) ds = 1/2
-        np.testing.assert_allclose(th[1], [0.5], rtol=1e-14)
 
-        th, thp = corrector(np.array([2.0, -1.0]), 0.1, 0.3, [0.0])
-        np.testing.assert_array_equal(th, [[0.0, 0.0]])
+        thp = corrector_velocity(np.array([2.0, -1.0]), 0.1, 0.3, [0.0])
         np.testing.assert_allclose(thp, [[2.0, -1.0]])
 
     def test_ode_residual(self):
@@ -390,27 +377,11 @@ class TestCorrector:
 
     def test_series_consistent_with_quadrature(self):
         times = np.linspace(0.0, 5.0, 2001)
-        theta, theta_p = corrector([1.0], 0.08, 0.5, times)
+        theta_p = corrector_velocity([1.0], 0.08, 0.5, times)
         np.testing.assert_allclose(theta_p[:, 0], [z_eps(0.08, 0.5, t) for t in times],
                                    rtol=1e-12)
-        # derivative of theta matches theta' away from t=0
-        d = np.gradient(theta[:, 0], times)
-        mid = slice(200, 1800)
-        np.testing.assert_allclose(d[mid], theta_p[mid, 0], atol=2e-5)
-
-    @pytest.mark.parametrize("eps,p", [(0.04, 0.5), (0.8, 0.7), (0.01, 1.0)])
-    def test_series_matches_the_kernel_oracle(self, eps, p):
-        # theta / theta0 = int_0^t z_eps, against a 30-digit quadrature
-        times = np.array([0.0, 1e-4, 0.03, 0.5, 2.0, 9.0, 40.0])
-        theta, _ = corrector([2.0], eps, p, times)
-        want = [oracles.kernel_integral_mp(1.0 / eps, p, t) for t in times]
-        np.testing.assert_allclose(theta[:, 0] / 2.0, want, rtol=1e-12, atol=1e-15)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            corrector([1.0], 0.1, 1.5, [1.0])
-        with pytest.raises(ValueError):
-            corrector([1.0], -0.1, 0.5, [1.0])
         with pytest.raises(ValueError):
             corrector_velocity([1.0], -0.1, 0.5, [1.0])
 
@@ -500,22 +471,18 @@ class TestRemainders:
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        theta, theta_p = corrector(th0, 0.05, 0.5, par.times)
+        theta_p = corrector_velocity(th0, 0.05, 0.5, par.times)
         rho, rp = remainders(hyp, par, theta_p)
-        r = rho - theta
         np.testing.assert_allclose(rho[0], [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(r[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rp[0], [0.0, 0.0], atol=1e-12)
 
     def test_reconstruction_identity(self):
         u0, u1 = [1.0, 0.5], [0.2, -0.3]
         op, par, hyp = self._pair(0.05, u0, u1)
         th0 = theta0(u0, u1, op, M1)
-        theta, theta_p = corrector(th0, 0.05, 0.5, par.times)
+        theta_p = corrector_velocity(th0, 0.05, 0.5, par.times)
         rho, _ = remainders(hyp, par, theta_p)
-        r = rho - theta
-        # u_eps = u + theta + r at every sample, to roundoff
-        np.testing.assert_allclose(par.u + theta + r, hyp.u, rtol=0.0, atol=1e-12)
+        # u_eps = u + rho at every sample, exactly
         np.testing.assert_allclose(rho, hyp.u - par.u, rtol=0.0, atol=0.0)
 
     def test_identical_runs_give_zero(self):
@@ -525,9 +492,9 @@ class TestRemainders:
         op = SpectralOperator(np.array([1.0, 2.0]), 1.0)
         par = integrate("parabolic", u0, 6.0, 240, CFG, op, M1, 0.5)
         twin = dataclasses.replace(par, kind="hyperbolic", v=par.velocity(), eps=0.05)
-        theta, theta_p = corrector(np.zeros(2), 0.05, 0.5, par.times)
+        theta_p = corrector_velocity(np.zeros(2), 0.05, 0.5, par.times)
         rho, rp = remainders(twin, par, theta_p)
-        assert not rho.any() and not (rho - theta).any() and not rp.any()
+        assert not rho.any() and not rp.any()
 
     def test_grid_mismatch_rejected(self):
         u0, u1 = [1.0, 0.5], [0.2, -0.3]

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import klab.analysis
-import klab.evolution
+import klab._rk
 from klab import IntegratorConfig
 from klab.cli import main as cli_main
 from klab.harness import (
@@ -315,9 +314,19 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             render_report(tmp_path / "never_ran")
 
-    @pytest.mark.parametrize("tolerances", [{}, {"abs_tol": 1e-200}])
-    def test_manifest_config_reloads_to_the_same_run(self, tmp_path, tolerances):
-        cfg = config_from_dict(base_config(tolerances=tolerances))
+    @pytest.mark.parametrize(
+        "tolerances,mass",
+        [
+            ({}, {"constant": 1.0}),
+            ({"abs_tol": 1e-200}, {"constant": 1.0}),
+            ({}, {"affine": {"base": 1.0, "coeff": 0.0}}),
+            ({}, {"affine": {"base": 1.0, "coeff": 1.0}}),
+            ({}, {"rational": {"base": 0.5, "coeff": 1.0}}),
+        ],
+        ids=["tolerances0", "tolerances1", "affine_coeff0", "affine_coeff1", "rational"],
+    )
+    def test_manifest_config_reloads_to_the_same_run(self, tmp_path, tolerances, mass):
+        cfg = config_from_dict(base_config(tolerances=tolerances, mass=mass))
         assert run_scenario(cfg, tmp_path / "a") == 0
         echo = json.loads((tmp_path / "a" / "runs.json").read_text(encoding="utf-8"))["config"]
         assert run_scenario(config_from_dict(echo), tmp_path / "b") == 0
@@ -677,6 +686,12 @@ class TestCli:
             assert "override p: Exceeds the limit" in err
         assert code == 2, err
 
+    def test_a_mass_without_a_variant_key_exit_two(self, tmp_path, capsys):
+        doc = base_config(mass={"variant": "affine", "base": 1.0, "coeff": 1.0})
+        code, err = self.verify_in_process(tmp_path, capsys, json.dumps(doc))
+        assert code == 2, err
+        assert err == "error: mass: needs one of 'constant', 'affine' or 'rational'\n"
+
     @pytest.mark.parametrize("value", ["1e-8", True, [1e-8]], ids=["string", "bool", "list"])
     def test_a_tolerance_that_is_not_a_number_exit_two(self, tmp_path, capsys, value):
         doc = base_config(tolerances={"rel_tol": value})
@@ -861,15 +876,10 @@ class TestProperties:
             valid = True
         except ConfigError:
             valid = False
-        solve = klab.evolution.solve_to_grid
-
-        def budgeted(*args, **kwargs):  # a run that would take long fails fast (exit 3)
-            return solve(*args, max_steps=2000, **kwargs)
-
         with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp,
               contextlib.redirect_stderr(io.StringIO()) as err):
-            mp.setattr(klab.evolution, "solve_to_grid", budgeted)
-            mp.setattr(klab.analysis, "solve_to_grid", budgeted)
+            # a run that would take long fails fast (exit 3)
+            mp.setattr(klab._rk, "_MAX_STEPS", 2000)
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             code = cli_main(["verify", "--config", str(path), "--out", str(Path(tmp) / "out")])
@@ -899,8 +909,18 @@ class TestProperties:
             # p = 1: the hyperbolic fit abscissa (1+t)^(1-p) - 1 is identically 0
             dict(SCENARIO_CONFIGS["decay"], p=1.0, epsilon=[0.05], t_end=8.0, samples=512,
                  beta=1.0, scenario="simulate"),
+            # wkb with no rate to fit: the window [5, 8] holds two envelope
+            # maxima, zero data have none, and two samples have no envelope
+            dict(LOWEST_MODE_RUN, p=0.5, epsilon=[0.1], t_end=8.0, scenario="wkb"),
+            dict(LOWEST_MODE_RUN, p=0.5, epsilon=[0.1], t_end=8.0, scenario="wkb",
+                 initial={"u0": [0.0], "u1": [0.0]}),
+            dict(LOWEST_MODE_RUN, p=0.5, epsilon=[0.1], t_end=8.0, samples=2),
+            # zero data under constant mass: the pointwise bound's constant is 0
+            dict(LOWEST_MODE_RUN, p=0.5, epsilon=[0.1], t_end=8.0, scenario="decay",
+                 initial={"u0": [0.0], "u1": [0.0]}),
         ],
-        ids=["p0_fast_flow", "p0_zero_data", "p0_three_samples", "psi_underflow", "p1_fit"],
+        ids=["p0_fast_flow", "p0_zero_data", "p0_three_samples", "psi_underflow", "p1_fit",
+             "wkb_two_maxima", "wkb_zero_data", "all_two_samples", "decay_zero_data"],
     )
     def test_a_valid_config_exits_0_or_1_silently(self, tmp_path, capfd, doc):
         path = write_config(tmp_path, doc)

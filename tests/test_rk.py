@@ -268,12 +268,12 @@ class TestOwnClocks:
             np.testing.assert_array_equal(Y[i], solo)
             assert stats.members[i] == solo_stats
 
-    def test_the_budget_names_the_member_that_ran_out(self):
+    def test_the_budget_names_the_member_that_ran_out(self, monkeypatch):
         # member 2 needs the most steps
         steps = [self.solo(i)[2].accepted + self.solo(i)[2].rejected for i in range(3)]
-        budget = sorted(steps)[1] + 1
+        monkeypatch.setattr(klab._rk, "_MAX_STEPS", sorted(steps)[1] + 1)
         with pytest.raises(IntegrationError, match="step budget") as err:
-            self.batch(max_steps=budget)
+            self.batch()
         assert err.value.member == int(np.argmax(steps))
 
     def test_an_underflow_names_the_member(self):
