@@ -202,7 +202,10 @@ def _own_ratios(
 ) -> list[float]:
     """Each member's ``_error_ratio`` as its single system computes it."""
     members = len(y)
-    norms = _norm(np.concatenate((y, y_new, err_vec))).tolist()
+    # squares past the largest double make a norm inf, which leaves the safe
+    # window, so the scaled norms decide
+    with np.errstate(over="ignore"):
+        norms = _norm(np.concatenate((y, y_new, err_vec))).tolist()
     ratios = []
     scaled = None
     for i in range(members):
@@ -225,13 +228,17 @@ def _error_ratio(
 ) -> float:
     """Largest member error over its tolerance; ``inf`` when not finite, and
     when a member's ``y_new`` has a non-finite component."""
+    # squares past the largest double make a norm inf, which leaves the safe
+    # window, so the scaled norms decide
     if y.ndim == 1:
-        new_norm = _norm(y_new)
+        with np.errstate(over="ignore"):
+            y_norm, new_norm, err_norm = _norm(y), _norm(y_new), _norm(err_vec)
         if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new)):
             return math.inf
-        ratio = _unscaled_ratio(_norm(y), new_norm, _norm(err_vec), rel_tol, abs_tol)
+        ratio = _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol, abs_tol)
     else:
-        norms = _norm(np.concatenate((y, y_new, err_vec))).reshape(3, -1)
+        with np.errstate(over="ignore"):
+            norms = _norm(np.concatenate((y, y_new, err_vec))).reshape(3, -1)
         # a non-finite component makes its member's norm non-finite too
         if not math.isfinite(norms[1].max()) and not np.all(np.isfinite(y_new)):
             return math.inf

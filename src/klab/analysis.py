@@ -566,65 +566,105 @@ def _lemma33_forcing(a1, b1, a2, b2, k1):
     return forcing
 
 
+# Gauss-Legendre points of the forcing integral over each sample interval of
+# a linear lemma instance
+_GL_POINTS = 8
+
+
+def _linear_lemma_samples(y0, times, p, rate, coef, growth, decay) -> np.ndarray:
+    """``(samples, members)`` values of
+    ``y' = -rate (1+t)^(-p) y + coef (1+t)^growth exp(-decay W(t))``, ``W`` the
+    weight integral, on each member's row of ``times``.
+
+    With ``A = rate W`` the integral of the decay rate, each interval is the
+    exact variation-of-constants step
+    ``y_{i+1} = e^{-(A_{i+1} - A_i)} y_i + int_{t_i}^{t_{i+1}} e^{-(A_{i+1} - A(s))} b(s) ds``;
+    its integral is taken by the Gauss-Legendre rule with the two exponents
+    in one ``exp``.  The parameters are ``(members, 1)`` columns; the loop
+    runs over the intervals so that no ``(members, intervals, nodes)`` array
+    is built, and each member's bits do not depend on the others.
+    """
+    # the rule on [0, 1], made here rather than at import: it is an
+    # eigenvalue solve, which runs that never reach a lemma need not pay
+    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    weight = en._weight_fn(p)
+    Y = np.empty((times.shape[1], times.shape[0]))
+    Y[0] = y0
+    y, t0, W0 = y0[:, None], times[:, :1], weight(times[:, :1])
+    for i in range(1, times.shape[1]):
+        t1 = times[:, i : i + 1]
+        h = t1 - t0
+        s = t0 + h * nodes
+        W = weight(np.concatenate((s, t1), axis=1))
+        Ws, W1 = W[:, :-1], W[:, -1:]
+        integrand = np.exp(growth * np.log1p(s) - decay * Ws - rate * (W1 - Ws))
+        forced = coef * h * (integrand * weights).sum(axis=1, keepdims=True)
+        y = np.exp(-rate * (W1 - W0)) * y + forced
+        Y[i] = y[:, 0]
+        t0, W0 = t1, W1
+    return Y
+
+
 def synthetic_lemma_instances(
     kind: str, rng: np.random.Generator, count: int
 ) -> list[dict[str, Any]]:
     """``count`` random inputs whose hypotheses hold by construction.
 
-    Each instance integrates the lemma's equality ODE (the extremal
-    subsolution) at tight tolerance, optionally shrinks it by a decreasing
+    Each instance solves the lemma's equality ODE (the extremal
+    subsolution) to near rounding, optionally shrinks it by a decreasing
     factor (still a subsolution), and for lemma34 may add slack to ``psi``
     (enlarging the admitted forcing keeps the hypothesis true).
 
     Parameters are drawn instance after instance, so a given ``rng`` state
-    yields the same instances however ``count`` splits them.  All instances
-    are integrated in one batched solve in normalized time ``tau = t/t_end``
-    on the shared grid ``linspace(0, 1, 600)``, as
-    ``dy/dtau = t_end f(tau t_end, y)``; each member keeps its own error norm,
-    and instance ``i`` is sampled at ``times = t_end_i * tau``.  Every
-    instance records that solve's statistics under ``"steps"``.
+    yields the same instances however ``count`` splits them.  Instance ``i``
+    is sampled at ``times = t_end_i * tau`` on the shared grid
+    ``tau = linspace(0, 1, 600)``.
+
+    - lemma32 and lemma34 are linear, ``y' = -a(t) y + b(t)`` with ``int a``
+      in closed form (``W/eps`` and ``beta W``, ``W`` the weight integral):
+      all instances march the grid together by the exact
+      variation-of-constants step, with each interval's forcing integral
+      taken by 8-point Gauss-Legendre.  ``"steps"`` is
+      ``{"intervals": 599, "nodes": 8}``.
+    - lemma33, ``E' = psi1 sqrt(E) + psi2``, is not linear: all instances are
+      integrated in one batched solve in normalized time ``tau = t/t_end``, as
+      ``dy/dtau = t_end f(tau t_end, y)``, each member keeping its own error
+      norm, and every instance records that solve's statistics under
+      ``"steps"``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     draws = [_draw_lemma_params(kind, rng) for _ in range(count)]
     par = {key: np.array([d[key] for d in draws]) for key in draws[0]}
-    t_end, p = par["t_end"], par["p"]
     tau = np.linspace(0.0, 1.0, 600)
 
-    # everything that does not depend on the time is set up once per solve
-    if kind == "lemma32":
-        eps, K_over_eps = par["eps"], par["K"] / par["eps"]
-        phi_at = en._phi_fn(par["beta"], p)
-
-        def f(s: float, y: np.ndarray) -> np.ndarray:
-            t = s * t_end
-            rate = _lemma32_rate(t, y[:, 0], eps, K_over_eps, p, phi_at(t))
-            return (t_end * rate)[:, None]
-
-    elif kind == "lemma33":
+    if kind == "lemma33":
+        t_end = par["t_end"]
         forcing = _lemma33_forcing(par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
             rate = _lemma33_rate(y[:, 0], *forcing(s * t_end))
             return (t_end * rate)[:, None]
 
+        Y, _, stats = solve_to_grid(
+            f, par["y0"][:, None], tau, rel_tol=1e-11, abs_tol=1e-14
+        )
+        Y, steps = Y[:, :, 0], asdict(stats)
     else:
-        beta, q = par["beta"], par["q"]
-        phi_at = en._phi_fn(par["beta_fast"], p)
-
-        def f(s: float, y: np.ndarray) -> np.ndarray:
-            t = s * t_end
-            rate = _lemma34_rate(t, y[:, 0], beta, p, q * phi_at(t))
-            return (t_end * rate)[:, None]
-
-    Y, _, stats = solve_to_grid(
-        f, par["y0"][:, None], tau, rel_tol=1e-11, abs_tol=1e-14
-    )
-    steps = asdict(stats)
+        col = {key: value[:, None] for key, value in par.items()}
+        times = col["t_end"] * tau
+        if kind == "lemma32":
+            eps = col["eps"]
+            rates = (1.0 / eps, col["K"] / eps, col["p"], col["beta"])
+        else:
+            rates = (col["beta"], col["q"], 0.0, col["beta_fast"])
+        Y = _linear_lemma_samples(par["y0"], times, col["p"], *rates)
+        steps = {"intervals": tau.size - 1, "nodes": _GL_POINTS}
     instances = []
     for i, d in enumerate(draws):
         times = d["t_end"] * tau
-        series = Y[:, i, 0] * np.exp(-d["shrink"] * times)
+        series = Y[:, i] * np.exp(-d["shrink"] * times)
         inst: dict[str, Any] = {"times": times, "steps": steps, LEMMA_SERIES[kind]: series}
         if kind == "lemma32":
             inst.update(eps=d["eps"], K=d["K"], beta=d["beta"], p=d["p"])

@@ -5,7 +5,7 @@ into an output directory, and leaves three kinds of artifacts: one timeseries
 CSV per integrated trajectory, a ``report.json`` with checks, rate fits and
 measured constants, and a ``runs.json`` manifest recording the resolved
 configuration, the emitted files and the solver statistics of each flow
-and of each lemma kind's batched solve, so reports can be re-rendered later
+and of each lemma kind's instances, so reports can be re-rendered later
 without re-integrating.
 
 Scenario runners only integrate flows (each once, through ``_Context``, the
@@ -484,7 +484,7 @@ class _Context:
 
     def step_counts(self) -> dict[str, Any]:
         """Solver statistics of every flow this run integrated and of each
-        lemma kind's batched solve."""
+        lemma kind's instances (``synthetic_lemma_instances``' ``"steps"``)."""
         return {
             "parabolic": None if self._par is None else asdict(self._par.steps),
             "hyperbolic": {

@@ -181,6 +181,72 @@ def mode_bound_vs_psi(mu: float, nu: float, p: float, alpha: float,
 
 
 # ---------------------------------------------------------------------------
+# Linear comparison-lemma ODEs  y' = -a(t) y + b(t),  a = r (1+t)^(-p)
+# ---------------------------------------------------------------------------
+
+def _linear_lemma_coefficients(kind: str, d: dict):
+    """``(r, b)`` of a draw's equality ODE: decay rate ``r (1+t)^(-p)`` and forcing ``b(t)``."""
+    p = d["p"]
+    if kind == "lemma32":
+        # G' = -G/(eps (1+t)^p) + (K/eps)(1+t)^p Phi_beta
+        eps, K, beta = d["eps"], d["K"], d["beta"]
+        return 1.0 / eps, lambda s: K / eps * (1.0 + s) ** p * math.exp(
+            -beta * _weight_primitive(p, s))
+    # F' = -beta (1+t)^(-p) F + q Phi_{beta_fast}
+    beta, bf, q = d["beta"], d["beta_fast"], d["q"]
+    return beta, lambda s: q * math.exp(-bf * _weight_primitive(p, s))
+
+
+def linear_lemma_closed_form(kind: str, d: dict, t) -> np.ndarray:
+    """The equality ODE's solution from ``y(0) = d["y0"]`` at ``p = 0`` or ``p = 1``.
+
+    With ``a`` integrated in closed form, ``y = y0 e^{-A} + int_0^t e^{A(s)-A(t)} b``
+    is elementary; differences of exponentials go through ``expm1``.
+    """
+    t = np.asarray(t, dtype=float)
+    p, y0, beta = d["p"], d["y0"], d["beta"]
+    if p not in (0.0, 1.0):
+        raise ValueError("closed forms exist at p = 0 and p = 1 only")
+    # the exponent's variable: t at p = 0, log(1+t) at p = 1
+    x = t if p == 0.0 else np.log1p(t)
+    if kind == "lemma32":
+        eps, K = d["eps"], d["K"]
+        rate = 1.0 / eps
+        # the forced term's exponent: -beta x, and at p = 1 also x from
+        # (1+t)^p and x from ds = (1+s) dx
+        slow = 2.0 * p - beta
+        gap = rate + slow
+        return y0 * np.exp(-rate * x) - K / eps / gap * np.exp(slow * x) * np.expm1(-gap * x)
+    bf, q = d["beta_fast"], d["q"]
+    gap = bf - p - beta  # at p = 1, ds = (1+s) dx takes one x off
+    return y0 * np.exp(-beta * x) - q / gap * np.exp(-beta * x) * np.expm1(-gap * x)
+
+
+def linear_lemma_quad(kind: str, d: dict, t) -> np.ndarray:
+    """The equality ODE's solution from ``y(0) = d["y0"]`` on the grid ``t``, any ``p``.
+
+    Interval by interval, ``y(t_{i+1}) = e^{-(A(t_{i+1}) - A(t_i))} y(t_i) +
+    int_{t_i}^{t_{i+1}} e^{-(A(t_{i+1}) - A(s))} b(s) ds``, exact in exact
+    arithmetic, with each integral by ``scipy.integrate.quad``.
+    """
+    r, b = _linear_lemma_coefficients(kind, d)
+    p = d["p"]
+    A = [r * _weight_primitive(p, float(s)) for s in t]
+    y = [d["y0"]]
+    for i in range(1, len(t)):
+        A1 = A[i]
+
+        def integrand(s: float) -> float:
+            return math.exp(r * _weight_primitive(p, s) - A1) * b(s)
+
+        forced, err = quad(integrand, float(t[i - 1]), float(t[i]), epsabs=0.0, epsrel=1e-13)
+        if err > 1e-13 * abs(forced):
+            raise RuntimeError(f"oracle quadrature noisy: err={err}")
+        y.append(math.exp(A[i - 1] - A1) * y[-1] + forced)
+    return np.array(y)
+
+
+# ---------------------------------------------------------------------------
 # Amplitude-law slopes for the oscillatory regime
 # ---------------------------------------------------------------------------
 

@@ -378,8 +378,10 @@ class TestComparisonLemmas:
         assert singles_rng.random() == batch_rng.random()
         # lemma33's ODE E' = psi1 sqrt(E) + psi2 is not Lipschitz at its start
         # E(0) = 0, where abs_tol 1e-14 lets a lone solve drift: on these draws
-        # instance 21 (psi2(0) = 6.7e-4) is 5e-8 off at its first sample
-        rtol = 1e-7 if kind == "lemma33" else 1e-9
+        # instance 21 (psi2(0) = 6.7e-4) is 5e-8 off at its first sample.  The
+        # linear kinds' march does each member's arithmetic apart from the
+        # others, so a batch member has its single's bits.
+        rtol = 1e-7 if kind == "lemma33" else 0.0
         for one, member in zip(singles, batch):
             assert sorted(one) == sorted(member)
             for key, want in one.items():
@@ -390,7 +392,10 @@ class TestComparisonLemmas:
                 else:
                     np.testing.assert_allclose(member[key], want, rtol=rtol, atol=0.0)
         assert batch[0]["steps"] is batch[-1]["steps"]
-        assert batch[0]["steps"]["accepted"] > 0
+        if kind == "lemma33":
+            assert batch[0]["steps"]["accepted"] > 0
+        else:
+            assert batch[0]["steps"] == {"intervals": 599, "nodes": 8}
 
     def test_batch_validation(self):
         rng = np.random.default_rng(0)

@@ -130,6 +130,7 @@ class TestSharedClockErrorRatio:
                 err[1:], y[1:], y_new[1:], REL_TOL, 1e-300
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(
         # half inside the window, half anywhere a double reaches
         exponents=st.lists(st.integers(-99, 99) | st.integers(-320, 307), min_size=1, max_size=6),
