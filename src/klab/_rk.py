@@ -9,13 +9,14 @@ its peak near 1, so a state below 1e-154 does not square to zero; the
 scaling changes no ratio.  A shared clock scales all or none of its members.
 By default steps are clipped to land exactly on the requested sample grid,
 so sampled values carry full integration accuracy.  With
-``land_on_samples=False`` the steps follow the error control alone and every
-sample inside a step comes from the pair's continuous extension (Shampine,
-"Some practical Runge-Kutta formulas", Math. Comp. 46, 1986), a quartic that
-is one order less accurate than the step itself.
+``land_on_samples=False`` the steps follow the error control alone and the
+solve returns the state at every step end instead of samples: the pair's
+own continuous extension is a quartic, one order less accurate than the
+step, so a caller that needs values between steps builds them from what it
+knows of its flow.
 
 The driver steps clocks.  A clock owns rows of the state and keeps their
-time, step size, next sample, accept/reject decision, step cap and
+time, step size, next stop, accept/reject decision, step cap and
 ``StepStats``; every attempt computes the seven stages and error estimates
 of all rows in one set of array operations.
 
@@ -87,17 +88,6 @@ _B1, _B3, _B4, _B5, _B6 = map(np.array, (
     -2187.0 / 6784.0,
     11.0 / 84.0,
 ))
-# Continuous extension: the state at ``t + theta h`` is
-# ``y + h sum_i k_i sum_m _DENSE[i, m] theta^(m+1)`` over the seven stages.
-_DENSE = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
 # Difference between the 5th- and embedded 4th-order weights.
 _E1, _E3, _E4, _E5, _E6, _E7 = map(np.array, (
     71.0 / 57600.0,
@@ -251,20 +241,19 @@ def _error_ratio(
 
 
 class _Clock:
-    """One clock's step control: its rows, time, step size, next sample and counts.
+    """One clock's step control: its rows, time, step size, next stop and counts.
 
     ``member`` is ``i`` for member ``i`` of an own-clock batch and ``None``
     for the one clock of a single system or shared batch; ``row`` indexes the
     clock's rows in the state accordingly (``i`` or ``...``) and ``out`` is
-    its sample array.  ``h_try``, ``target`` and ``hits`` describe the
-    attempt in flight; a clock that has reached the last sample attempts
-    steps of length 0.
+    its sample array, or its list of step-end states when steps do not land
+    on samples.  ``h_try``, ``target`` and ``hits`` describe the attempt in
+    flight; a clock that has reached its last stop attempts steps of length 0.
     """
 
     __slots__ = (
         "member", "row", "out", "cap_fn", "t", "h", "j", "accepted", "rejected",
-        "replacements", "h_min", "h_max", "just_rejected", "last_accepted",
-        "h_try", "target", "hits",
+        "replacements", "h_min", "h_max", "just_rejected", "h_try", "target", "hits",
     )
 
     def __init__(self, member: int | None, out, cap_fn, t: float, h: float) -> None:
@@ -281,7 +270,6 @@ class _Clock:
         self.h_min = math.inf
         self.h_max = 0.0
         self.just_rejected = False
-        self.last_accepted: tuple[float, float] | None = None
         self.h_try = 0.0
         self.target = t
         self.hits = False
@@ -290,28 +278,6 @@ class _Clock:
         attempts = self.accepted + self.rejected
         rhs_evals = 1 + 6 * attempts + self.replacements
         return StepStats(self.accepted, self.rejected, rhs_evals, self.h_min, self.h_max)
-
-
-def _steered_ratio(ratio: float, h: float, last: tuple[float, float] | None) -> float:
-    """The error ratio that sets the step after an accepted step off the sample grid.
-
-    ``last`` is the previous accepted step's ``(ratio, h)``.  Steps that land
-    on samples are cut short by the grid often enough that the plain
-    controller never grows them far; off the grid, an error estimate passing
-    through zero (a sign change of the local error) would grow the next step
-    into a rejection.  Carried to this step size (the estimate scales as
-    ``h^5``), the last ratio predicts this one: a drop below it is not
-    trusted, and a rise above it is expected to go on once more.  On the
-    limit flow's phase solves of the benchmark workloads this cut the
-    rejections after the first step about five times, for 2% more steps.
-    """
-    if last is None:
-        return ratio
-    last_ratio, last_h = last
-    carried = last_ratio * (h / last_h) ** 5
-    if carried > 0.0:
-        return max(carried, ratio * ratio / carried)
-    return ratio
 
 
 def solve_to_grid(
@@ -324,13 +290,12 @@ def solve_to_grid(
     step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
     land_on_samples: bool = True,
     own_clocks: bool = False,
-) -> tuple[np.ndarray, None, StepStats | BatchStats]:
+) -> tuple[np.ndarray, np.ndarray, StepStats | BatchStats]:
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
-    Returns ``(Y, None, stats)`` where ``Y[i]`` is the state at ``times[i]``.
-    The middle slot is always ``None``.  It stays because the benchmark's
-    tracer (``perfbench/tracing.py``) reads the statistics as ``out[2]``;
-    no caller needs it, and it goes once the tracer reads ``out[-1]``.
+    Returns ``(Y, T, stats)`` where ``Y[i]`` is the state at ``T[i]``: the
+    grid ``times`` itself, or with ``land_on_samples=False`` the ends of the
+    accepted steps, from ``times[0]`` through ``times[-1]``.
 
     ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
     independent members (``Y`` then has shape ``(n, B, d)``), each held to
@@ -355,11 +320,8 @@ def solve_to_grid(
 
     ``land_on_samples`` (the default) clips every step to the next grid
     time; ``False`` lets the error control alone set the steps, clips only
-    the last one to ``times[-1]`` and interpolates the samples in between
-    (see the module docstring).  ``False`` also changes the step-size
-    controller: it steers by the last accepted error ratio as well as the
-    current one (see ``_steered_ratio``), since no sample cuts a step grown
-    past what the local error allows.
+    the last one to ``times[-1]`` and returns every step end (see the module
+    docstring).  It takes a single system or a shared batch, not own clocks.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -372,9 +334,13 @@ def solve_to_grid(
         raise ValueError("initial state must have shape (d,) or (B, d)")
     if own_clocks and y.ndim != 2:
         raise ValueError("own clocks need a (B, d) batch")
+    if own_clocks and not land_on_samples:
+        raise ValueError("own clocks land on the samples")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
-    n = grid.size
+    # the times a clock must land on: every sample, or the span's two ends
+    stops = grid if land_on_samples else grid[[0, -1]]
+    n = stops.size
     t0 = float(grid[0])
     max_steps = _MAX_STEPS
     if own_clocks:
@@ -385,9 +351,12 @@ def solve_to_grid(
         out = np.empty((members, n, y.shape[1]))
         out[:, 0] = y
         t_now = [t0] * members
-    else:
+    elif land_on_samples:
         out = np.empty((n,) + y.shape)
         out[0] = y
+        t_now = t0
+    else:
+        out, step_ends = [y], [t0]
         t_now = t0
 
     k1 = np.asarray(f(t_now, y), dtype=float)
@@ -405,8 +374,7 @@ def solve_to_grid(
     trial = np.where(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
-    first_target = grid[1] if land_on_samples else grid[-1]
-    first = [min(float(h), float(first_target - grid[0])) for h in np.ravel(trial)]
+    first = [min(float(h), float(stops[1] - grid[0])) for h in np.ravel(trial)]
     if own_clocks:
         clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
     else:
@@ -426,7 +394,7 @@ def solve_to_grid(
                 cap, y_cap = c.cap_fn(c.t, state)
                 if y_cap is not state:
                     replaced.append((c, y_cap))
-            target = float(grid[c.j] if land_on_samples else grid[-1])
+            target = float(stops[c.j])
             remaining = target - c.t
             h_try = min(c.h, cap, remaining)
             c.hits = h_try >= remaining * (1.0 - 1e-12)
@@ -486,28 +454,15 @@ def solve_to_grid(
                 c.accepted += 1
                 c.h_min = min(c.h_min, h_try)
                 c.h_max = max(c.h_max, h_try)
-                t_new = c.target if c.hits else c.t + h_try
+                c.t = c.target if c.hits else c.t + h_try
                 if not land_on_samples:
-                    # the samples this step passed, from the continuous extension
-                    stop = int(np.searchsorted(grid, t_new, side="right"))
-                    if stop > c.j:
-                        theta = (grid[c.j:stop] - c.t) / h_try
-                        powers = theta[:, None] ** np.arange(1, 5)
-                        ks = np.stack([k1, k2, k3, k4, k5, k6, k7])[:, c.row]
-                        q = np.tensordot(_DENSE.T, ks, axes=1)
-                        c.out[c.j:stop] = y[c.row] + h_try * np.tensordot(powers, q, axes=1)
-                        if grid[stop - 1] == t_new:
-                            c.out[stop - 1] = y_new[c.row]
-                        c.j = stop
+                    c.out.append(y_new)
+                    step_ends.append(c.t)
                 elif c.hits:
                     c.out[c.j] = y_new[c.row]
+                if c.hits:
                     c.j += 1
-                c.t = t_new
-                steer = ratio
-                if not land_on_samples:
-                    steer = _steered_ratio(ratio, h_try, c.last_accepted)
-                    c.last_accepted = (ratio, h_try)
-                factor = _MAX_GROWTH if steer == 0.0 else _SAFETY * steer ** (-0.2)
+                factor = _MAX_GROWTH if ratio == 0.0 else _SAFETY * ratio ** (-0.2)
                 if c.just_rejected:
                     factor = min(factor, 1.0)
                 c.just_rejected = False
@@ -537,5 +492,7 @@ def solve_to_grid(
             live = [c for c in live if c.j < n]
 
     if own_clocks:
-        return out, None, BatchStats(tuple(c.stats() for c in clocks))
-    return out, None, clocks[0].stats()
+        return out, grid, BatchStats(tuple(c.stats() for c in clocks))
+    if land_on_samples:
+        return out, grid, clocks[0].stats()
+    return np.array(out), np.array(step_ends), clocks[0].stats()

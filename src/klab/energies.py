@@ -95,26 +95,10 @@ def phi(beta, p, t):
     ``(1+t)^(-beta)`` at ``p = 1``.  Strictly decreasing, ``phi(beta, p, 0) = 1``.
     The arguments broadcast together (a time grid, a batch of parameters).
     """
-    return _phi_fn(beta, p)(t)
-
-
-def _phi_fn(beta, p):
-    """``t -> phi(beta, p, t)`` for a solve that evaluates ``phi`` at many times.
-
-    ``beta`` is checked and everything that depends on ``(beta, p)`` alone is
-    done once; each call still checks ``t >= 0`` and evaluates the same
-    operations as ``phi`` in the same order, so the values are its bits.
-    """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0):
         raise ValueError("beta must be > 0")
-    neg_beta = -beta
-    weight = _weight_fn(p)
-
-    def phi_at(t):
-        return np.exp(neg_beta * weight(t))
-
-    return phi_at
+    return np.exp(-beta * weight_integral(p, t))
 
 
 def psi(alpha, p, t):

@@ -25,8 +25,11 @@ The first-order flow is solved through its scalar phase: with
 One scalar ODE replaces the K-mode system, whose explicit solve goes stiff as
 ``lambda_max`` grows and controls the decayed modes only in norm; the phase
 form gets every mode to relative accuracy.  Its steps follow the error
-control, and the samples between them come from the integrator's continuous
-extension.  Derivatives of the first-order
+control, and the samples between them come from the quintic Hermite
+interpolant of ``Lambda``, ``Lambda'`` and ``Lambda''`` at the step ends, all
+three exact there: the phase's second derivative has a closed form, and the
+integrator's own continuous extension is only a quartic, too coarse for the
+phase's tolerance.  Derivatives of the first-order
 flow (``u'``, ``u''``) are always recomputed from the equation, never finite
 differenced, since the residual diagnostics are sensitive to them.
 """
@@ -369,11 +372,32 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float):
 # under rel_tol * max(Lambda / 745, 1 / lambda_max): a relative tolerance
 # rel_tol / 745 and an absolute one rel_tol / lambda_max (or abs_tol, if
 # larger), each divided by _PHASE_TOL_SAFETY for the local errors that
-# accumulate into the global one:
-# that global error came to about 8 times the local tolerance on constant-mass
-# closed forms (K 16 and 64, p 0.1 to 0.9), so 20 leaves a factor of 2.
+# accumulate into the global one and for the interpolant between step ends.
+# Against a long-double oracle of the phase on the benchmark's affine-mass
+# configs (K 4 and 64, 24 initial data, 256 to 4096 samples, rel_tol 1e-10),
+# the worst component came to 2.4 rel_tol at 20 (the step ends alone within
+# 0.16 rel_tol), 0.89 at 40 and 0.69 at 60.
 _PHASE_LOG_DECAY = 745.0
-_PHASE_TOL_SAFETY = 20.0
+_PHASE_TOL_SAFETY = 60.0
+
+
+def _quintic_hermite(nodes: np.ndarray, y, dy, ddy, t: np.ndarray) -> np.ndarray:
+    """At the times ``t``, the piecewise quintic that takes the values ``y``
+    and the first and second derivatives ``dy`` and ``ddy`` at ``nodes``.
+
+    ``nodes`` increase from ``t[0]`` through ``t[-1]``.  A sample on a node
+    takes that node's value; the last one is the end of the last interval.
+    """
+    i = np.minimum(np.searchsorted(nodes, t, side="right") - 1, nodes.size - 2)
+    h = nodes[i + 1] - nodes[i]
+    s = (t - nodes[i]) / h
+    rise = y[i + 1] - y[i]
+    dy0, dy1 = h * dy[i], h * dy[i + 1]
+    ddy0, ddy1 = h * h * ddy[i], h * h * ddy[i + 1]
+    c3 = 10.0 * rise - 6.0 * dy0 - 4.0 * dy1 - 1.5 * ddy0 + 0.5 * ddy1
+    c4 = -15.0 * rise + 8.0 * dy0 + 7.0 * dy1 + 1.5 * ddy0 - ddy1
+    c5 = 6.0 * rise - 3.0 * (dy0 + dy1) - 0.5 * (ddy0 - ddy1)
+    return y[i] + s * (dy0 + s * (0.5 * ddy0 + s * (c3 + s * (c4 + s * c5))))
 
 
 def _hyperbolic_runs(
@@ -472,7 +496,7 @@ def integrate(
             sigma = float(weights @ np.exp(decay * y[0]))
             return np.array([(1.0 + t) ** p * m_eval(m, sigma)])
 
-        phase, _, stats = solve_to_grid(
+        phase, ends, stats = solve_to_grid(
             f,
             np.zeros(1),
             times,
@@ -480,7 +504,17 @@ def integrate(
             abs_tol=max(cfg.abs_tol, cfg.rel_tol / (_PHASE_TOL_SAFETY * op.lambda_max)),
             land_on_samples=False,
         )
-        u = np.multiply.outer(phase[:, 0], -lam)
+        # Lambda' = (1+t)^p m(sigma) and, with sigma' = dsigma/dLambda,
+        # Lambda'' = (1+t)^p (p m(sigma) / (1+t) + m'(sigma) sigma' Lambda')
+        phase = phase[:, 0]
+        decayed = np.exp(np.multiply.outer(phase, decay))
+        sigma = decayed @ weights
+        c = m_eval(m, sigma)
+        growth = (1.0 + ends) ** p
+        speed = growth * c
+        accel = growth * (p * c / (1.0 + ends)
+                          + m_prime(m, sigma) * (decayed @ (decay * weights)) * speed)
+        u = np.multiply.outer(_quintic_hermite(ends, phase, speed, accel, times), -lam)
         np.exp(u, out=u)
         u *= u0
         c_trace = _at_sigma(m_eval, m, lam, u)

@@ -9,7 +9,9 @@ helpers call the package integrator or its comparison functions, so
 agreement between a test and its oracle is meaningful evidence.  The one
 exception is ``parabolic_mode_solve``: it runs the package's Dormand-Prince
 driver on the K-mode form of the limit flow, a formulation independent of
-the scalar-phase solve that ``integrate`` uses.
+the scalar-phase solve that ``integrate`` uses.  ``parabolic_phase_solve``
+gets the same flow's phase in long double by Gauss-Legendre quadrature of
+its separable form.
 """
 
 from __future__ import annotations
@@ -275,6 +277,68 @@ def parabolic_mode_solve(lam, mass, u0, p: float, times, rel_tol: float = 1e-10,
     u, _, _ = solve_to_grid(f, np.asarray(u0, dtype=float), times,
                             rel_tol=rel_tol, abs_tol=abs_tol)
     return u
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] in long double: numpy's
+    double nodes polished by Newton steps on the three-term recurrence."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        p_prev, p_cur = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
+        slope = n * (x * p_cur - p_prev) / (x * x - 1)
+        x = x - p_cur / slope
+    return x, 2 / ((1 - x * x) * slope * slope)
+
+
+def parabolic_phase_solve(lam, mass, u0, p: float, times, grading: float = 0.1,
+                          nodes: int = 8) -> np.ndarray:
+    """Samples of the limit flow ``u_k = u0_k exp(-lambda_k Lambda(t))``, in long double.
+
+    ``Lambda' = (1+t)^p m(sigma(Lambda))`` with
+    ``sigma(L) = sum_k lambda_k u0_k^2 exp(-2 lambda_k L)`` separates:
+    ``Phi(Lambda) = int_0^Lambda dL / m(sigma(L)) = ((1+t)^(1+p) - 1)/(1+p)``.
+    ``Phi`` is summed by ``nodes``-point Gauss-Legendre over panels of width
+    ``grading * L`` (at least ``grading / lambda_max`` and at most 1), so
+    every exponential is resolved where it still counts, and each sample is
+    found by Newton's method on ``Phi``, whose derivative is ``1/m``.
+    ``mass`` maps a long double ``sigma`` array to ``m``.
+    """
+    ld = np.longdouble
+    lam = np.asarray(lam, dtype=ld)
+    rate = -2 * lam
+    weights = lam * np.asarray(u0, dtype=ld) ** 2
+    x, w = _gauss_legendre(nodes)
+    x, w = (x + 1) / 2, w / 2  # on [0, 1]
+
+    def inv_mass(L):
+        # exponents below -11000 give terms under 1e-4700 (and long double
+        # exp takes about four times as long where it underflows)
+        e = np.multiply.outer(L, rate)
+        np.exp(np.maximum(e, -11000, out=e), out=e)
+        return 1 / mass(e @ weights)
+
+    t = np.asarray(times, dtype=ld)
+    target = np.expm1((1 + ld(p)) * np.log1p(t)) / (1 + ld(p))
+    # panel edges and Phi there, until Phi passes the last sample's target
+    edges, phi = [ld(0)], [ld(0)]
+    while phi[-1] <= target[-1]:
+        width = min(max(grading * edges[-1], grading / lam.max()), ld(1))
+        phi.append(phi[-1] + width * (w @ inv_mass(edges[-1] + width * x)))
+        edges.append(edges[-1] + width)
+    edges, phi = np.array(edges), np.array(phi)
+    j = np.searchsorted(phi, target, side="right") - 1
+    left, width = edges[j], edges[j + 1] - edges[j]
+    L = left + width * (target - phi[j]) / (phi[j + 1] - phi[j])
+    for _ in range(12):
+        part = L - left
+        residual = phi[j] + part * (inv_mass(left[:, None] + np.multiply.outer(part, x)) @ w)
+        step = (residual - target) / inv_mass(L)
+        L = L - step
+        if np.all(np.abs(step) <= 1e-18 * (1 + L)):
+            return np.asarray(u0, dtype=ld) * np.exp(-np.multiply.outer(L, lam))
+    raise RuntimeError("phase oracle: Newton's method did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from klab._rk import (
     _own_ratios,
     solve_to_grid,
 )
+from klab.evolution import _quintic_hermite
 
 REL_TOL = 1e-10
 
@@ -174,31 +175,40 @@ class TestTinyStates:
         assert scaled_stats == unit_stats
 
 
-class TestContinuousExtension:
-    def test_interpolated_samples_match_the_solution(self):
+class TestStepEnds:
+    def test_step_ends_match_the_solution(self):
         # y' = -cos(t) y, y = y0 exp(-sin t): one system, and a batch whose
         # second member starts 200 decades down
         times = np.linspace(0.0, 10.0, 401)
         for y0 in (np.ones(1), np.array([[1.0], [1e-200]])):
-            Y, _, stats = solve_to_grid(
+            Y, T, stats = solve_to_grid(
                 lambda t, y: -np.cos(t) * y, y0, times,
                 rel_tol=REL_TOL, abs_tol=0.0, land_on_samples=False,
             )
-            exact = np.multiply.outer(np.exp(-np.sin(times)), y0)
+            assert T[0] == times[0] and T[-1] == times[-1]
+            assert Y.shape == (stats.accepted + 1, *y0.shape)
+            exact = np.multiply.outer(np.exp(-np.sin(T)), y0)
             np.testing.assert_allclose(Y, exact, rtol=10.0 * REL_TOL, atol=0.0)
             # the error control sets the steps, not the 400 sample intervals
             assert stats.accepted < times.size - 1
 
-    def test_a_quartic_is_reproduced(self):
-        # the extension is a quartic in the step: exact, up to round-off,
-        # on y = t^4 - t^2 + 1 at samples inside steps
+    def test_a_quintic_is_reproduced_from_the_step_ends(self):
+        # the fifth-order solution is exact on y' = 5t^4 - 3t^2 at any
+        # tolerance (a loose one keeps the steps long), so its step ends with
+        # the exact derivatives give y = t^5 - t^3 + 1 between them too
         times = np.linspace(0.0, 2.0, 37)
-        Y, _, stats = solve_to_grid(
-            lambda t, y: np.array([4.0 * t**3 - 2.0 * t]), [1.0], times,
-            rel_tol=REL_TOL, abs_tol=1e-12, land_on_samples=False,
+        Y, T, stats = solve_to_grid(
+            lambda t, y: np.array([5.0 * t**4 - 3.0 * t**2]), [1.0], times,
+            rel_tol=1e-6, abs_tol=1e-6, land_on_samples=False,
         )
         assert stats.accepted < times.size - 1
-        np.testing.assert_allclose(Y[:, 0], times**4 - times**2 + 1.0, rtol=0.0, atol=1e-13)
+        got = _quintic_hermite(T, Y[:, 0], 5.0 * T**4 - 3.0 * T**2, 20.0 * T**3 - 6.0 * T, times)
+        np.testing.assert_allclose(got, times**5 - times**3 + 1.0, rtol=0.0, atol=1e-13)
+
+    def test_own_clocks_land_on_the_samples(self):
+        with pytest.raises(ValueError, match="own clocks"):
+            solve_to_grid(lambda t, y: -y, np.ones((2, 1)), [0.0, 1.0], rel_tol=REL_TOL,
+                          abs_tol=0.0, own_clocks=True, land_on_samples=False)
 
 
 def _oscillator(stiffness):
