@@ -27,7 +27,7 @@ from klab.harness import config_from_dict, run_scenario
 REFERENCE = Path(__file__).resolve().parent / "reference"
 CASES = {
     "a": ("decay", "decay_error", "optimality", "hypotheses"),
-    "b": ("decay", "optimality", "open_problem"),
+    "b": ("decay", "optimality", "open_problem", "lemmas"),
 }
 ROW_STRIDE = 8
 RTOL = 1e-10
