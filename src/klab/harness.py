@@ -382,6 +382,12 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
+# Rows go through tolist() this many at a time.  Their floats are freed
+# among the row strings that stay: at 512 rows that left checks_k4's peak
+# RSS 1.3 MB higher, at 128 rows 0.1 MB.
+_EMIT_ROWS = 128
+
+
 def emit_timeseries(path: str | Path, columns: dict[str, np.ndarray]) -> None:
     """Write aligned series as CSV: header row, shortest round-trip decimals, LF."""
     names = list(columns)
@@ -393,8 +399,9 @@ def emit_timeseries(path: str | Path, columns: dict[str, np.ndarray]) -> None:
         if arr.ndim != 1 or arr.size != n:
             raise ValueError(f"column {name!r} is not aligned")
     lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(repr(float(a[i])) for a in arrays))
+    for first in range(0, n, _EMIT_ROWS):
+        rows = zip(*(a[first : first + _EMIT_ROWS].tolist() for a in arrays))
+        lines.extend(",".join(map(repr, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -670,11 +677,14 @@ def _scn_optimality(ctx: _Context) -> None:
 def _scn_lemmas(ctx: _Context) -> None:
     rng = np.random.default_rng(ctx.cfg.seed)
     for kind in an.LEMMA_SERIES:
-        for i, inputs in enumerate(an.synthetic_lemma_instances(kind, rng, 100)):
-            rep = an.check_comparison_lemma(kind, inputs)
+        instances = an.synthetic_lemma_instances(kind, rng, 100)
+        for i, rep in enumerate(an.check_comparison_lemma(kind, instances)):
             rep.params["instance"] = i
             ctx.add_check(rep)
-        ctx.lemmas[kind] = inputs
+        ctx.lemmas[kind] = instances[-1]
+        # one kind's instances at a time: the next kind is made before the
+        # name is bound again
+        del instances
 
 
 def _scn_hypotheses(ctx: _Context) -> None:

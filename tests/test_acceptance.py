@@ -284,8 +284,7 @@ def test_criterion_06_comparison_lemmas():
     conclusion_failures = 0
     checked = 0
     for kind in ("lemma32", "lemma33", "lemma34"):
-        for inputs in synthetic_lemma_instances(kind, rng, 100):
-            rep = check_comparison_lemma(kind, inputs)
+        for rep in check_comparison_lemma(kind, synthetic_lemma_instances(kind, rng, 100)):
             checked += 1
             if rep.params.get("failure_kind") == "conclusion" or not rep.passed:
                 conclusion_failures += 1
@@ -294,9 +293,9 @@ def test_criterion_06_comparison_lemmas():
     # error and the tail 2 e^(-t_end) past the grid
     t = np.linspace(0.0, 14.0, 1400)
     psi2 = np.exp(-t)
-    rep33 = check_comparison_lemma(
+    (rep33,) = check_comparison_lemma(
         "lemma33",
-        {"times": t, "E": 1.0 - psi2, "psi1": np.zeros_like(t), "psi2": psi2},
+        [{"times": t, "E": 1.0 - psi2, "psi1": np.zeros_like(t), "psi2": psi2}],
     )
     h = t[1] - t[0]
     closed_ok = (
@@ -304,10 +303,10 @@ def test_criterion_06_comparison_lemmas():
         and rep33.params["bound"] == 2.0 * np.trapezoid(psi2, t)
         and abs(rep33.params["bound"] - 2.0) <= 2.0 * (t[-1] * h**2 / 12.0 + math.exp(-t[-1]))
     )
-    rep32 = check_comparison_lemma(
+    (rep32,) = check_comparison_lemma(
         "lemma32",
-        {"times": t, "G": np.zeros_like(t), "eps": 0.2, "K": 1.0, "beta": 1.0,
-         "p": 0.5},
+        [{"times": t, "G": np.zeros_like(t), "eps": 0.2, "K": 1.0, "beta": 1.0,
+          "p": 0.5}],
     )
     closed_ok = closed_ok and rep32.passed and rep32.worst_slack >= 0.0
 
@@ -324,9 +323,9 @@ def test_criterion_06_comparison_lemmas():
     from klab import phi
 
     F = energy_F(rho, rprime, par.times, 0.02, hyp.c_trace, OP1, lp)
-    rep34 = check_comparison_lemma(
+    (rep34,) = check_comparison_lemma(
         "lemma34",
-        {"times": par.times, "F": F, "psi": psi3, "T": lp.T, "beta": 1.0, "p": 0.5},
+        [{"times": par.times, "F": F, "psi": psi3, "T": lp.T, "beta": 1.0, "p": 0.5}],
     )
     phi_vals = np.array([phi(1.0, 0.5, float(s)) for s in par.times])
     iT = int(np.searchsorted(par.times, lp.T))

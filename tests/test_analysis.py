@@ -41,7 +41,7 @@ from klab import (
     synthetic_lemma_instances,
     theta0,
 )
-from klab.analysis import assemble_psi3, hyperbolic_series
+from klab.analysis import LEMMA_SERIES, _report, assemble_psi3, hyperbolic_series
 import oracles
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
@@ -274,6 +274,60 @@ def test_a_series_of_another_length_is_rejected():
             call()
 
 
+def _one_instance_report(kind, inputs):
+    """One instance's lemma check in the arithmetic of a single series:
+    exponents applied as floats and the start found by ``searchsorted``.
+    A batched check must reproduce it bit for bit."""
+    name, tol = f"comparison_{kind}", 1e-8
+    t = np.asarray(inputs["times"], dtype=float)
+    y = np.asarray(inputs[LEMMA_SERIES[kind]], dtype=float)
+    T = float(inputs.get("T", 0.0))
+    start = int(np.searchsorted(t, T - 1e-12 * max(1.0, T)))
+    if kind == "lemma33":
+        psi1, psi2 = inputs["psi1"], inputs["psi2"]
+        rhs = psi1 * np.sqrt(np.maximum(y, 0.0)) + psi2
+        K1, K2 = float(np.trapezoid(psi1, t)), float(np.trapezoid(psi2, t))
+        bound = K1 * K1 + 2.0 * K2
+        slack = (bound - y) / max(bound, 1e-300)
+        params, extra = {}, {"K1": K1, "K2": K2, "bound": bound}
+    else:
+        beta, p = float(inputs["beta"]), float(inputs["p"])
+        phi_vals = phi(beta, p, t)
+        w = (1.0 + t) ** p
+        if kind == "lemma32":
+            eps, K = float(inputs["eps"]), float(inputs["K"])
+            rhs = -y / (eps * w) + K / eps * w * phi_vals
+            bound = (2.0 * K + y[0]) * (1.0 + t) ** (2.0 * p) * phi_vals
+            slack = (bound - y) / np.maximum(bound, 1e-300)
+            params, extra = {"eps": eps, "K": K, "beta": beta, "p": p}, {"bound_at_0": float(bound[0])}
+        else:
+            psi = inputs["psi"]
+            rhs = -beta * y / w + psi
+            const = y[start] / phi_vals[start] + float(np.trapezoid(psi / phi_vals, t))
+            slack = (const * phi_vals - y) / np.maximum(np.abs(const * phi_vals), 1e-300)
+            params, extra = {"beta": beta, "p": p, "T": T}, {"bound_constant": float(const)}
+    if kind == "lemma33" and abs(y[0]) > tol:
+        hyp = _report(name, -abs(float(y[0])), float(t[0]), tol, {"reason": "E(0) != 0"})
+    elif start >= t.size - 1:
+        hyp = _report(name, 0.0, float(t[-1]), tol, dict(params, intervals=0))
+    else:
+        slopes = np.diff(y[start:]) / np.diff(t[start:])
+        rhs_max = np.maximum(rhs[start:-1], rhs[start + 1 :])
+        hyp_slack = (rhs_max - slopes) / (1.0 + np.abs(y[start:-1]))
+        i = start + int(np.argmin(hyp_slack))
+        params_i = dict(params, intervals=int(hyp_slack.size))
+        hyp = _report(name, float(hyp_slack[i - start]), float(t[i]), tol, params_i)
+    if not hyp.passed:
+        rep = hyp
+    else:
+        first = start if kind == "lemma34" else 0
+        i = first + int(np.argmin(slack[first:]))
+        rep = _report(name, float(slack[i]), float(t[i]), tol, dict(params, **extra))
+    if not rep.passed:
+        rep.params["failure_kind"] = "conclusion" if hyp.passed else "hypothesis"
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # comparison lemmas
 # ---------------------------------------------------------------------------
@@ -287,7 +341,7 @@ class TestComparisonLemmas:
             "psi1": np.zeros_like(t),
             "psi2": np.exp(-t),
         }
-        rep = check_comparison_lemma("lemma33", inputs)
+        (rep,) = check_comparison_lemma("lemma33", [inputs])
         assert rep.passed
         # K1 = 0 and K2 = int psi2 by the trapezoid rule: 2 within its error
         # and the tail 2 e^(-t_end) past the grid
@@ -299,9 +353,9 @@ class TestComparisonLemmas:
 
     def test_lemma32_zero_series(self):
         t = np.linspace(0.0, 6.0, 300)
-        rep = check_comparison_lemma(
+        (rep,) = check_comparison_lemma(
             "lemma32",
-            {"times": t, "G": np.zeros_like(t), "eps": 0.2, "K": 1.0, "beta": 1.0, "p": 0.5},
+            [{"times": t, "G": np.zeros_like(t), "eps": 0.2, "K": 1.0, "beta": 1.0, "p": 0.5}],
         )
         assert rep.passed
 
@@ -310,24 +364,24 @@ class TestComparisonLemmas:
         with pytest.raises(ValueError):
             check_comparison_lemma(
                 "lemma32",
-                {"times": t, "G": np.zeros_like(t), "eps": 0.6, "K": 1.0, "beta": 1.0, "p": 0.5},
+                [{"times": t, "G": np.zeros_like(t), "eps": 0.6, "K": 1.0, "beta": 1.0, "p": 0.5}],
             )
 
     def test_lemma33_nonzero_start_is_hypothesis_failure(self):
         t = np.linspace(0.0, 6.0, 300)
-        rep = check_comparison_lemma(
+        (rep,) = check_comparison_lemma(
             "lemma33",
-            {"times": t, "E": 0.5 + 0.0 * t, "psi1": np.zeros_like(t), "psi2": np.exp(-t)},
+            [{"times": t, "E": 0.5 + 0.0 * t, "psi1": np.zeros_like(t), "psi2": np.exp(-t)}],
         )
         assert not rep.passed
         assert rep.params["failure_kind"] == "hypothesis"
 
     def test_lemma34_growing_series_fails_hypothesis(self):
         t = np.linspace(0.0, 6.0, 400)
-        rep = check_comparison_lemma(
+        (rep,) = check_comparison_lemma(
             "lemma34",
-            {"times": t, "F": np.exp(0.5 * t), "psi": np.zeros_like(t),
-             "T": 0.0, "beta": 1.0, "p": 0.0},
+            [{"times": t, "F": np.exp(0.5 * t), "psi": np.zeros_like(t),
+              "T": 0.0, "beta": 1.0, "p": 0.0}],
         )
         assert not rep.passed
         assert rep.params["failure_kind"] == "hypothesis"
@@ -348,9 +402,9 @@ class TestComparisonLemmas:
         psi3 = assemble_psi3(hyp, rho, theta_p, g, lp)
         from klab.energies import energy_F
         F = energy_F(rho, rp, par.times, eps, hyp.c_trace, op, lp)
-        rep = check_comparison_lemma(
+        (rep,) = check_comparison_lemma(
             "lemma34",
-            {"times": par.times, "F": F, "psi": psi3, "T": lp.T, "beta": 1.0, "p": p},
+            [{"times": par.times, "F": F, "psi": psi3, "T": lp.T, "beta": 1.0, "p": p}],
         )
         assert rep.passed
         # the conclusion constant is F(T)/Phi(T) + the psi/Phi integral;
@@ -365,7 +419,7 @@ class TestComparisonLemmas:
         for kind in ("lemma32", "lemma33", "lemma34"):
             for _ in range(25):
                 inputs = synthetic_lemma_instances(kind, rng, 1)[0]
-                rep = check_comparison_lemma(kind, inputs)
+                (rep,) = check_comparison_lemma(kind, [inputs])
                 assert rep.params.get("failure_kind") != "conclusion", (kind, rep.params)
                 assert rep.passed, (kind, rep.worst_slack, rep.params)
 
@@ -397,6 +451,50 @@ class TestComparisonLemmas:
         else:
             assert batch[0]["steps"] == {"intervals": 599, "nodes": 8}
 
+    @staticmethod
+    def _varied_batch(kind):
+        """Synthetic instances altered to reach every branch of the check."""
+        instances = synthetic_lemma_instances(kind, np.random.default_rng(7), 16)
+        if kind == "lemma33":
+            instances[2] = dict(instances[2], E=instances[2]["E"] + 0.25)  # E(0) != 0
+        else:
+            key, inst = LEMMA_SERIES[kind], instances[1]
+            instances[1] = dict(inst, **{key: inst[key] * np.exp(0.5 * inst["times"])})
+            # the exponents numpy takes by a shortcut: p = 0.5 and 2p = 1, p = 1 and 2p = 2
+            assert {0.5, 1.0} <= {inst["p"] for inst in instances}
+        if kind == "lemma34":
+            last = float(instances[6]["times"][-1])
+            for i, T in zip(range(3, 7), (0.0, 0.9, 2.5, last)):
+                instances[i] = dict(instances[i], T=T)  # the last leaves no interval
+        return instances
+
+    @pytest.mark.parametrize("kind", ["lemma32", "lemma33", "lemma34"])
+    def test_a_batch_reports_each_instance_as_alone(self, kind):
+        instances = self._varied_batch(kind)
+        batch = check_comparison_lemma(kind, instances)
+        alone = [_one_instance_report(kind, inst) for inst in instances]
+        assert [repr(rep) for rep in batch] == [repr(rep) for rep in alone]
+        ones = [check_comparison_lemma(kind, [inst])[0] for inst in instances]
+        assert [repr(rep) for rep in batch] == [repr(rep) for rep in ones]
+        failed = 2 if kind == "lemma33" else 1
+        assert batch[failed].params["failure_kind"] == "hypothesis"
+        if kind == "lemma34":
+            assert batch[6].worst_t == instances[6]["times"][-1]
+        assert any(rep.passed for rep in batch)
+
+    def test_a_batch_rejects_what_one_instance_cannot_be(self):
+        instances = synthetic_lemma_instances("lemma34", np.random.default_rng(7), 2)
+        shorter = {key: value[:-1] if np.ndim(value) else value for key, value in instances[1].items()}
+        with pytest.raises(ValueError, match="shape"):
+            check_comparison_lemma("lemma34", [instances[0], shorter])
+        past = dict(instances[1], T=float(instances[1]["times"][-1]) + 0.5)
+        with pytest.raises(ValueError, match="past the last sample"):
+            check_comparison_lemma("lemma34", [instances[0], past])
+        with pytest.raises(ValueError, match="sequence"):
+            check_comparison_lemma("lemma34", instances[0])
+        with pytest.raises(ValueError, match="sequence"):
+            check_comparison_lemma("lemma34", [])
+
     def test_batch_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -406,7 +504,7 @@ class TestComparisonLemmas:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            check_comparison_lemma("lemma99", {"times": [0, 1]})
+            check_comparison_lemma("lemma99", [{"times": [0, 1]}])
 
 
 # ---------------------------------------------------------------------------

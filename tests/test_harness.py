@@ -235,6 +235,21 @@ class TestEmission:
         back = np.array([float(line.split(",")[1]) for line in lines[1:]])
         np.testing.assert_array_equal(back, v)
 
+    def test_edge_values_keep_the_per_element_bytes(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.inf, -np.inf, np.nan]
+        # 41 copies, so that the rows span several blocks of the writer
+        values = np.tile(edge, 41)
+        columns = {"a": values, "b": values[::-1].copy(), "c": np.arange(values.size, dtype=float)}
+        path = tmp_path / "edge.csv"
+        emit_timeseries(path, columns)
+        # the bytes of repr(float(column[i])) for every element, row by row
+        arrays = list(columns.values())
+        rows = [",".join(repr(float(a[i])) for a in arrays) for i in range(values.size)]
+        want = "\n".join(["a,b,c", *rows]) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        assert "-0.0,nan,0.0" in want and "5e-324" in want and "1e+16" in want
+        assert values.size > klab.harness._EMIT_ROWS
+
     def test_empty_report(self, tmp_path):
         # a manifest that lists no flow and no prior report: nothing to carry or fit
         (tmp_path / "runs.json").write_text(json.dumps({"files": {}}), encoding="utf-8")
