@@ -112,7 +112,7 @@ class RateFit:
 def _report(name, slack, worst_t, tol, params) -> CheckReport:
     params = dict(params)
     params["tolerance"] = tol
-    slack = float(np.clip(slack, -1e300, 1e300))
+    slack = float(min(max(slack, -1e300), 1e300))
     return CheckReport(name, slack >= -tol, slack, float(worst_t), params)
 
 
