@@ -61,18 +61,6 @@ __all__ = [
     "emit_timeseries",
 ]
 
-SCENARIOS = (
-    "simulate",
-    "decay",
-    "decay_error",
-    "optimality",
-    "lemmas",
-    "hypotheses",
-    "wkb",
-    "open_problem",
-    "all",
-)
-
 _PRESETS = ("lowest_mode", "well_prepared", "boundary_layer")
 # the longest float64 array numpy can describe: the sample grid must be one
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
@@ -108,9 +96,13 @@ def _float(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         _fail(field, "integer out of float range")
+    # JSON's NaN and Infinity extensions decode to floats that no field takes
+    if not math.isfinite(number):
+        _fail(field, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _number(raw: dict, field: str, default=None, required=False) -> float:
@@ -121,37 +113,48 @@ def _number(raw: dict, field: str, default=None, required=False) -> float:
     return _float(raw[field], field)
 
 
+def _floats(value: Any, field: str) -> np.ndarray:
+    """A list of numbers, each read by ``_float`` and named by its index."""
+    if not isinstance(value, list):
+        _fail(field, f"expected a list of numbers, got {value!r}")
+    return np.array([_float(x, f"{field}[{i}]") for i, x in enumerate(value)], dtype=float)
+
+
+def _only(raw: dict, known, field: str) -> None:
+    """Refuse any key of the object ``field`` outside ``known``."""
+    for key in raw:
+        if key not in known:
+            _fail(f"{field}.{key}", "unknown field")
+
+
 def _parse_operator(raw: Any) -> SpectralOperator:
     if not isinstance(raw, dict):
         _fail("operator", "expected an object")
     if "eigenvalues" in raw:
-        known = {"eigenvalues", "nu"}
-        for key in raw:
-            if key not in known:
-                _fail(f"operator.{key}", "unknown field for an explicit operator")
+        _only(raw, ("eigenvalues", "nu"), "operator")
         nu = _number(raw, "nu", required=True)
+        eigenvalues = _floats(raw["eigenvalues"], "operator.eigenvalues")
         try:
-            return SpectralOperator(np.asarray(raw["eigenvalues"], dtype=float), nu)
-        except (ValueError, TypeError, OverflowError) as exc:
+            return SpectralOperator(eigenvalues, nu)
+        except ValueError as exc:
             raise ConfigError(f"operator: {exc}") from exc
     if "family" not in raw:
         _fail("operator", "needs either 'eigenvalues' or 'family'")
-    known = {"family", "nu", "K", "exponent", "gap"}
-    for key in raw:
-        if key not in known:
-            _fail(f"operator.{key}", "unknown field")
+    _only(raw, ("family", "nu", "K", "exponent", "gap"), "operator")
     family = raw["family"]
     nu = _number(raw, "nu", required=True)
     modes_raw = raw.get("K")
     if not isinstance(modes_raw, int) or isinstance(modes_raw, bool) or modes_raw < 1:
         _fail("operator.K", "expected a positive integer mode count")
+    exponent = _float(raw.get("exponent", 2.0), "operator.exponent")
+    gap = _float(raw.get("gap", nu), "operator.gap")
     try:
         if family == "uniform":
             return uniform_spectrum(nu, modes_raw)
         if family == "power":
-            return power_spectrum(nu, modes_raw, float(raw.get("exponent", 2.0)))
+            return power_spectrum(nu, modes_raw, exponent)
         if family == "arithmetic":
-            return arithmetic_spectrum(nu, modes_raw, float(raw.get("gap", nu)))
+            return arithmetic_spectrum(nu, modes_raw, gap)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"operator: {exc}") from exc
     _fail("operator.family", f"unknown family {family!r}")
@@ -160,19 +163,28 @@ def _parse_operator(raw: Any) -> SpectralOperator:
 def _parse_mass(raw: Any) -> MassFunction:
     if not isinstance(raw, dict):
         _fail("mass", "expected an object")
-    # {"constant": c} or {"affine" | "rational": {"base", "coeff"}}
-    variant = next((v for v in MassFunction._VARIANTS if v in raw), None)
+    # {"constant": c} or {"affine" | "rational": {"base", "coeff"}}, nothing else
+    variants = [v for v in MassFunction._VARIANTS if v in raw]
+    if not variants:
+        _fail("mass", "needs one of 'constant', 'affine' or 'rational'")
+    if len(variants) > 1:
+        _fail("mass", f"takes one variant, got {' and '.join(map(repr, variants))}")
+    variant = variants[0]
+    _only(raw, variants, "mass")
+    if variant == "constant":
+        base, coeff = _float(raw["constant"], "mass.constant"), 0.0
+    else:
+        body, field = raw[variant], f"mass.{variant}"
+        if not isinstance(body, dict):
+            _fail(field, "expected an object")
+        _only(body, ("base", "coeff"), field)
+        for key in ("base", "coeff"):
+            if key not in body:
+                _fail(f"{field}.{key}", "required field is missing")
+        base, coeff = (_float(body[key], f"{field}.{key}") for key in ("base", "coeff"))
     try:
-        if variant == "constant":
-            base, coeff = raw["constant"], 0.0
-        elif variant is not None:
-            base, coeff = raw[variant]["base"], raw[variant]["coeff"]
-        else:
-            _fail("mass", "needs one of 'constant', 'affine' or 'rational'")
-        return MassFunction(variant, float(base), float(coeff))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        return MassFunction(variant, base, coeff)
+    except ValueError as exc:
         raise ConfigError(f"mass: {exc}") from exc
 
 
@@ -198,14 +210,9 @@ def _parse_initial(
     for key in ("u0", "u1"):
         if key not in raw:
             _fail(f"initial.{key}", "required field is missing")
-        try:
-            vec = np.asarray(raw[key], dtype=float)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"initial.{key}: {exc}") from exc
-        if vec.ndim != 1 or vec.size != op.dim:
+        vec = _floats(raw[key], f"initial.{key}")
+        if vec.size != op.dim:
             _fail(f"initial.{key}", f"length must match the operator's {op.dim} modes")
-        if not np.all(np.isfinite(vec)):
-            _fail(f"initial.{key}", "coefficients must be finite")
         vectors.append(vec)
     return vectors[0], vectors[1]
 
@@ -286,12 +293,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         _fail("tolerances", "expected an object")
-    known_tols = {f.name for f in fields(IntegratorConfig)}
-    tols = {}
-    for key, value in tol_raw.items():
-        if key not in known_tols:
-            _fail(f"tolerances.{key}", "unknown field")
-        tols[key] = _float(value, f"tolerances.{key}")
+    _only(tol_raw, [f.name for f in fields(IntegratorConfig)], "tolerances")
+    tols = {key: _float(value, f"tolerances.{key}") for key, value in tol_raw.items()}
     try:
         icfg = IntegratorConfig(**tols)
     except ValueError as exc:
@@ -413,16 +416,6 @@ def _fit_entry(name: str, fit: an.RateFit) -> dict[str, Any]:
         "r_squared": fit.r_squared,
         "window": [fit.window[0], fit.window[1]],
         "abscissa": fit.abscissa,
-    }
-
-
-def _check_entry(rep: an.CheckReport) -> dict[str, Any]:
-    return {
-        "name": rep.name,
-        "passed": rep.passed,
-        "worst_slack": rep.worst_slack,
-        "worst_t": rep.worst_t,
-        "params": rep.params,
     }
 
 
@@ -758,6 +751,7 @@ _SCENARIO_RUNNERS = {
     "open_problem": _scn_open_problem,
     "all": _scn_all,
 }
+SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
 def _config_echo(cfg: RunConfig) -> dict[str, Any]:
@@ -811,9 +805,11 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path) -> int:
     csvs, files = _timeseries(ctx)
     for name in sorted(csvs):
         emit_timeseries(out / name, csvs[name])
+    # a check's entry is its report's fields: a CheckReport has no other
+    # attribute, and vars() costs a hundredth of dataclasses.asdict's copy
     _write_report(
         out / "report.json",
-        [_check_entry(r) for r in ctx.checks],
+        [vars(r) for r in ctx.checks],
         _fits(files, csvs.__getitem__, cfg.p),
         ctx.constants,
     )

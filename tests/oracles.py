@@ -345,7 +345,7 @@ def parabolic_phase_solve(lam, mass, u0, p: float, times, grading: float = 0.1,
 # The second-order flow at constant mass, mode by mode
 # ---------------------------------------------------------------------------
 
-def hyperbolic_mode_solve(lam, c: float, eps: float, p: float, u0, u1, times,
+def hyperbolic_mode_solve(lam, c: float, eps, p: float, u0, u1, times,
                           rtol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
     """Log-amplitudes and phases of eps u_k'' + (1+t)^(-p) u_k' + c lambda_k u_k = 0.
 
@@ -357,10 +357,12 @@ def hyperbolic_mode_solve(lam, c: float, eps: float, p: float, u0, u1, times,
 
     ``b = (1+t)^(-p)``.  Neither variable oscillates through zero or
     underflows, so scipy's componentwise relative control holds every mode
-    to ``rtol`` of its own size, however far it has decayed.  Returns
-    ``(log_R, th)``, each ``(samples, K)``.
+    to ``rtol`` of its own size, however far it has decayed.  ``eps`` is one
+    value or one per mode, so one solve can hold several flows' modes.
+    Returns ``(log_R, th)``, each ``(samples, K)``.
     """
     lam = np.asarray(lam, dtype=float)
+    eps = np.asarray(eps, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     w = np.sqrt(c * lam / eps)
@@ -375,7 +377,7 @@ def hyperbolic_mode_solve(lam, c: float, eps: float, p: float, u0, u1, times,
     # a phase is held to rtol absolutely, so one that starts at 0 sets no
     # vanishing scale; the first step resolves the fastest turn or decay
     atol = np.concatenate([np.full(K, 1e-300), np.full(K, rtol)])
-    first = 0.01 / max(float(np.max(w)), 1.0 / eps)
+    first = 0.01 / max(float(np.max(w)), 1.0 / float(np.min(eps)))
     sol = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853", rtol=rtol,
                     atol=atol, first_step=first, t_eval=times)
     if sol.status != 0:

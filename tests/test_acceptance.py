@@ -8,6 +8,7 @@ runtime budgets on a laptop-class machine.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -417,10 +418,14 @@ def test_criterion_09_weighted_mode_integral():
 
 
 def test_criterion_10_determinism_and_exit_codes(tmp_path):
+    # the child imports klab from this checkout, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
     def cli(*args):
         return subprocess.run(
             [sys.executable, "-m", "klab", *args],
-            capture_output=True, text=True, cwd=REPO,
+            capture_output=True, text=True, cwd=REPO, env=env,
         )
 
     doc = {

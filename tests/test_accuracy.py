@@ -5,6 +5,13 @@ against ``oracles.parabolic_phase_solve``, a long-double quadrature of its
 phase, on the two benchmark configs that miss it most when the samples
 between steps come from a fourth-order interpolant (7.2e-10 and 1.8e-9).
 
+The second-order flow at constant mass is held against
+``oracles.hyperbolic_mode_solve``, a DOP853 solve of each mode's amplitude
+and phase, in norm and mode by mode.  Its error control is normwise, so a
+mode far below the norm is accurate only to a share of its own amplitude;
+the bounds are the errors measured when the fence was set, so they catch a
+regression and set no goal.
+
 The synthetic lemma32 and lemma34 instances solve linear ODEs
 ``y' = -a(t) y + b(t)``; each sample is held to ``LINEAR_LEMMA_RTOL`` of the
 oracle's value.  The oracles are closed forms at ``p = 0`` and ``p = 1`` and,
@@ -62,13 +69,20 @@ def test_linear_lemma_instances_match_quadrature(kind, p):
         _assert_samples_match(kind, draw, inst, y)
 
 
+def _workload_data(modes: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The benchmark workloads' data on the spectrum ``lambda_k = k^2``:
+    ``(lambda, u0, u1)``, each of ``u0`` and ``u1`` drawn N(0,1)/k^2 and
+    scaled to ``|A^(1/2)u| = 1``."""
+    k2 = np.arange(1, modes + 1, dtype=float) ** 2
+    draws = np.random.default_rng(seed).standard_normal((2, modes)) / k2
+    u0, u1 = (u / np.sqrt(k2 @ (u * u)) for u in draws)
+    return k2, u0, u1
+
+
 def _limit_flow_case(modes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The benchmark workloads' limit-flow data (p 0.5, spectrum k^2, affine
-    mass (1, 1), t_end 16): ``(lambda, u0)`` with ``u0`` drawn N(0,1)/k^2 and
-    scaled to ``|A^(1/2)u0| = 1``."""
-    k2 = np.arange(1, modes + 1, dtype=float) ** 2
-    u0 = np.random.default_rng(seed).standard_normal(modes) / k2
-    return k2, u0 / np.sqrt(k2 @ (u0 * u0))
+    mass (1, 1), t_end 16): ``(lambda, u0)``."""
+    return _workload_data(modes, seed)[:2]
 
 
 def _affine_phase_oracle(lam, u0, times, **refinement):
@@ -96,3 +110,48 @@ def test_the_phase_oracle_is_converged():
     for refinement in ({"grading": 0.05}, {"nodes": 16}):
         finer = _affine_phase_oracle(lam, u0, times, **refinement)
         assert np.max(np.abs((finer[live] - exact[live]) / exact[live])) <= 1e-13
+
+
+# (K, p, eps): the worst normwise error of the state (u, u') relative to its
+# norm, and the worst of each mode's error relative to its amplitude, over
+# the modes above 1e-290; each rounded up to two digits from the value
+# measured at rel_tol 1e-10.
+HYPERBOLIC_BOUNDS = {
+    (4, 0.0, 0.04): (2.1e-10, 1.9e-3),
+    (4, 0.0, 0.01): (1.4e-10, 3.1e-1),
+    (4, 0.5, 0.04): (5.6e-9, 8.8e-6),
+    (4, 0.5, 0.01): (1.5e-10, 1.1e-4),
+    (4, 1.0, 0.04): (3.8e-8, 7.2e-7),
+    (4, 1.0, 0.01): (1.2e-8, 1.8e-5),
+    (16, 0.5, 0.04): (9.6e-8, 1.1e-2),
+    (16, 0.5, 0.01): (1.5e-10, 3.8e-1),
+}
+
+
+@pytest.mark.parametrize("modes,p", [(4, 0.0), (4, 0.5), (4, 1.0), (16, 0.5)])
+def test_hyperbolic_flow_at_constant_mass(modes, p):
+    # seed-1 workload data at the workloads' initial mass 2, t_end 8, 512 samples
+    lam, u0, u1 = _workload_data(modes, 1)
+    sweep = (0.04, 0.01)
+    trajs = integrate("hyperbolic", (u0, u1), 8.0, 512, IntegratorConfig(rel_tol=1e-10),
+                      power_spectrum(1.0, modes, 2.0), MassFunction("constant", 2.0), p,
+                      eps=sweep)
+    # the modes decouple, so one oracle solve holds both flows, each mode
+    # to the oracle's tolerance of its own size
+    eps = np.repeat(sweep, modes)
+    log_amp, phase = oracles.hyperbolic_mode_solve(
+        np.tile(lam, 2), 2.0, eps, p, np.tile(u0, 2), np.tile(u1, 2), trajs[0].times)
+    amp = np.exp(log_amp)
+    omega = np.sqrt(2.0 * np.tile(lam, 2) / eps)
+    u_exact, v_exact = amp * np.cos(phase), -omega * amp * np.sin(phase)
+    for i, traj in enumerate(trajs):
+        flow = slice(i * modes, (i + 1) * modes)
+        du, dv = traj.u - u_exact[:, flow], traj.v - v_exact[:, flow]
+        norm = np.hypot(np.linalg.norm(u_exact[:, flow], axis=1),
+                        np.linalg.norm(v_exact[:, flow], axis=1))
+        normwise = np.hypot(np.linalg.norm(du, axis=1), np.linalg.norm(dv, axis=1)) / norm
+        live = amp[:, flow] > 1e-290
+        per_mode = np.hypot(du, dv / omega[flow])[live] / amp[:, flow][live]
+        normwise_bound, per_mode_bound = HYPERBOLIC_BOUNDS[modes, p, traj.eps]
+        assert np.max(normwise) <= normwise_bound, traj.eps
+        assert np.max(per_mode) <= per_mode_bound, traj.eps

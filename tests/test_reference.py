@@ -20,9 +20,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from klab.harness import config_from_dict, run_scenario
+from klab.harness import _read_csv, config_from_dict, run_scenario
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
 CASES = {
@@ -39,12 +40,12 @@ def _config(case: str) -> dict:
 
 
 def _csv_rows(path: Path) -> dict:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    rows = lines[1:]
-    keep = sorted(set(range(0, len(rows), ROW_STRIDE)) | {len(rows) - 1})
+    columns = _read_csv(path)
+    last = len(columns["t"]) - 1
+    keep = sorted(set(range(0, last + 1, ROW_STRIDE)) | {last})
     return {
-        "columns": lines[0].split(","),
-        "rows": [[float(x) for x in rows[i].split(",")] for i in keep],
+        "columns": list(columns),
+        "rows": np.column_stack(list(columns.values()))[keep].tolist(),
     }
 
 
