@@ -7,13 +7,8 @@ measurement lives in).  A state or batch member whose norm leaves
 ``[1e-100, 1e100]`` is first scaled by the exact power of two that brings
 its peak near 1, so a state below 1e-154 does not square to zero; the
 scaling changes no ratio.  A shared clock scales all or none of its members.
-By default steps are clipped to land exactly on the requested sample grid,
-so sampled values carry full integration accuracy.  With
-``land_on_samples=False`` the steps follow the error control alone and the
-solve returns the state at every step end instead of samples: the pair's
-own continuous extension is a quartic, one order less accurate than the
-step, so a caller that needs values between steps builds them from what it
-knows of its flow.
+Steps are clipped to land exactly on the requested sample grid, so sampled
+values carry full integration accuracy.
 
 The driver steps clocks.  A clock owns rows of the state and keeps their
 time, step size, next stop, accept/reject decision, step cap and
@@ -246,8 +241,7 @@ class _Clock:
     ``member`` is ``i`` for member ``i`` of an own-clock batch and ``None``
     for the one clock of a single system or shared batch; ``row`` indexes the
     clock's rows in the state accordingly (``i`` or ``...``) and ``out`` is
-    its sample array, or its list of step-end states when steps do not land
-    on samples.  ``h_try``, ``target`` and ``hits`` describe the attempt in
+    its sample array.  ``h_try``, ``target`` and ``hits`` describe the attempt in
     flight; a clock that has reached its last stop attempts steps of length 0.
     """
 
@@ -288,14 +282,11 @@ def solve_to_grid(
     rel_tol: float,
     abs_tol: float,
     step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
-    land_on_samples: bool = True,
     own_clocks: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, StepStats | BatchStats]:
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
-    Returns ``(Y, T, stats)`` where ``Y[i]`` is the state at ``T[i]``: the
-    grid ``times`` itself, or with ``land_on_samples=False`` the ends of the
-    accepted steps, from ``times[0]`` through ``times[-1]``.
+    Returns ``(Y, times, stats)`` where ``Y[i]`` is the state at ``times[i]``.
 
     ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
     independent members (``Y`` then has shape ``(n, B, d)``), each held to
@@ -317,11 +308,6 @@ def solve_to_grid(
     afresh there, one more call counted in ``rhs_evals``.  With own clocks it
     is a sequence of one such function per member, each called with its
     member's time and row.
-
-    ``land_on_samples`` (the default) clips every step to the next grid
-    time; ``False`` lets the error control alone set the steps, clips only
-    the last one to ``times[-1]`` and returns every step end (see the module
-    docstring).  It takes a single system or a shared batch, not own clocks.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -334,13 +320,9 @@ def solve_to_grid(
         raise ValueError("initial state must have shape (d,) or (B, d)")
     if own_clocks and y.ndim != 2:
         raise ValueError("own clocks need a (B, d) batch")
-    if own_clocks and not land_on_samples:
-        raise ValueError("own clocks land on the samples")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
-    # the times a clock must land on: every sample, or the span's two ends
-    stops = grid if land_on_samples else grid[[0, -1]]
-    n = stops.size
+    n = grid.size
     t0 = float(grid[0])
     max_steps = _MAX_STEPS
     if own_clocks:
@@ -351,12 +333,9 @@ def solve_to_grid(
         out = np.empty((members, n, y.shape[1]))
         out[:, 0] = y
         t_now = [t0] * members
-    elif land_on_samples:
+    else:
         out = np.empty((n,) + y.shape)
         out[0] = y
-        t_now = t0
-    else:
-        out, step_ends = [y], [t0]
         t_now = t0
 
     k1 = np.asarray(f(t_now, y), dtype=float)
@@ -374,7 +353,7 @@ def solve_to_grid(
     trial = np.where(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
-    first = [min(float(h), float(stops[1] - grid[0])) for h in np.ravel(trial)]
+    first = [min(float(h), float(grid[1] - grid[0])) for h in np.ravel(trial)]
     if own_clocks:
         clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
     else:
@@ -394,7 +373,7 @@ def solve_to_grid(
                 cap, y_cap = c.cap_fn(c.t, state)
                 if y_cap is not state:
                     replaced.append((c, y_cap))
-            target = float(stops[c.j])
+            target = float(grid[c.j])
             remaining = target - c.t
             h_try = min(c.h, cap, remaining)
             c.hits = h_try >= remaining * (1.0 - 1e-12)
@@ -455,12 +434,8 @@ def solve_to_grid(
                 c.h_min = min(c.h_min, h_try)
                 c.h_max = max(c.h_max, h_try)
                 c.t = c.target if c.hits else c.t + h_try
-                if not land_on_samples:
-                    c.out.append(y_new)
-                    step_ends.append(c.t)
-                elif c.hits:
-                    c.out[c.j] = y_new[c.row]
                 if c.hits:
+                    c.out[c.j] = y_new[c.row]
                     c.j += 1
                 factor = _MAX_GROWTH if ratio == 0.0 else _SAFETY * ratio ** (-0.2)
                 if c.just_rejected:
@@ -493,6 +468,4 @@ def solve_to_grid(
 
     if own_clocks:
         return out, grid, BatchStats(tuple(c.stats() for c in clocks))
-    if land_on_samples:
-        return out, grid, clocks[0].stats()
-    return np.array(out), np.array(step_ends), clocks[0].stats()
+    return out, grid, clocks[0].stats()

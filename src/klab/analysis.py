@@ -28,7 +28,9 @@ from typing import Any
 import numpy as np
 
 from . import energies as en
-from .evolution import Trajectory, coefficient_derivative, residual_g
+from .evolution import (
+    _GL_NODES, _GL_POINTS, _GL_WEIGHTS, Trajectory, coefficient_derivative, residual_g,
+)
 from .spectral import mass_inf, sobolev_norm_sq
 from ._rk import solve_to_grid
 
@@ -647,9 +649,7 @@ def _lemma33_forcing(a1, b1, a2, b2, k1):
     return forcing
 
 
-# Gauss-Legendre points of the forcing integral over each sample interval of
-# a linear lemma instance, and the intervals whose steps are computed together
-_GL_POINTS = 8
+# The sample intervals of a linear lemma instance whose steps are computed together
 _MARCH_BLOCK = 8
 
 
@@ -670,10 +670,6 @@ def _linear_lemma_samples(y0, times, p, rate, coef, growth, decay) -> np.ndarray
     Every operation is elementwise or sums one interval's nodes, so each
     member's bits depend neither on the others nor on the block size.
     """
-    # the rule on [0, 1], made here rather than at import: it is an
-    # eigenvalue solve, which runs that never reach a lemma need not pay
-    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
-    nodes, weights = (x + 1.0) / 2.0, w / 2.0
     p, rate, coef, growth, decay = (np.asarray(a)[..., None] for a in (p, rate, coef, growth, decay))
     weight = en._weight_fn(p)
     Y = np.empty((times.shape[1], times.shape[0]))
@@ -683,11 +679,11 @@ def _linear_lemma_samples(y0, times, p, rate, coef, growth, decay) -> np.ndarray
         last = min(first + _MARCH_BLOCK, times.shape[1])
         t0, t1 = times[:, first - 1 : last - 1, None], times[:, first:last, None]
         h = t1 - t0
-        s = t0 + h * nodes
+        s = t0 + h * _GL_NODES
         W = weight(np.concatenate((s, t1), axis=2))
         Ws, W1 = W[..., :-1], W[..., -1:]
         integrand = np.exp(growth * np.log1p(s) - decay * Ws - rate * (W1 - Ws))
-        forced = (coef * h * (integrand * weights).sum(axis=2, keepdims=True))[..., 0].T
+        forced = (coef * h * (integrand * _GL_WEIGHTS).sum(axis=2, keepdims=True))[..., 0].T
         W1 = W1[..., 0]
         decays = np.exp(-rate[..., 0] * (W1 - np.concatenate((W0, W1[:, :-1]), axis=1))).T
         for k, i in enumerate(range(first, last)):

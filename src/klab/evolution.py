@@ -22,14 +22,17 @@ statistics (the ``runs.json`` manifest is unchanged by the batching).
 The first-order flow is solved through its scalar phase: with
 ``Lambda' = (1+t)^p m(sum_k lambda_k u_k(0)^2 exp(-2 lambda_k Lambda))`` and
 ``Lambda(0) = 0`` it is exactly ``u_k(t) = u_k(0) exp(-lambda_k Lambda(t))``.
-One scalar ODE replaces the K-mode system, whose explicit solve goes stiff as
-``lambda_max`` grows and controls the decayed modes only in norm; the phase
-form gets every mode to relative accuracy.  Its steps follow the error
-control, and the samples between them come from the quintic Hermite
-interpolant of ``Lambda``, ``Lambda'`` and ``Lambda''`` at the step ends, all
-three exact there: the phase's second derivative has a closed form, and the
-integrator's own continuous extension is only a quartic, too coarse for the
-phase's tolerance.  Derivatives of the first-order
+The phase separates:
+``Phi(Lambda) = int_0^Lambda dL / m(sigma(L)) = ((1+t)^(1+p) - 1)/(1+p)``.
+So no ODE is solved at all, neither the K-mode system, whose explicit solve
+goes stiff as ``lambda_max`` grows and controls the decayed modes only in
+norm, nor the scalar phase.  ``Phi`` is summed by Gauss-Legendre quadrature
+over panels graded in ``Lambda``, and each sample's ``Lambda`` comes from the
+quintic Hermite interpolant of ``Lambda``, ``dLambda/dPhi = m`` and its
+closed-form derivative at the panel edges, taken at the sample's ``Phi``.
+Once ``m(sigma)`` rounds to ``m(0)``, ``Lambda`` is a straight line in
+``Phi``, so the panels stop there whatever the horizon.  Every mode gets
+relative accuracy.  Derivatives of the first-order
 flow (``u'``, ``u''``) are always recomputed from the equation, never finite
 differenced, since the residual diagnostics are sensitive to them.
 """
@@ -69,18 +72,19 @@ __all__ = [
 ]
 
 
-# The absolute floor of both flows' error control.  It makes the normwise
-# control purely relative in practice: solutions here decay through hundreds
-# of decades, and any ordinary absolute floor would eventually let phase
-# errors grow unchecked once the state dips below it.
+# The absolute floor of the second-order flow's error control.  It makes the
+# normwise control purely relative in practice: solutions here decay through
+# hundreds of decades, and any ordinary absolute floor would eventually let
+# phase errors grow unchecked once the state dips below it.
 _ABS_TOL = 1e-300
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The integrator's tolerance: error control is relative to the state,
-    ``rel_tol`` of its norm per step (the absolute floor ``_ABS_TOL`` is
-    fixed far below any state a run keeps)."""
+    """The integrator's tolerance.  The second-order flow's error control is
+    relative to the state, ``rel_tol`` of its norm per step (the absolute
+    floor ``_ABS_TOL`` is fixed far below any state a run keeps); the limit
+    flow's phase quadrature is graded to hold each mode to ``rel_tol``."""
 
     rel_tol: float = 1e-10
 
@@ -100,8 +104,10 @@ class Trajectory:
     never interpolated.  ``p``, ``op``, ``mass`` and ``eps`` (``None`` for
     the first-order flow) define the flow, so every reader takes them from
     here rather than as arguments; ``rel_tol`` is the tolerance the run was
-    integrated to and ``steps`` the solver's ``StepStats`` (steps accepted
-    and rejected, right-hand-side calls, step range).
+    integrated to.  ``steps`` is the second-order solver's ``StepStats``
+    (steps accepted and rejected, right-hand-side calls, step range), and for
+    the first-order flow the size of its phase quadrature,
+    ``{"panels": n, "nodes": 8}``.
     ``retired_modes`` counts the modes the second-order solve set to 0 once
     they no longer carried energy, and ``last_retirement_t`` is the time of
     the last of them (``None`` when none was).
@@ -117,7 +123,7 @@ class Trajectory:
     mass: MassFunction
     eps: float | None
     rel_tol: float
-    steps: StepStats
+    steps: StepStats | dict[str, int]
     retired_modes: int = 0
     last_retirement_t: float | None = None
 
@@ -366,20 +372,19 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float):
     return f_batch, [_OscillationCap(op, m, e) for e in eps]
 
 
-# The limit flow's phase tolerances.  Mode k's relative error is lambda_k
-# times the phase's absolute error, and a mode underflows once its log-decay
-# lambda_k Lambda passes 745 (exp(-745) is below the smallest double).  So
-# every mode still represented keeps rel_tol while the phase's error stays
-# under rel_tol * max(Lambda / 745, 1 / lambda_max): a relative tolerance
-# rel_tol / 745 and an absolute one rel_tol / lambda_max (or _ABS_TOL, if
-# larger), each divided by _PHASE_TOL_SAFETY for the local errors that
-# accumulate into the global one and for the interpolant between step ends.
-# Against a long-double oracle of the phase on the benchmark's affine-mass
-# configs (K 4 and 64, 24 initial data, 256 to 4096 samples, rel_tol 1e-10),
-# the worst component came to 2.4 rel_tol at 20 (the step ends alone within
-# 0.16 rel_tol), 0.89 at 40 and 0.69 at 60.
-_PHASE_LOG_DECAY = 745.0
-_PHASE_TOL_SAFETY = 60.0
+# The Gauss-Legendre rule on [0, 1] of the limit flow's phase quadrature and
+# of the linear lemma marches.
+_GL_POINTS = 8
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
+_GL_NODES = (_GL_NODES + 1.0) / 2.0
+_GL_WEIGHTS = _GL_WEIGHTS / 2.0
+
+# The phase quadrature's panels are _PANEL_GRADING times their left edge wide
+# at rel_tol 1e-10.  Mode k's relative error is lambda_k times the phase's
+# error, at most 745 times its relative error for a mode still represented
+# (exp(-745) is below the smallest double), and the interpolant's error is
+# of sixth order in the panel width: so the grading goes as rel_tol^(1/6).
+_PANEL_GRADING = 0.02
 
 
 def _quintic_hermite(nodes: np.ndarray, y, dy, ddy, t: np.ndarray) -> np.ndarray:
@@ -399,6 +404,49 @@ def _quintic_hermite(nodes: np.ndarray, y, dy, ddy, t: np.ndarray) -> np.ndarray
     c4 = -15.0 * rise + 8.0 * dy0 + 7.0 * dy1 + 1.5 * ddy0 - ddy1
     c5 = 6.0 * rise - 3.0 * (dy0 + dy1) - 0.5 * (ddy0 - ddy1)
     return y[i] + s * (dy0 + s * (0.5 * ddy0 + s * (c3 + s * (c4 + s * c5))))
+
+
+def _limit_phase(
+    u0: np.ndarray, times: np.ndarray, rel_tol: float, op: SpectralOperator, m: MassFunction,
+    p: float,
+) -> tuple[np.ndarray, int]:
+    """``(Lambda, panels)``: the limit flow's phase at ``times`` (see the module
+    docstring) and the number of quadrature panels it took.
+
+    The panels are ``g Lambda`` wide, but at least ``g / lambda_max``, with
+    ``g = _PANEL_GRADING (rel_tol / 1e-10)^(1/6)``; their count grows with the
+    log of ``lambda_max / lambda_min`` and not with the horizon.  ``Phi`` at
+    the edges is the running sum of each panel's 8-point Gauss-Legendre rule.
+    """
+    lam = op.eigenvalues
+    weights = lam * u0 * u0
+    decay = -2.0 * lam
+    grading = _PANEL_GRADING * (rel_tol / 1e-10) ** (1.0 / 6.0)
+    # edges out to Lambda = 373 / lambda_min, where exp(-2 lambda_k Lambda) <= exp(-746) is 0
+    ramp = math.ceil(1.0 / grading)
+    start = ramp * grading / op.lambda_max
+    count = math.ceil(math.log(373.0 / (lam[0] * start)) / math.log1p(grading))
+    edges = np.concatenate((np.arange(ramp) * (grading / op.lambda_max),
+                            start * np.exp(np.arange(count + 1) * math.log1p(grading))))
+    decayed = np.exp(np.multiply.outer(edges, decay))
+    sigma = decayed @ weights
+    speed = m_eval(m, sigma)
+    # m is monotone in sigma (every variant is) and sigma falls as Lambda
+    # grows, so from the first edge where m(sigma) rounds to m(0), the last
+    # at the latest, it stays there: Lambda is then a line in Phi
+    end = np.flatnonzero(speed == m_eval(m, 0.0))[0] + 1
+    edges, decayed, sigma, speed = edges[:end], decayed[:end], sigma[:end], speed[:end]
+    width = np.diff(edges)
+    nodes = edges[:-1, None] + width[:, None] * _GL_NODES
+    inv_mass = 1.0 / m_eval(m, np.exp(np.multiply.outer(nodes, decay)) @ weights)
+    phi = np.concatenate(([0.0], np.cumsum(width * (inv_mass @ _GL_WEIGHTS))))
+    # d2 Lambda / d Phi2 = m'(sigma) sigma'(Lambda) m(sigma)
+    accel = m_prime(m, sigma) * (decayed @ (decay * weights)) * speed
+    target = np.expm1((1.0 + p) * np.log1p(times)) / (1.0 + p)
+    curved = np.searchsorted(target, phi[-1])
+    phase = edges[-1] + speed[-1] * (target - phi[-1])
+    phase[:curved] = _quintic_hermite(phi, edges, speed, accel, target[:curved])
+    return phase, width.size
 
 
 def _hyperbolic_runs(
@@ -458,10 +506,10 @@ def integrate(
 
     ``problem`` is ``"hyperbolic"`` (pass ``eps``; ``y0 = (u0, u1)``) or
     ``"parabolic"`` (``y0 = u0``; integrated through its scalar phase, see
-    the module docstring).  ``cfg.rel_tol`` is the run's only tolerance:
-    both flows control their error relative to the state (see
+    the module docstring).  ``cfg.rel_tol`` is the run's only tolerance (see
     :class:`IntegratorConfig`).  The returned :class:`Trajectory` carries
-    ``p``, ``op``, ``m``, ``eps``, ``cfg.rel_tol`` and the solver's statistics.
+    ``p``, ``op``, ``m``, ``eps``, ``cfg.rel_tol`` and the solver's statistics
+    (for the limit flow, its quadrature's size).
     A sequence ``eps`` integrates the whole sweep as one solve and returns
     one trajectory per value, in order, each bit for bit the one a single
     ``eps`` gives.
@@ -492,37 +540,14 @@ def integrate(
         if p < 0:
             raise ValueError("p must be >= 0")
         u0 = as_vector(y0, op)
-        weights = lam * u0 * u0
-        decay = -2.0 * lam
-
-        def f(t: float, y: np.ndarray) -> np.ndarray:
-            sigma = float(weights @ np.exp(decay * y[0]))
-            return np.array([(1.0 + t) ** p * m_eval(m, sigma)])
-
-        phase, ends, stats = solve_to_grid(
-            f,
-            np.zeros(1),
-            times,
-            rel_tol=cfg.rel_tol / (_PHASE_TOL_SAFETY * _PHASE_LOG_DECAY),
-            abs_tol=max(_ABS_TOL, cfg.rel_tol / (_PHASE_TOL_SAFETY * op.lambda_max)),
-            land_on_samples=False,
-        )
-        # Lambda' = (1+t)^p m(sigma) and, with sigma' = dsigma/dLambda,
-        # Lambda'' = (1+t)^p (p m(sigma) / (1+t) + m'(sigma) sigma' Lambda')
-        phase = phase[:, 0]
-        decayed = np.exp(np.multiply.outer(phase, decay))
-        sigma = decayed @ weights
-        c = m_eval(m, sigma)
-        growth = (1.0 + ends) ** p
-        speed = growth * c
-        accel = growth * (p * c / (1.0 + ends)
-                          + m_prime(m, sigma) * (decayed @ (decay * weights)) * speed)
-        u = np.multiply.outer(_quintic_hermite(ends, phase, speed, accel, times), -lam)
+        phase, panels = _limit_phase(u0, times, cfg.rel_tol, op, m, p)
+        u = np.multiply.outer(phase, -lam)
         np.exp(u, out=u)
         u *= u0
         c_trace = _at_sigma(m_eval, m, lam, u)
         return Trajectory(
-            "parabolic", times, u, None, c_trace, p, op, m, None, cfg.rel_tol, stats
+            "parabolic", times, u, None, c_trace, p, op, m, None, cfg.rel_tol,
+            {"panels": panels, "nodes": _GL_POINTS},
         )
 
     raise ValueError(f"unknown problem kind {problem!r}")

@@ -487,7 +487,7 @@ class _Context:
         """Solver statistics of every flow this run integrated and of each
         lemma kind's instances (``synthetic_lemma_instances``' ``"steps"``)."""
         return {
-            "parabolic": None if self._par is None else asdict(self._par.steps),
+            "parabolic": None if self._par is None else self._par.steps,
             "hyperbolic": {
                 repr(eps): asdict(traj.steps)
                 | {"retired_modes": traj.retired_modes, "last_retirement_t": traj.last_retirement_t}

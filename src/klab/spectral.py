@@ -77,7 +77,10 @@ def power_spectrum(nu: float, modes: int, exponent: float) -> SpectralOperator:
     if exponent < 0:
         raise ValueError("exponent must be >= 0 to keep the spectrum ascending")
     k = np.arange(1, int(modes) + 1, dtype=float)
-    return SpectralOperator(nu * k**exponent, nu)
+    # an overflow is refused by SpectralOperator's finiteness check
+    with np.errstate(over="ignore"):
+        eigenvalues = nu * k**exponent
+    return SpectralOperator(eigenvalues, nu)
 
 
 def arithmetic_spectrum(nu: float, modes: int, gap: float) -> SpectralOperator:

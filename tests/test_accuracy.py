@@ -1,9 +1,14 @@
 """Accuracy fence: klab's numbers against independent oracles, sample by sample.
 
-The limit flow at affine mass is held per component to its ``rel_tol``
-against ``oracles.parabolic_phase_solve``, a long-double quadrature of its
-phase, on the two benchmark configs that miss it most when the samples
-between steps come from a fourth-order interpolant (7.2e-10 and 1.8e-9).
+The limit flow is held per component to its ``rel_tol`` against
+``oracles.parabolic_phase_solve``, a long-double quadrature of its phase
+solved for each sample by Newton's method, on the data of the two benchmark
+configs that missed it most when the samples between solver steps came from
+a fourth-order interpolant (7.2e-10 and 1.8e-9): at affine, rational and
+constant mass, p 0, 0.5 and 1, and ``rel_tol`` 1e-6 to 1e-12.  It stops
+there: at 1e-13 even constant mass, whose phase is ``m Phi`` in closed form
+with no quadrature at all, misses by 5.8 times, the floor of double precision
+for ``exp(-lambda_k Lambda)`` with ``lambda_k Lambda`` up to 745.
 
 The second-order flow at constant mass is held against
 ``oracles.hyperbolic_mode_solve``, a DOP853 solve of each mode's amplitude
@@ -19,6 +24,8 @@ between, ``scipy.integrate.quad`` of the variation-of-constants integral.
 An adaptive Runge-Kutta solve is no oracle here: DOP853 at rtol 1e-13 misses
 seed 7, lemma32 instance 77 by 4.2e-10.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -89,13 +96,40 @@ def _affine_phase_oracle(lam, u0, times, **refinement):
     return oracles.parabolic_phase_solve(lam, lambda s: 1 + s, u0, 0.5, times, **refinement)
 
 
-@pytest.mark.parametrize("modes,seed", [(4, 4), (64, 9)], ids=["checks_k4-seed4", "stiff_k64-seed9"])
-def test_limit_flow_components_at_affine_mass(modes, seed):
+# each mass as klab takes it and as the oracle takes it, on long double sigma
+LIMIT_FLOW_MASSES = {
+    "affine": (MassFunction("affine", 1.0, 1.0), lambda s: 1 + s),
+    "rational": (MassFunction("rational", 1.0, 1.0), lambda s: 1 + 1 / (1 + s)),
+    "constant": (MassFunction("constant", 2.0), lambda s: 2 + 0 * s),
+}
+LIMIT_FLOW_TIMES = np.linspace(0.0, 16.0, 4096)
+
+
+@functools.cache
+def _limit_flow_oracle(modes, seed, mass, p):
     lam, u0 = _limit_flow_case(modes, seed)
-    cfg = IntegratorConfig(rel_tol=1e-10)
-    traj = integrate("parabolic", u0, 16.0, 4096, cfg, power_spectrum(1.0, modes, 2.0),
-                     MassFunction("affine", 1.0, 1.0), 0.5)
-    exact = _affine_phase_oracle(lam, u0, traj.times)
+    return oracles.parabolic_phase_solve(lam, LIMIT_FLOW_MASSES[mass][1], u0, p, LIMIT_FLOW_TIMES)
+
+
+def _limit_flow_cases():
+    """Every mass, p and rel_tol on each workload's data; the workload's own
+    config (affine mass, p 0.5, rel_tol 1e-10) is named by its data alone."""
+    for modes, seed, name in ((4, 4, "checks_k4-seed4"), (64, 9, "stiff_k64-seed9")):
+        for mass in LIMIT_FLOW_MASSES:
+            for p in (0.0, 0.5, 1.0):
+                for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12):
+                    own = (mass, p, rel_tol) == ("affine", 0.5, 1e-10)
+                    case_id = name if own else f"{name}-{mass}-p{p}-{rel_tol:g}"
+                    yield pytest.param(modes, seed, mass, p, rel_tol, id=case_id)
+
+
+@pytest.mark.parametrize("modes,seed,mass,p,rel_tol", _limit_flow_cases())
+def test_limit_flow_components_at_affine_mass(modes, seed, mass, p, rel_tol):
+    _, u0 = _limit_flow_case(modes, seed)
+    cfg = IntegratorConfig(rel_tol=rel_tol)
+    traj = integrate("parabolic", u0, 16.0, LIMIT_FLOW_TIMES.size, cfg,
+                     power_spectrum(1.0, modes, 2.0), LIMIT_FLOW_MASSES[mass][0], p)
+    exact = _limit_flow_oracle(modes, seed, mass, p)
     live = np.abs(exact) > 1e-290
     rel = np.abs((traj.u[live] - exact[live]) / exact[live])
     assert np.max(rel) <= cfg.rel_tol

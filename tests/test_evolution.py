@@ -123,30 +123,52 @@ class TestParabolicPhaseSolve:
         np.testing.assert_allclose(
             np.linalg.norm(traj.u, axis=1), np.linalg.norm(u, axis=1), rtol=1e-9, atol=0.0)
 
-    def test_one_scalar_solve_meets_the_phase_oracle_at_k64(self, monkeypatch):
-        # the explicit K-mode solve is stiff here: 57,503 accepted and 7,303 rejected steps
-        import klab.evolution
-
-        sizes = []
-        solve = klab.evolution.solve_to_grid
-
-        def recording(f, y0, *args, **kwargs):
-            sizes.append(np.size(y0))
-            return solve(f, y0, *args, **kwargs)
-
-        monkeypatch.setattr(klab.evolution, "solve_to_grid", recording)
+    @staticmethod
+    def k64_data():
         op = power_spectrum(1.0, 64, 2.0)
         k = np.arange(1, 65)
         u0 = (-1.0) ** k / k**2
-        u0 = u0 / math.sqrt(float(op.eigenvalues @ (u0 * u0)))
-        traj = integrate("parabolic", u0, 16.0, 512, CFG, op, self.AFFINE, 0.5)
-        assert sizes == [1]
-        assert 0 < traj.steps.accepted < 6000
+        return op, u0 / math.sqrt(float(op.eigenvalues @ (u0 * u0)))
+
+    @staticmethod
+    def assert_meets_the_phase_oracle(traj, u0, times):
         exact = oracles.parabolic_phase_solve(
-            op.eigenvalues, lambda s: 1.0 + s, u0, 0.5, traj.times)
+            traj.op.eigenvalues, lambda s: 1.0 + s, u0, traj.p, times)
         live = np.abs(exact) > 1e-290
-        rel = np.abs((traj.u[live] - exact[live]) / exact[live])
-        assert np.max(rel) <= CFG.rel_tol
+        got = traj.u[: times.size]
+        assert np.max(np.abs((got[live] - exact[live]) / exact[live])) <= traj.rel_tol
+
+    def test_the_phase_quadrature_meets_the_oracle_at_k64(self, monkeypatch):
+        # the explicit K-mode solve is stiff here: 57,503 accepted and 7,303
+        # rejected steps; the phase takes no solve at all
+        calls = []
+        monkeypatch.setattr(klab.evolution, "solve_to_grid", lambda *args, **kw: calls.append(1))
+        op, u0 = self.k64_data()
+        traj = integrate("parabolic", u0, 16.0, 512, CFG, op, self.AFFINE, 0.5)
+        assert calls == []
+        assert traj.steps["nodes"] == 8 and 0 < traj.steps["panels"] < 1000
+        self.assert_meets_the_phase_oracle(traj, u0, traj.times)
+
+    def test_the_panels_stop_where_every_mode_has_decayed(self):
+        # at p 1, m(sigma) rounds to m(0) = 1 from t = 5.07 on; from there
+        # Lambda is a line in Phi, so a longer horizon takes no more panels
+        op, u0 = self.k64_data()
+        runs = [integrate("parabolic", u0, t_end, samples, CFG, op, self.AFFINE, 1.0)
+                for t_end, samples in ((6.0, 601), (200.0, 4001), (1e4, 10001))]
+        assert runs[0].c_trace[-1] == 1.0
+        assert all(traj.steps["panels"] <= runs[0].steps["panels"] for traj in runs)
+        for traj in runs[1:]:
+            self.assert_meets_the_phase_oracle(traj, u0, traj.times[traj.times <= 40.0])
+
+    def test_the_quintic_hermite_interpolant_reproduces_a_quintic(self):
+        # y = t^5 - t^3 + 1 from its values and first two derivatives at
+        # uneven nodes, between them and on them
+        nodes = np.array([0.0, 0.3, 0.45, 1.1, 1.6, 2.0])
+        t = np.linspace(0.0, 2.0, 37)
+        got = klab.evolution._quintic_hermite(
+            nodes, nodes**5 - nodes**3 + 1.0, 5.0 * nodes**4 - 3.0 * nodes**2,
+            20.0 * nodes**3 - 6.0 * nodes, t)
+        np.testing.assert_allclose(got, t**5 - t**3 + 1.0, rtol=0.0, atol=1e-13)
 
 
 class TestHyperbolicOracle:

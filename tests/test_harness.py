@@ -347,19 +347,21 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_manifest_lists_step_counts_of_every_flow(self, tmp_path):
-        cfg = config_from_dict(base_config(scenario="decay_error", epsilon=[0.04, 0.02, 0.01]))
+        cfg = config_from_dict(base_config(scenario="decay_error", epsilon=[0.04, 0.02, 0.01],
+                                           mass={"affine": {"base": 1.0, "coeff": 1.0}}))
         assert run_scenario(cfg, tmp_path / "out") in (0, 1)
         steps = json.loads((tmp_path / "out" / "runs.json").read_text(encoding="utf-8"))[
             "integrator"
         ]
         assert sorted(steps["hyperbolic"]) == ["0.01", "0.02", "0.04"]
         assert steps["lemmas"] == {}
-        assert sorted(steps["parabolic"]) == sorted(STEP_FIELDS)
+        # the limit flow's phase quadrature
+        assert sorted(steps["parabolic"]) == ["nodes", "panels"]
+        assert steps["parabolic"]["nodes"] == 8 and steps["parabolic"]["panels"] > 0
         for counts in steps["hyperbolic"].values():
             assert sorted(counts) == sorted(STEP_FIELDS + RETIREMENT_FIELDS)
             # a single mode always carries all the energy
             assert counts["retired_modes"] == 0 and counts["last_retirement_t"] is None
-        for counts in [steps["parabolic"], *steps["hyperbolic"].values()]:
             assert counts["accepted"] > 0
             assert counts["rhs_evals"] == 1 + 6 * (counts["accepted"] + counts["rejected"])
             assert 0.0 < counts["h_min"] <= counts["h_max"]
@@ -408,7 +410,8 @@ class TestRunScenario:
         for key in named:
             kind, _, eps = key.partition("/")
             entry = manifest[kind][eps] if eps else manifest[kind]
-            assert entry["accepted"] > 0
+            # a second-order solve's steps, the limit flow's quadrature
+            assert entry["accepted"] > 0 if eps else entry["nodes"] == 8
         # passing checks carry no such key
         assert all("integrator" not in c["params"] for c in checks if c["passed"])
 
@@ -464,9 +467,9 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "scenario,extra,members",
         [
-            # the limit flow, then the three second-order flows as one solve;
-            # the sweep reuses them
-            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, [1, 3]),
+            # the three second-order flows as one solve (the limit flow takes
+            # none); the sweep reuses them
+            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, [3]),
             # the probe reads the scenario's own two second-order runs
             ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, [2]),
             # 300 synthetic instances; only lemma33's, which is not linear,
@@ -781,6 +784,18 @@ class TestCli:
         res = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o"))
         assert res.returncode == 2, res.stderr
         assert res.stderr == f"error: tolerances.{key}: unknown field\n"
+
+    def test_an_overflowing_spectrum_exit_two_with_one_line(self, tmp_path):
+        # nu k^1000 overflows from k = 2 on: the finiteness check alone speaks
+        doc = base_config(
+            scenario="simulate",
+            operator={"family": "power", "nu": 1, "K": 4, "exponent": 1000.0},
+            initial={"u0": [1.0, 0.0, 0.0, 0.0], "u1": [0.0] * 4},
+        )
+        res = run_cli("simulate", "--config", str(write_config(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "error: operator: eigenvalues must all be finite\n"
 
     @pytest.mark.parametrize(
         "operator",
