@@ -9,9 +9,10 @@ helpers call the package integrator or its comparison functions, so
 agreement between a test and its oracle is meaningful evidence.  The one
 exception is ``parabolic_mode_solve``: it runs the package's Dormand-Prince
 driver on the K-mode form of the limit flow, a formulation independent of
-the scalar-phase solve that ``integrate`` uses.  ``parabolic_phase_solve``
-gets the same flow's phase in long double by Gauss-Legendre quadrature of
-its separable form.
+the phase quadrature that ``integrate`` uses.  ``parabolic_phase_solve``
+rests on the same separable form of the phase, but in long double, on its
+own panels, and with Newton's method for each sample in place of an
+interpolant.
 """
 
 from __future__ import annotations
