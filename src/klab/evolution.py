@@ -29,9 +29,11 @@ no ODE is solved: not the K-mode system, whose explicit solve goes stiff as
 phase.  ``Phi`` is summed by Gauss-Legendre quadrature over panels graded in
 ``Lambda``, and each sample's ``Lambda`` is the quintic Hermite interpolant,
 at its ``Phi``, of ``Lambda``, ``dLambda/dPhi = m`` and its derivative at
-the panel edges.  Once ``m(sigma)`` rounds to ``m(0)``, ``Lambda`` is a line
-in ``Phi``: the panels stop there whatever the horizon, and every mode gets
-relative accuracy.  Derivatives of the first-order
+the panel edges.  A panel is split where its estimated interpolation error
+passes a share of ``rel_tol``, as while a large ``m(sigma(0)) / m(0)``
+decays, so every live mode is held to ``rel_tol`` of itself.  Once
+``m(sigma)`` rounds to ``m(0)``, ``Lambda`` is a line in ``Phi``: the panels
+stop there whatever the horizon.  Derivatives of the first-order
 flow (``u'``, ``u''``) are always recomputed from the equation, never finite
 differenced, since the residual diagnostics are sensitive to them.
 """
@@ -83,7 +85,9 @@ class IntegratorConfig:
     """The integrator's tolerance.  The second-order flow's error control is
     relative to the state, ``rel_tol`` of its norm per step (the absolute
     floor ``_ABS_TOL`` is fixed far below any state a run keeps); the limit
-    flow's phase quadrature is graded to hold each mode to ``rel_tol``."""
+    flow's phase quadrature is graded, and split where its error estimate
+    asks, to hold each live mode to ``rel_tol`` of itself, down to about
+    1e-12, where double precision gives out."""
 
     rel_tol: float = 1e-10
 
@@ -384,6 +388,17 @@ _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
 # of sixth order in the panel width: so the grading goes as rel_tol^(1/6).
 _PANEL_GRADING = 0.02
 
+# Where m(sigma(0)) / m(0) is far from 1, m still bends at a Lambda near
+# log(m(sigma(0)) / m(0)) / (2 lambda_1) on the scale 1/lambda_1, and that
+# grading misses by up to 1e4 rel_tol.  So a panel is split in equal pieces
+# until its error estimate is _PANEL_SPLIT rel_tol: for m = b + a exp(-s L),
+# with r = (m - b) / m, d6 Lambda / d Phi6 = s^5 m^6 r A5(r) (A5 the fifth
+# Eulerian polynomial), the quintic's error is width^6 / 46080 times that
+# over m^6, and mode k takes lambda_k times it, up to 745 / Lambda.  With
+# s = |sigma''/sigma'| and r = |dm/dLambda| / (s m), the workloads' data
+# read at most 0.21 (0.12 measured), so their panels are not split.
+_PANEL_SPLIT = 0.25
+
 
 def _quintic_hermite(nodes: np.ndarray, y, dy, ddy, t: np.ndarray) -> np.ndarray:
     """At the times ``t``, the piecewise quintic that takes the values ``y``
@@ -412,40 +427,65 @@ def _limit_phase(
     docstring) and the number of quadrature panels it took.
 
     The panels are ``g Lambda`` wide, but at least ``g / lambda_max``, with
-    ``g = _PANEL_GRADING (rel_tol / 1e-10)^(1/6)``; their count grows with the
-    log of ``lambda_max / lambda_min`` and not with the horizon.  ``Phi`` at
-    the edges is the running sum of each panel's 8-point Gauss-Legendre rule.
+    ``g = _PANEL_GRADING (rel_tol / 1e-10)^(1/6)``; a panel across which ``m``
+    still bends on a shorter scale is split in equal pieces (see
+    ``_PANEL_SPLIT``).  Their count grows with the log of
+    ``lambda_max / lambda_min`` and of ``m(sigma(0)) / m(0)``, not with the
+    horizon.  ``Phi`` at the edges is the running sum of each panel's 8-point
+    Gauss-Legendre rule.
     """
     lam = op.eigenvalues
     weights = lam * u0 * u0
     decay = -2.0 * lam
     # below 1e-14, finer panels buy nothing against each mode's own rounding
-    grading = _PANEL_GRADING * (max(rel_tol, 1e-14) / 1e-10) ** (1.0 / 6.0)
+    tol = max(rel_tol, 1e-14)
+    grading = _PANEL_GRADING * (tol / 1e-10) ** (1.0 / 6.0)
+    powers = weights[:, None] * decay[:, None] ** np.arange(3.0)
+
+    def moments(edges):
+        # sigma and its first two derivatives in Lambda at the edges
+        return (np.exp(np.multiply.outer(edges, decay)) @ powers).T
+
     # edges out to Lambda = 373 / lambda_min, where exp(-2 lambda_k Lambda) <= exp(-746) is 0
     ramp = math.ceil(1.0 / grading)
     start = ramp * grading / op.lambda_max
     count = math.ceil(math.log(373.0 / (lam[0] * start)) / math.log1p(grading))
     edges = np.concatenate((np.arange(ramp) * (grading / op.lambda_max),
                             start * np.exp(np.arange(count + 1) * math.log1p(grading))))
-    decayed = np.exp(np.multiply.outer(edges, decay))
-    sigma = decayed @ weights
-    speed = m_eval(m, sigma)
+    sigma, slope, bend = moments(edges)
     # m is monotone in sigma (every variant is) and sigma falls as Lambda grows,
     # so from the first edge where m(sigma) rounds to m(0), the last at the
     # latest, Lambda is a line in Phi: the panels, and the edges read, end there
     rest = m_eval(m, 0.0)
-    edges = edges[: np.flatnonzero(speed == rest)[0] + 1]
+    last = np.flatnonzero(m_eval(m, sigma) == rest)[0] + 1
+    edges, sigma, slope, bend = edges[:last], sigma[:last], slope[:last], bend[:last]
+    # each panel's error estimate (see _PANEL_SPLIT), at the larger of its ends
+    rate = np.divide(bend, -slope, out=np.zeros_like(bend), where=slope != 0)
+    r = np.divide(np.abs(m_prime(m, sigma) * slope) / m_eval(m, sigma), rate,
+                  out=np.zeros_like(rate), where=rate != 0)
+    sixth = rate**5 * r * (1.0 + r * (26.0 + r * (66.0 + r * (26.0 + r))))
     width = np.diff(edges)
-    # one node of every panel at a time, so no temporary outgrows ``decayed``
+    live = np.minimum(op.lambda_max, 745.0 / edges[1:])
+    error = live * width**6 * np.maximum(sixth[:-1], sixth[1:]) / 46080.0
+    pieces = np.maximum(np.ceil((error / (_PANEL_SPLIT * tol)) ** (1.0 / 6.0)), 1).astype(np.intp)
+    # piece j of panel i starts j / pieces_i of the way across it
+    j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    edges = np.append(np.repeat(edges[:-1], pieces) + j * np.repeat(width / pieces, pieces), edges[-1])
+    sigma, slope, _ = moments(edges)
+    speed = m_eval(m, sigma)
+    width = np.diff(edges)
+    # one node of every panel at a time, so no temporary outgrows an (edges, modes) array
     rule = sum(w / m_eval(m, np.exp(np.multiply.outer(edges[:-1] + x * width, decay)) @ weights)
                for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    # in long double: in double its rounding took the worst mode from 0.66 to 0.97 rel_tol at 1e-12
-    phi = np.concatenate(([0.0], np.cumsum(width * rule, dtype=np.longdouble).astype(float)))
+    # Phi and each sample's Phi in long double, and so the interpolant: a mode's
+    # error is up to lambda_k m Phi times Phi's rounding, 3 rel_tol at 1e-12
+    # where m(0) is 50 times m(sigma(0)) (K 64) with Phi in double, 0.23 here
+    phi = np.concatenate(([0.0], np.cumsum(width * rule, dtype=np.longdouble)))
     # d2 Lambda / d Phi2 = m'(sigma) sigma'(Lambda) m(sigma)
-    accel = m_prime(m, sigma) * (decayed @ (decay * weights)) * speed
-    target = np.expm1((1.0 + p) * np.log1p(times)) / (1.0 + p)
+    accel = m_prime(m, sigma) * slope * speed
+    target = np.expm1((1.0 + p) * np.log1p(times.astype(np.longdouble))) / (1.0 + p)
     curved = np.searchsorted(target, phi[-1])
-    phase = edges[-1] + rest * (target - phi[-1])
+    phase = edges[-1] + rest * (target - phi[-1]).astype(float)
     phase[:curved] = _quintic_hermite(phi, edges, speed, accel, target[:curved])
     return phase, width.size
 
@@ -541,7 +581,10 @@ def integrate(
         if p < 0:
             raise ValueError("p must be >= 0")
         u0 = as_vector(y0, op)
-        phase, panels = _limit_phase(u0, times, cfg.rel_tol, op, m, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase, panels = _limit_phase(u0, times, cfg.rel_tol, op, m, p)
+        if not np.all(np.isfinite(phase)):
+            raise IntegrationError("limit flow: the phase left double range")
         u = np.multiply.outer(phase, -lam)
         np.exp(u, out=u)
         u *= u0

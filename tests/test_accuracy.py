@@ -92,58 +92,76 @@ def _limit_flow_case(modes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return _workload_data(modes, seed)[:2]
 
 
-def _affine_phase_oracle(lam, u0, times, **refinement):
-    return oracles.parabolic_phase_solve(lam, lambda s: 1 + s, u0, 0.5, times, **refinement)
-
-
-# each mass as klab takes it and as the oracle takes it, on long double sigma
-LIMIT_FLOW_MASSES = {
-    "affine": (MassFunction("affine", 1.0, 1.0), lambda s: 1 + s),
-    "rational": (MassFunction("rational", 1.0, 1.0), lambda s: 1 + 1 / (1 + s)),
-    "constant": (MassFunction("constant", 2.0), lambda s: 2 + 0 * s),
+# each data set as (the factor on the workload's u0, the mass as klab takes
+# it, the mass as the oracle takes it on long double sigma); the workloads'
+# own data have m(sigma(0)) / m(0) = 2, the others far from it both ways
+LIMIT_FLOW_DATA = {
+    "affine": (1.0, MassFunction("affine", 1.0, 1.0), lambda s: 1 + s),
+    "affine-u0x30": (30.0, MassFunction("affine", 1.0, 1.0), lambda s: 1 + s),
+    "affine-u0x100": (100.0, MassFunction("affine", 1.0, 1.0), lambda s: 1 + s),
+    "affine-coeff1e3": (1.0, MassFunction("affine", 1.0, 1e3), lambda s: 1 + 1000 * s),
+    "rational": (1.0, MassFunction("rational", 1.0, 1.0), lambda s: 1 + 1 / (1 + s)),
+    "rational-base0.01-u0x10": (
+        10.0, MassFunction("rational", 0.01, 1.0), lambda s: 0.01 + 1 / (1 + s)),
+    "constant": (1.0, MassFunction("constant", 2.0), lambda s: 2 + 0 * s),
 }
 LIMIT_FLOW_TIMES = np.linspace(0.0, 16.0, 4096)
 
 
 @functools.cache
-def _limit_flow_oracle(modes, seed, mass, p):
+def _limit_flow_oracle(modes, seed, data, p):
     lam, u0 = _limit_flow_case(modes, seed)
-    return oracles.parabolic_phase_solve(lam, LIMIT_FLOW_MASSES[mass][1], u0, p, LIMIT_FLOW_TIMES)
+    scale, _, mass = LIMIT_FLOW_DATA[data]
+    return oracles.parabolic_phase_solve(lam, mass, scale * u0, p, LIMIT_FLOW_TIMES)
 
 
-def _limit_flow_cases():
-    """Every mass, p and rel_tol on each workload's data; the workload's own
-    config (affine mass, p 0.5, rel_tol 1e-10) is named by its data alone."""
+def _limit_flow_cases(data_sets):
+    """Each data set, p and rel_tol on each workload's draw; the workload's
+    own config (affine mass, p 0.5, rel_tol 1e-10) is named by its draw alone."""
     for modes, seed, name in ((4, 4, "checks_k4-seed4"), (64, 9, "stiff_k64-seed9")):
-        for mass in LIMIT_FLOW_MASSES:
+        for data in data_sets:
             for p in (0.0, 0.5, 1.0):
                 for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12):
-                    own = (mass, p, rel_tol) == ("affine", 0.5, 1e-10)
-                    case_id = name if own else f"{name}-{mass}-p{p}-{rel_tol:g}"
-                    yield pytest.param(modes, seed, mass, p, rel_tol, id=case_id)
+                    own = (data, p, rel_tol) == ("affine", 0.5, 1e-10)
+                    case_id = name if own else f"{name}-{data}-p{p}-{rel_tol:g}"
+                    yield pytest.param(modes, seed, data, p, rel_tol, id=case_id)
 
 
-@pytest.mark.parametrize("modes,seed,mass,p,rel_tol", _limit_flow_cases())
-def test_limit_flow_components_at_affine_mass(modes, seed, mass, p, rel_tol):
+def _assert_limit_flow_components(modes, seed, data, p, rel_tol):
     _, u0 = _limit_flow_case(modes, seed)
+    scale, mass, _ = LIMIT_FLOW_DATA[data]
     cfg = IntegratorConfig(rel_tol=rel_tol)
-    traj = integrate("parabolic", u0, 16.0, LIMIT_FLOW_TIMES.size, cfg,
-                     power_spectrum(1.0, modes, 2.0), LIMIT_FLOW_MASSES[mass][0], p)
-    exact = _limit_flow_oracle(modes, seed, mass, p)
+    traj = integrate("parabolic", scale * u0, 16.0, LIMIT_FLOW_TIMES.size, cfg,
+                     power_spectrum(1.0, modes, 2.0), mass, p)
+    exact = _limit_flow_oracle(modes, seed, data, p)
     live = np.abs(exact) > 1e-290
     rel = np.abs((traj.u[live] - exact[live]) / exact[live])
     assert np.max(rel) <= cfg.rel_tol
+
+
+@pytest.mark.parametrize("modes,seed,data,p,rel_tol", _limit_flow_cases(
+    ["affine", "affine-u0x30", "affine-u0x100", "affine-coeff1e3"]))
+def test_limit_flow_components_at_affine_mass(modes, seed, data, p, rel_tol):
+    _assert_limit_flow_components(modes, seed, data, p, rel_tol)
+
+
+@pytest.mark.parametrize("modes,seed,data,p,rel_tol", _limit_flow_cases(
+    ["rational", "rational-base0.01-u0x10", "constant"]))
+def test_limit_flow_components_at_rational_and_constant_mass(modes, seed, data, p, rel_tol):
+    _assert_limit_flow_components(modes, seed, data, p, rel_tol)
 
 
 def test_the_phase_oracle_is_converged():
     # halving the panels or doubling the nodes moves no live component by 1e-13
     lam, u0 = _limit_flow_case(64, 9)
     times = np.linspace(0.0, 16.0, 512)
-    exact = _affine_phase_oracle(lam, u0, times)
-    live = np.abs(exact) > 1e-290
-    for refinement in ({"grading": 0.05}, {"nodes": 16}):
-        finer = _affine_phase_oracle(lam, u0, times, **refinement)
-        assert np.max(np.abs((finer[live] - exact[live]) / exact[live])) <= 1e-13
+    for data in ("affine", "affine-u0x100", "rational-base0.01-u0x10"):
+        scale, _, mass = LIMIT_FLOW_DATA[data]
+        exact = oracles.parabolic_phase_solve(lam, mass, scale * u0, 0.5, times)
+        live = np.abs(exact) > 1e-290
+        for refinement in ({"grading": 0.05}, {"nodes": 16}):
+            finer = oracles.parabolic_phase_solve(lam, mass, scale * u0, 0.5, times, **refinement)
+            assert np.max(np.abs((finer[live] - exact[live]) / exact[live])) <= 1e-13, data
 
 
 # (K, p, eps): the worst normwise error of the state (u, u') relative to its

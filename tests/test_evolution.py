@@ -156,9 +156,19 @@ class TestParabolicPhaseSolve:
         runs = [integrate("parabolic", u0, t_end, samples, CFG, op, self.AFFINE, 1.0)
                 for t_end, samples in ((6.0, 601), (200.0, 4001), (1e4, 10001))]
         assert runs[0].c_trace[-1] == 1.0
-        assert all(traj.steps["panels"] <= runs[0].steps["panels"] for traj in runs)
+        assert {traj.steps["panels"] for traj in runs} == {runs[0].steps["panels"]}
         for traj in runs[1:]:
+            # mode 1 lives to t 37.6 (lambda_1 Lambda = 745), so this holds the
+            # line to the oracle from t 5.07 on
             self.assert_meets_the_phase_oracle(traj, u0, traj.times[traj.times <= 40.0])
+            # past it every mode is 0, as in the oracle, and m is m(0)
+            late = traj.times > 40.0
+            assert not np.any(traj.u[late]) and np.all(traj.c_trace[late] == 1.0)
+
+    def test_a_phase_past_double_range_raises(self):
+        op, u0 = self.k64_data()
+        with pytest.raises(IntegrationError, match="limit flow: the phase left double range"):
+            integrate("parabolic", 1e100 * u0, 16.0, 64, CFG, op, self.AFFINE, 0.5)
 
     def test_the_quintic_hermite_interpolant_reproduces_a_quintic(self):
         # y = t^5 - t^3 + 1 from its values and first two derivatives at
