@@ -406,10 +406,13 @@ def _quintic_hermite(nodes: np.ndarray, y, dy, ddy, t: np.ndarray) -> np.ndarray
 
     ``nodes`` increase from ``t[0]`` through ``t[-1]``.  A sample on a node
     takes that node's value; the last one is the end of the last interval.
+    ``nodes`` and ``t`` may be long double: only each sample's offset from
+    its node is taken in it, the polynomial in double.
     """
     i = np.minimum(np.searchsorted(nodes, t, side="right") - 1, nodes.size - 2)
     h = nodes[i + 1] - nodes[i]
-    s = (t - nodes[i]) / h
+    s = ((t - nodes[i]) / h).astype(float)
+    h = h.astype(float)
     rise = y[i + 1] - y[i]
     dy0, dy1 = h * dy[i], h * dy[i + 1]
     ddy0, ddy1 = h * h * ddy[i], h * h * ddy[i + 1]
@@ -477,9 +480,9 @@ def _limit_phase(
     # one node of every panel at a time, so no temporary outgrows an (edges, modes) array
     rule = sum(w / m_eval(m, np.exp(np.multiply.outer(edges[:-1] + x * width, decay)) @ weights)
                for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    # Phi and each sample's Phi in long double, and so the interpolant: a mode's
-    # error is up to lambda_k m Phi times Phi's rounding, 3 rel_tol at 1e-12
-    # where m(0) is 50 times m(sigma(0)) (K 64) with Phi in double, 0.23 here
+    # Phi and each sample's Phi in long double, and so their differences: a
+    # mode's error is up to lambda_k m Phi times Phi's rounding, 3 rel_tol at
+    # 1e-12 where m(0) is 50 times m(sigma(0)) (K 64) with Phi in double, 0.23 here
     phi = np.concatenate(([0.0], np.cumsum(width * rule, dtype=np.longdouble)))
     # d2 Lambda / d Phi2 = m'(sigma) sigma'(Lambda) m(sigma)
     accel = m_prime(m, sigma) * slope * speed
