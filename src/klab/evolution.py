@@ -396,7 +396,8 @@ _PANEL_GRADING = 0.02
 # Eulerian polynomial), the quintic's error is width^6 / 46080 times that
 # over m^6, and mode k takes lambda_k times it, up to 745 / Lambda.  With
 # s = |sigma''/sigma'| and r = |dm/dLambda| / (s m), the workloads' data
-# read at most 0.21 (0.12 measured), so their panels are not split.
+# read at most 0.21 (K 64 seed 9: 0.13, where 0.12 is measured), so their
+# panels are not split.
 _PANEL_SPLIT = 0.25
 
 

@@ -5,10 +5,13 @@ The limit flow is held per component to its ``rel_tol`` against
 solved for each sample by Newton's method, on the data of the two benchmark
 configs that missed it most when the samples between solver steps came from
 a fourth-order interpolant (7.2e-10 and 1.8e-9): at affine, rational and
-constant mass, p 0, 0.5 and 1, and ``rel_tol`` 1e-6 to 1e-12.  It stops
-there: at 1e-13 even constant mass, whose phase is ``m Phi`` in closed form
-with no quadrature at all, misses by 5.8 times, the floor of double precision
-for ``exp(-lambda_k Lambda)`` with ``lambda_k Lambda`` up to 745.
+constant mass, p 0, 0.5 and 1, and ``rel_tol`` 1e-6 to 1e-12.  The same
+draws scaled by 10 to 100, or under a mass whose coefficient is 1e3, put
+``m(sigma(0)) / m(0)`` far from the workloads' 2 both ways, where the
+quadrature's panels have to be split.  It stops at 1e-12: at 1e-13 even
+constant mass, whose phase is ``m Phi`` in closed form with no quadrature
+at all, misses by 1.2 times, the floor of double precision for
+``exp(-lambda_k Lambda)`` with ``lambda_k Lambda`` up to 745.
 
 The second-order flow at constant mass is held against
 ``oracles.hyperbolic_mode_solve``, a DOP853 solve of each mode's amplitude
