@@ -51,7 +51,6 @@ __all__ = [
     "synthetic_lemma_instances",
     "check_hypotheses",
     "check_residual_bounds",
-    "corrector_phi_integral",
     "check_optimality",
     "oscillation_onset",
     "wkb_window_start",
@@ -845,19 +844,6 @@ def check_hypotheses(
     return _report("hypothesis_chain", slack, worst_t, 0.0, params)
 
 
-def corrector_phi_integral(eps: float, beta: float, p: float) -> float:
-    """``int_0^inf z_eps / phi``, the corrector integral of ``check_residual_bounds``.
-
-    The integrand is ``exp(-(1/eps - beta) W(t))`` with ``W`` the damping
-    weight integral, so this is ``kernel_integral(1/eps - beta, p)``.
-    Defined on the check's domain ``4 eps <= 1`` and ``2 eps beta <= 1``,
-    where the rate is at least ``1/(2 eps) >= 2``.
-    """
-    if not (eps > 0 and beta > 0 and 4.0 * eps <= 1.0 and 2.0 * eps * beta <= 1.0):
-        raise ValueError("the corrector integral needs eps, beta > 0, 4*eps <= 1, 2*eps*beta <= 1")
-    return en.kernel_integral(1.0 / eps - beta, p)
-
-
 def check_residual_bounds(
     times,
     g_norm_sq_by_eps: dict[float, np.ndarray],
@@ -889,7 +875,8 @@ def check_residual_bounds(
         I_norm[eps] = I / eps**2
         B_norm[eps] = B / eps**2
         if 2.0 * eps * beta <= 1.0 and 4.0 * eps <= 1.0:
-            z_val = corrector_phi_integral(eps, beta, p)
+            # int_0^inf z_eps / phi = int_0^inf exp(-(1/eps - beta) W), W the weight integral
+            z_val = en.kernel_integral(1.0 / eps - beta, p)
             z_values[eps] = z_val
             z_slacks.append((4.0 * eps - z_val) / (4.0 * eps))
     ratio_I = _stability_ratio(list(I_norm.values()))
@@ -1179,7 +1166,9 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     For constant mass the sharp envelope is
     ``C exp(-gamma (1+t)^(1+p))`` with ``gamma = 2 mu nu/(1+p)``; ``C`` is
     calibrated so the bound is met with 5% headroom at ``t = 0`` and must
-    then hold at every sample.  Zero data give ``C = 0``, and the flow, 0
+    then hold at every sample.  The bound is taken as ``1.05 lhs(0) psi(gamma,
+    p, t)``, which needs no ``e^gamma``: the reported ``C`` reads ``inf``
+    where that overflows.  Zero data give ``C = 0``, and the flow, 0
     throughout, meets the zero bound with slack 0.
     """
     if traj.kind != "parabolic":
@@ -1191,8 +1180,11 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
     t = traj.times
     lhs = en._h2_norm_sq(op, traj.u)
     g = en.gamma_rate(mu, op.nu, p)
-    C = 1.05 * lhs[0] * math.exp(g)
-    bound = en.parabolic_bound_rhs(t, p, mu, op.nu, C) if C > 0.0 else np.zeros_like(lhs)
+    bound = 1.05 * lhs[0] * en.psi(g, p, t)
+    try:
+        C = 1.05 * lhs[0] * math.exp(g)
+    except OverflowError:  # e^g is past double range; zero data keep C = 0
+        C = math.inf if lhs[0] > 0.0 else 0.0
     slack_arr = (bound - lhs) / np.maximum(bound, _TINY)
     worst = int(np.argmin(slack_arr))
     params = {"p": p, "C": C, "gamma": g}

@@ -5,16 +5,19 @@ a float, an ``(n, K)`` stack of samples (with ``(n,)`` times and coefficient
 values) gives one value per row.  The remainder energies of the paper are the
 same functionals applied to ``(rho, r')``.
 
-The decay envelopes (``phi``, ``psi``, ``z_eps``) and the corrector kernel
-integral are implemented from their closed forms rather than by integrating
-their defining ODEs: they serve as reference curves in ratio tests, so
-quadrature error in them would contaminate every measurement that divides by
-them.  The exponents are evaluated with ``expm1``/``log1p`` so that small-``t``
-values stay accurate to a few ulp, which matters when they feed log-linear
-regression.  The envelopes broadcast over their arguments (time grids,
-batches of parameters) and compute their exponents through
-``weight_integral`` and ``growth_integral``; the kernel integral takes one
-rate and one ``p``.
+The decay envelopes ``phi`` and ``psi`` and the corrector kernel integral are
+implemented from their closed forms rather than by integrating their defining
+ODEs: they serve as reference curves in ratio tests, so quadrature error in
+them would contaminate every measurement that divides by them.  Two curves of
+the paper are these envelopes at a given rate: the corrector kernel, the
+solution of ``eps z' + (1+t)^(-p) z = 0``, is ``phi(1/eps, p, t)``, and the
+sharp constant-mass bound ``C exp(-g (1+t)^(1+p))`` is
+``C e^(-g) psi(g, p, t)``.  The exponents are evaluated with
+``expm1``/``log1p`` so that small-``t`` values stay accurate to a few ulp,
+which matters when they feed log-linear regression.  The envelopes broadcast
+over their arguments (time grids, batches of parameters) and compute their
+exponents through ``weight_integral`` and ``growth_integral``; the kernel
+integral takes one rate and one ``p``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ __all__ = [
     "growth_integral",
     "phi",
     "psi",
-    "z_eps",
     "kernel_integral",
-    "parabolic_bound_rhs",
     "gamma_rate",
     "LyapunovParams",
     "require_admissible_beta",
@@ -112,18 +113,6 @@ def psi(alpha, p, t):
     return np.exp(-alpha * growth_integral(p, t))
 
 
-def z_eps(eps, p, t):
-    """Corrector kernel: solution of ``eps z' + (1+t)^(-p) z = 0``, ``z(0) = 1``.
-
-    Equals ``exp(-((1+t)^(1-p) - 1)/(eps (1-p)))`` for ``p < 1`` and
-    ``(1+t)^(-1/eps)`` at ``p = 1``; always in ``(0, 1]``; broadcasts.
-    """
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be > 0")
-    return np.exp(-weight_integral(p, t) / eps)
-
-
 # 48-point Gauss-Laguerre rule of the fast-rate identity in ``kernel_integral``.
 _LAGUERRE = laggauss(48)
 
@@ -131,11 +120,12 @@ _LAGUERRE = laggauss(48)
 def kernel_integral(rate: float, p: float) -> float:
     """``int_0^inf exp(-rate W(s)) ds``, ``W`` the damping weight integral, for ``rate >= 2``.
 
-    ``rate = 1/eps`` integrates ``z_eps``.  At ``p = 0``: ``1/rate``; below
-    ``DEGENERATE_P`` from ``p = 1``: ``1/(rate - 1)``.  Otherwise ``w = rate
-    W(s)`` gives ``L(q/rate)/rate`` with ``q = 1-p`` and ``L(a) = int_0^inf
-    e^(-w) (1 + a w)^(p/q) dw``, by Gauss-Laguerre (the factor beside
-    ``e^(-w)`` stays below ``e^(w/2)``), accurate to about 1e-12 relative.
+    ``rate = 1/eps`` integrates the corrector kernel ``phi(1/eps, p, s)``.
+    At ``p = 0``: ``1/rate``; below ``DEGENERATE_P`` from ``p = 1``:
+    ``1/(rate - 1)``.  Otherwise ``w = rate W(s)`` gives ``L(q/rate)/rate``
+    with ``q = 1-p`` and ``L(a) = int_0^inf e^(-w) (1 + a w)^(p/q) dw``, by
+    Gauss-Laguerre (the factor beside ``e^(-w)`` stays below ``e^(w/2)``),
+    accurate to about 1e-12 relative.
     """
     rate, p = float(rate), float(p)
     if not (rate >= 2.0 and 0.0 <= p <= 1.0):
@@ -156,17 +146,6 @@ def gamma_rate(mu: float, nu: float, p: float) -> float:
     if mu <= 0 or nu <= 0:
         raise ValueError("mu and nu must be > 0")
     return 2.0 * mu * nu / (1.0 + p)
-
-
-def parabolic_bound_rhs(t, p: float, mu: float, nu: float, C: float):
-    """Right-hand side ``C exp(-(2 mu nu/(1+p)) (1+t)^(1+p))`` of the pointwise parabolic bound.
-
-    ``t`` may be a time grid.
-    """
-    if C <= 0:
-        raise ValueError("C must be > 0")
-    g = gamma_rate(mu, nu, p)
-    return C * np.exp(-g * np.exp((1.0 + p) * np.log1p(t)))
 
 
 @dataclass(frozen=True)

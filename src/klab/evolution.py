@@ -36,6 +36,10 @@ decays, so every live mode is held to ``rel_tol`` of itself.  Once
 stop there whatever the horizon.  Derivatives of the first-order
 flow (``u'``, ``u''``) are always recomputed from the equation, never finite
 differenced, since the residual diagnostics are sensitive to them.
+
+The closed-form companions are the boundary-layer corrector, whose kernel is
+the decay envelope ``energies.phi`` at rate ``1/eps``, and the
+singular-perturbation remainders built from it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk import BatchStats, IntegrationError, StepStats, _member_scale, solve_to_grid
-from .energies import growth_integral, z_eps
+from .energies import phi, weight_integral
 from .spectral import (
     MassFunction,
     SpectralOperator,
@@ -64,7 +68,6 @@ __all__ = [
     "IntegratorConfig",
     "IntegrationError",
     "integrate",
-    "parabolic_closed_form",
     "theta0",
     "corrector_velocity",
     "coefficient_derivative",
@@ -82,18 +85,21 @@ _ABS_TOL = 1e-300
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The integrator's tolerance.  The second-order flow's error control is
-    relative to the state, ``rel_tol`` of its norm per step (the absolute
-    floor ``_ABS_TOL`` is fixed far below any state a run keeps); the limit
-    flow's phase quadrature is graded, and split where its error estimate
-    asks, to hold each live mode to ``rel_tol`` of itself, down to about
-    1e-12, where double precision gives out."""
+    """The integrator's tolerance, from 1e-12 to 1e-3.  The second-order
+    flow's error control is relative to the state, ``rel_tol`` of its norm
+    per step (the absolute floor ``_ABS_TOL`` is fixed far below any state a
+    run keeps); the limit flow's phase quadrature is graded, and split where
+    its error estimate asks, to hold each live mode to ``rel_tol`` of itself.
+    Below 1e-12 double precision gives out: the limit flow misses 1e-13 by
+    1.6 times, and the second-order solve spends its steps on rounding."""
 
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol: must be positive, got {self.rel_tol}")
+        if self.rel_tol < 1e-12:
+            raise ValueError(f"rel_tol: must be >= 1e-12, got {self.rel_tol}")
         if self.rel_tol > 1e-3:
             raise ValueError(f"rel_tol: must be <= 1e-3, got {self.rel_tol}")
 
@@ -441,9 +447,7 @@ def _limit_phase(
     lam = op.eigenvalues
     weights = lam * u0 * u0
     decay = -2.0 * lam
-    # below 1e-14, finer panels buy nothing against each mode's own rounding
-    tol = max(rel_tol, 1e-14)
-    grading = _PANEL_GRADING * (tol / 1e-10) ** (1.0 / 6.0)
+    grading = _PANEL_GRADING * (rel_tol / 1e-10) ** (1.0 / 6.0)
     powers = weights[:, None] * decay[:, None] ** np.arange(3.0)
 
     def moments(edges):
@@ -471,7 +475,7 @@ def _limit_phase(
     width = np.diff(edges)
     live = np.minimum(op.lambda_max, 745.0 / edges[1:])
     error = live * width**6 * np.maximum(sixth[:-1], sixth[1:]) / 46080.0
-    pieces = np.maximum(np.ceil((error / (_PANEL_SPLIT * tol)) ** (1.0 / 6.0)), 1).astype(np.intp)
+    pieces = np.maximum(np.ceil((error / (_PANEL_SPLIT * rel_tol)) ** (1.0 / 6.0)), 1).astype(np.intp)
     # piece j of panel i starts j / pieces_i of the way across it
     j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     edges = np.append(np.repeat(edges[:-1], pieces) + j * np.repeat(width / pieces, pieces), edges[-1])
@@ -492,6 +496,18 @@ def _limit_phase(
     phase = edges[-1] + rest * (target - phi[-1]).astype(float)
     phase[:curved] = _quintic_hermite(phi, edges, speed, accel, target[:curved])
     return phase, width.size
+
+
+def _step_floor(eps: float, p: float, t_end: float) -> float:
+    """Fewest steps the explicit driver can take on a second-order flow with data.
+
+    A mode that carries data has an eigenvalue of modulus at least
+    ``b / (2 eps)``, ``b = (1+t)^(-p)``, and DOPRI5's stability interval
+    reaches about 3.3 (Hairer & Wanner, Solving ODEs II, IV.2), so a step
+    spans at most ``6.6 eps / b``: over ``[0, t_end]`` that is at least
+    ``weight_integral(p, t_end) / (6.6 eps)`` steps.
+    """
+    return float(weight_integral(p, t_end)) / (6.6 * eps)
 
 
 def _hyperbolic_runs(
@@ -601,22 +617,6 @@ def integrate(
     raise ValueError(f"unknown problem kind {problem!r}")
 
 
-def parabolic_closed_form(
-    op: SpectralOperator, u0, p: float, mu_bar: float, t: float
-) -> np.ndarray:
-    """Exact first-order flow for constant mass ``mu_bar``.
-
-    ``u_k(t) = u_k(0) exp(-lambda_k mu_bar ((1+t)^(1+p) - 1)/(1+p))``.
-    """
-    if mu_bar <= 0:
-        raise ValueError("mu_bar must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    u0 = as_vector(u0, op)
-    g = growth_integral(p, t) / (1.0 + p)
-    return u0 * np.exp(-op.eigenvalues * mu_bar * g)
-
-
 def theta0(u0, u1, op: SpectralOperator, m: MassFunction) -> np.ndarray:
     """Initial-velocity mismatch ``u1 + m(|A^(1/2)u0|^2) A u0`` absorbed by the corrector."""
     u0 = as_vector(u0, op)
@@ -628,11 +628,15 @@ def theta0(u0, u1, op: SpectralOperator, m: MassFunction) -> np.ndarray:
 def corrector_velocity(theta0_vec, eps: float, p: float, times) -> np.ndarray:
     """The boundary-layer corrector's derivative ``theta'(t) = theta0 z_eps(t)``.
 
-    An ``(n, K)`` array along the time grid, ``theta0`` at ``t = 0``.
-    ValueError (from ``z_eps``) unless ``eps > 0``.
+    The kernel ``z_eps`` solves ``eps z' + (1+t)^(-p) z = 0``, ``z(0) = 1``,
+    so it is the decay envelope ``phi`` at rate ``1/eps``.  An ``(n, K)``
+    array along the time grid, ``theta0`` at ``t = 0``.  ValueError unless
+    ``eps > 0``.
     """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
     th0 = as_vector(theta0_vec)
-    return z_eps(eps, p, np.asarray(times, dtype=float))[:, None] * th0
+    return phi(1.0 / eps, p, np.asarray(times, dtype=float))[:, None] * th0
 
 
 def coefficient_derivative(traj: Trajectory) -> np.ndarray:

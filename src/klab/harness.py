@@ -1,11 +1,11 @@
 """Experiment harness: JSON config, scenario orchestration, CSV/JSON emission.
 
-A run is described by a single JSON document (see ``load_config``), executed
-into an output directory, and leaves three kinds of artifacts: one timeseries
-CSV per integrated trajectory, a ``report.json`` with checks, rate fits and
-measured constants, and a ``runs.json`` manifest recording the resolved
-configuration, the emitted files and the solver statistics of each flow
-and of each lemma kind's instances, so reports can be re-rendered later
+A run is described by a single JSON document (see ``config_from_dict``),
+executed into an output directory, and leaves three kinds of artifacts: one
+timeseries CSV per integrated trajectory, a ``report.json`` with checks, rate
+fits and measured constants, and a ``runs.json`` manifest recording the
+resolved configuration, the emitted files and the solver statistics of each
+flow and of each lemma kind's instances, so reports can be re-rendered later
 without re-integrating.
 
 Scenario runners only integrate flows (each once, through ``_Context``, the
@@ -31,9 +31,11 @@ import numpy as np
 
 from . import analysis as an
 from . import energies as en
+from ._rk import _MAX_STEPS
 from .evolution import (
     IntegratorConfig,
     Trajectory,
+    _step_floor,
     corrector_velocity,
     integrate,
     remainders,
@@ -46,14 +48,12 @@ from .spectral import (
     mass_inf,
     power_spectrum,
     sobolev_norm_sq,
-    uniform_spectrum,
 )
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "SCENARIOS",
-    "load_config",
     "config_from_dict",
     "apply_override",
     "run_scenario",
@@ -149,8 +149,8 @@ def _parse_operator(raw: Any) -> SpectralOperator:
     exponent = _float(raw.get("exponent", 2.0), "operator.exponent")
     gap = _float(raw.get("gap", nu), "operator.gap")
     try:
-        if family == "uniform":
-            return uniform_spectrum(nu, modes_raw)
+        if family == "uniform":  # every eigenvalue nu; a gap is ignored
+            return arithmetic_spectrum(nu, modes_raw, 0.0)
         if family == "power":
             return power_spectrum(nu, modes_raw, exponent)
         if family == "arithmetic":
@@ -220,7 +220,7 @@ def _parse_initial(
 def _default_t_end(beta: float, p: float) -> float:
     """Horizon at which the decay profile reaches the double-precision guard 1e-30."""
     w = 30.0 * math.log(10.0) / beta
-    if p >= 1.0:
+    if 1.0 - p < en.DEGENERATE_P:
         t = math.expm1(w)
     else:
         t = (1.0 + (1.0 - p) * w) ** (1.0 / (1.0 - p)) - 1.0
@@ -333,11 +333,6 @@ def _read_json(path: Path, what: str) -> Any:
         ) from exc
     except ValueError as exc:  # not UTF-8, or an integer past the digit limit
         raise ConfigError(f"{what} {path}: {exc}") from exc
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Read, decode and validate a JSON run configuration."""
-    return config_from_dict(_read_json(Path(path), "config file"))
 
 
 def apply_override(raw: dict, spec: str) -> None:
@@ -465,6 +460,11 @@ class _Context:
         """The second-order flow at every eps of the config, integrated as one solve."""
         c = self.cfg
         if c.epsilon and not self._hyp:
+            # the smallest eps needs the most steps; zero data take none
+            floor = _step_floor(c.epsilon[-1], c.p, c.t_end)
+            if floor > _MAX_STEPS and (np.any(c.u0) or np.any(c.u1)):
+                raise ConfigError(f"epsilon: {c.epsilon[-1]!r} needs at least {floor:.3g} steps "
+                                  f"of the explicit solver, past its budget of {_MAX_STEPS}")
             trajs = integrate(
                 "hyperbolic",
                 (c.u0, c.u1),

@@ -19,7 +19,6 @@ __all__ = [
     "MassFunction",
     "power_spectrum",
     "arithmetic_spectrum",
-    "uniform_spectrum",
     "as_vector",
     "as_states",
     "sobolev_norm_sq",
@@ -89,11 +88,6 @@ def arithmetic_spectrum(nu: float, modes: int, gap: float) -> SpectralOperator:
         raise ValueError("gap must be >= 0 to keep the spectrum ascending")
     k = np.arange(int(modes), dtype=float)
     return SpectralOperator(nu + k * gap, nu)
-
-
-def uniform_spectrum(nu: float, modes: int) -> SpectralOperator:
-    """All ``modes`` eigenvalues equal to ``nu``."""
-    return SpectralOperator(np.full(int(modes), float(nu)), nu)
 
 
 def as_states(coeffs, op: SpectralOperator | None = None) -> np.ndarray:

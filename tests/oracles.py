@@ -262,6 +262,13 @@ def amplitude_law_slope(eps: float, p: float) -> float:
 # The limit flow as a K-mode system
 # ---------------------------------------------------------------------------
 
+def parabolic_closed_form(op, u0, p: float, mu_bar: float, t: float) -> np.ndarray:
+    """Exact limit flow at constant mass ``mu_bar``:
+    ``u_k(t) = u_k(0) exp(-lambda_k mu_bar ((1+t)^(1+p) - 1)/(1+p))``."""
+    g = np.expm1((1.0 + p) * np.log1p(float(t))) / (1.0 + p)
+    return np.asarray(u0, dtype=float) * np.exp(-op.eigenvalues * mu_bar * g)
+
+
 def parabolic_mode_solve(lam, mass, u0, p: float, times, rel_tol: float = 1e-10,
                          abs_tol: float = 1e-300) -> np.ndarray:
     """Samples of u' = -(1+t)^p mass(|A^(1/2)u|^2) A u, all K modes stepped at once.

@@ -27,7 +27,6 @@ from klab import (
     check_energy_monotone,
     check_hypotheses,
     check_lyapunov_decay,
-    corrector_phi_integral,
     corrector_velocity,
     decay_params,
     energy_F,
@@ -37,6 +36,7 @@ from klab import (
     gamma_r,
     gamma_rate,
     integrate,
+    kernel_integral,
     perturbation_params,
     psi,
     remainders,
@@ -45,7 +45,6 @@ from klab import (
     theta0,
 )
 from klab.analysis import assemble_psi3, hyperbolic_series
-from klab.evolution import parabolic_closed_form
 import oracles
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
@@ -132,7 +131,7 @@ def test_criterion_01_parabolic_exact():
         half_sq = traj.u[:, 0] ** 2   # lambda = 1, so |A^1/2 u|^2 = u^2
         exact = np.array(
             [
-                float(parabolic_closed_form(OP1, [1.0], p, 1.0, float(s))[0]) ** 2
+                float(oracles.parabolic_closed_form(OP1, [1.0], p, 1.0, float(s))[0]) ** 2
                 for s in traj.times
             ]
         )
@@ -351,7 +350,7 @@ def test_criterion_07_corrector_bound():
         for beta in (0.5, 1.0):
             assert 2.0 * eps * beta <= 1.0 and 4.0 * eps <= 1.0
             for p in (0.0, 0.5, 1.0):
-                val = corrector_phi_integral(eps, beta, p)
+                val = kernel_integral(1.0 / eps - beta, p)  # int_0^inf z_eps / phi
                 worst_margin = min(worst_margin, 4.0 * eps - val)
                 if p == 0.0:
                     exact = 1.0 / (1.0 / eps - beta)
@@ -399,7 +398,7 @@ def test_criterion_09_weighted_mode_integral():
             if den == 0.0:
                 # both factors have underflowed; the true ratio decays to 0
                 return 0.0
-            u = float(parabolic_closed_form(OP1, [1.0], p, 1.0, t)[0])
+            u = float(oracles.parabolic_closed_form(OP1, [1.0], p, 1.0, t)[0])
             return (lam * u) ** 2 / den
 
         val = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)[0]

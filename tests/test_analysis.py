@@ -23,7 +23,6 @@ from klab import (
     check_parabolic_pointwise,
     check_residual_bounds,
     check_uniform_decay_weights,
-    corrector_phi_integral,
     corrector_velocity,
     decay_params,
     default_fit_window,
@@ -32,6 +31,7 @@ from klab import (
     fit_decay_exponent,
     gamma_rate,
     integrate,
+    kernel_integral,
     oscillation_onset,
     perturbation_params,
     phi,
@@ -535,20 +535,21 @@ class TestHypothesisChain:
 
 
 class TestCorrectorIntegral:
+    # int_0^inf z_eps / phi is kernel_integral(1/eps - beta, p), as check_residual_bounds takes it
     def test_p_zero_closed_form(self):
         # 1/(1/eps - beta): the left end of the worked grid
-        assert corrector_phi_integral(0.2, 1.0, 0.0) == pytest.approx(0.25, abs=1e-12)
-        assert corrector_phi_integral(0.1, 0.5, 0.0) == pytest.approx(1.0 / 9.5, abs=1e-12)
+        assert kernel_integral(1.0 / 0.2 - 1.0, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert kernel_integral(1.0 / 0.1 - 0.5, 0.0) == pytest.approx(1.0 / 9.5, abs=1e-12)
 
     def test_matches_independent_quadrature(self):
         for p in (0.3, 0.5, 1.0):
-            ours = corrector_phi_integral(0.1, 1.0, p)
+            ours = kernel_integral(1.0 / 0.1 - 1.0, p)
             theirs = oracles.corrector_over_phi(0.1, 1.0, p)
             assert ours == pytest.approx(theirs, rel=1e-8)
 
     def test_divergent_combination_rejected(self):
         with pytest.raises(ValueError):
-            corrector_phi_integral(0.5, 2.0, 0.0)
+            kernel_integral(1.0 / 0.5 - 2.0, 0.0)
 
 
 class TestResidualBounds:

@@ -20,12 +20,10 @@ from klab import (
     gamma_rate,
     growth_integral,
     kernel_integral,
-    parabolic_bound_rhs,
     perturbation_params,
     phi,
     psi,
     weight_integral,
-    z_eps,
 )
 import oracles
 
@@ -188,21 +186,12 @@ class TestComparisonFunctions:
         t = np.linspace(0.0, 6.0, 300)
         want = [math.exp(-0.8 * growth_integral(p, float(s))) for s in t]
         np.testing.assert_allclose(psi(0.8, p, t), want, rtol=1e-13, atol=0.0)
+        # the sharp bound C exp(-g (1+t)^(1+p)) is C e^(-g) psi(g, p, t)
         g = gamma_rate(1.0, 1.0, p)
         want = [2.0 * math.exp(-g * (1.0 + s) ** (1.0 + p)) for s in t]
-        np.testing.assert_allclose(parabolic_bound_rhs(t, p, 1.0, 1.0, 2.0), want, rtol=1e-13)
+        np.testing.assert_allclose(2.0 * math.exp(-g) * psi(g, p, t), want, rtol=1e-13)
         with pytest.raises(ValueError):
             psi(0.8, p, np.array([-1.0, 1.0]))
-
-    def test_z_eps_closed_forms(self):
-        assert z_eps(0.5, 0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert z_eps(0.5, 1.0, 1.0) == pytest.approx(0.25, rel=1e-15)
-        assert z_eps(0.02, 0.7, 0.0) == 1.0
-
-    def test_z_eps_is_phi_at_reciprocal_rate(self):
-        for p in (0.0, 0.3, 1.0):
-            for t in (0.0, 0.7, 4.0):
-                assert z_eps(0.25, p, t) == pytest.approx(phi(4.0, p, t), rel=1e-14)
 
     def test_phi_satisfies_its_ode(self):
         # closed-form derivative: phi' = -beta (1+t)^{-p} phi, checked on a
@@ -231,7 +220,7 @@ class TestComparisonFunctions:
             for series in (
                 [phi(0.8, p, t) for t in grid],
                 [psi(0.8, p, t) for t in grid],
-                [z_eps(0.1, p, t) for t in grid],
+                [phi(10.0, p, t) for t in grid],  # the corrector kernel at eps 0.1
             ):
                 assert all(a > b for a, b in zip(series, series[1:]))
 
@@ -277,10 +266,6 @@ class TestConstants:
         assert gamma_rate(1.0, 1.0, 0.0) == pytest.approx(2.0)
         assert gamma_rate(1.0, 1.0, 1.0) == pytest.approx(1.0)
         assert gamma_rate(2.0, 3.0, 0.5) == pytest.approx(8.0)
-
-    def test_parabolic_bound_rhs(self):
-        assert parabolic_bound_rhs(0.0, 0.0, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-2.0))
-        assert parabolic_bound_rhs(0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_decay_params_worked_values(self):
         lp = decay_params(1.0, 0.0, 1.0, 1.0)

@@ -15,12 +15,11 @@ from klab import (
     coefficient_derivative,
     corrector_velocity,
     integrate,
-    parabolic_closed_form,
     power_spectrum,
     remainders,
     residual_g,
     theta0,
-    z_eps,
+    weight_integral,
 )
 import klab._rk
 import klab.evolution
@@ -68,11 +67,11 @@ class TestRightHandSides:
 class TestParabolicClosedForm:
     def test_worked_values(self):
         np.testing.assert_allclose(
-            parabolic_closed_form(OP1, [1.0], 0.0, 1.0, 1.0), [math.exp(-1.0)], rtol=1e-15)
+            oracles.parabolic_closed_form(OP1, [1.0], 0.0, 1.0, 1.0), [math.exp(-1.0)], rtol=1e-15)
         np.testing.assert_allclose(
-            parabolic_closed_form(OP1, [1.0], 1.0, 1.0, 1.0), [math.exp(-1.5)], rtol=1e-15)
+            oracles.parabolic_closed_form(OP1, [1.0], 1.0, 1.0, 1.0), [math.exp(-1.5)], rtol=1e-15)
         np.testing.assert_array_equal(
-            parabolic_closed_form(OP1, [0.7], 0.5, 2.0, 0.0), [0.7])
+            oracles.parabolic_closed_form(OP1, [0.7], 0.5, 2.0, 0.0), [0.7])
 
     def test_integration_matches_closed_form(self):
         # error control is normwise: every mode sits within 10*rel_tol of the
@@ -82,7 +81,7 @@ class TestParabolicClosedForm:
         for p in (0.0, 0.5, 1.0):
             traj = integrate("parabolic", u0, 4.0, 160, CFG, op, M1, p)
             for i in (40, 80, 159):
-                expected = parabolic_closed_form(op, u0, p, 1.0, float(traj.times[i]))
+                expected = oracles.parabolic_closed_form(op, u0, p, 1.0, float(traj.times[i]))
                 gap = np.max(np.abs(traj.u[i] - expected))
                 assert gap <= 10 * CFG.rel_tol * np.linalg.norm(expected) + 1e-14
 
@@ -99,7 +98,8 @@ class TestParabolicClosedForm:
         u0 = (-1.0) ** k / k**2
         for samples in (256, 4096):
             traj = integrate("parabolic", u0, 16.0, samples, CFG, op, M1, p)
-            exact = np.array([parabolic_closed_form(op, u0, p, 1.0, float(t)) for t in traj.times])
+            exact = np.array([oracles.parabolic_closed_form(op, u0, p, 1.0, float(t))
+                              for t in traj.times])
             live = np.abs(exact) > 1e-250
             assert np.min(np.abs(exact[live])) < 1e-200
             rel = np.abs(traj.u[live] - exact[live]) / np.abs(exact[live])
@@ -414,12 +414,14 @@ class TestCorrector:
     def test_series_consistent_with_quadrature(self):
         times = np.linspace(0.0, 5.0, 2001)
         theta_p = corrector_velocity([1.0], 0.08, 0.5, times)
-        np.testing.assert_allclose(theta_p[:, 0], [z_eps(0.08, 0.5, t) for t in times],
+        # z_eps = exp(-W/eps), W the damping weight integral
+        np.testing.assert_allclose(theta_p[:, 0], np.exp(-weight_integral(0.5, times) / 0.08),
                                    rtol=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            corrector_velocity([1.0], -0.1, 0.5, [1.0])
+        for eps in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="eps must be > 0"):
+                corrector_velocity([1.0], eps, 0.5, [1.0])
 
 
 def test_theta0_worked_values():
@@ -551,12 +553,28 @@ class TestLogEnergyProbe:
         np.testing.assert_allclose(logs, np.log(gamma), rtol=0.0, atol=1e-6)
 
 
+class TestStepFloor:
+    # accepted steps of the checks_k4 seed-1 physics (K 4, p 0.5, t_end 16), one eps a solve
+    MEASURED = {0.01: 4878, 0.0025: 9581, 0.000625: 19525, 1.5625e-4: 43127, 3.90625e-5: 101537}
+
+    def test_is_below_the_measured_steps(self):
+        for eps, accepted in self.MEASURED.items():
+            assert klab.evolution._step_floor(eps, 0.5, 16.0) < accepted
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_is_below_a_solve(self, p):
+        traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 16, CFG, OP1, M1, p, eps=0.002)
+        assert klab.evolution._step_floor(0.002, p, 8.0) < traj.steps.accepted
+
+
 class TestConfigAndFailures:
     def test_integrator_config_validation(self):
         with pytest.raises(ValueError, match=r"^rel_tol: must be <= 1e-3, got 0.01$"):
             IntegratorConfig(rel_tol=1e-2)
         with pytest.raises(ValueError, match=r"^rel_tol: must be positive, got 0.0$"):
             IntegratorConfig(rel_tol=0.0)
+        with pytest.raises(ValueError, match=r"^rel_tol: must be >= 1e-12, got 1e-13$"):
+            IntegratorConfig(rel_tol=1e-13)
 
     def test_overflowing_state_is_typed_failure(self):
         # lam*u/eps overflows double range on the first step

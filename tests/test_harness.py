@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import klab._rk
-from klab import IntegratorConfig
+from klab import IntegratorConfig, arithmetic_spectrum
 from klab.cli import main as cli_main
 from klab.harness import (
     SCENARIOS,
@@ -23,7 +25,6 @@ from klab.harness import (
     apply_override,
     config_from_dict,
     emit_timeseries,
-    load_config,
     render_report,
     run_scenario,
 )
@@ -112,8 +113,8 @@ def run_cli(*args):
 # ---------------------------------------------------------------------------
 
 class TestConfig:
-    def test_minimal_round_trip(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, base_config()))
+    def test_minimal_round_trip(self):
+        cfg = config_from_dict(base_config())
         assert cfg.p == 0.5
         assert cfg.epsilon == (0.05,)
         assert cfg.t_end == 6.0
@@ -121,25 +122,43 @@ class TestConfig:
         assert cfg.scenario == "decay"
         assert cfg.beta == 1.0
 
-    def test_defaults(self, tmp_path):
+    def test_defaults(self):
         doc = base_config()
         del doc["t_end"], doc["samples"], doc["scenario"]
-        cfg = load_config(write_config(tmp_path, doc))
+        cfg = config_from_dict(doc)
         assert cfg.samples == 4096
         assert cfg.scenario == "simulate"
         assert cfg.t_end > 1.0
         assert cfg.integrator == IntegratorConfig()
 
-    def test_epsilon_sorted_downward(self, tmp_path):
+    def test_default_horizon_counts_p_near_one_as_one(self):
+        # below DEGENERATE_P from 1, as in weight_integral: log(1+t), not the power form
+        horizons = []
+        for p in (1.0 - 1e-13, 1.0):
+            doc = base_config(p=p, beta=30.0)
+            del doc["t_end"]
+            horizons.append(config_from_dict(doc).t_end)
+        assert horizons == [math.expm1(30.0 * math.log(10.0) / 30.0)] * 2
+
+    def test_uniform_family_is_arithmetic_with_gap_zero(self):
+        want = arithmetic_spectrum(0.7, 3, 0.0)
+        for extra in ({}, {"gap": 3.0}):  # a gap is ignored for this family
+            op = config_from_dict(base_config(
+                operator={"family": "uniform", "nu": 0.7, "K": 3, **extra},
+                initial={"preset": "lowest_mode"})).operator
+            np.testing.assert_array_equal(op.eigenvalues, want.eigenvalues)
+            assert op.nu == want.nu == 0.7
+
+    def test_epsilon_sorted_downward(self):
         doc = base_config(epsilon=[0.01, 0.04, 0.02])
-        cfg = load_config(write_config(tmp_path, doc))
+        cfg = config_from_dict(doc)
         assert cfg.epsilon == (0.04, 0.02, 0.01)
 
-    def test_missing_velocity_field_is_named(self, tmp_path):
+    def test_missing_velocity_field_is_named(self):
         doc = base_config()
         del doc["initial"]["u1"]
         with pytest.raises(ConfigError, match="initial.u1"):
-            load_config(write_config(tmp_path, doc))
+            config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "initial,field",
@@ -769,7 +788,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "key,value,message",
         [("rel_tol", 0.5, "must be <= 1e-3, got 0.5"),
-         ("rel_tol", 0.0, "must be positive, got 0.0")],
+         ("rel_tol", 0.0, "must be positive, got 0.0"),
+         ("rel_tol", 1e-13, "must be >= 1e-12, got 1e-13")],
     )
     def test_an_out_of_range_tolerance_names_its_field(self, tmp_path, capsys, key, value, message):
         doc = base_config(tolerances={key: value})
@@ -796,6 +816,33 @@ class TestCli:
                       "--out", str(tmp_path / "o"))
         assert res.returncode == 2, res.stderr
         assert res.stderr == "error: operator: eigenvalues must all be finite\n"
+
+    def test_an_eps_the_explicit_solver_cannot_finish_exit_two_at_once(self, tmp_path, capsys):
+        # W(6) / (6.6 eps) = 4.99e7 steps at p 0.5, past the 1e7 budget: refused before a step
+        doc = base_config(epsilon=[0.05, 1e-8])
+        start = time.perf_counter()
+        code, err = self.verify_in_process(tmp_path, capsys, json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2, err
+        assert err == ("error: epsilon: 1e-08 needs at least 4.99e+07 steps of the explicit "
+                       "solver, past its budget of 10000000\n")
+        # zero data take no step, so nothing is refused
+        doc = base_config(epsilon=[1e-8], initial={"u0": [0.0], "u1": [0.0]}, samples=8)
+        assert self.verify_in_process(tmp_path, capsys, json.dumps(doc))[0] in (0, 1)
+
+    def test_a_constant_mass_bound_past_exp_range_exit_cleanly(self, tmp_path):
+        # g = 2 mu nu / (1+p) = 1000: e^g overflows, the bound 1.05 lhs(0) psi(g) does not.
+        # One mode keeps a constant slack, so rounding sets worst_t: it is not pinned.
+        doc = base_config(p=0, epsilon=[0.01], t_end=2, samples=256,
+                          operator={"family": "power", "nu": 500, "K": 2, "exponent": 2},
+                          initial={"preset": "lowest_mode"})
+        res = run_cli("verify", "--config", str(write_config(tmp_path, doc)),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode in (0, 1), res.stderr
+        assert len(res.stderr.splitlines()) <= 1
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        (bound,) = [c for c in checks if c["name"] == "parabolic_pointwise_bound"]
+        assert bound["params"]["C"] == "inf" and bound["params"]["gamma"] == 1000.0
 
     @pytest.mark.parametrize(
         "operator",

@@ -16,7 +16,6 @@ from klab import (
     mass_inf,
     power_spectrum,
     sobolev_norm_sq,
-    uniform_spectrum,
 )
 
 
@@ -33,7 +32,7 @@ def test_norm_power_consistency():
         dim = int(rng.integers(1, 9))
         lam = np.sort(rng.uniform(0.5, 8.0, size=dim))
         op = SpectralOperator(lam, float(lam[0]))
-        flat = uniform_spectrum(1.0, dim)
+        flat = arithmetic_spectrum(1.0, dim, 0.0)
         v = rng.standard_normal(dim)
         s = float(rng.uniform(0.0, 2.0))
         direct = sobolev_norm_sq(op, v, s)
@@ -56,8 +55,8 @@ def test_spectrum_families():
     np.testing.assert_allclose(op.eigenvalues, [1.0, 4.0, 9.0, 16.0])
     op = arithmetic_spectrum(2.0, 3, 0.5)
     np.testing.assert_allclose(op.eigenvalues, [2.0, 2.5, 3.0])
-    op = uniform_spectrum(0.7, 3)
-    np.testing.assert_allclose(op.eigenvalues, [0.7, 0.7, 0.7])
+    op = arithmetic_spectrum(0.7, 3, 0.0)
+    np.testing.assert_array_equal(op.eigenvalues, [0.7, 0.7, 0.7])
 
 
 def test_operator_validation():
