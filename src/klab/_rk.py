@@ -6,27 +6,18 @@ while the solution decays through hundreds of decades (the regime every decay
 measurement lives in).  A state or batch member whose norm leaves
 ``[1e-100, 1e100]`` is first scaled by the exact power of two that brings
 its peak near 1, so a state below 1e-154 does not square to zero; the
-scaling changes no ratio.  A shared clock scales all or none of its members.
-Steps are clipped to land exactly on the requested sample grid, so sampled
-values carry full integration accuracy.
+scaling changes no ratio.  Steps are clipped to land exactly on the
+requested sample grid, so sampled values carry full integration accuracy.
 
 The driver steps clocks.  A clock owns rows of the state and keeps their
 time, step size, next stop, accept/reject decision, step cap and
 ``StepStats``; every attempt computes the seven stages and error estimates
 of all rows in one set of array operations.
 
-- A state of shape ``(d,)`` is a single system: one clock over one row,
-  with exactly the unbatched arithmetic.
-- A state of shape ``(B, d)`` is by default a batch of ``B`` independent
-  members on one shared clock: one time grid and one step sequence.  Each
-  member's error is its own norm over the last axis, measured against
-  ``abs_tol + rel_tol * |y_i|``; a step is accepted only when every member's
-  ratio is at most 1, and the step-size controller follows the largest
-  ratio.  No member's accuracy contract is loosened by its neighbours,
-  however far apart their magnitudes are; members merely take the steps the
-  most demanding one needs.
-- With ``own_clocks=True`` each of the ``B`` members has its own clock and
-  takes exactly the steps, and produces exactly the bits, of its solo solve.
+- A state of shape ``(d,)`` is a single system: one clock over one row.
+- A state of shape ``(B, d)`` is a batch of ``B`` independent members, each
+  on its own clock, which takes exactly the steps, and produces exactly the
+  bits, of its member's solo solve.
 
 Own clocks reproduce a solo solve bit for bit under two rules, which a
 right-hand side for them must keep too.  Every per-member scalar (times, step
@@ -105,7 +96,7 @@ _SAFE_NORM_HI = 1e100
 class IntegrationError(RuntimeError):
     """Integration could not continue (step underflow, budget, or nonfinite state).
 
-    ``member`` is the index of the failing member of an own-clock batch, else
+    ``member`` is the index of the failing member of a batch, else
     ``None``.
     """
 
@@ -127,7 +118,7 @@ class StepStats:
 
 @dataclass(frozen=True)
 class BatchStats:
-    """What an own-clock batch did: each member's ``StepStats`` as its solo
+    """What a batch did: each member's ``StepStats`` as its solo
     solve reports them, and the steps summed over the members."""
 
     members: tuple[StepStats, ...]
@@ -169,17 +160,16 @@ def _member_ratios(
         return _norm(s * err_vec) / scale
 
 
-def _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol: float, abs_tol: float):
-    """Error over tolerance from unscaled norms (one member's floats or each
-    member's arrays), or ``None`` when a ``|y|`` leaves the safe window: inside
-    it the squares that decide the norms are normal numbers, where the
-    power-of-two scaling of ``_member_ratios`` would change no bit."""
-    if isinstance(y_norm, float):
-        inside, peak = _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI, max(y_norm, new_norm)
-    else:
-        inside = _SAFE_NORM_LO < y_norm.min() and y_norm.max() < _SAFE_NORM_HI
-        peak = np.maximum(y_norm, new_norm)
-    return err_norm / (abs_tol + rel_tol * peak) if inside else None
+def _unscaled_ratio(
+    y_norm: float, new_norm: float, err_norm: float, rel_tol: float, abs_tol: float
+) -> float | None:
+    """Error over tolerance from unscaled norms, or ``None`` when ``|y|``
+    leaves the safe window: inside it the squares that decide the norms are
+    normal numbers, where the power-of-two scaling of ``_member_ratios``
+    would change no bit."""
+    if not _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
+        return None
+    return err_norm / (abs_tol + rel_tol * max(y_norm, new_norm))
 
 
 def _own_ratios(
@@ -211,38 +201,29 @@ def _own_ratios(
 def _error_ratio(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> float:
-    """Largest member error over its tolerance; ``inf`` when not finite, and
-    when a member's ``y_new`` has a non-finite component."""
+    """A single system's error over its tolerance; ``inf`` when not finite,
+    and when ``y_new`` has a non-finite component."""
     # squares past the largest double make a norm inf, which leaves the safe
     # window, so the scaled norms decide
-    if y.ndim == 1:
-        with np.errstate(over="ignore"):
-            y_norm, new_norm, err_norm = _norm(y), _norm(y_new), _norm(err_vec)
-        if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new)):
-            return math.inf
-        ratio = _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol, abs_tol)
-    else:
-        with np.errstate(over="ignore"):
-            norms = _norm(np.concatenate((y, y_new, err_vec))).reshape(3, -1)
-        # a non-finite component makes its member's norm non-finite too
-        if not math.isfinite(norms[1].max()) and not np.all(np.isfinite(y_new)):
-            return math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = _unscaled_ratio(*norms, rel_tol, abs_tol)
-        ratio = None if ratio is None else ratio.max()
+    with np.errstate(over="ignore"):
+        y_norm, new_norm, err_norm = _norm(y), _norm(y_new), _norm(err_vec)
+    # a finite norm has finite components; an infinite one may be overflow
+    if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new)):
+        return math.inf
+    ratio = _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol, abs_tol)
     if ratio is None:
-        ratio = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol).max()
+        ratio = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol)
     return float(ratio) if math.isfinite(ratio) else math.inf
 
 
 class _Clock:
     """One clock's step control: its rows, time, step size, next stop and counts.
 
-    ``member`` is ``i`` for member ``i`` of an own-clock batch and ``None``
-    for the one clock of a single system or shared batch; ``row`` indexes the
-    clock's rows in the state accordingly (``i`` or ``...``) and ``out`` is
-    its sample array.  ``h_try``, ``target`` and ``hits`` describe the attempt in
-    flight; a clock that has reached its last stop attempts steps of length 0.
+    ``member`` is ``i`` for member ``i`` of a batch and ``None`` for the
+    one clock of a single system; ``row`` indexes the clock's rows in the
+    state accordingly (``i`` or ``...``) and ``out`` is its sample array.
+    ``h_try``, ``target`` and ``hits`` describe the attempt in flight; a
+    clock that has reached its last stop attempts steps of length 0.
     """
 
     __slots__ = (
@@ -282,30 +263,27 @@ def solve_to_grid(
     rel_tol: float,
     abs_tol: float,
     step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
-    own_clocks: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, StepStats | BatchStats]:
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
     Returns ``(Y, times, stats)`` where ``Y[i]`` is the state at ``times[i]``.
 
-    ``y0`` of shape ``(d,)`` is one system; ``(B, d)`` is a batch of ``B``
-    independent members (``Y`` then has shape ``(n, B, d)``), each held to
-    its own error norm on one shared clock (see the module docstring).  ``f``
-    receives and returns the whole state.
-
-    ``own_clocks=True`` gives each member of a ``(B, d)`` batch its own clock.
-    ``f`` then receives the members' times as a list of Python floats, ``Y`` has
-    shape ``(B, n, d)`` (member ``i``'s samples are ``Y[i]``), ``stats`` is a
-    :class:`BatchStats` and an :class:`IntegrationError` names the failing
-    member.  A member that has reached ``times[-1]`` rides along with a step
-    of length 0 until the last one has.
+    ``y0`` of shape ``(d,)`` is one system, held to one error norm over all
+    its components.  ``(B, d)`` is a batch of ``B`` independent members,
+    each on its own clock (see the module docstring).  ``f`` receives and
+    returns the whole state; for a batch it receives the members' times as a
+    list of Python floats, ``Y`` has shape ``(B, n, d)`` (member ``i``'s
+    samples are ``Y[i]``), ``stats`` is a :class:`BatchStats` and an
+    :class:`IntegrationError` names the failing member.  A member that has
+    reached ``times[-1]`` rides along with a step of length 0 until the last
+    one has.
 
     ``step_cap_fn(t, y)`` returns ``(cap, y)``: a state-dependent step
     ceiling (used to resolve the fastest oscillation of hyperbolic runs) and
     the state to continue from.  That is ``y`` itself, or a replacement the
     caller's flow treats as the same solution (the hyperbolic flow zeroes
     modes that no longer carry energy); the driver then evaluates ``f``
-    afresh there, one more call counted in ``rhs_evals``.  With own clocks it
+    afresh there, one more call counted in ``rhs_evals``.  For a batch it
     is a sequence of one such function per member, each called with its
     member's time and row.
     """
@@ -318,18 +296,17 @@ def solve_to_grid(
     y = np.array(y0, dtype=float)
     if y.ndim not in (1, 2) or y.size == 0:
         raise ValueError("initial state must have shape (d,) or (B, d)")
-    if own_clocks and y.ndim != 2:
-        raise ValueError("own clocks need a (B, d) batch")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
     n = grid.size
     t0 = float(grid[0])
     max_steps = _MAX_STEPS
-    if own_clocks:
+    batch = y.ndim == 2
+    if batch:
         members = y.shape[0]
         cap_fns = [None] * members if step_cap_fn is None else list(step_cap_fn)
         if len(cap_fns) != members:
-            raise ValueError("own clocks need one step cap function per member")
+            raise ValueError("a batch needs one step cap function per member")
         out = np.empty((members, n, y.shape[1]))
         out[:, 0] = y
         t_now = [t0] * members
@@ -341,11 +318,10 @@ def solve_to_grid(
     k1 = np.asarray(f(t_now, y), dtype=float)
     finite = np.isfinite(k1).all(axis=-1)
     if not np.all(finite):
-        member = int(np.argmin(finite)) if own_clocks else None
+        member = int(np.argmin(finite)) if batch else None
         raise IntegrationError(f"right-hand side not finite at t={t0:.6g}", member)
 
     # First trial step: crude but safe; the controller takes over immediately.
-    # A shared clock starts from its most cautious member.
     unit = _member_scale(y)
     y_norm = _norm(unit * y)
     f_norm = _norm(unit * k1)
@@ -354,10 +330,10 @@ def solve_to_grid(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
     first = [min(float(h), float(grid[1] - grid[0])) for h in np.ravel(trial)]
-    if own_clocks:
+    if batch:
         clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
     else:
-        clocks = [_Clock(None, out, step_cap_fn, t0, min(first))]
+        clocks = [_Clock(None, out, step_cap_fn, t0, first[0])]
 
     live = clocks
     while live:
@@ -389,7 +365,7 @@ def solve_to_grid(
             c.h_try = h_try
 
         # the stage times, per member in Python floats
-        if own_clocks:
+        if batch:
             t = [c.t for c in clocks]
             steps = [c.h_try for c in clocks]
             t2, t3, t4, t5 = ([s + a * dh for s, dh in zip(t, steps)] for a in (_C2, _C3, _C4, _C5))
@@ -419,7 +395,7 @@ def solve_to_grid(
         k7 = f(t6, y_new)
 
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        if own_clocks:
+        if batch:
             ratios = _own_ratios(err_vec, y, y_new, rel_tol, abs_tol)
         else:
             ratios = [_error_ratio(err_vec, y, y_new, rel_tol, abs_tol)]
@@ -466,6 +442,6 @@ def solve_to_grid(
                 c.h_try = 0.0
             live = [c for c in live if c.j < n]
 
-    if own_clocks:
+    if batch:
         return out, grid, BatchStats(tuple(c.stats() for c in clocks))
     return out, grid, clocks[0].stats()

@@ -714,10 +714,15 @@ def synthetic_lemma_instances(
       taken by 8-point Gauss-Legendre.  ``"steps"`` is
       ``{"intervals": 599, "nodes": 8}``.
     - lemma33, ``E' = psi1 sqrt(E) + psi2``, is not linear: all instances are
-      integrated in one batched solve in normalized time ``tau = t/t_end``, as
-      ``dy/dtau = t_end f(tau t_end, y)``, each member keeping its own error
-      norm, and every instance records that solve's statistics under
-      ``"steps"``.
+      integrated as one system of ``count`` components in normalized time
+      ``tau = t/t_end``, as ``dy/dtau = t_end f(tau t_end, y)``.  Its error
+      control is normwise over the instances, at ``rel_tol`` 1e-12 and
+      ``abs_tol`` 1e-20, which also holds the start ``E(0) = 0``, where the
+      ODE is not Lipschitz.  Every sample after the first is within 5.6e-11
+      of a DOP853 solve of its instance alone (100 instances, seeds 0-11),
+      and a lone instance is within 7.5e-11 of the same instance solved
+      among 24 others (seed 99).  Every instance records the solve's
+      statistics under ``"steps"``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -731,13 +736,10 @@ def synthetic_lemma_instances(
         forcing = _lemma33_forcing(par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
 
         def f(s: float, y: np.ndarray) -> np.ndarray:
-            rate = _lemma33_rate(y[:, 0], *forcing(s * t_end))
-            return (t_end * rate)[:, None]
+            return t_end * _lemma33_rate(y, *forcing(s * t_end))
 
-        Y, _, stats = solve_to_grid(
-            f, par["y0"][:, None], tau, rel_tol=1e-11, abs_tol=1e-14
-        )
-        Y, steps = Y[:, :, 0], asdict(stats)
+        Y, _, stats = solve_to_grid(f, par["y0"], tau, rel_tol=1e-12, abs_tol=1e-20)
+        steps = asdict(stats)
     else:
         times = col["t_end"] * tau
         if kind == "lemma32":

@@ -535,7 +535,6 @@ def _hyperbolic_runs(
             rel_tol=cfg.rel_tol,
             abs_tol=_ABS_TOL,
             step_cap_fn=caps,
-            own_clocks=batch,
         )
     except IntegrationError as exc:
         raise IntegrationError(f"eps={eps[exc.member or 0]!r}: {exc}") from exc

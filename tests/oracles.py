@@ -249,6 +249,26 @@ def linear_lemma_quad(kind: str, d: dict, t) -> np.ndarray:
     return np.array(y)
 
 
+def lemma33_solve(d: dict, t, rtol: float = 2.3e-14, atol: float = 1e-22) -> np.ndarray:
+    """A lemma33 draw's equality ODE ``E' = psi1 sqrt(E) + psi2`` from
+    ``E(0) = 0`` on the grid ``t``, by DOP853 on the instance alone.
+
+    ``psi1 = a1 e^{-b1 t} + 0.3 (1+t)^{-k1}`` and ``psi2 = a2 e^{-b2 t}``.
+    The default ``rtol`` is the smallest scipy takes without a warning.
+    """
+    a1, b1, a2, b2, k1 = (d[key] for key in ("a1", "b1", "a2", "b2", "k1"))
+
+    def f(s: float, E: np.ndarray) -> np.ndarray:
+        psi1 = a1 * math.exp(-b1 * s) + 0.3 / (1.0 + s) ** k1
+        return psi1 * np.sqrt(np.maximum(E, 0.0)) + a2 * math.exp(-b2 * s)
+
+    t = np.asarray(t, dtype=float)
+    sol = solve_ivp(f, (t[0], t[-1]), [0.0], method="DOP853", rtol=rtol, atol=atol, t_eval=t)
+    if sol.status != 0:
+        raise RuntimeError(sol.message)
+    return sol.y[0]
+
+
 # ---------------------------------------------------------------------------
 # Amplitude-law slopes for the oscillatory regime
 # ---------------------------------------------------------------------------

@@ -430,12 +430,14 @@ class TestComparisonLemmas:
         batch = synthetic_lemma_instances(kind, batch_rng, 25)
         # the same draws, in the same order, leaving the generators in step
         assert singles_rng.random() == batch_rng.random()
-        # lemma33's ODE E' = psi1 sqrt(E) + psi2 is not Lipschitz at its start
-        # E(0) = 0, where abs_tol 1e-14 lets a lone solve drift: on these draws
-        # instance 21 (psi2(0) = 6.7e-4) is 5e-8 off at its first sample.  The
-        # linear kinds' march does each member's arithmetic apart from the
-        # others, so a batch member has its single's bits.
-        rtol = 1e-7 if kind == "lemma33" else 0.0
+        # lemma33's instances are one system under one error norm, so a lone
+        # instance takes other steps than the 25; both solve to near rounding
+        # (abs_tol 1e-20 holds the start E(0) = 0, where E' = psi1 sqrt(E) +
+        # psi2 is not Lipschitz), and on these draws they differ by at most
+        # 7.5e-11 (instance 21).  The linear kinds' march does each member's
+        # arithmetic apart from the others, so a batch member has its
+        # single's bits.
+        rtol = 1e-9 if kind == "lemma33" else 0.0
         for one, member in zip(singles, batch):
             assert sorted(one) == sorted(member)
             for key, want in one.items():

@@ -1,11 +1,14 @@
-"""Seed 0 of every benchmark workload through the benchmark's correctness gate.
+"""Seed 0 of every benchmark workload, and ``lemmas`` seed 3, through the
+benchmark's correctness gate.
 
 The benchmark (``perfbench/run.py``) rejects a change whose outputs its gate
 refuses; this runs the same gate in tier-1, so such a change fails here
 first.  Each workload's CLI steps run in-process into ``tmp_path``, and their
 outputs must pass ``gate.check_repetition`` (exit codes, check counts and
 verdicts), ``gate.check_parabolic`` (the limit flow against a scipy oracle)
-and ``gate.compare`` against ``perfbench/reference/<workload>/seed0.json``.
+and ``gate.compare`` against ``perfbench/reference/<workload>/seed<n>.json``.
+``lemmas`` seed 3 holds a lemma33 instance (87) whose hypothesis check fails
+on a sound instance, so a change that flips a lemma33 verdict fails here.
 """
 
 import json
@@ -23,10 +26,16 @@ import gate  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_seed0_passes_the_gate(tmp_path, workload):
-    spec = workloads.make(workload, 0)
-    reference = json.loads((BENCH / "reference" / workload / "seed0.json").read_text("utf-8"))
+@pytest.mark.parametrize(
+    "workload,seed",
+    [(workload, 0) for workload in workloads.WORKLOADS] + [("lemmas", 3)],
+    ids=lambda value: value if isinstance(value, str) else f"seed{value}",
+)
+def test_the_workload_passes_the_gate(tmp_path, workload, seed):
+    spec = workloads.make(workload, seed)
+    reference = json.loads(
+        (BENCH / "reference" / workload / f"seed{seed}.json").read_text("utf-8")
+    )
     config = tmp_path / "config.json"
     config.write_text(json.dumps(spec["config"]), encoding="utf-8")
     codes = [

@@ -492,8 +492,8 @@ class TestRunScenario:
             # the probe reads the scenario's own two second-order runs
             ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, [2]),
             # 300 synthetic instances; only lemma33's, which is not linear,
-            # take a batched solve
-            ("lemmas", {}, [100]),
+            # take a solve, as one system of 100 components
+            ("lemmas", {}, [(100,)]),
         ],
         ids=["decay_error", "open_problem", "lemmas"],
     )
@@ -505,8 +505,8 @@ class TestRunScenario:
         solve = klab.evolution.solve_to_grid
 
         def counting(f, y0, *args, **kwargs):
-            # the members of one solve: the rows of a batch, or one system
-            calls.append(1 if np.ndim(y0) == 1 else len(y0))
+            # the members of one solve, or the components of one system
+            calls.append(np.shape(y0) if np.ndim(y0) == 1 else len(y0))
             return solve(f, y0, *args, **kwargs)
 
         for module in (klab.evolution, klab.analysis):

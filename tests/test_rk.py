@@ -28,26 +28,10 @@ class TestBatchAxis:
         Y, _, stats = solve_to_grid(
             lambda t, y: -rates[:, None] * y, y0, times, rel_tol=REL_TOL, abs_tol=0.0
         )
-        assert Y.shape == (times.size, *y0.shape)
-        exact = y0[None, :, :] * np.exp(-np.multiply.outer(times, rates))[:, :, None]
+        assert Y.shape == (y0.shape[0], times.size, y0.shape[1])
+        exact = y0[:, None, :] * np.exp(-np.multiply.outer(rates, times))[:, :, None]
         np.testing.assert_allclose(Y, exact, rtol=10.0 * REL_TOL, atol=0.0)
-        assert stats.accepted > 0
-
-    def test_single_member_batch_is_the_unbatched_solve(self):
-        # a nonlinear oscillator whose right-hand side works row by row
-        def f(t, y):
-            u, v = y[..., :2], y[..., 2:]
-            c = 1.0 + np.sum(u * u, axis=-1, keepdims=True)
-            return np.concatenate([v, -v / (1.0 + t) - c * np.array([1.0, 100.0]) * u], axis=-1)
-
-        y0 = np.array([1.0, -0.5, 0.3, 0.0])
-        times = np.linspace(0.0, 5.0, 64)
-        flat, _, flat_stats = solve_to_grid(f, y0, times, rel_tol=REL_TOL, abs_tol=1e-14)
-        batch, _, batch_stats = solve_to_grid(f, y0[None, :], times, rel_tol=REL_TOL, abs_tol=1e-14)
-        assert batch.shape == (times.size, 1, y0.size)
-        np.testing.assert_array_equal(batch[:, 0, :], flat)
-        assert batch_stats == flat_stats
-        assert flat_stats.rejected > 0  # the controller's rejection branch ran too
+        assert all(s.accepted > 0 for s in stats.members)
 
     @pytest.mark.parametrize("y0", [np.ones((2, 2, 1)), np.ones((0, 3))])
     def test_state_shape_is_validated(self, y0):
@@ -67,45 +51,55 @@ def _step_rows(magnitudes, d=3, seed=0):
     return err, y, y_new
 
 
-def _scaled_ratio(err, y, y_new, rel_tol, abs_tol):
-    """The largest member ratio with every member's norms scaled."""
-    ratio = float(np.max(_member_ratios(err, y, y_new, rel_tol, abs_tol)))
-    return ratio if math.isfinite(ratio) else math.inf
+def _scaled_ratios(err, y, y_new, rel_tol, abs_tol):
+    """Each member's ratio from its power-of-two scaled norms, ``inf`` when
+    not finite."""
+    ratios = _member_ratios(err, y, y_new, rel_tol, abs_tol).tolist()
+    return [r if math.isfinite(r) else math.inf for r in ratios]
 
 
-class TestSharedClockErrorRatio:
-    """A shared clock takes its members' norms unscaled when all lie in the
-    safe window, and the result is the scaled one, bit for bit."""
+def _ratios(err, y, y_new, rel_tol, abs_tol):
+    """Each member's ratio as an own-clock batch takes it, after checking
+    that the member's single system takes the same."""
+    ratios = _own_ratios(err, y, y_new, rel_tol, abs_tol)
+    for i, ratio in enumerate(ratios):
+        assert _error_ratio(err[i], y[i], y_new[i], rel_tol, abs_tol) == ratio, i
+    return ratios
+
+
+class TestErrorRatio:
+    """A member, and a single system, takes its norms unscaled when it lies
+    in the safe window, and the result is the scaled one, bit for bit."""
 
     def test_inside_the_window_the_norms_are_not_scaled(self, monkeypatch):
         err, y, y_new = _step_rows([1.0, 3e-50, 2e-99, 5e99, 1e-5])
-        want = _scaled_ratio(err, y, y_new, REL_TOL, 1e-300)
+        want = _scaled_ratios(err, y, y_new, REL_TOL, 1e-300)
 
         def refuse(*args):
             raise AssertionError("scaled norms taken inside the window")
 
         monkeypatch.setattr(klab._rk, "_member_ratios", refuse)
-        assert _error_ratio(err, y, y_new, REL_TOL, 1e-300) == want
+        assert _ratios(err, y, y_new, REL_TOL, 1e-300) == want
 
     @pytest.mark.parametrize("outside", [0.0, 1e-160, 1e120], ids=["zero", "1e-160", "1e120"])
-    def test_one_member_outside_the_window_scales_them_all(self, outside):
+    def test_outside_the_window_the_norms_are_scaled(self, outside):
         err, y, y_new = _step_rows([1.0, outside, 3e-50, 5e99])
         for abs_tol in (1e-300, 1e-14):
-            got = _error_ratio(err, y, y_new, REL_TOL, abs_tol)
-            assert got == _scaled_ratio(err, y, y_new, REL_TOL, abs_tol)
-            assert math.isfinite(got)
+            got = _ratios(err, y, y_new, REL_TOL, abs_tol)
+            assert got == _scaled_ratios(err, y, y_new, REL_TOL, abs_tol)
+            assert all(map(math.isfinite, got))
 
     @pytest.mark.parametrize("mags", [[1.0, 1e-5], [1.0, 1e120]], ids=["inside", "outside"])
     def test_a_non_finite_y_new_gives_inf(self, mags):
         err, y, y_new = _step_rows(mags)
         nan_new = y_new.copy()
         nan_new[1, 0] = np.nan
-        assert _error_ratio(err, y, nan_new, REL_TOL, 1e-300) == math.inf
+        assert _ratios(err, y, nan_new, REL_TOL, 1e-300)[1] == math.inf
         # an overflowed step: the error estimate, made from f(y_new), overflows too
         inf_new, inf_err = y_new.copy(), err.copy()
         inf_new[1, 2] = inf_err[1, 2] = np.inf
-        assert _error_ratio(inf_err, y, inf_new, REL_TOL, 1e-300) == math.inf
-        assert _scaled_ratio(inf_err, y, inf_new, REL_TOL, 1e-300) == math.inf
+        assert _ratios(inf_err, y, inf_new, REL_TOL, 1e-300)[1] == math.inf
+        assert _scaled_ratios(inf_err, y, inf_new, REL_TOL, 1e-300)[1] == math.inf
 
     @pytest.mark.parametrize("mags", [[1.0, 1e-5], [1.0, 1e120]], ids=["inside", "outside"])
     def test_an_infinite_y_new_with_a_finite_error_gives_inf(self, mags):
@@ -114,21 +108,16 @@ class TestSharedClockErrorRatio:
         err, y, y_new = _step_rows(mags)
         y_new[1, 2] = np.inf
         assert np.all(np.isfinite(err))
-        assert _error_ratio(err, y, y_new, REL_TOL, 1e-300) == math.inf
-        assert _error_ratio(err[1], y[1], y_new[1], REL_TOL, 1e-300) == math.inf
-        assert _own_ratios(err, y, y_new, REL_TOL, 1e-300)[1] == math.inf
+        assert _ratios(err, y, y_new, REL_TOL, 1e-300)[1] == math.inf
 
     def test_an_overflowed_norm_of_a_finite_y_new_is_not_rejected(self):
         # components near 1e200 square to inf, but the state is finite
         err, y, y_new = _step_rows([1.0, 1e200])
         with np.errstate(over="ignore"):
             assert not math.isfinite(float(y_new[1] @ y_new[1]))
-            want = _scaled_ratio(err, y, y_new, REL_TOL, 1e-300)
-            assert math.isfinite(want)
-            assert _error_ratio(err, y, y_new, REL_TOL, 1e-300) == want
-            assert _error_ratio(err[1], y[1], y_new[1], REL_TOL, 1e-300) == _scaled_ratio(
-                err[1:], y[1:], y_new[1:], REL_TOL, 1e-300
-            )
+            want = _scaled_ratios(err, y, y_new, REL_TOL, 1e-300)
+            assert math.isfinite(want[1])
+            assert _ratios(err, y, y_new, REL_TOL, 1e-300) == want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(
@@ -141,7 +130,7 @@ class TestSharedClockErrorRatio:
     )
     def test_any_magnitudes_give_the_scaled_ratio(self, exponents, d, seed, abs_tol, rel_tol):
         err, y, y_new = _step_rows([10.0**e for e in exponents], d, seed)
-        assert _error_ratio(err, y, y_new, rel_tol, abs_tol) == _scaled_ratio(
+        assert _ratios(err, y, y_new, rel_tol, abs_tol) == _scaled_ratios(
             err, y, y_new, rel_tol, abs_tol
         )
 
@@ -203,7 +192,7 @@ class TestOwnClocks:
     def batch(self, **kwargs):
         return solve_to_grid(
             _oscillator(self.STIFFNESS), self.Y0, self.TIMES,
-            rel_tol=REL_TOL, abs_tol=1e-300, own_clocks=True, **kwargs,
+            rel_tol=REL_TOL, abs_tol=1e-300, **kwargs,
         )
 
     def test_each_member_is_its_solo_solve(self):
@@ -256,25 +245,18 @@ class TestOwnClocks:
             self.batch(step_cap_fn=caps)
         assert err.value.member == 1
 
-    @pytest.mark.parametrize(
-        "y0,kwargs",
-        [(np.ones(2), {}), (np.ones((3, 2)), {}), (np.ones((3, 2)), {"own_clocks": True})],
-        ids=["single", "shared", "own"],
-    )
-    def test_step_totals_are_integers_for_every_layout(self, y0, kwargs):
+    @pytest.mark.parametrize("y0", [np.ones(2), np.ones((3, 2))], ids=["single", "own"])
+    def test_step_totals_are_integers_for_every_layout(self, y0):
         _, _, stats = solve_to_grid(
-            lambda t, y: -y, y0, np.linspace(0.0, 1.0, 5), rel_tol=REL_TOL, abs_tol=0.0, **kwargs
+            lambda t, y: -y, y0, np.linspace(0.0, 1.0, 5), rel_tol=REL_TOL, abs_tol=0.0
         )
         assert type(stats.accepted) is int and type(stats.rejected) is int
         assert stats.accepted >= 4
-        if kwargs:
+        if y0.ndim == 2:
             assert stats.accepted == sum(s.accepted for s in stats.members)
             assert stats.rejected == sum(s.rejected for s in stats.members)
 
     def test_own_clocks_are_validated(self):
-        with pytest.raises(ValueError, match="batch"):
-            solve_to_grid(lambda t, y: -y, np.ones(2), [0.0, 1.0],
-                          rel_tol=REL_TOL, abs_tol=0.0, own_clocks=True)
         with pytest.raises(ValueError, match="per member"):
             solve_to_grid(lambda t, y: -y, np.ones((2, 1)), [0.0, 1.0], rel_tol=REL_TOL,
-                          abs_tol=0.0, own_clocks=True, step_cap_fn=[lambda t, y: (1.0, y)])
+                          abs_tol=0.0, step_cap_fn=[lambda t, y: (1.0, y)])
