@@ -12,9 +12,11 @@ requested sample grid, so sampled values carry full integration accuracy.
 The driver steps clocks.  A clock owns rows of the state and keeps their
 time, step size, next stop, accept/reject decision, step cap and
 ``StepStats``; every attempt computes the seven stages and error estimates
-of all rows in one set of array operations.
+of all rows in one set of array operations, and one routine,
+``_error_ratios``, takes each row's error over its tolerance.
 
-- A state of shape ``(d,)`` is a single system: one clock over one row.
+- A state of shape ``(d,)`` is a single system: one clock over one row,
+  stepped as a batch of one.
 - A state of shape ``(B, d)`` is a batch of ``B`` independent members, each
   on its own clock, which takes exactly the steps, and produces exactly the
   bits, of its member's solo solve.
@@ -88,7 +90,7 @@ _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 # A state whose norm lies in this window has its error norms taken unscaled
-# (see ``_unscaled_ratio``).
+# (see ``_error_ratios``).
 _SAFE_NORM_LO = 1e-100
 _SAFE_NORM_HI = 1e100
 
@@ -133,17 +135,15 @@ class BatchStats:
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    # Euclidean norm over the last axis.  Each member's norm is the same BLAS
-    # dot as the norm of a 1-D state (``norm(x, axis=-1)`` sums in another
-    # order), so a batch member reproduces the unbatched run bit for bit.
-    if x.ndim == 1:
-        return math.sqrt(x @ x)
+    # Euclidean norm of each row of ``(B, d)``.  Each is the BLAS dot of a
+    # 1-D ``x @ x`` (``norm(x, axis=-1)`` sums in another order), so a row's
+    # norm does not depend on the rows beside it.
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def _member_scale(y: np.ndarray) -> np.ndarray:
-    # Per member (the one system of a 1-D state), the power of two bringing
-    # its largest component near 1.  Scaling by it is exact, so it changes no
+    # Per row (a 1-D ``y`` is one row), the power of two bringing its
+    # largest component near 1.  Scaling by it is exact, so it changes no
     # ratio, but a member far below its neighbours (or below 1e-154) no
     # longer squares to zero or to a subnormal in its norm.
     _, exponent = np.frexp(np.max(np.abs(y), axis=-1, keepdims=True))
@@ -153,29 +153,20 @@ def _member_scale(y: np.ndarray) -> np.ndarray:
 def _member_ratios(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> np.ndarray:
-    """Each member's error over its tolerance, from power-of-two scaled norms."""
+    """Each row's error over its tolerance, from power-of-two scaled norms."""
     s = _member_scale(y)
     scale = abs_tol * s[..., 0] + rel_tol * np.maximum(_norm(s * y), _norm(s * y_new))
     with np.errstate(divide="ignore", invalid="ignore"):
         return _norm(s * err_vec) / scale
 
 
-def _unscaled_ratio(
-    y_norm: float, new_norm: float, err_norm: float, rel_tol: float, abs_tol: float
-) -> float | None:
-    """Error over tolerance from unscaled norms, or ``None`` when ``|y|``
-    leaves the safe window: inside it the squares that decide the norms are
-    normal numbers, where the power-of-two scaling of ``_member_ratios``
-    would change no bit."""
-    if not _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
-        return None
-    return err_norm / (abs_tol + rel_tol * max(y_norm, new_norm))
-
-
-def _own_ratios(
+def _error_ratios(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> list[float]:
-    """Each member's ``_error_ratio`` as its single system computes it."""
+    """Each row's error over its tolerance, ``inf`` when not finite and when
+    its ``y_new`` has a non-finite component.  The rows are ``(B, d)``: a
+    batch's members, or the one row of a single system; no row's ratio
+    depends on another's."""
     members = len(y)
     # squares past the largest double make a norm inf, which leaves the safe
     # window, so the scaled norms decide
@@ -184,13 +175,15 @@ def _own_ratios(
     ratios = []
     scaled = None
     for i in range(members):
-        new_norm = norms[members + i]
+        y_norm, new_norm = norms[i], norms[members + i]
         # a finite norm has finite components; an infinite one may be overflow
         if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new[i])):
-            ratios.append(math.inf)
-            continue
-        ratio = _unscaled_ratio(norms[i], new_norm, norms[2 * members + i], rel_tol, abs_tol)
-        if ratio is None:
+            ratio = math.inf
+        elif _SAFE_NORM_LO < y_norm < _SAFE_NORM_HI:
+            # the squares that decide these norms are normal numbers, where
+            # the power-of-two scaling of ``_member_ratios`` changes no bit
+            ratio = norms[2 * members + i] / (abs_tol + rel_tol * max(y_norm, new_norm))
+        else:
             if scaled is None:
                 scaled = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol).tolist()
             ratio = scaled[i]
@@ -198,30 +191,13 @@ def _own_ratios(
     return ratios
 
 
-def _error_ratio(
-    err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
-) -> float:
-    """A single system's error over its tolerance; ``inf`` when not finite,
-    and when ``y_new`` has a non-finite component."""
-    # squares past the largest double make a norm inf, which leaves the safe
-    # window, so the scaled norms decide
-    with np.errstate(over="ignore"):
-        y_norm, new_norm, err_norm = _norm(y), _norm(y_new), _norm(err_vec)
-    # a finite norm has finite components; an infinite one may be overflow
-    if not math.isfinite(new_norm) and not np.all(np.isfinite(y_new)):
-        return math.inf
-    ratio = _unscaled_ratio(y_norm, new_norm, err_norm, rel_tol, abs_tol)
-    if ratio is None:
-        ratio = _member_ratios(err_vec, y, y_new, rel_tol, abs_tol)
-    return float(ratio) if math.isfinite(ratio) else math.inf
-
-
 class _Clock:
     """One clock's step control: its rows, time, step size, next stop and counts.
 
     ``member`` is ``i`` for member ``i`` of a batch and ``None`` for the
     one clock of a single system; ``row`` indexes the clock's rows in the
-    state accordingly (``i`` or ``...``) and ``out`` is its sample array.
+    state accordingly (``i`` or ``...``) and ``out`` is its ``(n, d)``
+    slice of the ``(members, n, d)`` samples (a single system is member 0).
     ``h_try``, ``target`` and ``hits`` describe the attempt in flight; a
     clock that has reached its last stop attempts steps of length 0.
     """
@@ -269,14 +245,15 @@ def solve_to_grid(
     Returns ``(Y, times, stats)`` where ``Y[i]`` is the state at ``times[i]``.
 
     ``y0`` of shape ``(d,)`` is one system, held to one error norm over all
-    its components.  ``(B, d)`` is a batch of ``B`` independent members,
-    each on its own clock (see the module docstring).  ``f`` receives and
-    returns the whole state; for a batch it receives the members' times as a
-    list of Python floats, ``Y`` has shape ``(B, n, d)`` (member ``i``'s
-    samples are ``Y[i]``), ``stats`` is a :class:`BatchStats` and an
-    :class:`IntegrationError` names the failing member.  A member that has
-    reached ``times[-1]`` rides along with a step of length 0 until the last
-    one has.
+    its components and stepped as the one row of a batch of one; ``f``
+    receives its time as a Python float.  ``(B, d)`` is a batch of ``B``
+    independent members, each on its own clock (see the module docstring).
+    ``f`` receives and returns the whole state; for a batch it receives the
+    members' times as a list of Python floats, ``Y`` has shape ``(B, n, d)``
+    (member ``i``'s samples are ``Y[i]``), ``stats`` is a
+    :class:`BatchStats` and an :class:`IntegrationError` names the failing
+    member.  A member that has reached ``times[-1]`` rides along with a step
+    of length 0 until the last one has.
 
     ``step_cap_fn(t, y)`` returns ``(cap, y)``: a state-dependent step
     ceiling (used to resolve the fastest oscillation of hyperbolic runs) and
@@ -301,21 +278,17 @@ def solve_to_grid(
     n = grid.size
     t0 = float(grid[0])
     max_steps = _MAX_STEPS
+    # a single system is stepped as a batch of one; only its ``f`` and returns differ
     batch = y.ndim == 2
-    if batch:
-        members = y.shape[0]
-        cap_fns = [None] * members if step_cap_fn is None else list(step_cap_fn)
-        if len(cap_fns) != members:
-            raise ValueError("a batch needs one step cap function per member")
-        out = np.empty((members, n, y.shape[1]))
-        out[:, 0] = y
-        t_now = [t0] * members
-    else:
-        out = np.empty((n,) + y.shape)
-        out[0] = y
-        t_now = t0
+    members = len(y) if batch else 1
+    shape = (members, y.shape[-1])
+    cap_fns = list(step_cap_fn) if batch and step_cap_fn is not None else [step_cap_fn] * members
+    if len(cap_fns) != members:
+        raise ValueError("a batch needs one step cap function per member")
+    out = np.empty((members, n, shape[1]))
+    out[:, 0] = y
 
-    k1 = np.asarray(f(t_now, y), dtype=float)
+    k1 = np.asarray(f([t0] * members if batch else t0, y), dtype=float)
     finite = np.isfinite(k1).all(axis=-1)
     if not np.all(finite):
         member = int(np.argmin(finite)) if batch else None
@@ -323,17 +296,16 @@ def solve_to_grid(
 
     # First trial step: crude but safe; the controller takes over immediately.
     unit = _member_scale(y)
-    y_norm = _norm(unit * y)
-    f_norm = _norm(unit * k1)
+    y_norm = _norm(unit * y.reshape(shape))
+    f_norm = _norm(unit * k1.reshape(shape))
     moving = (y_norm > 0.0) & (f_norm > 0.0)
     trial = np.where(
         moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
     )
-    first = [min(float(h), float(grid[1] - grid[0])) for h in np.ravel(trial)]
-    if batch:
-        clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
-    else:
-        clocks = [_Clock(None, out, step_cap_fn, t0, first[0])]
+    first = [min(float(h), float(grid[1] - grid[0])) for h in trial]
+    clocks = [
+        _Clock(i if batch else None, out[i], cap_fns[i], t0, first[i]) for i in range(members)
+    ]
 
     live = clocks
     while live:
@@ -395,10 +367,9 @@ def solve_to_grid(
         k7 = f(t6, y_new)
 
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        if batch:
-            ratios = _own_ratios(err_vec, y, y_new, rel_tol, abs_tol)
-        else:
-            ratios = [_error_ratio(err_vec, y, y_new, rel_tol, abs_tol)]
+        ratios = _error_ratios(
+            err_vec.reshape(shape), y.reshape(shape), y_new.reshape(shape), rel_tol, abs_tol
+        )
 
         accepted = []
         for c in live:
@@ -444,4 +415,4 @@ def solve_to_grid(
 
     if batch:
         return out, grid, BatchStats(tuple(c.stats() for c in clocks))
-    return out, grid, clocks[0].stats()
+    return out[0], grid, clocks[0].stats()

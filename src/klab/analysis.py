@@ -1071,6 +1071,11 @@ def wkb_compare(traj: Trajectory) -> CheckReport:
     return _report("wkb_amplitude_law", slack, t_end, 0.0, params)
 
 
+def _halving_sweep(eps) -> bool:
+    """Whether each value of ``eps`` is twice the next, to 1e-9 relative."""
+    return all(abs(a / b - 2.0) < 1e-9 for a, b in zip(eps, eps[1:]))
+
+
 def epsilon_sweep_decay_error(
     times,
     gamma_r_by_eps: dict[float, np.ndarray],
@@ -1087,14 +1092,12 @@ def epsilon_sweep_decay_error(
     ratio to ``eps^2 phi``.  Asserts the sweep is stable within 4x and every
     halving keeps ``S(eps/2)/S(eps)`` in ``[1/2, 2]``.
     """
-    eps_sorted = sorted(float(e) for e in gamma_r_by_eps)
-    if len(eps_sorted) < 3:
+    eps_desc = sorted((float(e) for e in gamma_r_by_eps), reverse=True)
+    if len(eps_desc) < 3:
         raise ValueError("the sweep needs at least three eps values")
-    for small, large in zip(eps_sorted, eps_sorted[1:]):
-        if abs(large / small - 2.0) > 1e-9:
-            raise ValueError("eps values must form a halving (ratio-2) sweep")
+    if not _halving_sweep(eps_desc):
+        raise ValueError("eps values must form a halving (ratio-2) sweep")
     en.require_admissible_beta(beta, p, mu, nu)
-    eps_desc = eps_sorted[::-1]
     t = np.asarray(times, dtype=float)
     phi_vals = en.phi(beta, p, t)
     sups = [

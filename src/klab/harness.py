@@ -629,7 +629,7 @@ def _scn_decay(ctx: _Context) -> None:
 def _scn_decay_error(ctx: _Context) -> None:
     ctx.require_epsilon("decay_error", 3)
     c = ctx.cfg
-    if any(abs(a / b - 2.0) >= 1e-9 for a, b in zip(c.epsilon, c.epsilon[1:])):
+    if not an._halving_sweep(c.epsilon):
         raise ConfigError("scenario 'decay_error': epsilon must halve from value to value")
     traj_par = ctx.parabolic()
     th0 = theta0(c.u0, c.u1, c.operator, c.mass)

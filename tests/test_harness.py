@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import klab._rk
-from klab import IntegratorConfig, arithmetic_spectrum
+import klab.harness
+from klab import IntegratorConfig, arithmetic_spectrum, epsilon_sweep_decay_error
 from klab.cli import main as cli_main
 from klab.harness import (
     SCENARIOS,
@@ -340,6 +341,31 @@ class TestRunScenario:
     def test_decay_error_needs_a_halving_sweep(self, tmp_path):
         cfg = config_from_dict(base_config(scenario="decay_error", epsilon=[0.04, 0.03, 0.01]))
         with pytest.raises(ConfigError, match="halve"):
+            run_scenario(cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("offset", [0.5e-9, -0.5e-9, 2e-9, -2e-9])
+    def test_decay_error_takes_the_sweeps_its_check_takes(self, tmp_path, monkeypatch, offset):
+        # the scenario refuses a sweep before integrating exactly when the
+        # check it runs would refuse it afterwards
+        eps = [0.04, 0.02, 0.02 / (2.0 + offset)]
+        halving = abs(offset) < 1e-9
+        times = np.linspace(0.0, 4.0, 100)
+        ones = {e: np.ones(100) for e in eps}
+        if halving:
+            epsilon_sweep_decay_error(times, ones, 1.0, 0.5, 1.0, 1.0)
+        else:
+            with pytest.raises(ValueError, match="halving"):
+                epsilon_sweep_decay_error(times, ones, 1.0, 0.5, 1.0, 1.0)
+
+        class Integrating(Exception):
+            pass
+
+        def integrating(ctx):
+            raise Integrating
+
+        monkeypatch.setattr(klab.harness._Context, "parabolic", integrating)
+        cfg = config_from_dict(base_config(scenario="decay_error", epsilon=eps))
+        with pytest.raises(Integrating if halving else ConfigError):
             run_scenario(cfg, tmp_path / "out")
 
     def test_render_report_needs_manifest(self, tmp_path):

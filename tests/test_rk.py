@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 import klab._rk
 from klab._rk import (
     IntegrationError,
-    _error_ratio,
+    _error_ratios,
     _member_ratios,
-    _own_ratios,
+    _norm,
     solve_to_grid,
 )
 
@@ -59,12 +59,24 @@ def _scaled_ratios(err, y, y_new, rel_tol, abs_tol):
 
 
 def _ratios(err, y, y_new, rel_tol, abs_tol):
-    """Each member's ratio as an own-clock batch takes it, after checking
-    that the member's single system takes the same."""
-    ratios = _own_ratios(err, y, y_new, rel_tol, abs_tol)
+    """Each member's ratio as a batch takes it, after checking that the
+    member's own row alone (as a single system takes it) gives the same."""
+    ratios = _error_ratios(err, y, y_new, rel_tol, abs_tol)
     for i, ratio in enumerate(ratios):
-        assert _error_ratio(err[i], y[i], y_new[i], rel_tol, abs_tol) == ratio, i
+        row = slice(i, i + 1)
+        assert _error_ratios(err[row], y[row], y_new[row], rel_tol, abs_tol) == [ratio], i
     return ratios
+
+
+class TestRowNorm:
+    @pytest.mark.parametrize("d", [1, 8, 100, 128, 1000, 4096])
+    def test_a_row_norm_is_the_1d_dot_bit_for_bit(self, d):
+        # a single system's state is stepped as the one row of a batch, so
+        # its norms must be those of the 1-D dot (the sizes span lemma33's
+        # 100 components and the hyperbolic states of K = 4 and 64)
+        rng = np.random.default_rng(d)
+        for x in rng.standard_normal((20, d)) * 10.0 ** rng.uniform(-5.0, 5.0, (20, 1)):
+            assert _norm(x[None])[0] == math.sqrt(x @ x)
 
 
 class TestErrorRatio:
