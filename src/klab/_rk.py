@@ -9,26 +9,23 @@ its peak near 1, so a state below 1e-154 does not square to zero; the
 scaling changes no ratio.  Steps are clipped to land exactly on the
 requested sample grid, so sampled values carry full integration accuracy.
 
-The driver steps clocks.  A clock owns rows of the state and keeps their
-time, step size, next stop, accept/reject decision, step cap and
-``StepStats``; every attempt computes the seven stages and error estimates
-of all rows in one set of array operations, and one routine,
-``_error_ratios``, takes each row's error over its tolerance.
+The state has shape ``(B, d)``: a batch of ``B`` independent members, each
+on its own clock, which takes exactly the steps, and produces exactly the
+bits, of its member's solve as a batch of one; a single system is a batch
+of one.  A clock owns its member's row of the state and keeps its time,
+step size, next stop, accept/reject decision, step cap and ``StepStats``;
+every attempt computes the seven stages and error estimates of all rows in
+one set of array operations, and one routine, ``_error_ratios``, takes each
+row's error over its tolerance.
 
-- A state of shape ``(d,)`` is a single system: one clock over one row,
-  stepped as a batch of one.
-- A state of shape ``(B, d)`` is a batch of ``B`` independent members, each
-  on its own clock, which takes exactly the steps, and produces exactly the
-  bits, of its member's solo solve.
-
-Own clocks reproduce a solo solve bit for bit under two rules, which a
-right-hand side for them must keep too.  Every per-member scalar (times, step
-sizes, ratios and above all every ``**``) is a Python float: numpy's vector
-power may use another ``pow`` than the C library's (SIMD math libraries
-differ from it in the last bit in a few percent of calls).  And every
-per-member dot is the stacked ``(B, 1, d) @ (B, d, 1)`` matmul, which takes
-the same BLAS dot as a 1-D state; a plain ``(B, d) @ (d,)`` product sums in
-another order in about half the rows.
+A member reproduces its solve as a batch of one bit for bit under two
+rules, which a right-hand side must keep too.  Every per-member scalar
+(times, step sizes, ratios and above all every ``**``) is a Python float:
+numpy's vector power may use another ``pow`` than the C library's (SIMD
+math libraries differ from it in the last bit in a few percent of calls).
+And every per-member dot is the stacked ``(B, 1, d) @ (B, d, 1)`` matmul,
+which takes the same BLAS dot as a 1-D ``x @ x``; a plain
+``(B, d) @ (d,)`` product sums in another order in about half the rows.
 """
 
 from __future__ import annotations
@@ -43,9 +40,8 @@ __all__ = ["BatchStats", "IntegrationError", "StepStats", "solve_to_grid"]
 
 # Attempted steps a clock may take before the solve fails.
 _MAX_STEPS = 10_000_000
-
-# A step cap: ``(t, y) -> (cap, y)`` (see ``solve_to_grid``).
-_CapFn = Callable[[float, np.ndarray], tuple[float, np.ndarray]]
+# A step shorter than ``_MIN_STEP * max(1, |t|)`` fails the solve as an underflow.
+_MIN_STEP = 1e-14
 
 # Dormand & Prince coefficients (the classic RK45 pair, FSAL form).  The
 # stage and error weights only ever multiply arrays, and as 0-d arrays they
@@ -98,8 +94,8 @@ _SAFE_NORM_HI = 1e100
 class IntegrationError(RuntimeError):
     """Integration could not continue (step underflow, budget, or nonfinite state).
 
-    ``member`` is the index of the failing member of a batch, else
-    ``None``.
+    ``member`` is the index of the failing member of the driver's batch, and
+    ``None`` for an error raised outside the driver.
     """
 
     def __init__(self, message: str, member: int | None = None) -> None:
@@ -120,8 +116,8 @@ class StepStats:
 
 @dataclass(frozen=True)
 class BatchStats:
-    """What a batch did: each member's ``StepStats`` as its solo
-    solve reports them, and the steps summed over the members."""
+    """What a batch did: each member's ``StepStats`` as its solve as a batch
+    of one reports them, and the steps summed over the members."""
 
     members: tuple[StepStats, ...]
 
@@ -164,9 +160,8 @@ def _error_ratios(
     err_vec: np.ndarray, y: np.ndarray, y_new: np.ndarray, rel_tol: float, abs_tol: float
 ) -> list[float]:
     """Each row's error over its tolerance, ``inf`` when not finite and when
-    its ``y_new`` has a non-finite component.  The rows are ``(B, d)``: a
-    batch's members, or the one row of a single system; no row's ratio
-    depends on another's."""
+    its ``y_new`` has a non-finite component.  The rows are a batch's
+    ``(B, d)`` members; no row's ratio depends on another's."""
     members = len(y)
     # squares past the largest double make a norm inf, which leaves the safe
     # window, so the scaled norms decide
@@ -192,24 +187,21 @@ def _error_ratios(
 
 
 class _Clock:
-    """One clock's step control: its rows, time, step size, next stop and counts.
+    """One clock's step control: its row, time, step size, next stop and counts.
 
-    ``member`` is ``i`` for member ``i`` of a batch and ``None`` for the
-    one clock of a single system; ``row`` indexes the clock's rows in the
-    state accordingly (``i`` or ``...``) and ``out`` is its ``(n, d)``
-    slice of the ``(members, n, d)`` samples (a single system is member 0).
-    ``h_try``, ``target`` and ``hits`` describe the attempt in flight; a
-    clock that has reached its last stop attempts steps of length 0.
+    ``member`` indexes the clock's row of the state, and ``out`` is its
+    ``(n, d)`` slice of the ``(members, n, d)`` samples.  ``h_try``,
+    ``target`` and ``hits`` describe the attempt in flight; a clock that has
+    reached its last stop attempts steps of length 0.
     """
 
     __slots__ = (
-        "member", "row", "out", "cap_fn", "t", "h", "j", "accepted", "rejected",
+        "member", "out", "cap_fn", "t", "h", "j", "accepted", "rejected",
         "replacements", "h_min", "h_max", "just_rejected", "h_try", "target", "hits",
     )
 
-    def __init__(self, member: int | None, out, cap_fn, t: float, h: float) -> None:
+    def __init__(self, member: int, out, cap_fn, t: float, h: float) -> None:
         self.member = member
-        self.row = ... if member is None else member
         self.out = out
         self.cap_fn = cap_fn
         self.t = t
@@ -221,9 +213,6 @@ class _Clock:
         self.h_min = math.inf
         self.h_max = 0.0
         self.just_rejected = False
-        self.h_try = 0.0
-        self.target = t
-        self.hits = False
 
     def stats(self) -> StepStats:
         attempts = self.accepted + self.rejected
@@ -232,26 +221,25 @@ class _Clock:
 
 
 def solve_to_grid(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[Sequence[float], np.ndarray], np.ndarray],
     y0,
     times,
     *,
     rel_tol: float,
     abs_tol: float,
-    step_cap_fn: _CapFn | Sequence[_CapFn] | None = None,
-) -> tuple[np.ndarray, np.ndarray, StepStats | BatchStats]:
+    step_cap_fn: Sequence[Callable[[float, np.ndarray], tuple[float, np.ndarray]]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, BatchStats]:
     """Integrate ``y' = f(t, y)`` from ``times[0]`` and sample it on the grid ``times``.
 
-    Returns ``(Y, times, stats)`` where ``Y[i]`` is the state at ``times[i]``.
+    ``y0`` of shape ``(B, d)`` is a batch of ``B`` independent members, each
+    on its own clock and held to one error norm over its ``d`` components
+    (see the module docstring); one system is a batch of one.  ``f``
+    receives the members' times as a sequence of Python floats and the whole
+    state, and returns the whole state's derivative.
 
-    ``y0`` of shape ``(d,)`` is one system, held to one error norm over all
-    its components and stepped as the one row of a batch of one; ``f``
-    receives its time as a Python float.  ``(B, d)`` is a batch of ``B``
-    independent members, each on its own clock (see the module docstring).
-    ``f`` receives and returns the whole state; for a batch it receives the
-    members' times as a list of Python floats, ``Y`` has shape ``(B, n, d)``
-    (member ``i``'s samples are ``Y[i]``), ``stats`` is a
-    :class:`BatchStats` and an :class:`IntegrationError` names the failing
+    Returns ``(Y, times, stats)``: ``Y`` has shape ``(B, n, d)``, and
+    ``Y[i, j]`` is member ``i`` at ``times[j]``; ``stats`` is a
+    :class:`BatchStats`, and an :class:`IntegrationError` names the failing
     member.  A member that has reached ``times[-1]`` rides along with a step
     of length 0 until the last one has.
 
@@ -260,9 +248,9 @@ def solve_to_grid(
     the state to continue from.  That is ``y`` itself, or a replacement the
     caller's flow treats as the same solution (the hyperbolic flow zeroes
     modes that no longer carry energy); the driver then evaluates ``f``
-    afresh there, one more call counted in ``rhs_evals``.  For a batch it
-    is a sequence of one such function per member, each called with its
-    member's time and row.
+    afresh there, one more call counted in ``rhs_evals``.  It is a sequence
+    of one such function per member, each called with its member's time
+    and row.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -271,63 +259,57 @@ def solve_to_grid(
         raise ValueError("times must be strictly increasing")
 
     y = np.array(y0, dtype=float)
-    if y.ndim not in (1, 2) or y.size == 0:
-        raise ValueError("initial state must have shape (d,) or (B, d)")
+    if y.ndim != 2 or y.size == 0:
+        raise ValueError("initial state must have shape (B, d)")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
     n = grid.size
     t0 = float(grid[0])
-    max_steps = _MAX_STEPS
-    # a single system is stepped as a batch of one; only its ``f`` and returns differ
-    batch = y.ndim == 2
-    members = len(y) if batch else 1
-    shape = (members, y.shape[-1])
-    cap_fns = list(step_cap_fn) if batch and step_cap_fn is not None else [step_cap_fn] * members
+    members = len(y)
+    cap_fns = [None] * members if step_cap_fn is None else list(step_cap_fn)
     if len(cap_fns) != members:
         raise ValueError("a batch needs one step cap function per member")
-    out = np.empty((members, n, shape[1]))
+    out = np.empty((members, n, y.shape[1]))
     out[:, 0] = y
 
-    k1 = np.asarray(f([t0] * members if batch else t0, y), dtype=float)
+    k1 = np.asarray(f([t0] * members, y), dtype=float)
     finite = np.isfinite(k1).all(axis=-1)
     if not np.all(finite):
-        member = int(np.argmin(finite)) if batch else None
-        raise IntegrationError(f"right-hand side not finite at t={t0:.6g}", member)
+        raise IntegrationError(f"right-hand side not finite at t={t0:.6g}", int(np.argmin(finite)))
 
     # First trial step: crude but safe; the controller takes over immediately.
     unit = _member_scale(y)
-    y_norm = _norm(unit * y.reshape(shape))
-    f_norm = _norm(unit * k1.reshape(shape))
+    y_norm = _norm(unit * y)
+    f_norm = _norm(unit * k1)
     moving = (y_norm > 0.0) & (f_norm > 0.0)
-    trial = np.where(
-        moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), 1e-6 * (grid[-1] - grid[0])
-    )
+    rest = max(1e-6 * (grid[-1] - grid[0]), _MIN_STEP * max(1.0, abs(t0)))
+    trial = np.where(moving, 0.01 * y_norm / np.where(moving, f_norm, 1.0), rest)
     first = [min(float(h), float(grid[1] - grid[0])) for h in trial]
-    clocks = [
-        _Clock(i if batch else None, out[i], cap_fns[i], t0, first[i]) for i in range(members)
-    ]
+    clocks = [_Clock(i, out[i], cap_fns[i], t0, first[i]) for i in range(members)]
 
     live = clocks
     while live:
         replaced = []
         for c in live:
-            if c.accepted + c.rejected >= max_steps:
+            if c.accepted + c.rejected >= _MAX_STEPS:
                 raise IntegrationError(
-                    f"step budget {max_steps} exceeded at t={c.t:.6g} (h={c.h:.3g})", c.member
+                    f"step budget {_MAX_STEPS} exceeded at t={c.t:.6g} (h={c.h:.3g})", c.member
                 )
             cap = math.inf
             if c.cap_fn is not None:
-                state = y[c.row]
+                state = y[c.member]
                 cap, y_cap = c.cap_fn(c.t, state)
                 if y_cap is not state:
                     replaced.append((c, y_cap))
             target = float(grid[c.j])
             remaining = target - c.t
             h_try = min(c.h, cap, remaining)
-            c.hits = h_try >= remaining * (1.0 - 1e-12)
+            shortest = _MIN_STEP * max(1.0, abs(c.t))
+            # a step that would leave less than the shortest step takes the rest whole
+            c.hits = h_try >= remaining * (1.0 - 1e-12) or remaining - h_try < shortest
             if c.hits:
                 h_try = remaining
-            if h_try < 1e-14 * max(1.0, abs(c.t)):
+            if h_try < shortest:
                 raise IntegrationError(
                     f"step size underflow at t={c.t:.6g} (h={h_try:.3g}): "
                     "problem too stiff for the explicit step budget",
@@ -337,25 +319,22 @@ def solve_to_grid(
             c.h_try = h_try
 
         # the stage times, per member in Python floats
-        if batch:
-            t = [c.t for c in clocks]
-            steps = [c.h_try for c in clocks]
-            t2, t3, t4, t5 = ([s + a * dh for s, dh in zip(t, steps)] for a in (_C2, _C3, _C4, _C5))
-            t6 = [s + dh for s, dh in zip(t, steps)]
-            h = np.empty(y.shape)  # full rows multiply faster than a broadcast column
-            h[...] = np.array(steps)[:, None]
-        else:
-            t = clocks[0].t
-            h = clocks[0].h_try
-            t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
+        t = [c.t for c in clocks]
+        steps = [c.h_try for c in clocks]
+        t2, t3, t4, t5, t6 = zip(*[
+            (s + _C2 * dh, s + _C3 * dh, s + _C4 * dh, s + _C5 * dh, s + dh)
+            for s, dh in zip(t, steps)
+        ])
+        h = np.empty(y.shape)  # full rows multiply faster than a broadcast column
+        h[...] = np.array(steps)[:, None]
         if replaced:
             y = y.copy()
             for c, y_cap in replaced:
-                y[c.row] = y_cap
+                y[c.member] = y_cap
             fresh = np.asarray(f(t, y), dtype=float)
             k1 = k1.copy()
             for c, _ in replaced:
-                k1[c.row] = fresh[c.row]
+                k1[c.member] = fresh[c.member]
                 c.replacements += 1
 
         k2 = f(t2, y + h * (_A21 * k1))
@@ -367,13 +346,11 @@ def solve_to_grid(
         k7 = f(t6, y_new)
 
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        ratios = _error_ratios(
-            err_vec.reshape(shape), y.reshape(shape), y_new.reshape(shape), rel_tol, abs_tol
-        )
+        ratios = _error_ratios(err_vec, y, y_new, rel_tol, abs_tol)
 
         accepted = []
         for c in live:
-            ratio = ratios[c.member or 0]
+            ratio = ratios[c.member]
             if ratio <= 1.0:
                 accepted.append(c)
                 h_try = c.h_try
@@ -382,7 +359,7 @@ def solve_to_grid(
                 c.h_max = max(c.h_max, h_try)
                 c.t = c.target if c.hits else c.t + h_try
                 if c.hits:
-                    c.out[c.j] = y_new[c.row]
+                    c.out[c.j] = y_new[c.member]
                     c.j += 1
                 factor = _MAX_GROWTH if ratio == 0.0 else _SAFETY * ratio ** (-0.2)
                 if c.just_rejected:
@@ -402,7 +379,7 @@ def solve_to_grid(
             # finished clocks took steps of length 0, and their samples are out
             y, k1 = y_new, k7
         elif accepted:
-            rows = [c.row for c in accepted]
+            rows = [c.member for c in accepted]
             y = y.copy()
             y[rows] = y_new[rows]
             k1 = k1.copy()
@@ -413,6 +390,4 @@ def solve_to_grid(
                 c.h_try = 0.0
             live = [c for c in live if c.j < n]
 
-    if batch:
-        return out, grid, BatchStats(tuple(c.stats() for c in clocks))
-    return out[0], grid, clocks[0].stats()
+    return out, grid, BatchStats(tuple(c.stats() for c in clocks))

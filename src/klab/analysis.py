@@ -215,7 +215,8 @@ def _first_sample(times: np.ndarray, t_start) -> np.ndarray:
     """Per row of ``times``, the index of its first sample at or past ``t_start``
     (one value, or one per row), allowing ``1e-12`` of relative rounding."""
     t_start = np.asarray(t_start, dtype=float)
-    cut = t_start - 1e-12 * np.maximum(1.0, t_start)
+    # an infinite start (a decay monitor's ``T`` as p -> 0) cuts off every sample
+    cut = t_start - 1e-12 * np.clip(t_start, 1.0, np.finfo(float).max)
     return (times < cut[..., None]).sum(axis=-1)
 
 
@@ -714,7 +715,8 @@ def synthetic_lemma_instances(
       taken by 8-point Gauss-Legendre.  ``"steps"`` is
       ``{"intervals": 599, "nodes": 8}``.
     - lemma33, ``E' = psi1 sqrt(E) + psi2``, is not linear: all instances are
-      integrated as one system of ``count`` components in normalized time
+      integrated as one system of ``count`` components (one row of
+      ``solve_to_grid``'s batch) in normalized time
       ``tau = t/t_end``, as ``dy/dtau = t_end f(tau t_end, y)``.  Its error
       control is normwise over the instances, at ``rel_tol`` 1e-12 and
       ``abs_tol`` 1e-20, which also holds the start ``E(0) = 0``, where the
@@ -735,11 +737,11 @@ def synthetic_lemma_instances(
         t_end = par["t_end"]
         forcing = _lemma33_forcing(par["a1"], par["b1"], par["a2"], par["b2"], par["k1"])
 
-        def f(s: float, y: np.ndarray) -> np.ndarray:
-            return t_end * _lemma33_rate(y, *forcing(s * t_end))
+        def f(s: Sequence[float], y: np.ndarray) -> np.ndarray:
+            return t_end * _lemma33_rate(y, *forcing(s[0] * t_end))
 
-        Y, _, stats = solve_to_grid(f, par["y0"], tau, rel_tol=1e-12, abs_tol=1e-20)
-        steps = asdict(stats)
+        Y, _, stats = solve_to_grid(f, par["y0"][None], tau, rel_tol=1e-12, abs_tol=1e-20)
+        Y, steps = Y[0], asdict(stats.members[0])
     else:
         times = col["t_end"] * tau
         if kind == "lemma32":
@@ -985,7 +987,7 @@ def check_optimality(traj: Trajectory, E, gamma) -> CheckReport:
 
 def oscillation_onset(eps: float, p: float, mu_nu: float) -> float:
     """Time at which the damping discriminant ratio ``4 eps mu nu (1+t)^(2p)``
-    reaches 2.
+    reaches 2 (``inf`` past double range, as ``p -> 0``).
 
     Below 1 the flow is locally overdamped (real frozen-coefficient roots);
     the oscillatory amplitude law applies once the ratio is comfortably above
@@ -993,10 +995,7 @@ def oscillation_onset(eps: float, p: float, mu_nu: float) -> float:
     """
     if p <= 0:
         raise ValueError("the onset time applies to p > 0")
-    base = 2.0 / (4.0 * eps * mu_nu)
-    if base <= 1.0:
-        return 0.0
-    return base ** (1.0 / (2.0 * p)) - 1.0
+    return en._onset(2.0 / (4.0 * eps * mu_nu), p)
 
 
 def wkb_window_start(eps: float, p: float, mu_nu: float, t_end: float) -> float:

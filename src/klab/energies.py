@@ -22,6 +22,7 @@ integral takes one rate and one ``p``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +190,15 @@ def require_admissible_beta(beta: float, p: float, mu: float, nu: float) -> None
         )
 
 
+def _onset(bound: float, p: float) -> float:
+    """The smallest ``T >= 0`` with ``(1+T)^(2p) >= bound``, for ``p > 0``; ``inf``
+    where that ``T`` passes double range (``p`` near 0)."""
+    try:
+        return max(0.0, bound ** (1.0 / (2.0 * p)) - 1.0)
+    except OverflowError:
+        return math.inf
+
+
 def decay_params(beta: float, p: float, mu: float, nu: float) -> LyapunovParams:
     """Lyapunov parameters for the decay monitors.
 
@@ -204,8 +214,7 @@ def decay_params(beta: float, p: float, mu: float, nu: float) -> LyapunovParams:
         delta = 2.0 * (beta + 1.0) * nu / (2.0 * mu * nu - beta)
         return LyapunovParams(beta, p, delta, 0.0)
     delta = (beta + 2.0) / mu
-    T = max(0.0, (delta * beta / (2.0 * nu)) ** (1.0 / (2.0 * p)) - 1.0)
-    return LyapunovParams(beta, p, delta, T)
+    return LyapunovParams(beta, p, delta, _onset(delta * beta / (2.0 * nu), p))
 
 
 def perturbation_params(beta: float, p: float, mu: float, nu: float) -> LyapunovParams:
@@ -225,8 +234,7 @@ def perturbation_params(beta: float, p: float, mu: float, nu: float) -> Lyapunov
         return LyapunovParams(beta, p, delta, 0.0, sigma)
     delta = (beta + 2.0) / mu
     sigma = 1.0
-    T = max(0.0, (delta * (beta + sigma) / (2.0 * nu)) ** (1.0 / (2.0 * p)) - 1.0)
-    return LyapunovParams(beta, p, delta, T, sigma)
+    return LyapunovParams(beta, p, delta, _onset(delta * (beta + sigma) / (2.0 * nu), p), sigma)
 
 
 def _h2_norm_sq(op: SpectralOperator, u):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rk import BatchStats, IntegrationError, StepStats, _member_scale, solve_to_grid
+from ._rk import IntegrationError, StepStats, _member_scale, solve_to_grid
 from .energies import phi, weight_integral
 from .spectral import (
     MassFunction,
@@ -334,41 +334,42 @@ class _OscillationCap:
         return y
 
 
-def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float):
-    """``(f, cap)``: the second-order flow as the system ``y' = f(t, y)``, ``y = (u, u')``,
-    and its :class:`_OscillationCap` for ``solve_to_grid``.
+def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps: list[float], p: float):
+    """``(f, caps)``: the second-order flows of ``eps`` as one system
+    ``y' = f(t, y)`` of ``(B, 2K)`` rows ``y = (u, u')``, one per ``eps``, and
+    one :class:`_OscillationCap` per row for ``solve_to_grid``.
 
-    A sequence ``eps`` gives the flows of an own-clock batch instead: ``f``
-    of a ``(B, 2K)`` state with the members' times as a list, and one cap
-    per member.  Each member's row is computed with the arithmetic of its
-    single system, bit for bit (see ``klab._rk``): the damping weights are
-    Python float powers and ``sigma`` the stacked matmul.
+    Each row is computed with the arithmetic of its eps run alone, bit for
+    bit (see ``klab._rk``): the damping weights are Python float powers and
+    ``sigma`` a 1-D dot or the stacked matmul.
     """
     K = op.dim
     lam = op.eigenvalues
+    caps = [_OscillationCap(op, m, e) for e in eps]
 
-    # Two right-hand sides on purpose: the same bits come out of a single eps
-    # run as an own-clock batch of one, but that took 1.9-2.0 s against
-    # 0.9-1.1 s for the K = 64 single-eps solve (1.8-2x), the per-member lists
-    # and stacked matmuls costing more than the one row saves.
-    if np.ndim(eps) == 0:
+    # Two right-hand sides on purpose, picked by the member count: the batch
+    # form gives the same bits, but on stiff_k64's one eps (K = 64) it took a
+    # best-of-5 solve of 0.808 s against 0.588 s (1.015 s against 0.884 s in a
+    # second pair); checks_k4's three eps take one batch for three solves.
+    if len(eps) == 1:
+        (eps_1,) = eps
 
-        def f(t: float, y: np.ndarray) -> np.ndarray:
-            u = y[:K]
-            v = y[K:]
+        def f(t: Sequence[float], y: np.ndarray) -> np.ndarray:
+            u = y[0, :K]
+            v = y[0, K:]
             c = m_eval(m, float((u * u) @ lam))
             dy = np.empty_like(y)
-            dy[:K] = v
-            dy[K:] = _hyperbolic_acceleration((1.0 + t) ** (-p), u, v, c, lam, eps)
+            dy[0, :K] = v
+            dy[0, K:] = _hyperbolic_acceleration((1.0 + t[0]) ** (-p), u, v, c, lam, eps_1)
             return dy
 
-        return f, _OscillationCap(op, m, eps)
+        return f, caps
 
     # eps as full rows: they divide faster than a broadcast column
     eps_rows = np.repeat(np.array(eps, dtype=float)[:, None], K, axis=1)
     lam_col = lam[:, None]
 
-    def f_batch(t: list[float], y: np.ndarray) -> np.ndarray:
+    def f_batch(t: Sequence[float], y: np.ndarray) -> np.ndarray:
         u = y[:, :K]
         v = y[:, K:]
         c = m_eval(m, np.matmul((u * u)[:, None, :], lam_col)[:, 0, 0])
@@ -378,7 +379,7 @@ def _hyperbolic_system(op: SpectralOperator, m: MassFunction, eps, p: float):
         dy[:, K:] = _hyperbolic_acceleration(w[:, None], u, v, c[:, None], lam, eps_rows)
         return dy
 
-    return f_batch, [_OscillationCap(op, m, e) for e in eps]
+    return f_batch, caps
 
 
 # The Gauss-Legendre rule on [0, 1] of the limit flow's phase quadrature and
@@ -521,25 +522,22 @@ def _hyperbolic_runs(
 ) -> list[Trajectory]:
     """One second-order trajectory per ``eps``, all from ``flat0 = (u0, u1)``.
 
-    A single ``eps`` is one system; several are one own-clock batch, in which
-    each member takes the steps and the bits of its single-system solve.
+    They are one own-clock batch, one member per ``eps``, in which each
+    member takes the steps and the bits of its ``eps`` solved alone.
     """
     K = op.dim
-    batch = len(eps) > 1
-    f, caps = _hyperbolic_system(op, m, eps if batch else eps[0], p)
+    f, caps = _hyperbolic_system(op, m, eps, p)
     try:
         Y, _, stats = solve_to_grid(
             f,
-            np.tile(flat0, (len(eps), 1)) if batch else flat0,
+            np.tile(flat0, (len(eps), 1)),
             times,
             rel_tol=cfg.rel_tol,
             abs_tol=_ABS_TOL,
             step_cap_fn=caps,
         )
     except IntegrationError as exc:
-        raise IntegrationError(f"eps={eps[exc.member or 0]!r}: {exc}") from exc
-    if not batch:
-        Y, stats, caps = Y[None], BatchStats((stats,)), [caps]
+        raise IntegrationError(f"eps={eps[exc.member]!r}: {exc}") from exc
     trajs = []
     for Y_i, steps, cap, eps_i in zip(Y, stats.members, caps, eps):
         u = Y_i[:, :K]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis as an
 from . import energies as en
-from ._rk import _MAX_STEPS
+from ._rk import _MAX_STEPS, _MIN_STEP
 from .evolution import (
     IntegratorConfig,
     Trajectory,
@@ -290,6 +290,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         or not 2 <= samples_raw <= _MAX_SAMPLES
     ):
         _fail("samples", f"expected an integer from 2 to {_MAX_SAMPLES}, got {samples_raw!r}")
+    # linspace rounds each spacing by up to 2 samples + 1 half-ulps
+    spacing = t_end / (samples_raw - 1) * (1.0 - (2 * samples_raw + 1) * 2.0**-53)
+    if not spacing >= _MIN_STEP * max(1.0, t_end):
+        _fail("t_end", f"{t_end!r} over {samples_raw} samples spaces them closer than the "
+                       f"solver's shortest step, {_MIN_STEP:g} max(1, t)")
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         _fail("tolerances", "expected an object")

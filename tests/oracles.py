@@ -299,12 +299,12 @@ def parabolic_mode_solve(lam, mass, u0, p: float, times, rel_tol: float = 1e-10,
     """
     lam = np.asarray(lam, dtype=float)
 
-    def f(t: float, u: np.ndarray) -> np.ndarray:
-        return -((1.0 + t) ** p) * mass(float(lam @ (u * u))) * lam * u
+    def f(t, u: np.ndarray) -> np.ndarray:
+        return -((1.0 + t[0]) ** p) * mass(float(lam @ (u[0] * u[0]))) * lam * u
 
-    u, _, _ = solve_to_grid(f, np.asarray(u0, dtype=float), times,
+    u, _, _ = solve_to_grid(f, np.asarray(u0, dtype=float)[None], times,
                             rel_tol=rel_tol, abs_tol=abs_tol)
-    return u
+    return u[0]
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -656,6 +656,8 @@ def test_oscillation_onset_values():
     assert oscillation_onset(0.05, 0.3, 1.0) == pytest.approx(10.0 ** (1.0 / 0.6) - 1.0)
     # already past level 2 at t = 0
     assert oscillation_onset(1.0, 0.5, 1.0) == 0.0
+    # past double range as p -> 0
+    assert oscillation_onset(0.02, 1e-300, 1.0) == math.inf
     with pytest.raises(ValueError):
         oscillation_onset(0.02, 0.0, 1.0)
 

@@ -288,6 +288,12 @@ class TestConstants:
         assert lp.sigma == 1.0
         assert lp.T == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("p", [1e-300, 5e-324])
+    def test_an_onset_past_double_range_is_inf(self, p):
+        # 4^(1/(2p)) overflows (1e-300) or 1/(2p) is inf (the least subnormal)
+        for params in (decay_params, perturbation_params):
+            assert params(2.0, p, 1.0, 1.0).T == math.inf
+
     def test_p_zero_admissibility(self):
         with pytest.raises(ValueError):
             decay_params(2.0, 0.0, 1.0, 1.0)     # beta = 2 mu nu

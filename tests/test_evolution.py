@@ -41,10 +41,11 @@ def hand_run(kind, u, v, c, mass=M1, eps=None, op=OP1, times=(0.0, 1.0)):
 
 class TestRightHandSides:
     def test_hyperbolic_worked_values(self):
-        # the system y' = f(t, y), y = (u, u'), that integrate solves
+        # the system y' = f(t, y), y = (u, u'), that integrate solves, as
+        # the one row of a batch
         def rhs(t, u, v, eps, p):
-            f, _ = klab.evolution._hyperbolic_system(OP1, M1, eps, p)
-            return f(t, np.array([u, v]))
+            f, _ = klab.evolution._hyperbolic_system(OP1, M1, [eps], p)
+            return f([t], np.array([[u, v]]))[0]
 
         np.testing.assert_allclose(rhs(0.0, 1.0, 1.0, 1.0, 0.7), [1.0, -2.0])
         np.testing.assert_array_equal(rhs(0.0, 0.0, 0.0, 0.5, 0.0), [0.0, 0.0])

@@ -63,6 +63,19 @@ WKB = {
     "samples": 1024,
     "scenario": "wkb",
 }
+# the K = 4 physics of the checks_k4 benchmark workload, with fixed data
+K4_RUN = {
+    "p": 0.5,
+    "epsilon": [0.04, 0.02, 0.01],
+    "operator": {"family": "power", "nu": 1.0, "K": 4, "exponent": 2.0},
+    "mass": {"affine": {"base": 1.0, "coeff": 1.0}},
+    "initial": {"u0": [0.54, 0.32, 0.058, -0.13], "u1": [0.94, 0.12, -0.062, 0.038]},
+    "beta": 1.0,
+    "t_end": 16.0,
+    "samples": 4096,
+    "tolerances": {"rel_tol": 1e-10},
+    "scenario": "decay",
+}
 # per scenario, a small config on which it runs and fits every flow it can
 SCENARIO_CONFIGS = {
     "simulate": {},
@@ -510,20 +523,20 @@ class TestRunScenario:
             assert calls == {name: 3 * count for name, count in counts.items()}, scenario
 
     @pytest.mark.parametrize(
-        "scenario,extra,members",
+        "scenario,extra,shapes",
         [
-            # the three second-order flows as one solve (the limit flow takes
-            # none); the sweep reuses them
-            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, [3]),
+            # the three second-order flows, rows (u, u') of K = 1, as one
+            # solve (the limit flow takes none); the sweep reuses them
+            ("decay_error", {"epsilon": [0.04, 0.02, 0.01]}, [(3, 2)]),
             # the probe reads the scenario's own two second-order runs
-            ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, [2]),
+            ("open_problem", {"p": 0.0, "epsilon": [0.1, 0.05]}, [(2, 2)]),
             # 300 synthetic instances; only lemma33's, which is not linear,
-            # take a solve, as one system of 100 components
-            ("lemmas", {}, [(100,)]),
+            # take a solve, as one row of 100 components
+            ("lemmas", {}, [(1, 100)]),
         ],
         ids=["decay_error", "open_problem", "lemmas"],
     )
-    def test_each_flow_is_integrated_once(self, tmp_path, monkeypatch, scenario, extra, members):
+    def test_each_flow_is_integrated_once(self, tmp_path, monkeypatch, scenario, extra, shapes):
         import klab.analysis
         import klab.evolution
 
@@ -531,15 +544,15 @@ class TestRunScenario:
         solve = klab.evolution.solve_to_grid
 
         def counting(f, y0, *args, **kwargs):
-            # the members of one solve, or the components of one system
-            calls.append(np.shape(y0) if np.ndim(y0) == 1 else len(y0))
+            # the members of one solve by their components
+            calls.append(np.shape(y0))
             return solve(f, y0, *args, **kwargs)
 
         for module in (klab.evolution, klab.analysis):
             monkeypatch.setattr(module, "solve_to_grid", counting)
         cfg = config_from_dict(base_config(scenario=scenario, **extra))
         assert run_scenario(cfg, tmp_path / "out") in (0, 1)
-        assert calls == members
+        assert calls == shapes
 
 
 class TestWkbScenario:
@@ -856,6 +869,50 @@ class TestCli:
         doc = base_config(epsilon=[1e-8], initial={"u0": [0.0], "u1": [0.0]}, samples=8)
         assert self.verify_in_process(tmp_path, capsys, json.dumps(doc))[0] in (0, 1)
 
+    @pytest.mark.parametrize(
+        "command,extra,t_end,samples",
+        [
+            # a spacing of 1.6e-15, far below any step the solver takes
+            ("verify", {}, 1e-13, 64),
+            ("verify", {"initial": {"u0": [0.0] * 4, "u1": [0.0] * 4}}, 1e-13, 64),
+            ("verify", {}, 3e-11, 4096),
+            # no second-order flow to refuse it, but the limit flow's fit on
+            # this grid writes numpy warnings and LAPACK errors to stderr
+            ("simulate", {"epsilon": []}, 1e-200, 4096),
+        ],
+        ids=["decay", "decay_zero_data", "decay_4096", "simulate_no_eps"],
+    )
+    def test_samples_closer_than_the_shortest_step_exit_two(
+        self, tmp_path, capfd, command, extra, t_end, samples
+    ):
+        doc = dict(K4_RUN, **extra, t_end=t_end, samples=samples)
+        code = cli_main([command, "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code == 2 and out == "", (code, out, err)
+        assert err == (f"error: t_end: {t_end!r} over {samples} samples spaces them closer "
+                       "than the solver's shortest step, 1e-14 max(1, t)\n")
+
+    @pytest.mark.parametrize(
+        "t_end,runs",
+        # 6.3e-13 over 64 samples spaces them 1e-14 apart, but the rounded
+        # grid puts the sample after t = 2e-14 less than 1e-14 further on
+        [(6.3e-13, False), (6.31e-13, True), (1e-12, True)],
+    )
+    def test_the_shortest_step_bounds_the_sample_spacing(self, tmp_path, capfd, t_end, runs):
+        for initial in (K4_RUN["initial"], {"u0": [0.0] * 4, "u1": [0.0] * 4}):
+            doc = dict(K4_RUN, initial=initial, t_end=t_end, samples=64)
+            if not runs:
+                with pytest.raises(ConfigError, match="t_end: 6.3e-13 over 64 samples"):
+                    config_from_dict(doc)
+                continue
+            # zero data take their first step at rest, which must not fall
+            # below the shortest step either
+            code = cli_main(["verify", "--config", str(write_config(tmp_path, doc)),
+                             "--out", str(tmp_path / "o")])
+            out, err = capfd.readouterr()
+            assert code in (0, 1) and out == err == "", (code, out, err)
+
     def test_a_constant_mass_bound_past_exp_range_exit_cleanly(self, tmp_path):
         # g = 2 mu nu / (1+p) = 1000: e^g overflows, the bound 1.05 lhs(0) psi(g) does not.
         # One mode keeps a constant slack, so rounding sets worst_t: it is not pinned.
@@ -958,6 +1015,49 @@ LOWEST_MODE_RUN = {
     "beta": 1.0,
     "scenario": "all",
 }
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def cheap_runs(draw, scenario):
+    """A valid-looking config in a space capped so that each run is cheap:
+    K <= 8, samples <= 64, t_end <= 8, eps >= 0.02, rel_tol >= 1e-10.
+    ``t_end`` is drawn on [0.05, 8] or log-uniformly down to 1e-300; eps is
+    a halving sweep of up to three values, as ``decay_error`` takes."""
+    K = draw(st.integers(1, 8))
+    data = st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K)
+    eps = draw(st.floats(0.08, 1.0))
+    return {
+        "p": draw(st.just(0.0) | st.floats(0.0, 1.0)),
+        "epsilon": [eps / 2**i for i in range(draw(st.integers(0, 3)))],
+        "operator": {
+            "family": draw(st.sampled_from(["uniform", "power", "arithmetic"])),
+            "nu": draw(st.floats(0.1, 2.0)),
+            "K": K,
+            "exponent": draw(st.floats(0.5, 2.0)),
+        },
+        "mass": draw(
+            st.builds(lambda c: {"constant": c}, st.floats(0.1, 2.0))
+            | st.builds(lambda v, b, c: {v: {"base": b, "coeff": c}},
+                        st.sampled_from(["affine", "rational"]), st.floats(0.1, 2.0),
+                        st.floats(0.0, 2.0))
+        ),
+        "initial": draw(
+            st.sampled_from(klab.harness._PRESETS).map(lambda preset: {"preset": preset})
+            | st.fixed_dictionaries({"u0": data, "u1": data})
+        ),
+        "beta": draw(st.floats(0.1, 2.0)),
+        "t_end": draw(st.floats(0.05, 8.0) | _log_uniform(1e-300, 8.0)),
+        "samples": draw(st.integers(2, 64)),
+        "tolerances": {"rel_tol": draw(_log_uniform(1e-10, 1e-6))},
+        "scenario": scenario,
+        "seed": draw(st.integers(0, 3)),
+    }
+
+
 # an override key: the text before its first "=", dotted or not
 OVERRIDE_KEYS = st.lists(
     st.text(st.characters(blacklist_characters="="), max_size=6), min_size=1, max_size=3
@@ -1069,9 +1169,14 @@ class TestProperties:
             # zero data under constant mass: the pointwise bound's constant is 0
             dict(LOWEST_MODE_RUN, p=0.5, epsilon=[0.1], t_end=8.0, scenario="decay",
                  initial={"u0": [0.0], "u1": [0.0]}),
+            # p near 0: the monitors' onset T and the oscillation onset pass
+            # double range (an OverflowError), or 1/(2p) is inf and so is T
+            dict(LOWEST_MODE_RUN, p=1e-300, epsilon=[0.1], t_end=8.0, samples=64),
+            dict(LOWEST_MODE_RUN, p=5e-324, epsilon=[0.1], t_end=8.0, samples=64),
         ],
         ids=["p0_fast_flow", "p0_zero_data", "p0_three_samples", "psi_underflow", "p1_fit",
-             "wkb_two_maxima", "wkb_zero_data", "all_two_samples", "decay_zero_data"],
+             "wkb_two_maxima", "wkb_zero_data", "all_two_samples", "decay_zero_data",
+             "p_overflowing_onset", "p_subnormal"],
     )
     def test_a_valid_config_exits_0_or_1_silently(self, tmp_path, capfd, doc):
         path = write_config(tmp_path, doc)
@@ -1082,6 +1187,31 @@ class TestProperties:
             report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
             slopes = {fit["name"]: fit["slope"] for fit in report["fits"]}
             assert np.isfinite(slopes["gamma_envelope_eps0.05"])
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(FUZZ, max_examples=6,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_cheap_run_keeps_the_exit_code_contract(self, capfd, scenario, data):
+        # exit 0 or 1 silently with a runs.json that reloads to the same
+        # config, or 2 with one line; a valid config never exits 3
+        doc = data.draw(cheap_runs(scenario))
+        capfd.readouterr()
+        command = "simulate" if scenario == "simulate" else "verify"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = cli_main([command, "--config", str(write_config(Path(tmp), doc)),
+                             "--out", str(out)])
+            stdout, stderr = capfd.readouterr()
+            assert code in (0, 1, 2) and stdout == "", (code, stdout, stderr)
+            if code == 2:
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+                return
+            assert stderr == ""
+            echo = json.loads((out / "runs.json").read_text(encoding="utf-8"))["config"]
+        want = json.loads(json.dumps(klab.harness._config_echo(config_from_dict(doc))))
+        assert echo == want
+        assert json.loads(json.dumps(klab.harness._config_echo(config_from_dict(echo)))) == echo
 
     @CLI_FUZZ
     @given(doc=CLI_DOCUMENTS)

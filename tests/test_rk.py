@@ -33,7 +33,7 @@ class TestBatchAxis:
         np.testing.assert_allclose(Y, exact, rtol=10.0 * REL_TOL, atol=0.0)
         assert all(s.accepted > 0 for s in stats.members)
 
-    @pytest.mark.parametrize("y0", [np.ones((2, 2, 1)), np.ones((0, 3))])
+    @pytest.mark.parametrize("y0", [np.ones(3), np.ones((2, 2, 1)), np.ones((0, 3))])
     def test_state_shape_is_validated(self, y0):
         with pytest.raises(ValueError, match="shape"):
             solve_to_grid(lambda t, y: -y, y0, [0.0, 1.0], rel_tol=REL_TOL, abs_tol=0.0)
@@ -60,7 +60,7 @@ def _scaled_ratios(err, y, y_new, rel_tol, abs_tol):
 
 def _ratios(err, y, y_new, rel_tol, abs_tol):
     """Each member's ratio as a batch takes it, after checking that the
-    member's own row alone (as a single system takes it) gives the same."""
+    member's own row alone (as a batch of one takes it) gives the same."""
     ratios = _error_ratios(err, y, y_new, rel_tol, abs_tol)
     for i, ratio in enumerate(ratios):
         row = slice(i, i + 1)
@@ -80,7 +80,7 @@ class TestRowNorm:
 
 
 class TestErrorRatio:
-    """A member, and a single system, takes its norms unscaled when it lies
+    """A member, alone or in a batch, takes its norms unscaled when it lies
     in the safe window, and the result is the scaled one, bit for bit."""
 
     def test_inside_the_window_the_norms_are_not_scaled(self, monkeypatch):
@@ -150,10 +150,23 @@ class TestErrorRatio:
 class TestStepStats:
     def test_counts_and_step_range(self):
         times = np.linspace(0.0, 2.0, 11)
-        _, _, stats = solve_to_grid(lambda t, y: -y, [1.0], times, rel_tol=REL_TOL, abs_tol=0.0)
+        _, _, batch = solve_to_grid(lambda t, y: -y, [[1.0]], times, rel_tol=REL_TOL, abs_tol=0.0)
+        (stats,) = batch.members
         # FSAL: one evaluation to start, six per attempted step
         assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
         assert 0.0 < stats.h_min <= stats.h_max <= 0.2 + 1e-15
+
+    @pytest.mark.parametrize("span", [1e-14, 1.5e-14, 1e-9])
+    def test_a_start_at_rest_reaches_a_close_sample(self, span):
+        # the first step at rest is 1e-6 of the span but not below the
+        # shortest step, 1e-14; a step that would leave less than that
+        # before the sample takes the rest whole
+        _, _, batch = solve_to_grid(lambda t, y: np.zeros_like(y), np.zeros((1, 2)),
+                                    [0.0, span], rel_tol=REL_TOL, abs_tol=1e-300)
+        (stats,) = batch.members
+        assert stats.rejected == 0 and stats.h_min >= 1e-14
+        if span < 2e-14:
+            assert stats.accepted == 1 and stats.h_max == span
 
 
 class TestTinyStates:
@@ -161,28 +174,27 @@ class TestTinyStates:
         # y' = -y from 1e-160: the squares in its norms underflow unless the
         # state is scaled by its power of two first
         def solve(y0):
-            return solve_to_grid(
-                lambda t, y: -y, y0, [0.0, 1.0], rel_tol=REL_TOL, abs_tol=1e-300
+            Y, _, stats = solve_to_grid(
+                lambda t, y: -y, y0[None], [0.0, 1.0], rel_tol=REL_TOL, abs_tol=1e-300
             )
+            return Y[0], stats.members[0]
 
-        unit, _, unit_stats = solve(np.ones(2))
-        tiny, _, tiny_stats = solve(np.full(2, 1e-160))
+        unit, unit_stats = solve(np.ones(2))
+        tiny, tiny_stats = solve(np.full(2, 1e-160))
         np.testing.assert_allclose(tiny[-1], np.full(2, 1e-160 * np.exp(-1.0)), rtol=10 * REL_TOL)
         assert tiny_stats.accepted == unit_stats.accepted
         # from a power of two the run is the unit run scaled, bit for bit
-        scaled, _, scaled_stats = solve(np.full(2, 2.0**-531))
+        scaled, scaled_stats = solve(np.full(2, 2.0**-531))
         np.testing.assert_array_equal(scaled, 2.0**-531 * unit)
         assert scaled_stats == unit_stats
 
 
 def _oscillator(stiffness):
-    """A nonlinear damped oscillator, row by row; ``stiffness`` is one row of
-    mode stiffnesses or an ``(B, 2)`` array of them, one row per member (whose
-    times then come as a list)."""
+    """A nonlinear damped oscillator, row by row; ``stiffness`` is an
+    ``(B, 2)`` array of mode stiffnesses, one row per member."""
 
     def f(t, y):
-        if isinstance(t, list):
-            t = np.array(t)[:, None]
+        t = np.array(t)[:, None]
         u, v = y[..., :2], y[..., 2:]
         c = 1.0 + np.sum(u * u, axis=-1, keepdims=True)
         return np.concatenate([v, -v / (1.0 + t) - c * stiffness * u], axis=-1)
@@ -195,11 +207,13 @@ class TestOwnClocks:
     Y0 = np.array([[1.0, -0.5, 0.3, 0.0], [0.5, 0.5, 0.0, 1.0], [1e-200, 0.0, 0.0, -1e-200]])
     TIMES = np.linspace(0.0, 5.0, 64)
 
-    def solo(self, i, **kwargs):
-        return solve_to_grid(
-            _oscillator(self.STIFFNESS[i]), self.Y0[i], self.TIMES,
-            rel_tol=REL_TOL, abs_tol=1e-300, **kwargs,
+    def solo(self, i, cap=None):
+        """Member ``i`` solved as a batch of one: its samples and ``StepStats``."""
+        Y, _, stats = solve_to_grid(
+            _oscillator(self.STIFFNESS[i : i + 1]), self.Y0[i : i + 1], self.TIMES,
+            rel_tol=REL_TOL, abs_tol=1e-300, step_cap_fn=None if cap is None else [cap],
         )
+        return Y[0], stats.members[0]
 
     def batch(self, **kwargs):
         return solve_to_grid(
@@ -213,7 +227,7 @@ class TestOwnClocks:
         Y, _, stats = self.batch()
         assert Y.shape == (3, self.TIMES.size, 4)
         for i in range(3):
-            solo, _, solo_stats = self.solo(i)
+            solo, solo_stats = self.solo(i)
             np.testing.assert_array_equal(Y[i], solo)
             assert stats.members[i] == solo_stats
         assert stats.members[0].rejected > 0
@@ -224,7 +238,7 @@ class TestOwnClocks:
         caps = [lambda t, y: (0.01, y), lambda t, y: (math.inf, y), lambda t, y: (0.05, y)]
         Y, _, stats = self.batch(step_cap_fn=caps)
         for i, cap in enumerate(caps):
-            solo, _, solo_stats = self.solo(i, step_cap_fn=cap)
+            solo, solo_stats = self.solo(i, cap)
             np.testing.assert_array_equal(Y[i], solo)
             assert stats.members[i] == solo_stats
         assert stats.members[0].h_max <= 0.01 and stats.members[2].h_max <= 0.05
@@ -239,13 +253,13 @@ class TestOwnClocks:
         assert not np.any(Y[1, 1:])
         assert stats.members[1].rhs_evals == 1 + 6 * stats.members[1].accepted + 1
         for i in (0, 2):
-            solo, _, solo_stats = self.solo(i)
+            solo, solo_stats = self.solo(i)
             np.testing.assert_array_equal(Y[i], solo)
             assert stats.members[i] == solo_stats
 
     def test_the_budget_names_the_member_that_ran_out(self, monkeypatch):
         # member 2 needs the most steps
-        steps = [self.solo(i)[2].accepted + self.solo(i)[2].rejected for i in range(3)]
+        steps = [self.solo(i)[1].accepted + self.solo(i)[1].rejected for i in range(3)]
         monkeypatch.setattr(klab._rk, "_MAX_STEPS", sorted(steps)[1] + 1)
         with pytest.raises(IntegrationError, match="step budget") as err:
             self.batch()
@@ -257,16 +271,15 @@ class TestOwnClocks:
             self.batch(step_cap_fn=caps)
         assert err.value.member == 1
 
-    @pytest.mark.parametrize("y0", [np.ones(2), np.ones((3, 2))], ids=["single", "own"])
+    @pytest.mark.parametrize("y0", [np.ones((1, 2)), np.ones((3, 2))], ids=["one_row", "own"])
     def test_step_totals_are_integers_for_every_layout(self, y0):
         _, _, stats = solve_to_grid(
             lambda t, y: -y, y0, np.linspace(0.0, 1.0, 5), rel_tol=REL_TOL, abs_tol=0.0
         )
         assert type(stats.accepted) is int and type(stats.rejected) is int
         assert stats.accepted >= 4
-        if y0.ndim == 2:
-            assert stats.accepted == sum(s.accepted for s in stats.members)
-            assert stats.rejected == sum(s.rejected for s in stats.members)
+        assert stats.accepted == sum(s.accepted for s in stats.members)
+        assert stats.rejected == sum(s.rejected for s in stats.members)
 
     def test_own_clocks_are_validated(self):
         with pytest.raises(ValueError, match="per member"):
