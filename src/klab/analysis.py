@@ -222,7 +222,8 @@ def _first_sample(times: np.ndarray, t_start) -> np.ndarray:
 
 def _argmin_from(slack: np.ndarray, first) -> np.ndarray:
     """Per row of ``slack``, the index of its least value at or after
-    ``first`` (one index, or one per row)."""
+    ``first`` (one index, or one per row), the first of any tie: the source
+    of every slope, sandwich, pointwise and lemma check's worst sample."""
     first = np.reshape(first, (-1, 1))
     later = np.where(np.arange(slack.shape[1]) < first, np.inf, slack)
     # a row's least value is at or after its first index, also when it is +inf
@@ -321,24 +322,13 @@ def check_energy_sandwich(traj: Trajectory, E, F, lp: en.LyapunovParams) -> list
     lo_slack = (E - k_lo * base) / scale
     hi_slack = (k_hi * base - E) / scale
     slack = np.minimum(lo_slack, hi_slack)
-    worst = int(np.argmin(slack))
     f_slack = (F - k_lo_F * base) / scale
-    worst_F = int(np.argmin(f_slack))
+    worst, worst_F = _argmin_from(np.stack([slack, f_slack]), 0)
     return [
-        _report(
-            "sandwich_E",
-            float(slack[worst]),
-            float(traj.times[worst]),
-            tol,
-            {"eps": eps, "k_lower": k_lo, "k_upper": k_hi, "c_sup": c_sup},
-        ),
-        _report(
-            "sandwich_F",
-            float(f_slack[worst_F]),
-            float(traj.times[worst_F]),
-            tol,
-            {"eps": eps, "k_lower": k_lo_F, "c_sup": c_sup, "delta": lp.delta},
-        ),
+        _report("sandwich_E", slack[worst], traj.times[worst], tol,
+                {"eps": eps, "k_lower": k_lo, "k_upper": k_hi, "c_sup": c_sup}),
+        _report("sandwich_F", f_slack[worst_F], traj.times[worst_F], tol,
+                {"eps": eps, "k_lower": k_lo_F, "c_sup": c_sup, "delta": lp.delta}),
     ]
 
 
@@ -1189,16 +1179,10 @@ def check_parabolic_pointwise(traj: Trajectory) -> CheckReport:
         C = 1.05 * lhs[0] * math.exp(g)
     except OverflowError:  # e^g is past double range; zero data keep C = 0
         C = math.inf if lhs[0] > 0.0 else 0.0
-    slack_arr = (bound - lhs) / np.maximum(bound, _TINY)
-    worst = int(np.argmin(slack_arr))
-    params = {"p": p, "C": C, "gamma": g}
-    return _report(
-        "parabolic_pointwise_bound",
-        float(slack_arr[worst]),
-        float(t[worst]),
-        0.0,
-        params,
-    )
+    slack = (bound - lhs) / np.maximum(bound, _TINY)
+    (worst,) = _argmin_from(slack[None], 0)
+    return _report("parabolic_pointwise_bound", slack[worst], t[worst], 0.0,
+                   {"p": p, "C": C, "gamma": g})
 
 
 def probe_open_problem(

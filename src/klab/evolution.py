@@ -46,11 +46,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Any
 
 import numpy as np
 
-from ._rk import IntegrationError, StepStats, _member_scale, solve_to_grid
+from ._rk import IntegrationError, _member_scale, solve_to_grid
 from .energies import phi, weight_integral
 from .spectral import (
     MassFunction,
@@ -113,13 +114,14 @@ class Trajectory:
     never interpolated.  ``p``, ``op``, ``mass`` and ``eps`` (``None`` for
     the first-order flow) define the flow, so every reader takes them from
     here rather than as arguments; ``rel_tol`` is the tolerance the run was
-    integrated to.  ``steps`` is the second-order solver's ``StepStats``
-    (steps accepted and rejected, right-hand-side calls, step range), and for
-    the first-order flow the size of its phase quadrature,
+    integrated to.  ``steps`` is the flow's ``runs.json`` ``integrator``
+    entry, built where the solve runs: for the second-order flow the
+    solver's ``StepStats`` fields (steps accepted and rejected,
+    right-hand-side calls, step range) with ``retired_modes``, the modes the
+    solve set to 0 once they no longer carried energy, and
+    ``last_retirement_t``, the time of the last of them (``None`` when none
+    was); for the first-order flow the size of its phase quadrature,
     ``{"panels": n, "nodes": 8}``.
-    ``retired_modes`` counts the modes the second-order solve set to 0 once
-    they no longer carried energy, and ``last_retirement_t`` is the time of
-    the last of them (``None`` when none was).
     """
 
     kind: str  # "hyperbolic" | "parabolic"
@@ -132,9 +134,7 @@ class Trajectory:
     mass: MassFunction
     eps: float | None
     rel_tol: float
-    steps: StepStats | dict[str, int]
-    retired_modes: int = 0
-    last_retirement_t: float | None = None
+    steps: dict[str, Any]
 
     def __post_init__(self) -> None:
         if self.kind not in ("hyperbolic", "parabolic"):
@@ -466,7 +466,10 @@ def _limit_phase(
     # so from the first edge where m(sigma) rounds to m(0), the last at the
     # latest, Lambda is a line in Phi: the panels, and the edges read, end there
     rest = m_eval(m, 0.0)
-    last = np.flatnonzero(m_eval(m, sigma) == rest)[0] + 1
+    reached = np.flatnonzero(m_eval(m, sigma) == rest)
+    if not reached.size:  # sigma is not finite at any edge
+        raise IntegrationError("limit flow: sigma left double range")
+    last = reached[0] + 1
     edges, sigma, slope, bend = edges[:last], sigma[:last], slope[:last], bend[:last]
     # each panel's error estimate (see _PANEL_SPLIT), at the larger of its ends
     rate = np.divide(bend, -slope, out=np.zeros_like(bend), where=slope != 0)
@@ -523,7 +526,8 @@ def _hyperbolic_runs(
     """One second-order trajectory per ``eps``, all from ``flat0 = (u0, u1)``.
 
     They are one own-clock batch, one member per ``eps``, in which each
-    member takes the steps and the bits of its ``eps`` solved alone.
+    member takes the steps and the bits of its ``eps`` solved alone, and
+    whose ``steps`` is its ``runs.json`` entry: ``StepStats`` and retirements.
     """
     K = op.dim
     f, caps = _hyperbolic_system(op, m, eps, p)
@@ -543,8 +547,8 @@ def _hyperbolic_runs(
         u = Y_i[:, :K]
         c_trace = _at_sigma(m_eval, m, op.eigenvalues, u)
         trajs.append(Trajectory(
-            "hyperbolic", times, u, Y_i[:, K:], c_trace, p, op, m, eps_i, cfg.rel_tol, steps,
-            cap.retired, cap.last_retirement_t,
+            "hyperbolic", times, u, Y_i[:, K:], c_trace, p, op, m, eps_i, cfg.rel_tol,
+            asdict(steps) | {"retired_modes": cap.retired, "last_retirement_t": cap.last_retirement_t},
         ))
     return trajs
 

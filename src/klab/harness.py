@@ -64,6 +64,7 @@ __all__ = [
 _PRESETS = ("lowest_mode", "well_prepared", "boundary_layer")
 # the longest float64 array numpy can describe: the sample grid must be one
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
+_MAX_GAMMA0 = math.sqrt(np.finfo(float).max)
 
 
 class ConfigError(ValueError):
@@ -271,6 +272,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "initial" not in raw:
         _fail("initial", "required field is missing")
     u0, u1 = _parse_initial(raw["initial"], op, m)
+    # The run squares its energies (and sigma, in m'), so gamma(0) at the
+    # largest eps must stay below sqrt(max double).  Each term squares finite
+    # factors, so zero data meet no inf.
+    lam, root = op.eigenvalues, np.sqrt(op.eigenvalues)
+    with np.errstate(over="ignore"):
+        rows = (u0, root * u0, lam * u0, u1, math.sqrt(max(epsilon, default=0.0)) * (root * u1))
+        gamma0 = sum(float(x @ x) for x in rows)
+    if not gamma0 < _MAX_GAMMA0:
+        _fail("initial", f"gamma(0) = {gamma0:.3g} is not below sqrt(max double) = "
+                         f"{_MAX_GAMMA0:.3g}")
     beta = _number(raw, "beta", required=True)
     if beta <= 0:
         _fail("beta", "must be positive")
@@ -419,15 +430,19 @@ def _fit_entry(name: str, fit: an.RateFit) -> dict[str, Any]:
     }
 
 
+def _write_json(path: Path, doc: dict[str, Any]) -> None:
+    """Write ``doc`` as klab writes every JSON file: sanitized, sorted keys, LF."""
+    text = json.dumps(_sanitize(doc), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
 def _write_report(
     path: Path,
     checks: list[dict],
     fits: list[dict],
     constants: dict[str, Any],
 ) -> None:
-    doc = _sanitize({"checks": checks, "fits": fits, "measured_constants": constants})
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8", newline="\n")
+    _write_json(path, {"checks": checks, "fits": fits, "measured_constants": constants})
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +504,11 @@ class _Context:
         return [self._hyp[eps] for eps in c.epsilon]
 
     def step_counts(self) -> dict[str, Any]:
-        """Solver statistics of every flow this run integrated and of each
-        lemma kind's instances (``synthetic_lemma_instances``' ``"steps"``)."""
+        """Each integrated flow's and lemma kind's ``runs.json`` entry, as its
+        solver built it (a trajectory's ``steps``, an instance's ``"steps"``)."""
         return {
             "parabolic": None if self._par is None else self._par.steps,
-            "hyperbolic": {
-                repr(eps): asdict(traj.steps)
-                | {"retired_modes": traj.retired_modes, "last_retirement_t": traj.last_retirement_t}
-                for eps, traj in self._hyp.items()
-            },
+            "hyperbolic": {repr(eps): traj.steps for eps, traj in self._hyp.items()},
             "lemmas": {kind: inst["steps"] for kind, inst in self.lemmas.items()},
         }
 
@@ -818,14 +829,12 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path) -> int:
         _fits(files, csvs.__getitem__, cfg.p),
         ctx.constants,
     )
-    manifest = {
+    _write_json(out / "runs.json", {
         "format": "klab-run-manifest-1",
         "config": _config_echo(cfg),
         "files": files,
         "integrator": ctx.step_counts(),
-    }
-    text = json.dumps(_sanitize(manifest), sort_keys=True, indent=2, allow_nan=False)
-    (out / "runs.json").write_text(text + "\n", encoding="utf-8", newline="\n")
+    })
     return 0 if all(r.passed for r in ctx.checks) else 1
 
 

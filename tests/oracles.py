@@ -3,8 +3,8 @@
 Everything here is derived from closed forms or direct quadrature: scalar
 characteristic roots, explicit peak locations of a damped cosine,
 scipy.integrate.quad applied to hand-written integrands, 30-digit mpmath
-quadrature, and scipy's DOP853 on the decoupled modes of the constant-mass
-second-order flow.  None of these
+quadrature, and scipy's DOP853 on the amplitudes and phases of the
+second-order flow's modes.  None of these
 helpers call the package integrator or its comparison functions, so
 agreement between a test and its oracle is meaningful evidence.  The one
 exception is ``parabolic_mode_solve``: it runs the package's Dormand-Prince
@@ -370,36 +370,51 @@ def parabolic_phase_solve(lam, mass, u0, p: float, times, grading: float = 0.1,
 
 
 # ---------------------------------------------------------------------------
-# The second-order flow at constant mass, mode by mode
+# The second-order flow, mode by mode
 # ---------------------------------------------------------------------------
 
-def hyperbolic_mode_solve(lam, c: float, eps, p: float, u0, u1, times,
+def hyperbolic_mode_solve(lam, mass, eps, p: float, u0, u1, times,
                           rtol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
     """Log-amplitudes and phases of eps u_k'' + (1+t)^(-p) u_k' + c lambda_k u_k = 0.
 
-    At constant mass the modes decouple.  Each is solved by DOP853 in
-    amplitude-phase form, ``u_k = R_k cos(th_k)``, ``u_k' = -w_k R_k sin(th_k)``
-    with ``w_k = sqrt(c lambda_k / eps)``:
+    ``c = m(sigma)`` with ``sigma = sum_k lambda_k u_k^2``; ``mass`` is a
+    constant ``c``, or the pair ``(m, dm)`` of ``m`` and ``m'`` as functions
+    of ``sigma``.  Each mode is solved by DOP853 in amplitude-phase form,
+    ``u_k = R_k cos(th_k)``, ``u_k' = -w_k R_k sin(th_k)`` with
+    ``w_k = sqrt(c lambda_k / eps)``:
 
-        (log R_k)' = -(b/eps) sin^2 th_k,   th_k' = w_k - (b/eps) sin th_k cos th_k,
+        (log R_k)' = -a sin^2 th_k,   th_k' = w_k - a sin th_k cos th_k,
 
-    ``b = (1+t)^(-p)``.  Neither variable oscillates through zero or
-    underflows, so scipy's componentwise relative control holds every mode
-    to ``rtol`` of its own size, however far it has decayed.  ``eps`` is one
-    value or one per mode, so one solve can hold several flows' modes.
+    ``a = b/eps + c'/(2c)``, ``b = (1+t)^(-p)`` and
+    ``c' = -2 m'(sigma) sum_k lambda_k w_k R_k^2 sin th_k cos th_k``.
+    Neither variable oscillates through zero or underflows, so scipy's
+    componentwise relative control holds every mode to ``rtol`` of its own
+    size, however far it has decayed.  At constant mass ``c' = 0`` and the
+    modes decouple, so ``eps`` may be one value per mode, and one solve hold
+    several flows' modes; a coupled mass takes one ``eps``, one flow.
     Returns ``(log_R, th)``, each ``(samples, K)``.
     """
     lam = np.asarray(lam, dtype=float)
     eps = np.asarray(eps, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    w = np.sqrt(c * lam / eps)
+    coupled = isinstance(mass, tuple)
+    m, dm = mass if coupled else (lambda sigma: mass, None)
+    if coupled and eps.ndim:
+        raise ValueError("a coupled mass holds one flow: pass one eps")
+    w = np.sqrt(m(lam @ (u0 * u0)) * lam / eps)
     K = lam.size
 
     def f(t, y):
         s, co = np.sin(y[K:]), np.cos(y[K:])
-        damping = (1.0 + t) ** (-p) / eps
-        return np.concatenate([-damping * s * s, w - damping * s * co])
+        damping, w_t = (1.0 + t) ** (-p) / eps, w
+        if coupled:  # c = m(sigma) moves w, and c'/(2c) adds to the damping
+            r2 = np.exp(2.0 * y[:K])
+            sigma = lam @ (r2 * co * co)
+            c = m(sigma)
+            w_t = np.sqrt(c * lam / eps)
+            damping = damping - dm(sigma) * (lam @ (w_t * r2 * s * co)) / c
+        return np.concatenate([-damping * s * s, w_t - damping * s * co])
 
     y0 = np.concatenate([0.5 * np.log(u0 * u0 + (u1 / w) ** 2), np.arctan2(-u1 / w, u0)])
     # a phase is held to rtol absolutely, so one that starts at 0 sets no

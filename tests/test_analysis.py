@@ -41,7 +41,7 @@ from klab import (
     synthetic_lemma_instances,
     theta0,
 )
-from klab.analysis import LEMMA_SERIES, _report, assemble_psi3, hyperbolic_series
+from klab.analysis import LEMMA_SERIES, _argmin_from, _report, assemble_psi3, hyperbolic_series
 import oracles
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
@@ -209,6 +209,26 @@ class TestEnergySandwich:
         by_name = {r.name: r for r in reps}
         assert by_name["sandwich_E"].passed
         assert not by_name["sandwich_F"].passed
+
+
+    def test_a_tied_minimum_reports_its_first_sample(self):
+        # at constant unit mass E is its comparison weight bit for bit, so the
+        # upper slack is exactly 0.0 at all 256 samples: worst_t is the first
+        op = klab.power_spectrum(1.0, 4, 2.0)
+        data = ([0.54, 0.32, 0.058, -0.13], [0.94, 0.12, -0.062, 0.038])
+        traj = integrate("hyperbolic", data, 8.0, 256, CFG, op, M1, 0.5, eps=0.05)
+        lp = decay_params(1.0, 0.5, 1.0, 1.0)
+        s = series(traj, lp)
+        assert np.all(s["E"] == klab.energy_E(traj.u, traj.v, 0.05, 1.0, op))
+        rep = check_energy_sandwich(traj, s["E"], s["F"], lp)[0]
+        assert rep.name == "sandwich_E" and rep.passed
+        assert rep.worst_slack == 0.0 and rep.worst_t == 0.0
+
+
+def test_argmin_from_takes_the_first_tied_minimum_at_or_after_first():
+    slack = np.array([[-1.0, 0.0, -0.5, 0.0, -0.5], [0.0, 0.0, 0.0, 0.0, 0.0]])
+    assert _argmin_from(slack, [1, 2]).tolist() == [2, 2]
+    assert _argmin_from(slack, 3).tolist() == [4, 3]
 
 
 class TestLyapunovDecay:

@@ -24,13 +24,12 @@ from klab import (
 import klab._rk
 import klab.evolution
 from klab.energies import gamma_eps
-from klab._rk import StepStats
 import oracles
 
 OP1 = SpectralOperator(np.array([1.0]), 1.0)
 M1 = MassFunction("constant", 1.0)
 CFG = IntegratorConfig()
-NO_STEPS = StepStats(0, 0, 1, math.inf, 0.0)
+NO_STEPS: dict = {}
 
 
 def hand_run(kind, u, v, c, mass=M1, eps=None, op=OP1, times=(0.0, 1.0)):
@@ -253,18 +252,18 @@ class TestModeRetirement:
     def test_retired_modes_stay_below_the_threshold(self, runs):
         op, traj, unretired, _, log_share = runs
         lam, K = op.eigenvalues, op.dim
-        assert unretired.retired_modes == 0
+        assert unretired.steps["retired_modes"] == 0
         zero = (traj.u == 0.0) & (traj.v == 0.0)
         retired = zero[-1]
-        assert 0 < traj.retired_modes == np.count_nonzero(retired) < K
-        assert 0.0 < traj.last_retirement_t < self.T_END
+        assert 0 < traj.steps["retired_modes"] == np.count_nonzero(retired) < K
+        assert 0.0 < traj.steps["last_retirement_t"] < self.T_END
         # the cap follows the fastest live mode, so the steps grew past the
         # cap of the fastest mode, and no further (unit mass)
         def cap(lam_top):
             return klab.evolution._OSCILLATION_SAFETY * 2.0 * math.pi * math.sqrt(0.01 / lam_top)
 
-        assert unretired.steps.h_max <= cap(lam[-1]) * (1.0 + 1e-12)
-        assert cap(lam[-1]) < traj.steps.h_max <= cap(lam[~retired][-1]) * (1.0 + 1e-12)
+        assert unretired.steps["h_max"] <= cap(lam[-1]) * (1.0 + 1e-12)
+        assert cap(lam[-1]) < traj.steps["h_max"] <= cap(lam[~retired][-1]) * (1.0 + 1e-12)
         for k in np.flatnonzero(retired):
             first = int(np.argmax(zero[:, k]))
             assert np.all(zero[first:, k])  # zero is a fixed point
@@ -302,18 +301,18 @@ class TestModeRetirement:
                          eps=0.01)
         # mode 64 retires once mode 1 holds gamma; the 62 modes that start
         # at 0 leave the cap uncounted
-        assert traj.retired_modes == 1 and np.all(traj.u[-1, 1:] == 0.0)
+        assert traj.steps["retired_modes"] == 1 and np.all(traj.u[-1, 1:] == 0.0)
         assert np.all(traj.u[:, 0] != 0.0)
         log_gamma = np.log(gamma_eps(traj.u, traj.v, 0.01, op))
         np.testing.assert_allclose(log_gamma, oracle_log_gamma, rtol=0.0, atol=1e-6)
-        after = traj.times > traj.last_retirement_t
+        after = traj.times > traj.steps["last_retirement_t"]
         assert np.all(log_modes[after, 1] - oracle_log_gamma[after] < math.log(
             klab.evolution._RETIRE_SHARE))
 
     def test_a_single_mode_retires_nothing(self):
         # the only mode is all of gamma, however far it decays
         traj = integrate("hyperbolic", ([1.0], [0.0]), 16.0, 9, CFG, OP1, M1, 0.5, eps=0.01)
-        assert traj.retired_modes == 0 and traj.last_retirement_t is None
+        assert traj.steps["retired_modes"] == 0 and traj.steps["last_retirement_t"] is None
         assert np.all(traj.u != 0.0)
 
 
@@ -333,9 +332,8 @@ def assert_same_run(batch, solo):
     np.testing.assert_array_equal(batch.u, solo.u)
     np.testing.assert_array_equal(batch.v, solo.v)
     np.testing.assert_array_equal(batch.c_trace, solo.c_trace)
+    # the runs.json entry: step statistics and mode retirements
     assert batch.steps == solo.steps
-    assert batch.retired_modes == solo.retired_modes
-    assert batch.last_retirement_t == solo.last_retirement_t
 
 
 class TestSweepBatch:
@@ -358,8 +356,8 @@ class TestSweepBatch:
         op, u0, u1 = retirement_data
         args = ((u0, u1), TestModeRetirement.T_END, 301, CFG, op, M1, 0.5)
         trajs = integrate("hyperbolic", *args, eps=[0.02, 0.01, 0.005])
-        assert [t.retired_modes for t in trajs] == [0, 37, 42]
-        assert trajs[2].last_retirement_t < 0.6 < 1.2 < trajs[1].last_retirement_t
+        assert [t.steps["retired_modes"] for t in trajs] == [0, 37, 42]
+        assert trajs[2].steps["last_retirement_t"] < 0.6 < 1.2 < trajs[1].steps["last_retirement_t"]
         for traj in trajs:
             assert_same_run(traj, integrate("hyperbolic", *args, eps=traj.eps))
 
@@ -565,7 +563,7 @@ class TestStepFloor:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_is_below_a_solve(self, p):
         traj = integrate("hyperbolic", ([1.0], [0.0]), 8.0, 16, CFG, OP1, M1, p, eps=0.002)
-        assert klab.evolution._step_floor(0.002, p, 8.0) < traj.steps.accepted
+        assert klab.evolution._step_floor(0.002, p, 8.0) < traj.steps["accepted"]
 
 
 class TestConfigAndFailures:
@@ -583,6 +581,14 @@ class TestConfigAndFailures:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError):
                 integrate("hyperbolic", ([1e30], [0.0]), 1.0, 16, CFG, huge, M1, 0.0, eps=1e-3)
+
+    def test_a_limit_flow_whose_sigma_overflows_is_typed_failure(self):
+        # lambda u0^2 = 1e320 is inf, so sigma is nan at every edge of the
+        # phase quadrature and m(sigma) never reaches m(0)
+        op = power_spectrum(1.0, 4, 2.0)
+        with pytest.raises(IntegrationError, match="^limit flow: sigma left double range$"):
+            integrate("parabolic", [1e160, 0.0, 0.0, 0.0], 16.0, 64, CFG, op,
+                      MassFunction("affine", 1.0, 1.0), 0.5)
 
     def test_bad_problem_arguments(self):
         with pytest.raises(ValueError):

@@ -913,6 +913,59 @@ class TestCli:
             out, err = capfd.readouterr()
             assert code in (0, 1) and out == err == "", (code, out, err)
 
+    @pytest.mark.parametrize(
+        "command,scenario,mass,scale",
+        [
+            # without the data bound each broke the exit-code contract: exit 3
+            # with "worst_slack must be finite" after 18 numpy warning lines
+            ("verify", "decay", {"constant": 1.0}, 1e154),
+            # exit 0 with 16 warning lines
+            ("simulate", "simulate", {"constant": 1.0}, 1e160),
+            # exit 3 with an IndexError from the limit flow's phase
+            ("simulate", "simulate", {"affine": {"base": 1.0, "coeff": 1.0}}, 1e160),
+            # exit 3 with two warning lines before "integration failure:"
+            ("verify", "decay", {"affine": {"base": 1.0, "coeff": 1.0}}, 1e140),
+            # exit 1 with two warning lines from m'
+            ("verify", "all", {"rational": {"base": 1.0, "coeff": 1.0}}, 1e120),
+        ],
+        ids=["constant_decay", "constant_simulate", "affine_simulate", "affine_decay",
+             "rational_all"],
+    )
+    def test_data_whose_energy_squares_overflow_exit_two(
+        self, tmp_path, capfd, command, scenario, mass, scale
+    ):
+        doc = dict(K4_RUN, mass=mass, samples=64, scenario=scenario,
+                   initial={"u0": [scale, 0.0, 0.0, 0.0], "u1": [0.0] * 4})
+        code = cli_main([command, "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code == 2 and out == "", (code, out, err)
+        assert err.startswith("error: initial: gamma(0) = ") and err.count("\n") == 1, err
+        if scale == 1e120:
+            assert err == ("error: initial: gamma(0) = 3e+240 is not below sqrt(max double) "
+                           "= 1.34e+154\n")
+
+    def test_the_data_bound_is_gamma_at_the_largest_eps(self, tmp_path, capfd):
+        # gamma(0) = 3 s^2 for u0 = (s, 0, 0, 0) at lambda_1 = 1, and adds
+        # (1 + eps) s^2 for u1 = (s, 0, 0, 0), at eps 0.04 and not 0.01
+        bound = math.sqrt(sys.float_info.max)
+        for u0, u1, factor in ((1.0, 0.0, 3.0), (0.0, 1.0, 1.04), (1.0, 1.0, 4.04)):
+            for side in (1.0 - 1e-6, 1.0 + 1e-6):
+                s = math.sqrt(bound / factor) * side
+                doc = dict(K4_RUN, mass={"constant": 1.0}, samples=64,
+                           initial={"u0": [s * u0, 0.0, 0.0, 0.0], "u1": [s * u1, 0.0, 0.0, 0.0]})
+                if side > 1.0:
+                    with pytest.raises(ConfigError, match=r"^initial: gamma\(0\) = "):
+                        config_from_dict(doc)
+                else:
+                    config_from_dict(doc)
+                    below = doc
+        # just below the bound a run is silent
+        code = cli_main(["verify", "--config", str(write_config(tmp_path, below)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code in (0, 1) and out == err == "", (code, out, err)
+
     def test_a_constant_mass_bound_past_exp_range_exit_cleanly(self, tmp_path):
         # g = 2 mu nu / (1+p) = 1000: e^g overflows, the bound 1.05 lhs(0) psi(g) does not.
         # One mode keeps a constant slack, so rounding sets worst_t: it is not pinned.
@@ -1212,6 +1265,32 @@ class TestProperties:
         want = json.loads(json.dumps(klab.harness._config_echo(config_from_dict(doc))))
         assert echo == want
         assert json.loads(json.dumps(klab.harness._config_echo(config_from_dict(echo)))) == echo
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(FUZZ, max_examples=6,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_data_of_any_magnitude_keep_the_exit_code_contract(self, capfd, scenario, data):
+        # a cheap run whose data are drawn log-uniformly on [1e-300, 1e300]:
+        # exit 0 or 1 silently, 2 with one error line, or 3 with one line
+        # from the solver; never a runtime failure
+        doc = data.draw(cheap_runs(scenario))
+        K = doc["operator"]["K"]
+        scale = data.draw(_log_uniform(1e-300, 1e300))
+        mode_data = st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K)
+        doc["initial"] = {key: [scale * x for x in data.draw(mode_data)] for key in ("u0", "u1")}
+        capfd.readouterr()
+        command = "simulate" if scenario == "simulate" else "verify"
+        with tempfile.TemporaryDirectory() as tmp:
+            code = cli_main([command, "--config", str(write_config(Path(tmp), doc)),
+                             "--out", str(Path(tmp) / "out")])
+        stdout, stderr = capfd.readouterr()
+        assert stdout == "", stdout
+        if code in (0, 1):
+            assert stderr == "", stderr
+        else:
+            first = {2: "error: ", 3: "integration failure: "}[code]
+            assert stderr.startswith(first) and stderr.count("\n") == 1, stderr
 
     @CLI_FUZZ
     @given(doc=CLI_DOCUMENTS)
