@@ -28,9 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import energies as en
-from .evolution import (
-    _GL_NODES, _GL_POINTS, _GL_WEIGHTS, Trajectory, coefficient_derivative, residual_g,
-)
+from .evolution import _GL_NODES, _GL_POINTS, _GL_WEIGHTS, Trajectory, coefficient_derivative
 from .spectral import mass_inf, sobolev_norm_sq
 from ._rk import solve_to_grid
 
@@ -268,7 +266,7 @@ def hyperbolic_series(traj: Trajectory, lp: en.LyapunovParams) -> dict[str, np.n
         "gamma": en.gamma_eps(u, v, eps, op),
         "E": en.energy_E(u, v, eps, c, op),
         "F": en.energy_F(u, v, traj.times, eps, c, op, lp),
-        "G": en.energy_G(v),
+        "G": sobolev_norm_sq(op, v, 0.0),
     }
 
 
@@ -365,11 +363,26 @@ def assemble_psi3(
 
 
 def residual_series(traj_eps: Trajectory, traj_parabolic: Trajectory) -> np.ndarray:
-    """Residual ``g`` sampled on the shared grid, rows per sample time."""
+    """Defect ``g = -(c_eps - c) Au - eps u''`` of the limit solution in the
+    second-order equation, one row per sample; ``c_eps`` and ``c`` are the
+    runs' coefficient traces, and ``u''`` is chained from the limit equation
+    with ``c'`` of ``coefficient_derivative``:
+    ``u'' = -p(1+t)^(p-1) c Au - (1+t)^p c' Au + (1+t)^(2p) c^2 A^2 u``.
+    """
     if not np.array_equal(traj_eps.times, traj_parabolic.times):
         raise ValueError("trajectories must share the sample grid")
     par = traj_parabolic
-    return residual_g(par.times, par.u, traj_eps.c_trace, par.op, par.mass, par.p, traj_eps.eps)
+    lam, p = par.op.eigenvalues, par.p
+    one_t = 1.0 + par.times[:, None]
+    c = par.c_trace[:, None]
+    au = lam * par.u
+    g = -(one_t**p) * coefficient_derivative(par)[:, None] * au
+    if p != 0.0:
+        g += -p * one_t ** (p - 1.0) * c * au
+    g += one_t ** (2.0 * p) * c * c * lam * au
+    g *= -traj_eps.eps
+    g -= (traj_eps.c_trace[:, None] - c) * au
+    return g
 
 
 def check_lyapunov_decay(

@@ -46,7 +46,6 @@ __all__ = [
     "gamma_r",
     "energy_E",
     "energy_F",
-    "energy_G",
     "equivalence_constants",
 ]
 
@@ -276,12 +275,6 @@ def energy_F(u, v, t, eps: float, c_val, op: SpectralOperator, lp: LyapunovParam
         + eps * lp.delta * w * cross
         + 0.5 * lp.delta * w * w * sobolev_norm_sq(op, u, 0.0)
     )
-
-
-def energy_G(v):
-    """Kinetic term ``|u'|^2``."""
-    v = as_states(v)
-    return (v * v).sum(axis=-1)
 
 
 def equivalence_constants(mu: float, c_sup: float) -> tuple[float, float, float]:

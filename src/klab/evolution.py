@@ -56,7 +56,6 @@ from .energies import phi, weight_integral
 from .spectral import (
     MassFunction,
     SpectralOperator,
-    as_states,
     as_vector,
     m_eval,
     m_prime,
@@ -72,7 +71,6 @@ __all__ = [
     "theta0",
     "corrector_velocity",
     "coefficient_derivative",
-    "residual_g",
     "remainders",
 ]
 
@@ -177,12 +175,12 @@ class Trajectory:
 
     def velocity(self) -> np.ndarray:
         """``u'`` at every sample: stored for the second-order flow, recomputed
-        from the first-order equation (with the coefficient trace) otherwise."""
+        from the first-order equation ``u' = -(1+t)^p c A u`` (with the
+        coefficient trace) otherwise."""
         if self.kind == "hyperbolic":
             return self.v
-        return _parabolic_velocity(
-            self.times[:, None], self.u, self.c_trace[:, None], self.op.eigenvalues, self.p
-        )
+        t, c = self.times[:, None], self.c_trace[:, None]
+        return -((1.0 + t) ** self.p) * c * self.op.eigenvalues * self.u
 
 
 def _at_sigma(fn, m: MassFunction, lam: np.ndarray, u: np.ndarray):
@@ -194,40 +192,10 @@ def _at_sigma(fn, m: MassFunction, lam: np.ndarray, u: np.ndarray):
     return fn(m, float(sigma) if u.ndim == 1 else sigma)
 
 
-def _column(x, u: np.ndarray):
-    """A scalar as is, an ``(n,)`` series as an ``(n, 1)`` column against the rows of ``u``."""
-    x = np.asarray(x, dtype=float)
-    return x[:, None] if x.ndim == 1 and u.ndim == 2 else x
-
-
-def _parabolic_velocity(t, u, c, lam: np.ndarray, p: float):
-    """First-order flow ``u' = -(1+t)^p c A u``; ``t`` and ``c`` scalars or ``(n, 1)`` columns."""
-    return -((1.0 + t) ** p) * c * lam * u
-
-
 def _hyperbolic_acceleration(w, u, v, c, lam: np.ndarray, eps):
     """Second-order flow ``u'' = -(w u' + c A u)/eps`` with the damping ``w = (1+t)^(-p)``;
     ``w``, ``c`` and ``eps`` scalars or ``(n, 1)`` columns against the rows of ``u``."""
     return -(w * v + c * lam * u) / eps
-
-
-def _parabolic_acceleration(t, u: np.ndarray, m: MassFunction, lam: np.ndarray, p: float):
-    """``(c, u'')`` of first-order states by analytic chaining; one state or ``(n, K)`` rows.
-
-    ``u'' = -p(1+t)^(p-1) c Au - (1+t)^p c' Au + (1+t)^(2p) c^2 A^2 u`` with
-    ``c = m(|A^(1/2)u|^2)`` and ``c' = 2 m'(|A^(1/2)u|^2) <Au, u'>``.
-    """
-    t = _column(t, u)
-    c = _column(_at_sigma(m_eval, m, lam, u), u)
-    dm = _column(_at_sigma(m_prime, m, lam, u), u)
-    au = lam * u
-    uprime = _parabolic_velocity(t, u, c, lam, p)
-    c_prime = 2.0 * dm * (au * uprime).sum(axis=-1, keepdims=True)
-    one_t = 1.0 + t
-    first = -p * one_t ** (p - 1.0) * c * au if p != 0.0 else np.zeros_like(au)
-    second = -(one_t**p) * c_prime * au
-    third = one_t ** (2.0 * p) * c * c * lam * au
-    return c, first + second + third
 
 
 # A mode retires (is set to exactly 0) once two things hold, and its share
@@ -269,10 +237,10 @@ class _OscillationCap:
     The cap resolves the fastest live oscillation: mode ``k`` turns at
     ``sqrt(lambda_k c / eps)``, so a step keeps ``_OSCILLATION_SAFETY`` of
     the period of the fastest mode not yet retired, with ``c`` the running
-    max of the coefficient.  At the start and after every step the cap
-    itself limited, the modes that no longer carry energy (see
-    ``_RETIRE_SHARE``) are set to exactly 0 (``retired`` counts them,
-    ``last_retirement_t`` is the time of the last).  Their equation is
+    max of the coefficient; a state at rest has no cap.  At the start and
+    after every step the cap itself limited, the modes that no longer carry
+    energy (see ``_RETIRE_SHARE``) are set to exactly 0 (``retired`` counts
+    them, ``last_retirement_t`` is the time of the last).  Their equation is
     linear in their own ``(u_k, u_k')`` given ``c``, so they stay 0.  Whether
     a run retires modes, and when, therefore depends on where the cap binds,
     and so on the sample grid too.  The share is bounded over an
@@ -305,13 +273,16 @@ class _OscillationCap:
             y = self._retire(t, y, c)
         self._t = t
         self._cap = (_OSCILLATION_SAFETY * 2.0 * math.pi
-                     * math.sqrt(self.eps / (self.lam_live * self.c_sup)))
+                     * math.sqrt(self.eps / (self.lam_live * self.c_sup))
+                     if self.lam_live else math.inf)
         return self._cap, y
 
     def _retire(self, t: float, y: np.ndarray, c: float) -> np.ndarray:
         K = self.lam.size
         self.live &= (y[:K] != 0.0) | (y[K:] != 0.0)
         if not np.any(self.live):
+            # a state at rest stays at rest: nothing oscillates to resolve
+            self.lam_live = 0.0
             return y
         # scaled by a power of two so that no square underflows
         scale = _member_scale(y)
@@ -643,32 +614,12 @@ def corrector_velocity(theta0_vec, eps: float, p: float, times) -> np.ndarray:
 def coefficient_derivative(traj: Trajectory) -> np.ndarray:
     """``c'(t_i) = 2 m'(|A^(1/2)u|^2) <Au, u'>`` at every sample, as an ``(n,)`` series.
 
-    For parabolic trajectories ``u'`` is recomputed from the flow equation.
+    The one formula for ``c'``; ``analysis.residual_series`` chains it into
+    ``u''``.  For parabolic trajectories ``u'`` is recomputed from the flow equation.
     """
     lam = traj.op.eigenvalues
     dm = _at_sigma(m_prime, traj.mass, lam, traj.u)
-    return 2.0 * dm * ((traj.u * traj.velocity()) @ lam)
-
-
-def residual_g(
-    t,
-    u,
-    c_eps,
-    op: SpectralOperator,
-    m: MassFunction,
-    p: float,
-    eps: float,
-) -> np.ndarray:
-    """Defect of the limit solution in the second-order equation.
-
-    ``g(t) = -(c_eps(t) - c(t)) Au(t) - eps u''(t)`` for the limit state
-    ``u`` at ``t``; ``c_eps`` comes from the second-order run's coefficient
-    trace.  One state, or ``(n, K)`` rows with ``(n,)`` times and ``c_eps``.
-    """
-    u = as_states(u, op)
-    lam = op.eigenvalues
-    c, upp = _parabolic_acceleration(t, u, m, lam, p)
-    return -(_column(c_eps, u) - c) * (lam * u) - eps * upp
+    return 2.0 * dm * ((lam * traj.u) * traj.velocity()).sum(axis=-1)
 
 
 def remainders(

@@ -480,7 +480,8 @@ class _Context:
         """The second-order flow at every eps of the config, integrated as one solve."""
         c = self.cfg
         if c.epsilon and not self._hyp:
-            # the smallest eps needs the most steps; zero data take none
+            # the smallest eps needs the most steps; zero data only the grid's,
+            # whatever the eps (a state at rest has no oscillation to resolve)
             floor = _step_floor(c.epsilon[-1], c.p, c.t_end)
             if floor > _MAX_STEPS and (np.any(c.u0) or np.any(c.u1)):
                 raise ConfigError(f"epsilon: {c.epsilon[-1]!r} needs at least {floor:.3g} steps "

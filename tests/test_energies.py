@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import klab
 from klab import energies
 from klab import (
     LyapunovParams,
@@ -13,7 +12,6 @@ from klab import (
     decay_params,
     energy_E,
     energy_F,
-    energy_G,
     equivalence_constants,
     gamma_eps,
     gamma_r,
@@ -23,6 +21,7 @@ from klab import (
     perturbation_params,
     phi,
     psi,
+    sobolev_norm_sq,
     weight_integral,
 )
 import oracles
@@ -61,7 +60,7 @@ class TestProofEnergies:
         lp = decay_params(1.0, 0.0, 1.0, 1.0)
         assert energy_E(u, v, 1.0, 1.0, OP1) == 0.0
         assert energy_F(u, v, 0.0, 1.0, 1.0, OP1, lp) == 0.0
-        assert energy_G(v) == 0.0
+        assert sobolev_norm_sq(OP1, v, 0.0) == 0.0
 
     def test_substitution_case(self):
         # delta = 2(beta+1)nu/(2 mu nu - beta) = 4 at beta=1, mu=nu=1
@@ -70,7 +69,7 @@ class TestProofEnergies:
         u, v = np.array([1.0]), np.array([1.0])
         assert energy_E(u, v, 1.0, 1.0, OP1) == pytest.approx(2.0)
         assert energy_F(u, v, 0.0, 1.0, 1.0, OP1, lp) == pytest.approx(8.0)
-        assert energy_G(v) == pytest.approx(1.0)
+        assert sobolev_norm_sq(OP1, v, 0.0) == pytest.approx(1.0)
 
     def test_kinetic_term_divided_by_coefficient(self):
         assert energy_E(np.array([0.0]), np.array([2.0]), 1.0, 2.0, OP1) == pytest.approx(2.0)
@@ -81,25 +80,23 @@ class TestProofEnergies:
         z = np.array([0.0])
         assert energy_E(z, z, 0.1, 1.0, OP1) == 0.0
         assert energy_F(z, z, 0.0, 0.1, 1.0, OP1, lp) == 0.0
-        assert energy_G(z) == 0.0
+        assert sobolev_norm_sq(OP1, z, 0.0) == 0.0
 
         assert energy_E(np.array([1.0]), z, 0.1, 1.0, OP1) == pytest.approx(1.0)
         assert energy_E(z, np.array([1.0]), 0.25, 1.0, OP1) == pytest.approx(0.25)
-        assert energy_G(np.array([1.0])) == pytest.approx(1.0)
+        assert sobolev_norm_sq(OP1, np.array([1.0]), 0.0) == pytest.approx(1.0)
 
 
 OP3 = SpectralOperator(np.array([1.0, 4.0, 9.0]), 1.0)
 _LP = LyapunovParams(beta=1.0, p=0.5, delta=3.0, T=0.0)
-_MASS = klab.MassFunction("rational", 1.0, 2.0)
 # (name, functional of one row: (t, u, v, c) -> value)
 _ROW_FUNCTIONALS = [
     ("gamma_eps", lambda t, u, v, c: gamma_eps(u, v, 0.03, OP3)),
     ("gamma_r", lambda t, u, v, c: gamma_r(u, v, 0.03, OP3)),
     ("energy_E", lambda t, u, v, c: energy_E(u, v, 0.03, c, OP3)),
     ("energy_F", lambda t, u, v, c: energy_F(u, v, t, 0.03, c, OP3, _LP)),
-    ("energy_G", lambda t, u, v, c: energy_G(v)),
-    ("sobolev_norm_sq", lambda t, u, v, c: klab.sobolev_norm_sq(OP3, u, 0.75)),
-    ("residual_g", lambda t, u, v, c: klab.residual_g(t, u, c, OP3, _MASS, 0.5, 0.03)),
+    ("kinetic_G", lambda t, u, v, c: sobolev_norm_sq(OP3, v, 0.0)),
+    ("sobolev_norm_sq", lambda t, u, v, c: sobolev_norm_sq(OP3, u, 0.75)),
 ]
 
 

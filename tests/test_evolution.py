@@ -17,7 +17,7 @@ from klab import (
     integrate,
     power_spectrum,
     remainders,
-    residual_g,
+    residual_series,
     theta0,
     weight_integral,
 )
@@ -33,7 +33,7 @@ NO_STEPS: dict = {}
 
 
 def hand_run(kind, u, v, c, mass=M1, eps=None, op=OP1, times=(0.0, 1.0)):
-    """A two-sample trajectory built by hand, at p = 0."""
+    """A trajectory built by hand, two samples unless `times` says otherwise, at p = 0."""
     return Trajectory(kind, np.array(times), np.array(u), v if v is None else np.array(v),
                       np.array(c), 0.0, op, mass, eps, CFG.rel_tol, NO_STEPS)
 
@@ -315,6 +315,18 @@ class TestModeRetirement:
         assert traj.steps["retired_modes"] == 0 and traj.steps["last_retirement_t"] is None
         assert np.all(traj.u != 0.0)
 
+    def test_zero_data_take_the_same_steps_at_any_eps(self):
+        # a state at rest has no oscillation to resolve, so no step cap: the
+        # solve takes only the grid's steps, and the eps does not matter
+        op = power_spectrum(1.0, 4, 2.0)
+        z = np.zeros(4)
+        aff = MassFunction("affine", 1.0, 1.0)
+        small, tiny = (integrate("hyperbolic", (z, z), 6.0, 8, CFG, op, aff, 0.5, eps=eps)
+                       for eps in (0.01, 1e-8))
+        assert small.steps == tiny.steps
+        assert tiny.steps["accepted"] < 2 * 8 and tiny.steps["rejected"] == 0
+        assert np.all(tiny.u == 0.0) and np.all(tiny.v == 0.0)
+
 
 def all_mode_data(seed, op):
     """``u0``, ``u1`` drawn N(0,1)/k^2 on every mode, scaled to ``|A^(1/2)u| = 1``."""
@@ -466,35 +478,50 @@ class TestCoefficientTraces:
             assert np.isfinite(traj.c_trace).all()
 
 
+def limit_residual(u, c, eps, c_eps=None, mass=M1, op=OP1, times=(0.0, 1.0), p=0.0):
+    """``residual_series`` of a hand-built limit run through the states ``u``
+    with coefficient trace ``c``, against a second-order run whose trace is
+    ``c_eps`` (default ``c``)."""
+    par = dataclasses.replace(hand_run("parabolic", u, None, c, mass, op=op, times=times), p=p)
+    hyp = hand_run("hyperbolic", u, np.zeros_like(u), c if c_eps is None else c_eps, mass,
+                   eps, op, times)
+    return residual_series(hyp, par)
+
+
 class TestSecondDerivativeAndResidual:
     def test_parabolic_second_derivative_values(self):
         # with c_eps = c the residual is -eps u'', u'' of the limit flow
-        def udd(t, u, op):
-            return residual_g(t, np.array([u]), 1.0, op, M1, 0.0, 0.5) / -0.5
-
-        np.testing.assert_array_equal(udd(0.0, 0.0, OP1), [0.0])
-        np.testing.assert_allclose(udd(2.0, 1.0, OP1), [1.0])
+        ones = [1.0, 1.0]
+        np.testing.assert_array_equal(limit_residual([[0.0], [1.0]], ones, 0.5)[0] / -0.5, [0.0])
+        udd = limit_residual([[1.0], [1.0]], ones, 0.5, times=(0.0, 2.0))[1] / -0.5
+        np.testing.assert_allclose(udd, [1.0])
         op2 = SpectralOperator(np.array([2.0]), 1.0)
-        np.testing.assert_allclose(udd(0.0, 1.0, op2), [4.0])
+        np.testing.assert_allclose(limit_residual([[1.0], [1.0]], ones, 0.5, op=op2)[0] / -0.5,
+                                   [4.0])
+        # affine mass 1 + sigma at u = 1: c = 2, u' = -2 and c' = 2 <Au, u'> = -4,
+        # so u'' = -c' u - c u' = 8
+        aff = MassFunction("affine", 1.0, 1.0)
+        udd = limit_residual([[1.0], [0.5]], [2.0, 1.25], 0.5, mass=aff)[0] / -0.5
+        np.testing.assert_allclose(udd, [8.0])
 
     def test_residual_worked_values(self):
-        zero = np.array([0.0])
-        np.testing.assert_array_equal(residual_g(0.0, zero, 1.0, OP1, M1, 0.0, 0.1), [0.0])
-
-        np.testing.assert_allclose(
-            residual_g(0.0, np.array([1.0]), 1.0, OP1, M1, 0.0, 0.1), [-0.1])
+        g = limit_residual([[0.0], [1.0]], [1.0, 1.0], 0.1)
+        np.testing.assert_array_equal(g[0], [0.0])
+        np.testing.assert_allclose(g[1], [-0.1])
+        # the coefficient gap: -(c_eps - c) Au - eps u'' = -(2 - 1) - 0.1
+        g = limit_residual([[1.0], [1.0]], [1.0, 1.0], 0.1, c_eps=[2.0, 2.0])
+        np.testing.assert_allclose(g[0], [-1.1])
 
     def test_constant_mass_residual_is_pure_acceleration(self):
-        traj = integrate("parabolic", [1.0, -0.2], 3.0, 120, CFG,
-                         SpectralOperator(np.array([1.0, 2.0]), 1.0), M1, 0.5)
         op = SpectralOperator(np.array([1.0, 2.0]), 1.0)
+        traj = integrate("parabolic", [1.0, -0.2], 3.0, 120, CFG, op, M1, 0.5)
+        g = limit_residual(traj.u, traj.c_trace, 0.02, op=op, times=traj.times, p=0.5)
         lam = op.eigenvalues
         for i in (0, 60, 119):
             t, u = traj.times[i], traj.u[i]
-            g = residual_g(t, u, 1.0, op, M1, 0.5, 0.02)
             # u' = -(1+t)^p A u at unit mass, so u'' = ((1+t)^(2p) A^2 - p (1+t)^(p-1) A) u
             udd = ((1.0 + t) * lam**2 - 0.5 * (1.0 + t) ** -0.5 * lam) * u
-            np.testing.assert_allclose(g, -0.02 * udd, rtol=1e-14)
+            np.testing.assert_allclose(g[i], -0.02 * udd, rtol=1e-14)
 
 
 class TestRemainders:

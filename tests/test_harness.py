@@ -865,7 +865,7 @@ class TestCli:
         assert code == 2, err
         assert err == ("error: epsilon: 1e-08 needs at least 4.99e+07 steps of the explicit "
                        "solver, past its budget of 10000000\n")
-        # zero data take no step, so nothing is refused
+        # zero data take only the grid's steps, so nothing is refused
         doc = base_config(epsilon=[1e-8], initial={"u0": [0.0], "u1": [0.0]}, samples=8)
         assert self.verify_in_process(tmp_path, capsys, json.dumps(doc))[0] in (0, 1)
 
@@ -1060,6 +1060,17 @@ CLI_NEAR_VALID = st.builds(
     lambda path, value: _replaced(CLI_VALID, path, value),
     st.sampled_from(_CLI_NUMBER_PATHS), st.floats(0.0, 64.0) | st.integers(0, 64),
 )
+# a JSON value of each type, as an --override gives it; Python's JSON reader
+# also takes NaN and the infinities as numbers
+JSON_OF_EACH_TYPE = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-64, 64),
+    "number": st.floats(),
+    "string": st.text(max_size=8),
+    "array": st.lists(JSON, max_size=4),
+    "object": st.dictionaries(st.text(max_size=8), JSON, max_size=4),
+}
 # the lowest mode of a single-mode operator under constant mass, scenario all
 LOWEST_MODE_RUN = {
     "operator": {"family": "power", "nu": 1.0, "K": 1},
@@ -1117,6 +1128,41 @@ OVERRIDE_KEYS = st.lists(
 ).map(".".join)
 
 
+# a span written over a stored output: raw bytes, or a token a CSV or JSON
+# reader may take for a number, a separator or a structure
+_PATCHES = st.binary(min_size=1, max_size=8) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "-0", ",", "\n", "t", "gamma", "{", "]", '"x"', "null"]
+).map(str.encode)
+
+
+@st.composite
+def damaged_outputs(draw, files):
+    """``files`` (name -> bytes) with one or two of them gone, cut short, or
+    with a span near their start or anywhere overwritten (``None`` for gone)."""
+    files = dict(files)
+    for name in draw(st.lists(st.sampled_from(sorted(files)), min_size=1, max_size=2,
+                              unique=True)):
+        data = files[name]
+        kind = draw(st.sampled_from(["missing", "truncated", "corrupted"]))
+        start = draw(st.integers(0, min(64, len(data) - 1)) | st.integers(0, len(data) - 1))
+        if kind == "missing":
+            files[name] = None
+        elif kind == "truncated":
+            files[name] = data[:start]
+        else:
+            end = draw(st.integers(start, min(len(data), start + 16)))
+            files[name] = data[:start] + draw(_PATCHES) + data[end:]
+    return files
+
+
+@pytest.fixture(scope="module")
+def cheap_outputs(tmp_path_factory):
+    """Every file of one cheap ``verify`` run of scenario ``all``, by name."""
+    out = tmp_path_factory.mktemp("cheap") / "out"
+    run_scenario(config_from_dict(scenario_config("all")), out)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
 class TestProperties:
     @FUZZ
     @given(path=st.sampled_from(sorted(_paths(VALID))), value=JSON)
@@ -1153,6 +1199,27 @@ class TestProperties:
             except ConfigError:
                 pass
 
+    @settings(FUZZ, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_report_on_damaged_outputs_keeps_the_exit_code_contract(
+        self, capfd, cheap_outputs, data
+    ):
+        # klab report on a run's outputs with files gone, cut short or
+        # overwritten: exit 0 or 1 silently, or 2 with one error line
+        files = data.draw(damaged_outputs(cheap_outputs))
+        capfd.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                if content is not None:
+                    (Path(tmp) / name).write_bytes(content)
+            code = cli_main(["report", "--out", tmp])
+        stdout, stderr = capfd.readouterr()
+        assert code in (0, 1, 2) and stdout == "", (code, stdout, stderr)
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        else:
+            assert stderr == "", stderr
+
     @settings(FUZZ, max_examples=100)
     @given(key=OVERRIDE_KEYS, fragment=JSON.map(json.dumps) | st.text(max_size=12))
     def test_apply_override_sets_the_field_or_names_the_error(self, key, fragment):
@@ -1172,11 +1239,15 @@ class TestProperties:
         assert json.dumps(target[last]) == json.dumps(want)
 
     @staticmethod
-    def check_cli_exit(doc):
-        """``klab verify`` on ``doc``: exit 2 with one ``error:`` line when the
-        config is invalid, else 0 or 1 silently or 2 or 3 with one line."""
+    def check_cli_exit(doc, overrides=()):
+        """``klab verify`` on ``doc`` with each of ``overrides`` as an
+        ``--override``: exit 2 with one ``error:`` line when the config is
+        invalid, else 0 or 1 silently or 2 or 3 with one line."""
         try:
-            config_from_dict(json.loads(json.dumps(doc)))
+            raw = json.loads(json.dumps(doc))
+            for override in overrides:
+                apply_override(raw, override)
+            config_from_dict(raw)
             valid = True
         except ConfigError:
             valid = False
@@ -1186,7 +1257,8 @@ class TestProperties:
             mp.setattr(klab._rk, "_MAX_STEPS", 2000)
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            code = cli_main(["verify", "--config", str(path), "--out", str(Path(tmp) / "out")])
+            code = cli_main(["verify", "--config", str(path), "--out", str(Path(tmp) / "out"),
+                             *(f"--override={override}" for override in overrides)])
         text = err.getvalue()
         assert "Traceback" not in text
         if not valid:
@@ -1301,3 +1373,10 @@ class TestProperties:
     @given(doc=CLI_NEAR_VALID)
     def test_cli_on_a_document_with_one_number_changed_exits_with_a_code(self, doc):
         self.check_cli_exit(doc)
+
+    @pytest.mark.parametrize("kind", sorted(JSON_OF_EACH_TYPE))
+    @settings(CLI_FUZZ, max_examples=3)
+    @given(data=st.data())
+    def test_cli_with_an_override_of_any_json_type_exits_with_a_code(self, kind, data):
+        key = data.draw(st.sampled_from(_CLI_PATHS).map(".".join))
+        self.check_cli_exit(CLI_VALID, [f"{key}={json.dumps(data.draw(JSON_OF_EACH_TYPE[kind]))}"])
