@@ -401,12 +401,16 @@ def check_lyapunov_decay(
     (F,) = _series(traj, F=F)
     t = traj.times
     w = (1.0 + t) ** (-lp.p)
-    rhs = -lp.beta * w * F
+    # the right-hand side where the monitor reads it, from the sample at T on:
+    # before T a large beta may overflow it, and nothing reads it there
+    first = int(_first_sample(t, lp.T))
+    rhs = np.zeros_like(F)
+    rhs[first:] = -lp.beta * w[first:] * F[first:]
     name = "lyapunov_decay_F"
     if psi3 is not None:
         if lp.sigma is None:
             raise ValueError("the remainder form needs perturbation-case parameters")
-        rhs = rhs + _series(traj, psi3=psi3)[0]
+        rhs[first:] += _series(traj, psi3=psi3)[0][first:]
         name = "lyapunov_decay_script_F"
     return _slope_check(
         name,

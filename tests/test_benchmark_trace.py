@@ -1,11 +1,13 @@
-"""The benchmark's traced counters, on the workloads that make one solve.
+"""The benchmark's traced counters, on seed 0 of each workload: each makes one solve.
 
 ``perfbench/worker.py`` in ``trace`` mode wraps ``klab._rk.solve_to_grid``,
 counts every right-hand-side call through it and adds the accepted and
 rejected steps of the ``stats`` it returns.  On ``stiff_k64`` (one eps) and
 ``lemmas`` (lemma33's one solve) those counts must be the one solve's own
 statistics as ``runs.json`` records them, and the worker must report every
-per-layer metric that ``BENCHMARK.json`` names.
+per-layer metric that ``BENCHMARK.json`` names.  ``checks_k4`` runs two steps
+on one config in one process, and the second takes the first one's eps
+sweep: one solve, whose accepted steps each step's ``runs.json`` records.
 """
 
 import json
@@ -33,8 +35,8 @@ def _solve_entries(node):
                 yield from _solve_entries(value)
 
 
-@pytest.mark.parametrize("workload", ["stiff_k64", "lemmas"])
-def test_the_traced_counts_are_the_one_solve_of_runs_json(tmp_path, workload):
+def _traced(tmp_path, workload):
+    """Seed 0 of ``workload`` through the worker in trace mode: its spec and result."""
     spec = workloads.make(workload, 0)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(spec["config"]), encoding="utf-8")
@@ -48,13 +50,21 @@ def test_the_traced_counts_are_the_one_solve_of_runs_json(tmp_path, workload):
     res = subprocess.run([sys.executable, str(BENCH / "worker.py"), str(job)],
                          capture_output=True, text=True, env=env, cwd=REPO)
     assert res.returncode == 0, res.stderr
-    result = json.loads(res.stdout.splitlines()[-1])
+    return spec, json.loads(res.stdout.splitlines()[-1])
+
+
+def _manifest(tmp_path, step):
+    return json.loads(
+        (tmp_path / "out" / step["scenario"] / "runs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", ["stiff_k64", "lemmas"])
+def test_the_traced_counts_are_the_one_solve_of_runs_json(tmp_path, workload):
+    spec, result = _traced(tmp_path, workload)
     counts = result["counts"]
 
     (step,) = spec["steps"]
-    manifest = json.loads(
-        (tmp_path / "out" / step["scenario"] / "runs.json").read_text(encoding="utf-8"))
-    (solve,) = _solve_entries(manifest["integrator"])
+    (solve,) = _solve_entries(_manifest(tmp_path, step)["integrator"])
     assert counts["evolution.solve_calls"] == 1
     assert counts["evolution.steps_accepted"] == solve["accepted"]
     assert counts["evolution.steps_rejected"] == solve["rejected"]
@@ -62,3 +72,15 @@ def test_the_traced_counts_are_the_one_solve_of_runs_json(tmp_path, workload):
 
     declared = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert {m["name"] for m in declared} <= set(result["per_layer"])
+
+
+def test_two_steps_on_one_physics_make_one_solve(tmp_path):
+    # checks_k4 runs decay then decay_error on one config in one process:
+    # the second step takes the first one's eps sweep
+    spec, result = _traced(tmp_path, "checks_k4")
+    counts = result["counts"]
+    assert counts["evolution.solve_calls"] == 1
+    for step in spec["steps"]:
+        sweep = _manifest(tmp_path, step)["integrator"]["hyperbolic"]
+        assert len(sweep) == 3
+        assert counts["evolution.steps_accepted"] == sum(e["accepted"] for e in sweep.values())

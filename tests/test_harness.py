@@ -327,6 +327,7 @@ class TestRunScenario:
         cfg = config_from_dict(base_config())
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
+            klab.harness._SWEEPS.clear()  # each run solves
             assert run_scenario(cfg, d) == 0
         for name in ("report.json", "runs.json", "parabolic.csv",
                      "hyperbolic_eps0.05.csv"):
@@ -400,6 +401,7 @@ class TestRunScenario:
         cfg = config_from_dict(base_config(tolerances=tolerances, mass=mass))
         assert run_scenario(cfg, tmp_path / "a") == 0
         echo = json.loads((tmp_path / "a" / "runs.json").read_text(encoding="utf-8"))["config"]
+        klab.harness._SWEEPS.clear()  # the reloaded run solves
         assert run_scenario(config_from_dict(echo), tmp_path / "b") == 0
         for name in ("runs.json", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -433,6 +435,7 @@ class TestRunScenario:
             initial={"u0": [0.01 / k**2 for k in range(1, 65)], "u1": [0.0] * 64},
         ))
         for out in ("a", "b"):
+            klab.harness._SWEEPS.clear()  # each run solves
             assert run_scenario(cfg, tmp_path / out) == 0
         manifest = (tmp_path / "a" / "runs.json").read_bytes()
         assert manifest == (tmp_path / "b" / "runs.json").read_bytes()
@@ -553,6 +556,116 @@ class TestRunScenario:
         cfg = config_from_dict(base_config(scenario=scenario, **extra))
         assert run_scenario(cfg, tmp_path / "out") in (0, 1)
         assert calls == shapes
+
+
+# two modes under affine mass, a two-eps sweep on a short grid
+SWEEP_RUN = base_config(
+    epsilon=[0.04, 0.02],
+    operator={"eigenvalues": [1.0, 4.0], "nu": 1.0},
+    mass={"affine": {"base": 1.0, "coeff": 0.5}},
+    initial={"u0": [1.0, 0.5], "u1": [0.0, -1.0]},
+    tolerances={"rel_tol": 1e-9},
+    t_end=2.0,
+    samples=32,
+    scenario="simulate",
+)
+
+
+class TestKeptSweep:
+    """The process keeps its last eps sweep and reuses it for the same physics."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The second-order solves the test makes, counted."""
+        import klab.evolution
+
+        calls = []
+        solve = klab.evolution.solve_to_grid
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(klab.evolution, "solve_to_grid", counting)
+        return calls
+
+    @staticmethod
+    def run(tmp_path, doc, name):
+        assert run_scenario(config_from_dict(doc), tmp_path / name) in (0, 1)
+        return {path.name: path.read_bytes() for path in sorted((tmp_path / name).iterdir())}
+
+    def test_decay_then_decay_error_take_one_solve(self, tmp_path, solves):
+        doc = dict(SWEEP_RUN, epsilon=[0.04, 0.02, 0.01])
+        kept = [self.run(tmp_path, dict(doc, scenario=s), f"kept_{s}")
+                for s in ("decay", "decay_error")]
+        assert len(solves) == 1
+        fresh = []
+        for s in ("decay", "decay_error"):
+            klab.harness._SWEEPS.clear()
+            fresh.append(self.run(tmp_path, dict(doc, scenario=s), f"fresh_{s}"))
+        assert len(solves) == 3
+        assert kept == fresh
+
+    @pytest.mark.parametrize(
+        "path,before,after",
+        [
+            (("initial", "u0", 0), 1.0, math.nextafter(1.0, 2.0)),
+            (("initial", "u1", 1), -1.0, -0.5),
+            (("t_end",), 2.0, 2.5),
+            (("samples",), 32, 33),
+            (("tolerances", "rel_tol"), 1e-9, 1e-8),
+            (("operator", "eigenvalues", 1), 4.0, 4.5),
+            (("operator", "nu"), 1.0, 0.5),
+            (("mass",), {"affine": {"base": 1.0, "coeff": 0.5}},
+             {"rational": {"base": 1.0, "coeff": 0.5}}),
+            (("mass", "affine", "base"), 1.0, 1.5),
+            (("mass", "affine", "coeff"), 0.5, 0.25),
+            (("mass", "affine", "coeff"), 0.0, -0.0),
+            (("p",), 0.5, 0.25),
+            (("epsilon",), [0.04, 0.02], [0.04, 0.01]),
+        ],
+        ids=["u0_ulp", "u1", "t_end", "samples", "rel_tol", "eigenvalue", "nu", "variant",
+             "base", "coeff", "coeff_signed_zero", "p", "epsilon"],
+    )
+    def test_other_physics_takes_a_fresh_solve(self, tmp_path, solves, path, before, after):
+        first = self.run(tmp_path, _replaced(SWEEP_RUN, path, before), "before")
+        assert len(solves) == 1
+        assert self.run(tmp_path, _replaced(SWEEP_RUN, path, after), "after") != first
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [(("beta",), 0.5), (("scenario",), "decay"), (("seed",), 7)],
+        ids=["beta", "scenario", "seed"],
+    )
+    def test_what_the_sweep_does_not_read_reuses_it(self, tmp_path, solves, path, value):
+        self.run(tmp_path, SWEEP_RUN, "first")
+        changed = _replaced(SWEEP_RUN, path, value)
+        kept = self.run(tmp_path, changed, "kept")
+        assert len(solves) == 1
+        klab.harness._SWEEPS.clear()
+        assert self.run(tmp_path, changed, "fresh") == kept
+        assert len(solves) == 2
+
+    def test_a_failed_sweep_is_not_kept(self, tmp_path, solves, monkeypatch):
+        self.run(tmp_path, SWEEP_RUN, "first")
+        failing = _replaced(SWEEP_RUN, ("t_end",), 4.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(klab._rk, "_MAX_STEPS", 10)
+            with pytest.raises(klab._rk.IntegrationError, match="step budget 10 exceeded"):
+                run_scenario(config_from_dict(failing), tmp_path / "failed")
+        assert klab.harness._SWEEPS == {}
+        assert len(solves) == 2
+        self.run(tmp_path, failing, "again")
+        assert len(solves) == 3
+
+    def test_the_process_keeps_one_sweep(self, tmp_path, solves):
+        docs = [SWEEP_RUN, _replaced(SWEEP_RUN, ("p",), 0.25), _replaced(SWEEP_RUN, ("t_end",), 3.0)]
+        for i, doc in enumerate(docs + docs[:1]):
+            self.run(tmp_path, doc, f"run{i}")
+            assert len(klab.harness._SWEEPS) == 1
+        # the first physics was dropped for the second, so it is solved again
+        assert len(solves) == 4
 
 
 class TestWkbScenario:
@@ -965,6 +1078,45 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         out, err = capfd.readouterr()
         assert code in (0, 1) and out == err == "", (code, out, err)
+
+    @staticmethod
+    def verify_cli_valid(tmp_path, capfd, override):
+        """``klab verify`` in process on ``CLI_VALID``'s decay run with one override."""
+        path = write_config(tmp_path, dict(CLI_VALID, scenario="decay"))
+        code = cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--override", override])
+        out, err = capfd.readouterr()
+        assert out == "", out
+        return code, err
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            # each exited 3 with three lines: "worst_slack must be finite"
+            # after inf - inf in energy_F, or "step size underflow" after an
+            # overflow in the solver's norm
+            ("mass.affine.base=5e-324",
+             "inf m = 4.94e-324 is not at least 1/sqrt(max double) = 7.46e-155"),
+            ("mass.affine.base=2.4e157",
+             "m(sigma(0)) lambda_max = 9.6e+157 is not below sqrt(max double) = 1.34e+154"),
+            ("mass.affine.coeff=1e300",
+             "m(sigma(0)) lambda_max = 8e+300 is not below sqrt(max double) = 1.34e+154"),
+        ],
+        ids=["subnormal_base", "huge_base", "huge_coeff"],
+    )
+    def test_a_mass_the_run_cannot_square_exit_two(self, tmp_path, capfd, override, message):
+        code, err = self.verify_cli_valid(tmp_path, capfd, override)
+        assert code == 2 and err == f"error: mass: {message}\n", (code, err)
+
+    def test_the_mass_bound_admits_a_mass_just_inside_it(self, tmp_path, capfd):
+        for override in ("mass.affine.base=8e-155", "mass.affine.base=1e-100"):
+            code, err = self.verify_cli_valid(tmp_path, capfd, override)
+            assert code in (0, 1) and err == "", (override, code, err)
+
+    def test_a_large_beta_writes_no_warning(self, tmp_path, capfd):
+        # -beta w F overflowed before the monitor's onset T, where it reads nothing
+        code, err = self.verify_cli_valid(tmp_path, capfd, "beta=6.1e283")
+        assert code in (0, 1) and err == "", (code, err)
 
     def test_a_constant_mass_bound_past_exp_range_exit_cleanly(self, tmp_path):
         # g = 2 mu nu / (1+p) = 1000: e^g overflows, the bound 1.05 lhs(0) psi(g) does not.
