@@ -18,10 +18,10 @@ the same function ``render_report`` applies to the CSVs it reads back.
 Everything is deterministic: identical configs produce byte-identical files.
 The process keeps the last eps sweep it integrated (``_SWEEPS``, one entry,
 until the process ends or a sweep of other physics replaces it).  A later run
-whose ``u0``, ``u1``, ``t_end``, ``samples``, tolerance, operator, mass, ``p``
-and eps have the same bits (``_sweep_key``) takes it without a solve, so
-``verify decay`` then ``verify decay_error`` on one config in one process
-integrate the second-order flow once.
+whose config echo (the ``runs.json`` ``config`` block, which reloads to the
+same run) is the same but for ``beta``, ``scenario`` and ``seed`` (``_sweep_key``)
+takes it without a solve, so ``verify decay`` then ``verify decay_error`` on
+one config in one process integrate the second-order flow once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -71,7 +71,7 @@ __all__ = [
 _PRESETS = ("lowest_mode", "well_prepared", "boundary_layer")
 # the longest float64 array numpy can describe: the sample grid must be one
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
-_MAX_GAMMA0 = math.sqrt(np.finfo(float).max)
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
 
 
 class ConfigError(ValueError):
@@ -235,6 +235,48 @@ def _default_t_end(beta: float, p: float) -> float:
     return min(max(t, 1.0), 200.0)
 
 
+def _check_scales(c: RunConfig) -> None:
+    """Refuse, before any solve, a run whose scales double precision or the
+    solver cannot carry, naming the field.  The run squares its energies,
+    sigma, the mass and m A u (in the solver's first slope and the limit
+    flow's velocity), so each stays below sqrt(max double); the solver takes
+    no step under ``_MIN_STEP`` max(1, t) and at most ``_MAX_STEPS``.  The
+    second-order rows apply only where the scenario integrates that flow with
+    data: a state at rest has no slope."""
+    lam, root = c.operator.eigenvalues, np.sqrt(c.operator.eigenvalues)
+    second_order = c.epsilon and c.scenario != "lemmas" and (np.any(c.u0) or np.any(c.u1))
+    eps = c.epsilon[-1] if second_order else math.inf  # inf: no second-order rows
+    # the terms of gamma(0) at the largest eps; each squares finite factors,
+    # so zero data meet no inf
+    with np.errstate(over="ignore"):
+        rows = (c.u0, root * c.u0, lam * c.u0, c.u1,
+                math.sqrt(max(c.epsilon, default=0.0)) * (root * c.u1))
+        squares = [float(x @ x) for x in rows]
+    gamma0, mu = sum(squares), mass_inf(c.mass)
+    m0 = m_eval(c.mass, squares[1])
+    rate, velocity = m0 * float(lam[-1]), m0 * math.sqrt(squares[2])
+    slope, floor = rate / eps, _step_floor(eps, c.p, c.t_end)
+    # linspace rounds each spacing by up to 2 samples + 1 half-ulps
+    spacing = c.t_end / (c.samples - 1) * (1.0 - (2 * c.samples + 1) * 2.0**-53)
+    below = f"is not below sqrt(max double) = {_SQRT_MAX:.3g}"
+    for field, ok, message in (
+        ("initial", gamma0 < _SQRT_MAX, f"gamma(0) = {gamma0:.3g} {below}"),
+        ("mass", mu >= 1.0 / _SQRT_MAX,
+         f"inf m = {mu:.3g} is not at least 1/sqrt(max double) = {1.0 / _SQRT_MAX:.3g}"),
+        ("mass", rate < _SQRT_MAX, f"m(sigma(0)) lambda_max = {rate:.3g} {below}"),
+        ("mass", slope < _SQRT_MAX, f"m(sigma(0)) lambda_max / min(eps) = {slope:.3g} {below}"),
+        ("mass", velocity < _SQRT_MAX, f"m(sigma(0)) |A u0| = {velocity:.3g} {below}"),
+        ("t_end", spacing >= _MIN_STEP * max(1.0, c.t_end),
+         f"{c.t_end!r} over {c.samples} samples spaces them closer than the solver's "
+         f"shortest step, {_MIN_STEP:g} max(1, t)"),
+        ("epsilon", floor <= _MAX_STEPS,
+         f"{eps!r} needs at least {floor:.3g} steps of the explicit solver, past its "
+         f"budget of {_MAX_STEPS}"),
+    ):
+        if not ok:
+            _fail(field, message)
+
+
 _TOP_FIELDS = {
     "p",
     "epsilon",
@@ -279,34 +321,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "initial" not in raw:
         _fail("initial", "required field is missing")
     u0, u1 = _parse_initial(raw["initial"], op, m)
-    # The run squares its energies (and sigma, in m'), so gamma(0) at the
-    # largest eps must stay below sqrt(max double).  Each term squares finite
-    # factors, so zero data meet no inf.
-    lam, root = op.eigenvalues, np.sqrt(op.eigenvalues)
-    with np.errstate(over="ignore"):
-        rows = (u0, root * u0, lam * u0, u1, math.sqrt(max(epsilon, default=0.0)) * (root * u1))
-        gamma0 = sum(float(x @ x) for x in rows)
-    if not gamma0 < _MAX_GAMMA0:
-        _fail("initial", f"gamma(0) = {gamma0:.3g} is not below sqrt(max double) = "
-                         f"{_MAX_GAMMA0:.3g}")
-    # The run squares the mass and m A u too (in E and F, and in the solver's
-    # norm), so inf m may not fall below 1/sqrt(max double), nor the largest
-    # rate m(sigma(0)) lambda_max reach sqrt(max double).
-    mu = mass_inf(m)
-    if not mu >= 1.0 / _MAX_GAMMA0:
-        _fail("mass", f"inf m = {mu:.3g} is not at least 1/sqrt(max double) = "
-                      f"{1.0 / _MAX_GAMMA0:.3g}")
-    rate = m_eval(m, float(rows[1] @ rows[1])) * float(lam[-1])
-    if not rate < _MAX_GAMMA0:
-        _fail("mass", f"m(sigma(0)) lambda_max = {rate:.3g} is not below sqrt(max double) = "
-                      f"{_MAX_GAMMA0:.3g}")
     beta = _number(raw, "beta", required=True)
     if beta <= 0:
         _fail("beta", "must be positive")
-    try:
-        en.require_admissible_beta(beta, p, mu, op.nu)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     t_end = _number(raw, "t_end", default=None)
     if t_end is None:
         t_end = _default_t_end(beta, p)
@@ -319,11 +336,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         or not 2 <= samples_raw <= _MAX_SAMPLES
     ):
         _fail("samples", f"expected an integer from 2 to {_MAX_SAMPLES}, got {samples_raw!r}")
-    # linspace rounds each spacing by up to 2 samples + 1 half-ulps
-    spacing = t_end / (samples_raw - 1) * (1.0 - (2 * samples_raw + 1) * 2.0**-53)
-    if not spacing >= _MIN_STEP * max(1.0, t_end):
-        _fail("t_end", f"{t_end!r} over {samples_raw} samples spaces them closer than the "
-                       f"solver's shortest step, {_MIN_STEP:g} max(1, t)")
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         _fail("tolerances", "expected an object")
@@ -339,7 +351,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     seed_raw = raw.get("seed", 0)
     if not isinstance(seed_raw, int) or isinstance(seed_raw, bool) or seed_raw < 0:
         _fail("seed", f"expected a nonnegative integer, got {seed_raw!r}")
-    return RunConfig(
+    cfg = RunConfig(
         p=p,
         epsilon=epsilon,
         operator=op,
@@ -353,6 +365,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         scenario=scenario,
         seed=seed_raw,
     )
+    _check_scales(cfg)
+    try:
+        en.require_admissible_beta(beta, p, mass_inf(m), op.nu)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def _read_json(path: Path, what: str) -> Any:
@@ -470,23 +488,16 @@ def _write_report(
 # The last eps sweep this process integrated, by ``_sweep_key``: at most one
 # entry, replaced by the next sweep of other physics, and kept until the
 # process ends.  Its trajectories are read-only and nothing writes their steps.
-_SWEEPS: dict[tuple, list[Trajectory]] = {}
+_SWEEPS: dict[str, list[Trajectory]] = {}
 
 
-def _sweep_key(c: RunConfig) -> tuple:
-    """Every value ``integrate("hyperbolic")`` reads or its trajectories carry,
-    each float by its bits (so ``-0.0`` and ``0.0`` differ); not ``beta``,
-    ``scenario`` or ``seed``, which the sweep does not read."""
-    floats = (c.t_end, c.operator.nu, c.mass.base, c.mass.coeff, c.p, *astuple(c.integrator))
-    return (
-        c.u0.tobytes(),
-        c.u1.tobytes(),
-        c.operator.eigenvalues.tobytes(),
-        c.samples,
-        c.mass.variant,
-        # a fixed count of floats, then the eps sweep
-        np.array([*floats, *c.epsilon]).tobytes(),
-    )
+def _sweep_key(c: RunConfig) -> str:
+    """The config echo without ``beta``, ``scenario`` and ``seed``, which the
+    sweep does not read, as JSON with sorted keys.  The echo reloads to the
+    same run, so it holds every value the sweep reads, each float as its
+    shortest round-trip decimal (so ``-0.0`` and ``0.0`` differ)."""
+    echo = {k: v for k, v in _config_echo(c).items() if k not in ("beta", "scenario", "seed")}
+    return json.dumps(echo, sort_keys=True)
 
 
 class _Context:
@@ -499,7 +510,7 @@ class _Context:
         self.checks: list[an.CheckReport] = []
         self.constants: dict[str, Any] = {}
         self._par: Trajectory | None = None
-        self._hyp: dict[float, Trajectory] = {}
+        self._hyp: list[Trajectory] = []
         # the energy columns of each integrated flow, by eps (None for the limit
         # flow); taken right after its integration, before any later flow
         # exists, so their (n, K) temporaries stay off the run's memory peak
@@ -522,42 +533,25 @@ class _Context:
         same ``_sweep_key``.  A sweep that fails is not kept."""
         c = self.cfg
         if c.epsilon and not self._hyp:
-            # the smallest eps needs the most steps; zero data only the grid's,
-            # whatever the eps (a state at rest has no oscillation to resolve)
-            floor = _step_floor(c.epsilon[-1], c.p, c.t_end)
-            if floor > _MAX_STEPS and (np.any(c.u0) or np.any(c.u1)):
-                raise ConfigError(f"epsilon: {c.epsilon[-1]!r} needs at least {floor:.3g} steps "
-                                  f"of the explicit solver, past its budget of {_MAX_STEPS}")
             key = _sweep_key(c)
-            trajs = _SWEEPS.get(key)
-            if trajs is None:
+            if key not in _SWEEPS:
                 # the old sweep goes first, so that two are never held at once
                 _SWEEPS.clear()
-                trajs = integrate(
-                    "hyperbolic",
-                    (c.u0, c.u1),
-                    c.t_end,
-                    c.samples,
-                    c.integrator,
-                    c.operator,
-                    c.mass,
-                    c.p,
-                    eps=c.epsilon,
-                )
-                _SWEEPS[key] = trajs
+                _SWEEPS[key] = integrate("hyperbolic", (c.u0, c.u1), c.t_end, c.samples,
+                                         c.integrator, c.operator, c.mass, c.p, eps=c.epsilon)
+            self._hyp = _SWEEPS[key]
             # the energy columns one flow at a time, so that only one flow's
             # (n, K) temporaries are alive at once
-            for eps, traj in zip(c.epsilon, trajs):
-                self._hyp[eps] = traj
-                self.energies[eps] = an.hyperbolic_series(traj, self.decay_lp())
-        return [self._hyp[eps] for eps in c.epsilon]
+            for traj in self._hyp:
+                self.energies[traj.eps] = an.hyperbolic_series(traj, self.decay_lp())
+        return self._hyp
 
     def step_counts(self) -> dict[str, Any]:
         """Each integrated flow's and lemma kind's ``runs.json`` entry, as its
         solver built it (a trajectory's ``steps``, an instance's ``"steps"``)."""
         return {
             "parabolic": None if self._par is None else self._par.steps,
-            "hyperbolic": {repr(eps): traj.steps for eps, traj in self._hyp.items()},
+            "hyperbolic": {repr(traj.eps): traj.steps for traj in self._hyp},
             "lemmas": {kind: inst["steps"] for kind, inst in self.lemmas.items()},
         }
 
@@ -622,10 +616,10 @@ def _timeseries(ctx: _Context) -> tuple[dict[str, dict[str, np.ndarray]], dict[s
     if ctx._par is not None:
         csvs["parabolic.csv"] = _flow_csv(ctx, ctx._par, ctx.energies[None])
         files["parabolic"] = "parabolic.csv"
-    for eps, traj in ctx._hyp.items():
-        name = f"hyperbolic_eps{eps!r}.csv"
-        csvs[name] = _flow_csv(ctx, traj, ctx.energies[eps])
-        files["hyperbolic"][repr(eps)] = name
+    for traj in ctx._hyp:
+        name = f"hyperbolic_eps{traj.eps!r}.csv"
+        csvs[name] = _flow_csv(ctx, traj, ctx.energies[traj.eps])
+        files["hyperbolic"][repr(traj.eps)] = name
     for kind, inst in ctx.lemmas.items():
         name = f"{kind}_instance.csv"
         csvs[name] = _lemma_csv(ctx, kind, inst)
@@ -696,6 +690,11 @@ def _scn_decay_error(ctx: _Context) -> None:
     c = ctx.cfg
     if not an._halving_sweep(c.epsilon):
         raise ConfigError("scenario 'decay_error': epsilon must halve from value to value")
+    with np.errstate(over="ignore"):  # its checks divide by phi down to t_end
+        phi_end = float(en.phi(c.beta, c.p, c.t_end))
+    if not phi_end >= np.finfo(float).tiny:
+        _fail("beta", f"phi(beta, p, t_end) = {phi_end:.3g} is not a normal double, and "
+                      "scenario 'decay_error' divides by it")
     traj_par = ctx.parabolic()
     th0 = theta0(c.u0, c.u1, c.operator, c.mass)
     lp_pert = en.perturbation_params(c.beta, c.p, ctx.mu, c.operator.nu)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1118,6 +1120,65 @@ class TestCli:
         code, err = self.verify_cli_valid(tmp_path, capfd, "beta=6.1e283")
         assert code in (0, 1) and err == "", (code, err)
 
+    @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            # each exited 3 after an overflow warning: in the solver's norm of
+            # its first slope, m lambda / eps, or squaring the limit flow's
+            # velocity m A u0
+            ("verify", ["mass.affine.base=3e153"],
+             "m(sigma(0)) lambda_max / min(eps) = 2.4e+155"),
+            ("simulate", ['mass={"constant": 1e152}', "epsilon=[1e-3]",
+                          "initial.u0=[1e-100, 5e-101]", "initial.u1=[0, -1e-100]"],
+             "m(sigma(0)) lambda_max / min(eps) = 4e+155"),
+            ("simulate", ['mass={"constant": 1e100}', "initial.u0=[1e76, 5e75]",
+                          "initial.u1=[0, -1e76]"],
+             "m(sigma(0)) |A u0| = 2.24e+176"),
+        ],
+        ids=["affine_base_slope", "constant_small_eps_slope", "constant_limit_velocity"],
+    )
+    def test_a_slope_the_run_cannot_square_exit_two(self, tmp_path, capfd, command, overrides,
+                                                     message):
+        path = write_config(tmp_path, dict(CLI_VALID, scenario="decay"))
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                         *(f"--override={override}" for override in overrides)])
+        out, err = capfd.readouterr()
+        assert code == 2 and out == "", (code, out, err)
+        assert err == f"error: mass: {message} is not below sqrt(max double) = 1.34e+154\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("beta,phi_end", [(490, "2.71e-312"), (1000, "0"), (1.5e308, "0")])
+    def test_decay_error_refuses_a_beta_whose_envelope_leaves_normal_doubles(
+        self, tmp_path, capfd, beta, phi_end
+    ):
+        # phi(beta, p, t_end) went subnormal or 0, and the residual and sweep
+        # checks divided by it: 2 to 12 warning lines, exit 1
+        doc = dict(CLI_VALID, epsilon=[0.04, 0.02, 0.01], scenario="decay_error", beta=beta)
+        code = cli_main(["verify", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code == 2 and out == "", (code, out, err)
+        assert err == (f"error: beta: phi(beta, p, t_end) = {phi_end} is not a normal double, "
+                       "and scenario 'decay_error' divides by it\n")
+
+    def test_all_skips_decay_error_at_a_beta_it_refuses(self, tmp_path, capfd):
+        doc = dict(CLI_VALID, epsilon=[0.04, 0.02, 0.01], scenario="all", beta=1000)
+        code = cli_main(["verify", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code in (0, 1) and out == err == "", (code, out, err)
+        report = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+        assert "S_eps" not in report["measured_constants"]
+
+    def test_decay_error_runs_a_beta_whose_envelope_stays_normal(self, tmp_path, capfd):
+        doc = dict(CLI_VALID, epsilon=[0.04, 0.02, 0.01], scenario="decay_error", beta=480)
+        code = cli_main(["verify", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code in (0, 1) and out == err == "", (code, out, err)
+        report = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+        assert "S_eps" in report["measured_constants"]
+
     def test_a_constant_mass_bound_past_exp_range_exit_cleanly(self, tmp_path):
         # g = 2 mu nu / (1+p) = 1000: e^g overflows, the bound 1.05 lhs(0) psi(g) does not.
         # One mode keeps a constant slack, so rounding sets worst_t: it is not pinned.
@@ -1515,6 +1576,40 @@ class TestProperties:
         else:
             first = {2: "error: ", 3: "integration failure: "}[code]
             assert stderr.startswith(first) and stderr.count("\n") == 1, stderr
+
+    def test_a_magnitude_grid_keeps_the_exit_code_contract(self, tmp_path, capfd, monkeypatch):
+        # CLI_VALID's physics with the mass and the data scaled across double
+        # range, at two eps: every run exits 0 or 1 silently, 2 with one
+        # error line, or 3 with one line from the solver
+        monkeypatch.setattr(klab._rk, "_MAX_STEPS", 2000)
+        path = tmp_path / "config.json"
+        broken = []
+        for variant, mass, scale, (eps, scenario) in itertools.product(
+            ("constant", "affine", "rational"),
+            (1e-160, 1e-100, 1e100, 1e152, 3e153),
+            (1e-100, 1.0, 1e50, 1e76),
+            ((0.05, "decay"), (1e-3, "simulate")),
+        ):
+            doc = dict(CLI_VALID, epsilon=[eps], scenario=scenario,
+                       mass=({"constant": mass} if variant == "constant"
+                             else {variant: {"base": mass, "coeff": 0.5 * mass}}),
+                       initial={"u0": [scale, 0.5 * scale], "u1": [0.0, -scale]})
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            # each warning counted, as the CLI would write it to stderr
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main([scenario if scenario == "simulate" else "verify",
+                                 "--config", str(path), "--out", str(tmp_path / "out")])
+            out, err = capfd.readouterr()
+            err = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught) + err
+            if code in (0, 1):
+                kept = err == ""
+            else:
+                first = {2: "error: ", 3: "integration failure: "}.get(code, "?")
+                kept = err.startswith(first) and err.count("\n") == 1
+            if out or not kept:
+                broken.append((variant, mass, scale, eps, code, err))
+        assert broken == []
 
     @CLI_FUZZ
     @given(doc=CLI_DOCUMENTS)
